@@ -543,5 +543,8 @@ def main(out: Optional[str] = "BENCH_kernel.json", repeats: int = 3,
     return 0
 
 
-if __name__ == "__main__":  # pragma: no cover - thin wrapper
-    sys.exit(main())
+if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
+    # `python -m repro.bench ARGS` is `sweb-repro bench ARGS`: same parser,
+    # same options and defaults.
+    from .cli import main as _cli_main
+    sys.exit(_cli_main(["bench", *sys.argv[1:]]))

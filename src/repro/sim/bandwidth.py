@@ -8,10 +8,15 @@ fat-tree ports, the NOW's shared Ethernet bus, and WAN links.
 
 The implementation is event-driven: whenever the set of active jobs (or the
 rate) changes, every job's remaining work is advanced using the allocation
-that was in force, a new allocation is computed, and a single wake-up timer
-is scheduled for the earliest completion.  Stale timers are ignored via a
-generation counter, so membership churn is O(n) per change and the server
-never scans jobs on a clock tick.
+that was in force, then one pass computes the new allocation together with
+the earliest completion under it and re-arms the server's single wake-up
+timer.  The timer it replaces stays where it is on the event heap, so no
+other event's ``(time, priority, seq)`` moves, but its callback list is
+emptied: it dispatches as a no-op and never calls back into the server
+(:attr:`FairShareServer.wakeups_superseded` counts these stale wake-ups).
+Each :class:`Job` is itself the event that fires at its completion.
+Membership churn is O(n) per change and the server never scans jobs on a
+clock tick.
 """
 
 from __future__ import annotations
@@ -19,32 +24,47 @@ from __future__ import annotations
 import math
 from typing import Any, Optional
 
-from .engine import Event, Simulator
+from .engine import Event, Simulator, Timeout
 
 __all__ = ["Job", "FairShareServer"]
 
 _EPS = 1e-9
+_INF = math.inf
+_ulp = math.ulp
 
 
-class Job:
-    """One unit of work in service at a :class:`FairShareServer`."""
+class Job(Event):
+    """One unit of work in service at a :class:`FairShareServer`.
+
+    A job is its own completion event: it succeeds (with the job as value)
+    when service completes and fails with ``InterruptedError`` when it is
+    cancelled, so processes simply ``yield job``.
+    """
 
     __slots__ = ("server", "work", "remaining", "weight", "cap", "tag",
-                 "done", "submitted_at", "finished_at", "_rate")
+                 "submitted_at", "finished_at", "_rate", "_tol", "_shaped")
 
     def __init__(self, server: "FairShareServer", work: float, weight: float,
                  cap: Optional[float], tag: Any) -> None:
+        sim = server.sim
+        Event.__init__(self, sim)
         self.server = server
-        self.work = float(work)
-        self.remaining = float(work)
+        self.work = self.remaining = work = float(work)
         self.weight = float(weight)
         self.cap = cap
         self.tag = tag
-        #: Event that fires (with the job as value) when service completes.
-        self.done: Event = Event(server.sim)
-        self.submitted_at = server.sim.now
+        self.submitted_at = sim._now
         self.finished_at: Optional[float] = None
         self._rate = 0.0  # current allocated rate
+        # Remaining work at or below which the job counts as finished.
+        self._tol = _EPS * (work if work > 1.0 else 1.0)
+        # Capped or weighted: its share needs water-filling.
+        self._shaped = cap is not None or self.weight != 1.0
+
+    @property
+    def done(self) -> "Job":
+        """The completion event: the job itself (``yield job.done``)."""
+        return self
 
     @property
     def progress(self) -> float:
@@ -83,13 +103,24 @@ class FairShareServer:
         self.name = name
         self._rate = float(rate)
         self._jobs: list[Job] = []
-        self._generation = 0
+        # Jobs in service with a cap or a non-unit weight; while it is 0
+        # every job gets the same share and water-filling is unnecessary.
+        self._nshaped = 0
+        # The one armed wake-up (None when no completion is scheduled) and
+        # the bound method every arm attaches to it.
+        self._timer: Optional[Timeout] = None
+        self._on_wake = self._wake
         self._last_update = sim.now
         # Integrals for load/utilisation accounting (see sample helpers).
         self._pop_integral = 0.0   # ∫ n(t) dt
         self._busy_integral = 0.0  # ∫ [n(t) > 0] dt
         self._work_done = 0.0      # total work completed
         self._jobs_completed = 0
+        #: Wake-up timers armed since construction (observation only).
+        self.wakeups_armed = 0
+        #: Armed wake-ups replaced before they fired; each still dispatches
+        #: from the heap as a no-op (observation only).
+        self.wakeups_superseded = 0
 
     # -- public API ----------------------------------------------------------
     @property
@@ -119,7 +150,7 @@ class FairShareServer:
 
     def submit(self, work: float, weight: float = 1.0,
                cap: Optional[float] = None, tag: Any = None) -> Job:
-        """Enter a job of ``work`` units; ``job.done`` fires at completion.
+        """Enter a job of ``work`` units; the returned job fires at completion.
 
         ``cap`` bounds the rate this single job may receive (e.g. a WAN
         client whose modem is slower than the server's link).
@@ -130,23 +161,32 @@ class FairShareServer:
             raise ValueError(f"weight must be > 0, got {weight}")
         if cap is not None and cap <= 0:
             raise ValueError(f"cap must be > 0, got {cap}")
-        self._advance()
+        jobs = self._jobs
+        if jobs:
+            self._advance()
+        else:
+            # Idle server: nothing accrued, only the accounting clock moves.
+            self._last_update = self.sim._now
         job = Job(self, work, weight, cap, tag)
         if job.remaining <= _EPS:
             self._finish(job)
         else:
-            self._jobs.append(job)
+            jobs.append(job)
+            if job._shaped:
+                self._nshaped += 1
         self._reallocate()
         return job
 
     def cancel(self, job: Job) -> None:
-        """Abort a job; its ``done`` event fails with ``InterruptedError``."""
+        """Abort a job; the job's event fails with ``InterruptedError``."""
         self._advance()
         if job in self._jobs:
             self._jobs.remove(job)
+            if job._shaped:
+                self._nshaped -= 1
             job._rate = 0.0
-            job.done.fail(InterruptedError(f"job {job.tag!r} cancelled"))
-            job.done.defuse()
+            job.fail(InterruptedError(f"job {job.tag!r} cancelled"))
+            job.defuse()
         self._reallocate()
 
     def set_rate(self, rate: float) -> None:
@@ -179,7 +219,7 @@ class FairShareServer:
     # -- internals -------------------------------------------------------------
     def _advance(self) -> None:
         """Apply progress accrued since the last state change."""
-        now = self.sim.now
+        now = self.sim._now
         dt = now - self._last_update
         if dt <= 0:
             # Nothing can have progressed (or finished: every path that
@@ -199,89 +239,125 @@ class FairShareServer:
             rem = job.remaining
             if step > rem:
                 step = rem
-            job.remaining = rem - step
+            job.remaining = rem = rem - step
             work_done += step
-            if rem - step <= _EPS * (job.work if job.work > 1.0 else 1.0):
+            if rem <= job._tol:
                 any_done = True
         self._work_done = work_done
-        # Complete any job that ran out of work exactly now.
+        # Complete, in list order, every job that ran out of work exactly now.
         if any_done:
-            finished = [j for j in jobs
-                        if j.remaining <= _EPS * max(1.0, j.work)]
-            for job in finished:
-                jobs.remove(job)
-                self._finish(job)
+            keep = []
+            for job in jobs:
+                if job.remaining <= job._tol:
+                    if job._shaped:
+                        self._nshaped -= 1
+                    self._finish(job)
+                else:
+                    keep.append(job)
+            jobs[:] = keep
 
     def _finish(self, job: Job) -> None:
         job.remaining = 0.0
         job._rate = 0.0
-        job.finished_at = self.sim.now
+        job.finished_at = self.sim._now
         self._jobs_completed += 1
-        job.done.succeed(job)
+        job.succeed(job)
 
     def _reallocate(self) -> None:
-        """Water-filling rate allocation, then schedule the next completion."""
-        self._generation += 1
+        """Water-filling rate allocation and the next wake-up, in one pass.
+
+        Disarms the current wake-up, assigns every job its rate, finds the
+        earliest completion under the new rates and arms one timer for it.
+        """
+        timer = self._timer
+        if timer is not None:
+            # Superseded: the entry keeps its heap slot (and so the order
+            # of every other event) but dispatches with no callbacks.
+            timer.callbacks.clear()
+            self._timer = None
+            self.wakeups_superseded += 1
         jobs = self._jobs
         if not jobs:
             return
         total = self._rate
-        for job in jobs:
-            if job.cap is not None:
-                break
-        else:
-            # Fast path: no capped job in service (the overwhelmingly
-            # common case) — the fair share is final on the first pass, so
-            # skip the iterative water-filling and its list copies.  The
-            # rate expression matches the general path bit for bit.
+        if len(jobs) == 1:
+            # Single job: water-filling ends on its first round — the full
+            # rate (as total * w / w, bit for bit), or its cap if lower.
+            job = jobs[0]
             if total > _EPS:
-                wsum = sum(j.weight for j in jobs)
-                for j in jobs:
-                    j._rate = total * j.weight / wsum
+                w = job.weight
+                rate = total * w / w
+                cap = job.cap
+                if cap is not None and rate > cap + _EPS:
+                    rate = cap
             else:
+                rate = 0.0
+            job._rate = rate
+            if rate <= _EPS:
+                return
+            soonest = job.remaining / rate
+        elif not self._nshaped:
+            # Unit weights, no caps (the common case): the weight sum is
+            # exactly float(n) and total * 1.0 / n is total / n, so every
+            # job gets one rate; division by a positive constant preserves
+            # order, so the earliest completion is the least remaining
+            # work over that rate.
+            if total <= _EPS:
                 for j in jobs:
                     j._rate = 0.0
-            self._schedule_wakeup()
-            return
-        pending = list(jobs)
-        # Fix capped jobs whose fair share exceeds their cap, iteratively.
-        for job in pending:
-            job._rate = 0.0
-        while pending and total > _EPS:
-            wsum = sum(j.weight for j in pending)
-            capped = [j for j in pending
-                      if j.cap is not None and total * j.weight / wsum > j.cap + _EPS]
-            if not capped:
-                for j in pending:
-                    j._rate = total * j.weight / wsum
-                total = 0.0
-                break
-            for j in capped:
-                j._rate = j.cap
-                total -= j.cap
-                pending.remove(j)
-            total = max(total, 0.0)
-        self._schedule_wakeup()
-
-    def _schedule_wakeup(self) -> None:
-        """Arm a timer for the earliest completion under the new rates."""
-        # Earliest completion under the new allocation.
-        soonest = math.inf
-        for job in self._jobs:
-            if job._rate > _EPS:
-                soonest = min(soonest, job.remaining / job._rate)
-        if math.isfinite(soonest):
+                return
+            rate = total / len(jobs)
+            low = _INF
+            for j in jobs:
+                j._rate = rate
+                rem = j.remaining
+                if rem < low:
+                    low = rem
+            if rate <= _EPS:
+                return
+            soonest = low / rate
+        else:
+            pending = list(jobs)
+            # Fix capped jobs whose fair share exceeds their cap, iteratively.
+            for job in pending:
+                job._rate = 0.0
+            while pending and total > _EPS:
+                wsum = sum(j.weight for j in pending)
+                capped = [j for j in pending
+                          if j.cap is not None
+                          and total * j.weight / wsum > j.cap + _EPS]
+                if not capped:
+                    for j in pending:
+                        j._rate = total * j.weight / wsum
+                    break
+                for j in capped:
+                    j._rate = j.cap
+                    total -= j.cap
+                    pending.remove(j)
+                if total < 0.0:
+                    total = 0.0
+            soonest = _INF
+            for j in jobs:
+                rate = j._rate
+                if rate > _EPS:
+                    t = j.remaining / rate
+                    if t < soonest:
+                        soonest = t
+        if soonest < _INF:
             # Floor the delay at the clock's float resolution: a delay below
             # one ulp of `now` would not advance time, and the wake-up would
             # re-arm itself forever (zero-dt livelock).
-            floor = 4.0 * math.ulp(max(1.0, self.sim.now))
-            gen = self._generation
-            timer = self.sim.timeout(max(soonest, floor))
-            timer.callbacks.append(lambda ev, gen=gen: self._wake(gen))
+            sim = self.sim
+            now = sim._now
+            floor = 4.0 * _ulp(now if now > 1.0 else 1.0)
+            timer = sim.timeout(soonest if soonest > floor else floor)
+            timer.callbacks.append(self._on_wake)
+            self._timer = timer
+            self.wakeups_armed += 1
 
-    def _wake(self, generation: int) -> None:
-        if generation != self._generation:
-            return  # state changed since this timer was armed
+    def _wake(self, timer: Event) -> None:
+        """Callback of the armed wake-up: the earliest completion is due."""
+        self._timer = None
         self._advance()
         self._reallocate()
 

@@ -4,10 +4,16 @@ Covers ``parse_scale`` (float vs tier-letter forms), the tier phase
 registry, and a miniature tier run through ``run_bench`` — scaled down
 by the float multiplier so the test finishes in milliseconds while
 still exercising the exact code path ``sweb-repro bench --scale L``
-takes.
+takes.  Also checks that ``python -m repro.bench`` parses its arguments
+like ``sweb-repro bench``.
 """
 
 import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,3 +91,29 @@ def test_run_bench_without_tier_skips_tier_phases():
     doc = run_bench(repeats=1, scale=0.01, stream=io.StringIO(),
                     phases=["fluid_stream@S"])
     assert set(doc["phases"]) == {"fluid_stream@S"}
+
+
+def test_module_entry_point_routes_through_the_cli_parser(tmp_path):
+    # `python -m repro.bench` must honour --phase/--scale/--repeats/-o like
+    # `sweb-repro bench`, and write nothing into the working directory.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = tmp_path / "out" / "bench.json"
+    out.parent.mkdir()
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.bench", "--phase", "fair_share",
+         "--scale", "0.05", "--repeats", "1", "-o", str(out)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert set(doc["phases"]) == {"fair_share"}
+    assert list(cwd.iterdir()) == []
+    bad = subprocess.run(
+        [sys.executable, "-m", "repro.bench", "--scale", "Q"],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+    assert bad.returncode == 2 and "sweb-repro bench" in bad.stderr
+    assert list(cwd.iterdir()) == []

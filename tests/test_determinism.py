@@ -39,9 +39,6 @@ from repro.workload import (
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "determinism_fingerprint.json"
-#: the fingerprint as it stood before the geo tier landed — the three
-#: single-cluster scenarios must stay bit-identical with geo disabled
-PRE_GEO = DATA / "determinism_fingerprint_pre_geo.json"
 
 
 def _scenarios():
@@ -160,19 +157,6 @@ def test_fixed_seed_scenarios_match_golden_fingerprint():
                 f"{name}.{key} drifted from the golden fingerprint — a "
                 f"supposedly behaviour-preserving change altered simulation "
                 f"results (see docs/PERFORMANCE.md)")
-
-
-def test_pre_geo_goldens_unchanged_with_geo_disabled():
-    """The geo tier is additive: with geo off (the default everywhere),
-    the three single-cluster scenarios must stay *bit-identical* to the
-    fingerprint pinned before the tier landed (docs/GEO.md)."""
-    pre_geo = json.loads(PRE_GEO.read_text())
-    assert "det-geo" not in pre_geo  # the pin really predates the tier
-    current = fingerprint()
-    for name in pre_geo:
-        assert current[name] == pre_geo[name], (
-            f"{name} drifted from the pre-geo fingerprint — the geo tier "
-            f"must be a strict no-op when disabled (docs/GEO.md)")
 
 
 if __name__ == "__main__":

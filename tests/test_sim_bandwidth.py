@@ -267,3 +267,89 @@ def test_many_staggered_jobs_total_time_matches_total_work():
         sim.spawn(go(0.0, work))
     sim.run()
     assert max(finished) == pytest.approx(20.0 / 2.0)
+
+
+def test_job_is_its_own_completion_event():
+    sim = Simulator()
+    srv = FairShareServer(sim, rate=4.0)
+    job = srv.submit(8.0, tag="self")
+    assert job.done is job
+    assert sim.run(until=job) is job
+    assert sim.now == pytest.approx(2.0)
+    assert job.ok and job.finished_at == sim.now
+
+
+class _CountingServer(FairShareServer):
+    """Counts the wake-ups that reach the server's code."""
+
+    def __init__(self, *args, **kwargs):
+        self.fired = 0
+        super().__init__(*args, **kwargs)
+
+    def _wake(self, timer):
+        self.fired += 1
+        super()._wake(timer)
+
+
+def _pending(srv):
+    return 0 if srv._timer is None else 1
+
+
+def test_wakeup_counters_balance_and_stale_entries_stay_inert():
+    sim = Simulator()
+    srv = _CountingServer(sim, rate=10.0)
+    feeders = 0
+    superseded_timers = []
+
+    def submit_at(when, work, cap=None):
+        nonlocal feeders
+        feeders += 1
+        sim.timeout(when).callbacks.append(
+            lambda ev: srv.submit(work, cap=cap))
+
+    def read_at(when):
+        nonlocal feeders
+        feeders += 1
+
+        def read(ev):
+            before = srv._timer
+            srv.population_integral()
+            if before is not None:
+                # Still on the heap, its callbacks already emptied.
+                assert before.callbacks == [] and before is not srv._timer
+                superseded_timers.append(before)
+        sim.timeout(when).callbacks.append(read)
+
+    for i in range(12):
+        submit_at(0.5 * i, 4.0 + i, cap=8.0 if i % 4 == 0 else None)
+        read_at(0.5 * i + 0.25)
+    checkpoints = [1.0, 2.6, 4.1, 30.0]
+    for t in checkpoints:
+        sim.run(until=t)
+        assert srv.wakeups_armed == (srv.fired + srv.wakeups_superseded
+                                     + _pending(srv))
+    # Every read over a live timer superseded it.
+    assert superseded_timers
+    assert srv.njobs == 0 and _pending(srv) == 0
+    assert srv.wakeups_superseded >= len(superseded_timers)
+    # Every armed timer was dispatched from the heap (fired or stale), yet
+    # only the fired ones ran server code: the kernel saw feeders + job
+    # completions + all armed timers + the checkpoints' stop events.
+    assert sim.event_count == (feeders + srv.jobs_completed
+                               + srv.wakeups_armed + len(checkpoints))
+
+
+def test_superseded_wakeup_dispatch_runs_no_server_code():
+    sim = Simulator()
+    srv = _CountingServer(sim, rate=1.0)
+    srv.submit(10.0)
+    stale = srv._timer
+    srv.submit(10.0)  # re-arms: the first timer is superseded
+    assert srv.wakeups_armed == 2 and srv.wakeups_superseded == 1
+    assert stale is not srv._timer and stale.callbacks == []
+    sim.run(until=10.0 + 1e-9)  # past the stale entry's original due time
+    assert srv.fired == 0
+    assert srv.njobs == 2
+    sim.run()
+    assert srv.fired == 1 and srv.wakeups_superseded == 1
+    assert srv.jobs_completed == 2
