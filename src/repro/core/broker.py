@@ -139,6 +139,7 @@ class Broker:
         task = self.oracle.characterize(path, file_size)
         # (c) Price every available candidate.  The local node is priced
         # from an instantaneous probe when one is wired in.
+        local = self.node_id
         candidates = self.view.available(now)
         if params.graceful_degradation:
             # Drop suspects: a silent-but-not-yet-stale peer may be dead,
@@ -147,41 +148,47 @@ class Broker:
                           if not self.view.suspected(c.node, now)]
         if self.local_probe is not None:
             fresh = self.local_probe()
-            candidates = [fresh if c.node == self.node_id else c
-                          for c in candidates]
-            if all(c.node != self.node_id for c in candidates):
+            for i, cand in enumerate(candidates):
+                if cand.node == local:
+                    candidates[i] = fresh
+                    break
+            else:
                 candidates.append(fresh)
         home_snap = None
         if file_home is not None:
             home_snap = self.view.get(file_home, now)
-            if (self.local_probe is not None and file_home == self.node_id):
+            if (self.local_probe is not None and file_home == local):
                 home_snap = fresh
         directory = self.directory
-        estimates = tuple(
-            self.cost_model.estimate(
-                task, cand, home_snap, file_home,
-                local=self.node_id, client_latency=client_latency,
-                cached=(directory is not None and file_size > 0
-                        and directory.holds(cand.node, path, now)),
-                wan=file_wan)
-            for cand in candidates)
+        cached: Optional[list[bool]] = None
+        if directory is not None and file_size > 0:
+            cached = [directory.holds(cand.node, path, now)
+                      for cand in candidates]
+        estimates = self.cost_model.estimate_all(
+            task, candidates, home_snap, file_home, local, client_latency,
+            cached, file_wan)
         if not estimates:
             # Nobody else is known: serve locally.
-            decision = BrokerDecision(chosen=self.node_id, local=self.node_id,
-                                      estimates=(), task=task)
-            return decision
-        # (d) Argmin with deterministic tie-breaking.
-        best = min(estimates,
-                   key=lambda e: (e.total, e.node != self.node_id, e.node))
-        decision = BrokerDecision(chosen=best.node, local=self.node_id,
+            return BrokerDecision(chosen=local, local=local, estimates=(),
+                                  task=task)
+        # (d) Argmin with deterministic tie-breaking.  Candidates need not
+        # be in node order (the local probe may come last), so the node id
+        # is part of the key.
+        best = estimates[0]
+        best_key = (best.total, best.node != local, best.node)
+        for est in estimates[1:]:
+            key = (est.total, est.node != local, est.node)
+            if key < best_key:
+                best, best_key = est, key
+        decision = BrokerDecision(chosen=best.node, local=local,
                                   estimates=estimates, task=task)
-        if decision.redirected:
+        if best.node != local:
             self.redirections += 1
             # Δ-inflation: guard against unsynchronized overloading.
-            self.view.inflate_cpu(best.node, self.cost_model.params.delta)
+            self.view.inflate_cpu(best.node, params.delta)
         if self.trace is not None:
-            self.trace.emit(now, "sched", f"broker-{self.node_id}",
+            self.trace.emit(now, "sched", f"broker-{local}",
                             "choose_server", path=path, winner=best.node,
-                            t_s=round(best.total, 6),
+                            t_s=round(best_key[0], 6),
                             candidates=len(estimates))
         return decision

@@ -24,8 +24,9 @@ and show each one earns its keep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple, Optional, Sequence
 
 from .loadinfo import LoadSnapshot
 from .oracle import TaskEstimate
@@ -179,9 +180,8 @@ class CostParameters:
                              f"{self.replication_max_per_cycle}")
 
 
-@dataclass(frozen=True)
-class CostEstimate:
-    """The broker's prediction for one candidate server."""
+class CostEstimate(NamedTuple):
+    """The broker's prediction for one candidate server (immutable)."""
 
     node: int
     t_redirection: float
@@ -223,13 +223,18 @@ class CostModel:
         Uses the hand-coded latency constant when configured (the paper's
         initial implementation), else the measured client latency.
         """
-        if not self.params.use_redirection_term:
-            return 0.0
         if candidate == local:
             return 0.0
-        if self.params.assumed_client_latency is not None:
-            client_latency = self.params.assumed_client_latency
-        return 2.0 * client_latency + self.params.connect_time
+        return self._move_cost(client_latency)
+
+    def _move_cost(self, client_latency: float) -> float:
+        """t_redirection of a candidate the request must move to."""
+        params = self.params
+        if not params.use_redirection_term:
+            return 0.0
+        if params.assumed_client_latency is not None:
+            client_latency = params.assumed_client_latency
+        return 2.0 * client_latency + params.connect_time
 
     def t_data(self, est: TaskEstimate, candidate: LoadSnapshot,
                home: Optional[LoadSnapshot], file_home: Optional[int],
@@ -278,10 +283,18 @@ class CostModel:
         """
         if not self.params.use_cpu_term:
             return 0.0
+        ops = est.cpu_ops if local else self._remote_ops(est)
+        return self._queued_cpu(ops, candidate)
+
+    def _remote_ops(self, est: TaskEstimate) -> float:
+        """CPU operations a candidate the request moves to must spend."""
         # est.cpu_ops already includes the oracle's per-byte send estimate.
-        ops = est.cpu_ops
-        if not local:
-            ops += self.params.fork_ops + self.params.preprocess_ops
+        params = self.params
+        return est.cpu_ops + (params.fork_ops + params.preprocess_ops)
+
+    @staticmethod
+    def _queued_cpu(ops: float, candidate: LoadSnapshot) -> float:
+        """``ops`` behind ``candidate``'s believed run queue."""
         return ops * (1.0 + candidate.cpu_load) / candidate.cpu_speed
 
     def t_net(self, est: TaskEstimate) -> float:
@@ -296,11 +309,41 @@ class CostModel:
                  local: int, client_latency: float,
                  cached: bool = False, wan: bool = False) -> CostEstimate:
         """Predict the completion time if ``candidate`` serves the request."""
-        return CostEstimate(
-            node=candidate.node,
-            t_redirection=self.t_redirection(candidate.node, local, client_latency),
-            t_data=self.t_data(est, candidate, home, file_home, cached=cached,
-                               wan=wan),
-            t_cpu=self.t_cpu(est, candidate, local=(candidate.node == local)),
-            t_net=self.t_net(est),
-        )
+        return self.estimate_all(est, (candidate,), home, file_home, local,
+                                 client_latency, (cached,), wan)[0]
+
+    def estimate_all(self, est: TaskEstimate,
+                     candidates: Sequence[LoadSnapshot],
+                     home: Optional[LoadSnapshot], file_home: Optional[int],
+                     local: int, client_latency: float,
+                     cached: Optional[Sequence[bool]] = None,
+                     wan: bool = False) -> tuple[CostEstimate, ...]:
+        """Price one request on every candidate, in candidate order.
+
+        ``cached`` holds one directory answer per candidate (None: no
+        candidate is believed to hold the file in RAM).  The per-request
+        invariants — t_net, the move cost and the fork+parse work a
+        remote candidate must redo — are computed once; t_data and t_CPU
+        are the per-candidate terms, with the same expressions as the
+        single-term methods, so every estimate equals term-by-term
+        pricing bit for bit.
+        """
+        t_net = self.t_net(est)
+        move = self._move_cost(client_latency)
+        t_data = self.t_data
+        use_cpu = self.params.use_cpu_term
+        local_ops = est.cpu_ops
+        remote_ops = self._remote_ops(est)
+        queued_cpu = self._queued_cpu
+        out = []
+        for cand, hit in zip(candidates,
+                             repeat(False) if cached is None else cached):
+            here = cand.node == local
+            out.append(CostEstimate(
+                cand.node,
+                0.0 if here else move,
+                t_data(est, cand, home, file_home, hit, wan),
+                (queued_cpu(local_ops if here else remote_ops, cand)
+                 if use_cpu else 0.0),
+                t_net))
+        return tuple(out)

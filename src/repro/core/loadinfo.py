@@ -57,12 +57,18 @@ class ClusterView:
         self.suspicion_timeout = (float(suspicion_timeout)
                                   if suspicion_timeout is not None
                                   else float(staleness_timeout))
+        #: node -> latest snapshot, kept in node order (re-sorted only
+        #: when a node is first heard of) so queries never sort
         self._snapshots: dict[int, LoadSnapshot] = {}
 
     # -- updates --------------------------------------------------------------
     def update(self, snapshot: LoadSnapshot) -> None:
         """Install a fresh broadcast (or the local self-sample)."""
-        self._snapshots[snapshot.node] = snapshot
+        snaps = self._snapshots
+        known = snapshot.node in snaps
+        snaps[snapshot.node] = snapshot
+        if not known:
+            self._snapshots = dict(sorted(snaps.items()))
 
     def inflate_cpu(self, node: int, delta: float) -> None:
         """Conservatively raise a node's believed CPU load after routing a
@@ -95,12 +101,11 @@ class ClusterView:
 
     def available(self, now: float) -> list[LoadSnapshot]:
         """Snapshots of every node currently believed available."""
-        out = []
-        for node in sorted(self._snapshots):
-            snap = self.get(node, now)
-            if snap is not None:
-                out.append(snap)
-        return out
+        owner = self.owner
+        timeout = self.staleness_timeout
+        # get() inlined: the owner is always fresh, peers until timed out.
+        return [snap for node, snap in self._snapshots.items()
+                if node == owner or not now - snap.timestamp > timeout]
 
     def age(self, node: int, now: float) -> Optional[float]:
         """Seconds since ``node`` last reported, or None if never heard."""
@@ -142,7 +147,7 @@ class ClusterView:
         unavailable.
         """
         out: dict[int, str] = {}
-        for node in sorted(self._snapshots):
+        for node in self._snapshots:
             if node == self.owner:
                 out[node] = "available"
                 continue
@@ -156,7 +161,7 @@ class ClusterView:
         return out
 
     def known_nodes(self) -> list[int]:
-        return sorted(self._snapshots)
+        return list(self._snapshots)
 
     def __repr__(self) -> str:
         return f"<ClusterView owner={self.owner} nodes={self.known_nodes()}>"

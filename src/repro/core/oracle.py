@@ -7,6 +7,8 @@ file."
 
 The table maps glob patterns to cost rules; the first matching pattern
 wins.  CGI programs are characterised through the :class:`CGIRegistry`.
+The winning rule of each path is remembered, so the glob match runs once
+per distinct path, not once per request.
 """
 
 from __future__ import annotations
@@ -61,11 +63,30 @@ class Oracle:
 
     def __init__(self, rules: Optional[list[OracleRule]] = None,
                  cgi_registry: Optional[CGIRegistry] = None) -> None:
-        self.rules: tuple[OracleRule, ...] = tuple(rules) if rules else DEFAULT_RULES
+        self.rules = tuple(rules) if rules else DEFAULT_RULES
         if not any(rule.pattern == "*" for rule in self.rules):
             # Guarantee a catch-all so characterize() always succeeds.
             self.rules = self.rules + (OracleRule(pattern="*", ops_per_byte=0.25),)
         self.cgi = cgi_registry if cgi_registry is not None else CGIRegistry()
+
+    @property
+    def rules(self) -> tuple[OracleRule, ...]:
+        """The table, in match order."""
+        return self._rules
+
+    @rules.setter
+    def rules(self, rules: tuple[OracleRule, ...]) -> None:
+        self._rules = tuple(rules)
+        #: path -> its first matching rule, filled as paths are seen
+        self._rule_of: dict[str, OracleRule] = {}
+
+    def _rule_for(self, path: str) -> OracleRule:
+        """The first rule of the table whose pattern matches ``path``."""
+        rule = self._rule_of.get(path)
+        if rule is None:
+            rule = next(r for r in self._rules if r.matches(path))
+            self._rule_of[path] = rule
+        return rule
 
     @classmethod
     def from_config(cls, config: dict,
@@ -91,14 +112,10 @@ class Oracle:
             prog = self.cgi.lookup(path)
             return TaskEstimate(cpu_ops=prog.cpu_ops, disk_bytes=0.0,
                                 output_bytes=prog.output_bytes, is_cgi=True)
-        for rule in self.rules:
-            if rule.matches(path):
-                return TaskEstimate(
-                    cpu_ops=rule.base_ops + rule.ops_per_byte * file_size,
-                    disk_bytes=file_size,
-                    output_bytes=file_size,
-                    is_cgi=False)
-        raise AssertionError("unreachable: catch-all rule guaranteed")
+        rule = self._rule_for(path)
+        return TaskEstimate(
+            cpu_ops=rule.base_ops + rule.ops_per_byte * file_size,
+            disk_bytes=file_size, output_bytes=file_size, is_cgi=False)
 
     def __repr__(self) -> str:
         return f"<Oracle rules={len(self.rules)} cgi={len(self.cgi)}>"

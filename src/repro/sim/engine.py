@@ -9,6 +9,11 @@ process when the event it waits on triggers.
 Determinism: the event queue breaks ties on (time, priority, sequence
 number), so two runs with the same seed produce identical schedules.
 
+Cancellation: :meth:`Simulator.cancel` withdraws a scheduled event (a
+client's deadline once its reply has arrived).  Its heap entry is skipped,
+never dispatched, and the heap is compacted once such dead entries
+outnumber live ones, so the heap holds live work only.
+
 Performance: this file is the hottest code in the repository (see
 ``docs/PERFORMANCE.md``).  The main loop in :meth:`Simulator.run` inlines
 :meth:`Simulator.step`, the trigger/timeout paths push onto the heap
@@ -84,8 +89,9 @@ class Event:
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_state", "_defused")
 
-    #: event states
-    PENDING, TRIGGERED, PROCESSED = 0, 1, 2
+    #: event states (a cancelled event was scheduled, then withdrawn by
+    #: :meth:`Simulator.cancel` before it could be processed)
+    PENDING, TRIGGERED, PROCESSED, CANCELLED = 0, 1, 2, 3
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -274,32 +280,30 @@ class Process(Event):
                     self.fail(exc)
                     return
 
-                if not isinstance(target, Event):
+                if isinstance(target, Event):
+                    if target.sim is not sim:
+                        raise SimulationError(
+                            f"process {self.name!r} yielded an event from a "
+                            f"different simulator")
+                    cbs = target.callbacks
+                    if cbs is not None:
+                        cbs.append(self._resume)
+                        self._target = target
+                        return
+                    if target._state != Event.CANCELLED:
+                        # Already processed: resume immediately with its value.
+                        event = target
+                        continue
+                    msg = (f"process {self.name!r} yielded {target!r}, "
+                           f"which was cancelled")
+                else:
                     msg = (f"process {self.name!r} yielded {target!r}; "
                            f"processes must yield Event instances")
-                    err = SimulationError(msg)
-                    try:
-                        gen.throw(err)
-                    except StopIteration as stop:
-                        self._target = None
-                        self.succeed(stop.value)
-                        return
-                    except SimulationError:
-                        self._target = None
-                        self.fail(err)
-                        return
-                if target.sim is not sim:
-                    raise SimulationError(
-                        f"process {self.name!r} yielded an event from a "
-                        f"different simulator")
-                cbs = target.callbacks
-                if cbs is None:
-                    # Already processed: resume immediately with its value.
-                    event = target
-                    continue
-                cbs.append(self._resume)
-                self._target = target
-                return
+                # Throw the error into the generator, exactly as if it had
+                # waited on an event that failed with it.
+                event = Event(sim)
+                event._ok = False
+                event._value = SimulationError(msg)
         finally:
             sim._active_process = None
 
@@ -319,6 +323,8 @@ class _Condition(Event):
         for ev in self.events:
             if ev.sim is not sim:
                 raise SimulationError("condition mixes events from different simulators")
+            if ev.callbacks is None and ev._state == Event.CANCELLED:
+                raise SimulationError(f"condition on cancelled event {ev!r}")
         if not self.events:
             self.succeed({})
             return
@@ -344,10 +350,12 @@ class _Condition(Event):
 
     def _collect(self) -> dict[Event, Any]:
         # Only events that have actually been *processed* (their callbacks
-        # ran) count as fired; a pending Timeout is triggered-but-unfired.
+        # ran) count as fired; a pending Timeout is triggered-but-unfired,
+        # and a cancelled one never fires.
         return {ev: ev._value
                 for ev in self.events
-                if ev.callbacks is None and ev._ok}
+                if ev.callbacks is None and ev._ok
+                and ev._state != Event.CANCELLED}
 
 
 class AnyOf(_Condition):
@@ -380,6 +388,9 @@ class Simulator:
         self._seq = 0
         self._active_process: Optional[Process] = None
         self._event_count = 0
+        #: entries ever withdrawn by cancel(), and those still on the heap
+        self._cancelled = 0
+        self._dead = 0
         # Free pool of empty callback lists: Event.__init__ pops, the run
         # loop returns each processed event's (cleared) list.  Purely an
         # allocation-rate optimisation — never observable.
@@ -398,8 +409,19 @@ class Simulator:
 
     @property
     def event_count(self) -> int:
-        """Total events processed so far (a determinism fingerprint)."""
+        """Events dispatched so far (a determinism fingerprint); cancelled
+        entries are never dispatched."""
         return self._event_count
+
+    @property
+    def cancelled(self) -> int:
+        """Scheduled entries withdrawn by :meth:`cancel` so far."""
+        return self._cancelled
+
+    @property
+    def pending(self) -> int:
+        """Live scheduled entries: the heap minus its cancelled entries."""
+        return len(self._queue) - self._dead
 
     # -- event construction --------------------------------------------------
     def event(self) -> Event:
@@ -464,16 +486,66 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
 
+    def cancel(self, event: Event) -> None:
+        """Withdraw a scheduled event before it is processed.
+
+        The entry stays on the heap but is never dispatched: it runs no
+        callbacks, does not count in :attr:`event_count` and never moves
+        the clock.  Whatever waits on it waits forever, and yielding it
+        or building a condition on it afterwards raises
+        :class:`SimulationError`.  Cancelling an event that has already
+        been processed (or cancelled) is a no-op.
+
+        Once cancelled entries outnumber live ones, the heap is compacted
+        in place: live keys ``(time, priority, seq)`` are unique, so
+        filtering and re-heapifying leaves their pop order unchanged.
+        """
+        if event.sim is not self:
+            raise SimulationError(f"cannot cancel {event!r}: it belongs to "
+                                  f"another simulator")
+        callbacks = event.callbacks
+        if callbacks is None:
+            return
+        if event._state != Event.TRIGGERED:
+            raise SimulationError(f"cannot cancel {event!r}: not scheduled")
+        event.callbacks = None
+        event._state = Event.CANCELLED
+        self._cancelled += 1
+        self._dead = dead = self._dead + 1
+        if len(self._cb_pool) < self._POOL_MAX:
+            callbacks.clear()
+            self._cb_pool.append(callbacks)
+        queue = self._queue
+        if 2 * dead > len(queue):
+            # In place: run() holds a reference to this very list.
+            queue[:] = [entry for entry in queue
+                        if entry[3].callbacks is not None]
+            heapq.heapify(queue)
+            self._dead = 0
+
+    def _live_head(self) -> Optional[tuple[float, int, int, Event]]:
+        """Pop cancelled entries off the top of the heap; return the first
+        live entry (left in place), or None when none is left."""
+        queue = self._queue
+        while queue:
+            entry = queue[0]
+            if entry[3].callbacks is not None:
+                return entry
+            heappop(queue)
+            self._dead -= 1
+        return None
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        entry = self._live_head()
+        return entry[0] if entry is not None else float("inf")
 
     def step(self) -> None:
         """Process exactly one event.
 
         :meth:`run` inlines this body for speed; keep the two in sync.
         """
-        if not self._queue:
+        if self._live_head() is None:
             raise SimulationError("step() on an empty event queue")
         when, _prio, _seq, event = heappop(self._queue)
         if when < self._now - 1e-12:
@@ -502,6 +574,9 @@ class Simulator:
         if until is not None:
             if isinstance(until, Event):
                 if until.callbacks is None:
+                    if until._state == Event.CANCELLED:
+                        raise SimulationError(
+                            f"run(until={until!r}): the event was cancelled")
                     if not until._ok and not until._defused:
                         until._defused = True
                         raise until._value
@@ -535,13 +610,16 @@ class Simulator:
         try:
             while queue:
                 when, _prio, _seq, event = pop(queue)
+                callbacks = event.callbacks
+                if callbacks is None:
+                    self._dead -= 1  # a cancelled entry: never dispatched
+                    continue
                 now = self._now
                 if when >= now:
                     self._now = when
                 elif when < now - 1e-12:
                     raise SimulationError("event scheduled in the past")
                 self._event_count += 1
-                callbacks = event.callbacks
                 event.callbacks = None
                 for cb in callbacks:
                     cb(event)
@@ -556,6 +634,6 @@ class Simulator:
             if until is not None and not isinstance(until, Event):
                 self._now = float(until)
             return stop_value
-        if isinstance(until, Event) and not until.triggered:
+        if isinstance(until, Event) and until._state != Event.PROCESSED:
             raise SimulationError("run() ran out of events before `until` triggered")
         return until._value if isinstance(until, Event) else None

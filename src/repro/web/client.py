@@ -135,124 +135,129 @@ class Client:
         retries_left = (params.client_retries
                         if params.graceful_degradation else 0)
 
-        # --- DNS: Figure 1's first exchange ---------------------------------
-        t0 = sim.now
-        dns_span = self._span(root, "dns", "network")
         try:
-            node_id = yield from self._resolve(dns_span)
-        except LookupError:
-            self._end(dns_span, error="empty_zone")
-            self._end(root, outcome="dropped", reason="dns")
-            self.metrics.drop(rec, sim.now, reason="dns")
-            return rec
-        self._end(dns_span)
-        rec.dns_node = node_id
-        rec.add_phase("network", sim.now - t0)
-        if self.cluster.trace is not None:
-            self.cluster.trace.emit(sim.now, "http",
-                                    f"client-{rec.req_id}", "dns_lookup",
-                                    node=node_id)
-
-        request_text = HTTPRequest(
-            method=method, path=path,
-            host=f"sweb{node_id}.cs.ucsb.edu",
-            headers={"User-Agent": "Mosaic/2.6 (X11; SunOS)"}).format()
-
-        hop = 0
-        while True:
-            server = self.cluster.servers[node_id]
-            phase = "network" if hop == 0 else "redirection"
-
-            # --- TCP connect: one WAN round trip + server setup ----------
-            t1 = sim.now
-            # The connect span ends at accept time: from there on the
-            # server's own spans (also children of the root) take over,
-            # overlapping the client's final request-shipping WAN leg.
-            cspan = self._span(
-                root, "connect" if hop == 0 else "redirect_connect",
-                phase, node=None, target=node_id)
-            yield sim.timeout(2 * self.profile.wan.latency
-                              + self.cluster.params.connect_time)
-            conn = self._connection(request_text, rec, hop, body_bytes,
-                                    span=root)
-            if not server.try_accept(conn):
-                self._end(cspan, refused=True)
-                rec.add_phase(phase, sim.now - t1)
-                if retries_left > 0:
-                    retries_left -= 1
-                    try:
-                        node_id = yield from self._retry(rec, node_id,
-                                                         "refused", root)
-                    except LookupError:
-                        self._end(root, outcome="dropped", reason="dns")
-                        self.metrics.drop(rec, sim.now, reason="dns")
-                        return rec
-                    continue
-                self._end(root, outcome="dropped", reason="refused")
-                self.metrics.drop(rec, sim.now, reason="refused")
-                if self.cluster.trace is not None:
-                    self.cluster.trace.emit(sim.now, "http",
-                                            f"client-{rec.req_id}",
-                                            "refused", node=node_id)
+            # --- DNS: Figure 1's first exchange ------------------------------
+            t0 = sim.now
+            dns_span = self._span(root, "dns", "network")
+            try:
+                node_id = yield from self._resolve(dns_span)
+            except LookupError:
+                self._end(dns_span, error="empty_zone")
+                self._end(root, outcome="dropped", reason="dns")
+                self.metrics.drop(rec, sim.now, reason="dns")
                 return rec
-            self._end(cspan)
-            # --- ship the request line + headers (small, one way) ---------
-            yield sim.timeout(self.profile.wan.latency)
-            rec.add_phase(phase, sim.now - t1)
-
-            # --- wait for the full response, bounded by the deadline ------
-            yield AnyOf(sim, [conn.reply, deadline])
-            if not conn.reply.triggered:
-                self._end(root, outcome="dropped", reason="timeout")
-                self.metrics.drop(rec, sim.now, reason="timeout")
-                if self.cluster.trace is not None:
-                    self.cluster.trace.emit(sim.now, "http",
-                                            f"client-{rec.req_id}",
-                                            "timeout", node=node_id)
-                return rec
-            response: HTTPResponse = conn.reply.value
-
-            if response.status == 503:
-                # The connection was reset mid-flight (the serving node
-                # crashed — including a redirect target that died between
-                # the 302 and our second connection).
-                if retries_left > 0:
-                    retries_left -= 1
-                    try:
-                        node_id = yield from self._retry(rec, node_id,
-                                                         "reset", root)
-                    except LookupError:
-                        self._end(root, outcome="dropped", reason="dns")
-                        self.metrics.drop(rec, sim.now, reason="dns")
-                        return rec
-                    continue
-                self._end(root, outcome="dropped", reason="reset")
-                self.metrics.drop(rec, sim.now, reason="reset")
-                if self.cluster.trace is not None:
-                    self.cluster.trace.emit(sim.now, "http",
-                                            f"client-{rec.req_id}",
-                                            "reset", node=node_id)
-                return rec
-
-            if response.is_redirect and hop == 0:
-                # Follow the 302 exactly once (the SWEB rule).
-                rec.redirected = True
-                node_id = int(response.headers["X-SWEB-Node"])
-                if self.cluster.trace is not None:
-                    self.cluster.trace.emit(sim.now, "http",
-                                            f"client-{rec.req_id}",
-                                            "follow_redirect", to=node_id)
-                hop = 1
-                continue
-            self._end(root, outcome="ok", status=response.status,
-                      served_by=rec.served_by)
-            self.metrics.finish(rec, sim.now, response.status)
+            self._end(dns_span)
+            rec.dns_node = node_id
+            rec.add_phase("network", sim.now - t0)
             if self.cluster.trace is not None:
                 self.cluster.trace.emit(sim.now, "http",
-                                        f"client-{rec.req_id}", "complete",
-                                        status=response.status,
+                                        f"client-{rec.req_id}", "dns_lookup",
                                         node=node_id)
-            return rec
+
+            request_text = HTTPRequest(
+                method=method, path=path,
+                host=f"sweb{node_id}.cs.ucsb.edu",
+                headers={"User-Agent": "Mosaic/2.6 (X11; SunOS)"}).format()
+
+            hop = 0
+            while True:
+                server = self.cluster.servers[node_id]
+                phase = "network" if hop == 0 else "redirection"
+
+                # --- TCP connect: one WAN round trip + server setup ----------
+                t1 = sim.now
+                # The connect span ends at accept time: from there on the
+                # server's own spans (also children of the root) take over,
+                # overlapping the client's final request-shipping WAN leg.
+                cspan = self._span(
+                    root, "connect" if hop == 0 else "redirect_connect",
+                    phase, node=None, target=node_id)
+                yield sim.timeout(2 * self.profile.wan.latency
+                                  + self.cluster.params.connect_time)
+                conn = self._connection(request_text, rec, hop, body_bytes,
+                                        span=root)
+                if not server.try_accept(conn):
+                    self._end(cspan, refused=True)
+                    rec.add_phase(phase, sim.now - t1)
+                    if retries_left > 0:
+                        retries_left -= 1
+                        try:
+                            node_id = yield from self._retry(rec, node_id,
+                                                             "refused", root)
+                        except LookupError:
+                            self._end(root, outcome="dropped", reason="dns")
+                            self.metrics.drop(rec, sim.now, reason="dns")
+                            return rec
+                        continue
+                    self._end(root, outcome="dropped", reason="refused")
+                    self.metrics.drop(rec, sim.now, reason="refused")
+                    if self.cluster.trace is not None:
+                        self.cluster.trace.emit(sim.now, "http",
+                                                f"client-{rec.req_id}",
+                                                "refused", node=node_id)
+                    return rec
+                self._end(cspan)
+                # --- ship the request line + headers (small, one way) --------
+                yield sim.timeout(self.profile.wan.latency)
+                rec.add_phase(phase, sim.now - t1)
+
+                # --- wait for the full response, bounded by the deadline -----
+                yield AnyOf(sim, [conn.reply, deadline])
+                if not conn.reply.triggered:
+                    self._end(root, outcome="dropped", reason="timeout")
+                    self.metrics.drop(rec, sim.now, reason="timeout")
+                    if self.cluster.trace is not None:
+                        self.cluster.trace.emit(sim.now, "http",
+                                                f"client-{rec.req_id}",
+                                                "timeout", node=node_id)
+                    return rec
+                response: HTTPResponse = conn.reply.value
+
+                if response.status == 503:
+                    # The connection was reset mid-flight (the serving node
+                    # crashed — including a redirect target that died between
+                    # the 302 and our second connection).
+                    if retries_left > 0:
+                        retries_left -= 1
+                        try:
+                            node_id = yield from self._retry(rec, node_id,
+                                                             "reset", root)
+                        except LookupError:
+                            self._end(root, outcome="dropped", reason="dns")
+                            self.metrics.drop(rec, sim.now, reason="dns")
+                            return rec
+                        continue
+                    self._end(root, outcome="dropped", reason="reset")
+                    self.metrics.drop(rec, sim.now, reason="reset")
+                    if self.cluster.trace is not None:
+                        self.cluster.trace.emit(sim.now, "http",
+                                                f"client-{rec.req_id}",
+                                                "reset", node=node_id)
+                    return rec
+
+                if response.is_redirect and hop == 0:
+                    # Follow the 302 exactly once (the SWEB rule).
+                    rec.redirected = True
+                    node_id = int(response.headers["X-SWEB-Node"])
+                    if self.cluster.trace is not None:
+                        self.cluster.trace.emit(sim.now, "http",
+                                                f"client-{rec.req_id}",
+                                                "follow_redirect", to=node_id)
+                    hop = 1
+                    continue
+                self._end(root, outcome="ok", status=response.status,
+                          served_by=rec.served_by)
+                self.metrics.finish(rec, sim.now, response.status)
+                if self.cluster.trace is not None:
+                    self.cluster.trace.emit(sim.now, "http",
+                                            f"client-{rec.req_id}", "complete",
+                                            status=response.status,
+                                            node=node_id)
+                return rec
+        finally:
+            # A settled request withdraws its deadline so the event heap
+            # holds only live work (a no-op after a real timeout).
+            sim.cancel(deadline)
 
     def _retry(self, rec: RequestRecord, failed_node: int, reason: str,
                root: Optional[Span] = None):

@@ -362,18 +362,19 @@ class HTTPServer:
             # mid-pipeline: the client already got its 503; nothing to send.
             return
         t0 = self.sim.now
+        # wire_bytes formats the header text: evaluate it once.
+        wire_bytes = response.wire_bytes
         sp = self._span(conn, "send", phase, status=response.status,
-                        bytes=response.wire_bytes)
+                        bytes=wire_bytes)
         if conn.relay_to is not None:
             # Forwarded request: relay the response across the fabric to
             # the origin node, which owns the client connection.
             wire = self.fs.network.transfer(self.node.id,
                                             conn.relay_to.node.id,
-                                            response.wire_bytes,
+                                            wire_bytes,
                                             tag=f"relay{conn.record.req_id}")
         else:
-            wire = self.internet.send(self.node.nic, conn.wan,
-                                      response.wire_bytes,
+            wire = self.internet.send(self.node.nic, conn.wan, wire_bytes,
                                       tag=f"resp{conn.record.req_id}")
         send_ops = self.params.send_ops_per_byte * response.body_bytes
         if send_ops > 0:

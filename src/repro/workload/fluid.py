@@ -137,6 +137,17 @@ class FluidScenario:
                              f"got {self.hot_set}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
+        # A negative cost or bandwidth gives negative service times, and a
+        # negative redirect penalty makes the broker prefer moving.
+        for name in ("t_cpu", "t_redirect", "mem_bps", "mean_file_bytes"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.disk_bps <= 0:
+            raise ValueError(f"disk_bps must be > 0, got {self.disk_bps}")
+        if self.alpha is not None and self.alpha < 0:
+            raise ValueError(f"alpha must be >= 0 (or None), "
+                             f"got {self.alpha}")
         if self.policy not in fluid_policy_names():
             raise ValueError(f"unknown fluid policy {self.policy!r}; "
                              f"choose from {fluid_policy_names()}")

@@ -1,0 +1,374 @@
+"""Cancellable events: ``Simulator.cancel`` against a no-op reference.
+
+A cancelled entry is never dispatched, never counted and never moves the
+clock; the heap is compacted once dead entries outnumber live ones.  The
+reference is the kernel with cancellation reduced to emptying the event's
+callback list, the way superseded fair-share timers are retired: the
+entry keeps its heap slot and dispatches as a no-op.  Random programs —
+timeouts, cancels (from the driver and from inside processes),
+``AnyOf``/``AllOf`` waits, ``step()``, ``run(until=t)`` and ``peek()`` —
+run through both and must agree on every live dispatch, its clock, every
+condition value and ``event_count`` up to the dead entries the reference
+dispatched.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.sim import AllOf, AnyOf, Event, SimulationError, Simulator
+
+
+class _NoOpCancelSimulator(Simulator):
+    """The reference: cancel() only empties the callback list."""
+
+    def cancel(self, event: Event) -> None:
+        if event.callbacks is not None:
+            event.callbacks.clear()
+
+
+class _Run:
+    """One simulator driven by a program, with everything it observed."""
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self.events: list[Event] = []
+        self.label: dict[int, int] = {}
+        #: events cancelled while still scheduled (the dead entries)
+        self.dead: list[Event] = []
+        self.log: list[tuple] = []
+
+    def timeout(self, delay: float) -> Event:
+        index = len(self.events)
+        ev = self.sim.timeout(delay, value=index)
+        ev.callbacks.append(
+            lambda e, i=index: self.log.append(("fire", i, self.sim.now)))
+        self.events.append(ev)
+        self.label[id(ev)] = index
+        return ev
+
+    def cancel(self, ev: Event) -> None:
+        if ev.callbacks is not None and ev not in self.dead:
+            self.dead.append(ev)
+        self.sim.cancel(ev)
+
+    def value(self, fired: dict) -> list:
+        """A condition's value as (label, value) pairs, dead entries left
+        out (the reference counts a dispatched dead entry as fired)."""
+        return sorted((self.label[id(ev)], val) for ev, val in fired.items()
+                      if ev not in self.dead)
+
+    def wait(self, kind: str, picks: list, then_cancel, child) -> None:
+        cond = (AnyOf if kind == "any" else AllOf)(
+            self.sim, [self.events[i] for i in picks])
+        tag = len(self.log)
+
+        def waiter():
+            fired = yield cond
+            self.log.append((kind, tag, self.sim.now, self.value(fired)))
+            if then_cancel is not None:
+                self.cancel(self.events[then_cancel % len(self.events)])
+            if child is not None:
+                self.timeout(child)
+
+        self.sim.spawn(waiter())
+
+    def live_head(self) -> float:
+        """Time of the next entry that is not dead (reference side)."""
+        dead = {id(ev) for ev in self.dead}
+        return min((entry[0] for entry in self.sim._queue
+                    if id(entry[3]) not in dead), default=math.inf)
+
+    def step_live(self) -> None:
+        """Reference step(): dispatch dead entries until one live one ran."""
+        dead = {id(ev) for ev in self.dead}
+        while id(self.sim._queue[0][3]) in dead:
+            self.sim.step()
+        self.sim.step()
+
+
+_delay = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0, 3.0]),
+                   st.floats(min_value=0.0, max_value=40.0,
+                             allow_nan=False, allow_infinity=False))
+_index = st.integers(min_value=0, max_value=10_000)
+# Cancels are drawn often and in batches, so that dead entries regularly
+# outnumber live ones and the heap compacts mid-program.
+_cancel = st.tuples(st.just("cancel"),
+                    st.lists(_index, min_size=1, max_size=10))
+_op = st.one_of(
+    st.tuples(st.just("timeouts"), st.lists(_delay, min_size=1, max_size=8)),
+    _cancel, _cancel,
+    st.tuples(st.sampled_from(["any", "all"]),
+              st.lists(_index, min_size=1, max_size=4),
+              st.one_of(st.none(), _index), st.one_of(st.none(), _delay)),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("run_until"), _delay),
+    st.tuples(st.just("peek")),
+)
+
+
+def _play(ops):
+    new = _Run(Simulator())
+    ref = _Run(_NoOpCancelSimulator())
+    for op in ops:
+        kind = op[0]
+        for run in (new, ref):
+            if kind == "timeouts":
+                for delay in op[1]:
+                    run.timeout(delay)
+            elif kind == "cancel" and run.events:
+                withdrawn = run.sim.cancelled
+                for i in op[1]:
+                    run.cancel(run.events[i % len(run.events)])
+                if run is new and new.sim.cancelled > withdrawn:
+                    # Compaction: dead entries never outnumber live ones
+                    # right after a cancel that withdrew an entry.
+                    assert len(new.sim._queue) <= 2 * new.sim.pending
+            elif kind in ("any", "all") and run.events:
+                # Conditions are built on events that are still live.
+                picks = [i % len(run.events) for i in op[1]]
+                picks = [i for i in picks if run.events[i] not in run.dead]
+                if picks:
+                    run.wait(kind, picks, op[2], op[3])
+            elif kind == "run_until":
+                run.sim.run(until=run.sim.now + op[1])
+        if kind == "step":
+            if new.sim.peek() < math.inf:
+                new.sim.step()
+                ref.step_live()
+            else:
+                assert ref.live_head() == math.inf
+        elif kind == "peek":
+            assert new.sim.peek() == ref.live_head()
+        assert new.log == ref.log
+        assert new.sim.now == ref.sim.now
+        assert new.sim.pending == sum(1 for entry in ref.sim._queue
+                                      if entry[3] not in ref.dead)
+    new.sim.run()
+    ref.sim.run()
+    assert new.log == ref.log
+    assert ([new.label[id(ev)] for ev in new.dead]
+            == [ref.label[id(ev)] for ev in ref.dead])
+    assert new.sim.cancelled == len(new.dead)
+    assert new.sim.pending == 0
+    dispatched_dead = sum(1 for ev in ref.dead if ev.callbacks is None)
+    assert ref.sim.event_count - new.sim.event_count == dispatched_dead
+    return new, ref
+
+
+@given(st.lists(_op, min_size=8, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_cancellation_matches_no_op_reference(ops):
+    _play(ops)
+
+
+def test_reference_program_reaches_compaction():
+    """A fixed program whose cancels outnumber the live entries."""
+    ops = [("timeouts", [50.0 + i for i in range(8)]) for _ in range(8)]
+    ops += [("any", [i, i + 1], None, None) for i in range(0, 60, 3)]
+    ops += [("cancel", list(range(i, i + 6))) for i in range(0, 60, 6)]
+    ops += [("peek",), ("step",), ("run_until", 5.0), ("step",)]
+    new, ref = _play(ops)
+    assert new.sim.cancelled == 60
+    assert new.sim.event_count < ref.sim.event_count
+
+
+# -- unit cases --------------------------------------------------------------
+def test_cancelled_timeout_never_dispatches_or_moves_the_clock():
+    sim = Simulator()
+    fired = []
+    early = sim.timeout(1.0)
+    late = sim.timeout(10.0)
+    late.callbacks.append(lambda ev: fired.append(sim.now))
+    sim.cancel(late)
+    sim.run()
+    assert fired == []
+    assert sim.now == 1.0
+    assert sim.event_count == 1
+    assert sim.cancelled == 1
+    assert sim.pending == 0
+    assert early.processed and not late.processed
+
+
+def test_cancel_after_processing_is_a_no_op():
+    sim = Simulator()
+    ev = sim.timeout(2.0, value="done")
+    sim.run()
+    sim.cancel(ev)
+    sim.cancel(ev)
+    assert ev.processed and ev.value == "done"
+    assert sim.cancelled == 0
+
+
+def test_cancel_twice_counts_once():
+    sim = Simulator()
+    ev = sim.timeout(2.0)
+    sim.cancel(ev)
+    sim.cancel(ev)
+    assert sim.cancelled == 1
+
+
+def test_cancel_of_an_unscheduled_event_is_an_error():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.cancel(sim.event())
+    other = Simulator()
+    with pytest.raises(SimulationError):
+        other.cancel(sim.timeout(1.0))
+
+
+def test_yielding_a_cancelled_event_raises_in_the_process():
+    sim = Simulator()
+    ev = sim.timeout(5.0)
+    sim.cancel(ev)
+    caught = []
+
+    def waiter():
+        try:
+            yield ev
+        except SimulationError as exc:
+            caught.append(str(exc))
+        yield sim.timeout(1.0)
+        return "recovered"
+
+    proc = sim.spawn(waiter())
+    assert sim.run(until=proc) == "recovered"
+    assert caught and "cancelled" in caught[0]
+
+
+def test_uncaught_yield_of_a_cancelled_event_fails_the_run():
+    sim = Simulator()
+    ev = sim.timeout(5.0)
+    sim.cancel(ev)
+
+    def waiter():
+        yield ev
+
+    sim.spawn(waiter())
+    with pytest.raises(SimulationError):
+        sim.run()
+
+
+def test_condition_on_a_cancelled_event_raises():
+    sim = Simulator()
+    live = sim.timeout(1.0)
+    dead = sim.timeout(2.0)
+    sim.cancel(dead)
+    with pytest.raises(SimulationError):
+        AnyOf(sim, [live, dead])
+    with pytest.raises(SimulationError):
+        sim.all_of([dead])
+    with pytest.raises(SimulationError):
+        sim.run(until=dead)
+
+
+def test_condition_value_leaves_out_an_event_cancelled_later():
+    sim = Simulator()
+    a = sim.timeout(1.0, value="a")
+    b = sim.timeout(2.0, value="b")
+    cond = AnyOf(sim, [a, b])
+    sim.cancel(a)
+    assert sim.run(until=cond) == {b: "b"}
+    assert sim.now == 2.0
+
+
+def test_waiter_on_an_event_cancelled_later_never_resumes():
+    sim = Simulator()
+    ev = sim.timeout(3.0)
+    woke = []
+
+    def waiter():
+        yield ev
+        woke.append(sim.now)
+
+    sim.spawn(waiter())
+    sim.run(until=1.0)
+    sim.cancel(ev)
+    sim.run()
+    assert woke == []
+    assert sim.now == 1.0
+
+
+def test_peek_and_step_skip_cancelled_entries():
+    for probe in ("peek", "step"):
+        sim = Simulator()
+        evs = [sim.timeout(float(t)) for t in range(1, 6)]
+        sim.cancel(evs[0])
+        sim.cancel(evs[1])
+        # Two dead of five: below the compaction threshold, so the dead
+        # entries are still at the top of the heap.
+        assert len(sim._queue) == 5 and sim.pending == 3
+        if probe == "peek":
+            assert sim.peek() == 3.0
+            assert sim.now == 0.0 and sim.event_count == 0
+        else:
+            sim.step()
+            assert sim.now == 3.0 and evs[2].processed
+            assert sim.event_count == 1
+        assert sim.pending == len(sim._queue)
+    sim.run()
+    assert sim.peek() == math.inf
+    with pytest.raises(SimulationError):
+        sim.step()
+
+
+def test_run_until_time_skips_cancelled_entries():
+    sim = Simulator()
+    sim.cancel(sim.timeout(1.0))
+    kept = sim.timeout(2.0)
+    sim.run(until=5.0)
+    assert kept.processed and sim.now == 5.0
+    assert sim.event_count == 2  # the timeout and the stop marker
+
+
+def test_heap_stays_within_twice_live_plus_a_constant():
+    """Client-style deadlines: each request arms a long deadline, its reply
+    wins, and the deadline is cancelled.  The heap never holds more than
+    twice the live entries plus a constant."""
+    sim = Simulator()
+    worst = [0, 0]
+    settled = [0]
+
+    def request(i):
+        deadline = sim.timeout(120.0)
+        try:
+            yield AnyOf(sim, [sim.timeout(0.5 + (i % 7) * 0.3), deadline])
+        finally:
+            settled[0] += 1
+            sim.cancel(deadline)
+
+    def arrivals():
+        for i in range(3000):
+            sim.spawn(request(i))
+            yield sim.timeout(0.05)
+            live = sim.pending
+            worst[0] = max(worst[0], len(sim._queue) - 2 * live)
+            worst[1] = max(worst[1], live)
+
+    sim.run(until=sim.spawn(arrivals()))
+    assert worst[0] <= 2
+    assert worst[1] < 200
+    assert sim.cancelled == settled[0] > 2900
+
+
+def test_compaction_during_run_keeps_the_live_order():
+    sim = Simulator()
+    order = []
+    doomed = [sim.timeout(100.0 + i) for i in range(50)]
+    for i in range(20):
+        ev = sim.timeout(float(i % 5), value=i)
+        ev.callbacks.append(lambda e: order.append((sim.now, e.value)))
+
+    def canceller():
+        yield sim.timeout(1.5)
+        for ev in doomed:
+            sim.cancel(ev)
+        assert len(sim._queue) <= 2 * sim.pending < 50
+
+    sim.spawn(canceller())
+    sim.run()
+    assert order == sorted(order)
+    assert [v for _, v in order] == sorted(range(20), key=lambda i: (i % 5, i))
+    assert sim.cancelled == 50 and sim.pending == 0
+    assert sim.now == 4.0

@@ -145,6 +145,21 @@ def test_validate_rejects_malformed_cells():
             run_fluid(_small(**bad))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("t_redirect", -1e-4), ("t_cpu", -1e-4), ("disk_bps", 0.0),
+    ("disk_bps", -5e7), ("mem_bps", -4e8), ("mean_file_bytes", -1.0),
+    ("alpha", -0.5)])
+def test_validate_rejects_negative_costs_and_bandwidths(field, value):
+    with pytest.raises(ValueError, match=field):
+        _small(**{field: value}).validate()
+
+
+def test_validate_accepts_the_boundary_values():
+    _small(t_redirect=0.0, t_cpu=0.0, mean_file_bytes=0.0,
+           alpha=0.0).validate()
+    _small(alpha=None).validate()
+
+
 def test_with_seed_returns_new_cell():
     base = _small()
     other = base.with_seed(99)
