@@ -53,6 +53,7 @@ from __future__ import annotations
 import cProfile
 import io
 import json
+import os
 import pstats
 import sys
 import time
@@ -68,6 +69,9 @@ __all__ = ["PHASES", "SCHEMA", "TIERS", "TIER_PHASES", "parse_scale",
 
 #: Schema tag stamped into every BENCH file (bump on incompatible change).
 SCHEMA = "sweb-bench/1"
+
+#: The committed ledger a run without ``-o`` updates.
+DEFAULT_OUT = "BENCH_kernel.json"
 
 #: ``--scale`` tier definitions: simulated request volumes for the
 #: fluid-stream phase and the sharded seeds-grid phase.  The grid always
@@ -513,12 +517,25 @@ def run_bench(repeats: int = 3, scale: float = 1.0, profile: bool = False,
     return doc
 
 
-def main(out: Optional[str] = "BENCH_kernel.json", repeats: int = 3,
+def _missing_phases(path: str, doc: dict[str, Any]) -> list[str]:
+    """Phases recorded in the ledger at ``path`` that ``doc`` lacks."""
+    if not os.path.exists(path):
+        return []
+    with open(path) as fh:
+        recorded = json.load(fh).get("phases", {})
+    return sorted(set(recorded) - set(doc["phases"]))
+
+
+def main(out: Optional[str] = None, repeats: int = 3,
          scale: Any = 1.0, profile: bool = False, top: int = 20,
          phases: Optional[list[str]] = None) -> int:
     """Entry point used by ``sweb-repro bench``.
 
     ``scale`` accepts a float multiplier or a tier letter (S/M/L/XL).
+    ``out=None`` updates :data:`DEFAULT_OUT`, but only when the run
+    measured every phase already recorded there, so a partial run never
+    clobbers the committed ledger; an explicit path is always written,
+    and ``""`` writes nothing.
     """
     multiplier, tier = parse_scale(scale)
     label = tier if tier is not None else f"{multiplier:g}"
@@ -535,6 +552,14 @@ def main(out: Optional[str] = "BENCH_kernel.json", repeats: int = 3,
     if rss is not None:
         line += f"; peak RSS {rss / 1024:.1f} MiB"
     print(line)
+    if out is None:
+        missing = _missing_phases(DEFAULT_OUT, doc)
+        if missing:
+            print(f"not writing {DEFAULT_OUT}: this run lacks recorded "
+                  f"phase(s) {', '.join(missing)}; pass -o PATH to write "
+                  f"elsewhere", file=sys.stderr)
+            return 0
+        out = DEFAULT_OUT
     if out:
         with open(out, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)

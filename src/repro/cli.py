@@ -128,8 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench", help="benchmark the simulation kernel and the full stack")
-    bench.add_argument("-o", "--out", default="BENCH_kernel.json",
-                       help="output JSON path ('' to skip writing)")
+    bench.add_argument("-o", "--out", default=None,
+                       help="output JSON path ('' to skip writing); "
+                            "default BENCH_kernel.json, written only when "
+                            "the run covers every phase already in it")
     bench.add_argument("--repeats", type=int, default=3,
                        help="timed repeats per phase (best run is kept)")
     bench.add_argument("--scale", default="1.0", metavar="FACTOR|TIER",
@@ -585,7 +587,7 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"sweb-repro bench: {exc}", file=sys.stderr)
             return 2
-        return bench_main(out=args.out or None, repeats=args.repeats,
+        return bench_main(out=args.out, repeats=args.repeats,
                           scale=args.scale, profile=args.profile,
                           top=args.top, phases=args.phases)
     if args.command == "trace":

@@ -2,8 +2,8 @@
 
 The reproduction leans on prose — each module opens by citing the part
 of the paper it implements — so an undocumented module is a regression.
-This family absorbs the old standalone ``scripts/check_docstrings.py``
-(which now delegates here) into the unified analyzer.
+``tests/test_docstrings.py`` runs this family alone over ``src/repro``
+and ``scripts/``.
 """
 
 from __future__ import annotations

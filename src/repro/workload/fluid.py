@@ -137,14 +137,17 @@ class FluidScenario:
                              f"got {self.hot_set}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
-        # A negative cost or bandwidth gives negative service times, and a
-        # negative redirect penalty makes the broker prefer moving.
-        for name in ("t_cpu", "t_redirect", "mem_bps", "mean_file_bytes"):
+        # A negative cost or bandwidth gives negative service times, a zero
+        # bandwidth infinite ones, and a negative redirect penalty makes
+        # the broker prefer moving.
+        for name in ("t_cpu", "t_redirect", "mean_file_bytes"):
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
-        if self.disk_bps <= 0:
-            raise ValueError(f"disk_bps must be > 0, got {self.disk_bps}")
+        for name in ("disk_bps", "mem_bps"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
         if self.alpha is not None and self.alpha < 0:
             raise ValueError(f"alpha must be >= 0 (or None), "
                              f"got {self.alpha}")
@@ -312,12 +315,22 @@ def _make_stepper(scenario: FluidScenario, rng: RandomStreams,
     policy-private state (queue deques, extra RNG substreams, hash
     preference tables) live in the closure, carried across batches.
 
-    The homogeneous ``sweb`` stepper is the historical inner loop moved
-    verbatim — identical float operations in identical order — so
-    pre-zoo fingerprints are preserved bit for bit (pinned by
-    ``tests/test_sched_policies.py``).  New policies draw only from
-    *new* named substreams (``fluid-po2``, ``fluid-choice``), which
-    never perturbs the arrival/path/size draws of existing runs.
+    The homogeneous ``sweb`` stepper decides the broker argmin without
+    pricing every node.  A non-home node scores ``(max(b_j, a) + s) +
+    t_redirect``, which never falls as its busy clock ``b_j`` grows, and
+    only a strictly lower score moves a request.  So an idle home keeps
+    it, a home holding ``min(busy)`` keeps it, and otherwise the score at
+    the least busy clock, computed with the same expression, decides:
+    unless it beats the home's, the home keeps the request, and if it
+    does, the first other node in order that reaches it takes the
+    request.  The ``jsq`` scan stops at the first empty queue, since no
+    count is lower.  Both make the same choices, with the same floats,
+    as a scan of every node; ``tests/test_fluid_oracle.py`` checks them
+    against those scans, kept in ``tests/fluid_reference.py``, and
+    ``tests/test_sched_policies.py`` pins every policy's fingerprint.
+    New policies draw only from *new* named substreams (``fluid-po2``,
+    ``fluid-choice``), which never perturbs the arrival/path/size draws
+    of existing runs.
     """
     n_nodes = scenario.nodes
     t_redirect = scenario.t_redirect
@@ -337,18 +350,23 @@ def _make_stepper(scenario: FluidScenario, rng: RandomStreams,
                 if rr == n_nodes:
                     rr = 0
                 # Broker argmin over estimated completions; moving off
-                # the DNS home node costs the redirect penalty.
+                # the DNS home node costs the redirect penalty.  Scores
+                # never fall as busy clocks grow, so the least busy
+                # clock prices the best move (see the docstring).
                 best = home
                 b = busy[home]
-                best_score = (b if b > a else a) + s
-                for j in node_range:
-                    if j == home:
-                        continue
-                    b = busy[j]
-                    score = (b if b > a else a) + s + t_redirect
-                    if score < best_score:
-                        best_score = score
-                        best = j
+                if b > a:
+                    lo = min(busy)
+                    if lo != b:
+                        target = (lo if lo > a else a) + s + t_redirect
+                        if target < b + s:
+                            for j in node_range:
+                                if j != home:
+                                    b = busy[j]
+                                    if ((b if b > a else a) + s + t_redirect
+                                            == target):
+                                        best = j
+                                        break
                 busy[best] = finish = ((busy[best] if busy[best] > a else a)
                                        + s)
                 served[best] += 1
@@ -486,15 +504,21 @@ def _make_stepper(scenario: FluidScenario, rng: RandomStreams,
                     rr = rr + 1
                     if rr == n_nodes:
                         rr = 0
+                    # Nothing beats an empty queue, so the scan stops at
+                    # the first one; the drains it skips are lazy and a
+                    # later _count (arrivals never decrease) catches up.
                     best = home
                     best_count = _count(home, a)
-                    for j in node_range:
-                        if j == home:
-                            continue
-                        c = _count(j, a)
-                        if c < best_count:
-                            best_count = c
-                            best = j
+                    if best_count:
+                        for j in node_range:
+                            if j == home:
+                                continue
+                            c = _count(j, a)
+                            if c < best_count:
+                                best_count = c
+                                best = j
+                                if not c:
+                                    break
                     finish = _finish_on(best, a, rank_list[i])
                     if best != home:
                         latency = finish - a + t_redirect

@@ -117,3 +117,42 @@ def test_module_entry_point_routes_through_the_cli_parser(tmp_path):
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
     assert bad.returncode == 2 and "sweb-repro bench" in bad.stderr
     assert list(cwd.iterdir()) == []
+
+
+def test_default_output_never_drops_recorded_phases(tmp_path):
+    # Without -o the run updates BENCH_kernel.json in the working directory
+    # only when it measured every phase already recorded there; -o always
+    # writes where it is told.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    ledger = tmp_path / "BENCH_kernel.json"
+
+    def bench(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "repro.bench", "--scale", "0.02",
+             "--repeats", "1", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=300)
+
+    proc = bench("--phase", "timeout_chain", "--phase", "fair_share")
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(ledger.read_text())["phases"]) == {
+        "timeout_chain", "fair_share"}
+    recorded = ledger.read_text()
+
+    partial = bench("--phase", "fair_share")
+    assert partial.returncode == 0, partial.stderr
+    assert "timeout_chain" in partial.stderr
+    assert "not writing BENCH_kernel.json" in partial.stderr
+    assert ledger.read_text() == recorded
+
+    explicit = bench("--phase", "fair_share", "-o", str(ledger))
+    assert explicit.returncode == 0, explicit.stderr
+    assert set(json.loads(ledger.read_text())["phases"]) == {"fair_share"}
+
+    superset = bench("--phase", "fair_share", "--phase", "trace_disabled")
+    assert superset.returncode == 0, superset.stderr
+    assert set(json.loads(ledger.read_text())["phases"]) == {
+        "fair_share", "trace_disabled"}

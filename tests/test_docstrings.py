@@ -1,50 +1,36 @@
-"""The docstring lint (scripts/check_docstrings.py) passes repo-wide."""
+"""The docstring rules (``repro.lint.rules.docstrings``) pass repo-wide."""
 
-import importlib.util
 from pathlib import Path
 
+from repro.lint import run_lint
+from repro.lint.rules import docstrings
+
 REPO = Path(__file__).resolve().parent.parent
-SCRIPT = REPO / "scripts" / "check_docstrings.py"
 
 
-def _load_lint():
-    spec = importlib.util.spec_from_file_location("check_docstrings", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _problems(*paths):
+    return [f"{d.path}:{d.line}: {d.message}"
+            for d in run_lint(paths or None, rules=docstrings.RULES)]
 
 
 def test_every_module_and_public_class_is_documented():
-    lint = _load_lint()
-    problems = lint.check_tree(REPO / "src" / "repro")
+    problems = _problems(REPO / "src" / "repro")
+    assert problems == [], "\n".join(problems)
+
+
+def test_scripts_tree_is_documented():
+    problems = _problems(REPO / "scripts")
     assert problems == [], "\n".join(problems)
 
 
 def test_lint_catches_missing_docstrings(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("class Undocumented:\n    pass\n")
-    lint = _load_lint()
-    problems = lint.check_tree(tmp_path)
+    problems = _problems(tmp_path)
     assert len(problems) == 2          # bare module + bare class
     assert any("Undocumented" in p for p in problems)
-    assert lint.main([str(tmp_path)]) == 1
 
 
-def test_lint_cli_passes_on_real_tree(capsys):
-    lint = _load_lint()
-    assert lint.main([str(REPO / "src" / "repro")]) == 0
-    assert capsys.readouterr().out == ""
-
-
-def test_scripts_tree_is_documented():
-    lint = _load_lint()
-    problems = lint.check_tree(REPO / "scripts")
-    assert problems == [], "\n".join(problems)
-
-
-def test_lint_default_covers_library_and_scripts(capsys):
-    # No-arg main lints both default roots (src/repro and scripts/).
-    lint = _load_lint()
-    assert len(lint.DEFAULT_ROOTS) == 2
-    assert lint.main([]) == 0
-    assert capsys.readouterr().out == ""
+def test_lint_default_covers_library_and_scripts():
+    # With no paths the analyzer lints src/ and scripts/.
+    assert _problems() == []

@@ -9,13 +9,18 @@ po2 never loses to random, JSQ wins the homogeneous 2-node toy, and
 the fluid and per-client models agree on the headline orderings.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import heterogeneous_meiko, meiko_cs2
 from repro.core import make_policy
 from repro.experiments.runner import run_scenario
 from repro.experiments.tournament import (
+    CLUSTERS,
     GOLDEN_SWEB_50K,
+    POPULARITY,
     client_scenario,
     fluid_cell,
     make_cells,
@@ -143,6 +148,32 @@ def test_small_cluster_fingerprint_is_pre_zoo():
     fp = run_fluid(FluidScenario(nodes=2, rate=900.0,
                                  n_requests=20_000)).fingerprint
     assert fp == GOLDEN_2NODE_20K
+
+
+#: every X11 cell at 5,000 requests, recorded before the fluid decision
+#: loops gained their early exits; any change to a stepper's routing or
+#: float arithmetic moves one of these
+POLICY_GOLDENS = json.loads(
+    (Path(__file__).resolve().parent / "data"
+     / "fluid_policy_goldens.json").read_text())
+
+
+def test_policy_goldens_cover_the_tournament_grid():
+    assert len(POLICY_GOLDENS) == 28
+    assert set(POLICY_GOLDENS) == {
+        f"tourney/{p}/{c}/{z}" for p in fluid_policy_names()
+        for c in CLUSTERS for z in POPULARITY}
+
+
+@pytest.mark.parametrize("cell_id", sorted(POLICY_GOLDENS))
+def test_fluid_policy_fingerprint_is_pinned(cell_id):
+    _, policy, cluster, popularity = cell_id.split("/")
+    cell = fluid_cell(policy, cluster, popularity, n_requests=5_000)
+    result = run_fluid(cell.scenario)
+    assert {"fingerprint": result.fingerprint,
+            "served": result.served,
+            "redirected": result.redirected,
+            "finished_at": result.finished_at.hex()} == POLICY_GOLDENS[cell_id]
 
 
 # -- fluid policy kernels --------------------------------------------------

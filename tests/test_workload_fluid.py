@@ -147,7 +147,8 @@ def test_validate_rejects_malformed_cells():
 
 @pytest.mark.parametrize("field, value", [
     ("t_redirect", -1e-4), ("t_cpu", -1e-4), ("disk_bps", 0.0),
-    ("disk_bps", -5e7), ("mem_bps", -4e8), ("mean_file_bytes", -1.0),
+    ("disk_bps", -5e7), ("mem_bps", 0.0), ("mem_bps", -4e8),
+    ("mean_file_bytes", -1.0),
     ("alpha", -0.5)])
 def test_validate_rejects_negative_costs_and_bandwidths(field, value):
     with pytest.raises(ValueError, match=field):
