@@ -11,10 +11,10 @@ Run:  python examples/scheduling_comparison.py
 
 from repro.core.policies import POLICY_NAMES
 from repro.cluster import meiko_cs2
-from repro.experiments.runner import Scenario, run_scenario
+from repro.experiments.runner import run_scenario
 from repro.experiments.tables import render_table
 from repro.sim import RandomStreams
-from repro.workload import bimodal_corpus, burst_workload, uniform_sampler
+from repro.workload import Scenario, bimodal_corpus, burst_workload, uniform_sampler
 
 
 def main() -> None:

@@ -14,9 +14,10 @@ Run:  python examples/trace_replay.py
 """
 
 from repro import SWEBCluster, meiko_cs2
-from repro.experiments.runner import Scenario, run_scenario
+from repro.experiments.runner import run_scenario
 from repro.sim import RandomStreams
 from repro.workload import (
+    Scenario,
     bimodal_corpus,
     burst_workload,
     parse_clf,

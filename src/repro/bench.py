@@ -40,9 +40,9 @@ Tier phases (``--scale {S,M,L,XL}``, see :data:`TIERS` and
   placement daemon, geo-affinity DNS; docs/GEO.md), rated in requests/s
   — the multi-cluster analogue of ``end_to_end``.
 
-``run_bench(profile=True)`` additionally runs each phase under
-:mod:`cProfile` and reports the hottest functions plus a per-subsystem
-(``repro.sim`` / ``repro.web`` / ...) time split.
+Per-layer time shares come from ``perfbench/run.py --trace 1``; for a
+function table of one phase run ``python -m cProfile -m repro.cli bench
+--phase NAME``.
 
 Used by ``sweb-repro bench`` (see ``docs/PERFORMANCE.md``); importable
 directly for tests.
@@ -50,11 +50,8 @@ directly for tests.
 
 from __future__ import annotations
 
-import cProfile
-import io
 import json
 import os
-import pstats
 import sys
 import time
 from typing import Any, Callable, Optional
@@ -379,10 +376,6 @@ def parse_scale(value: Any) -> tuple[float, Optional[str]]:
             f"--scale must be a float or one of {'/'.join(TIERS)}, "
             f"got {value!r}") from None
 
-_SUBSYSTEMS = ("repro/sim", "repro/cluster", "repro/cache", "repro/web",
-               "repro/core", "repro/faults", "repro/workload",
-               "repro/experiments")
-
 
 # ---------------------------------------------------------------------------
 # harness
@@ -423,41 +416,6 @@ def run_phase(name: str, repeats: int = 3, scale: float = 1.0) -> dict[str, Any]
     return result
 
 
-def _profile_phase(name: str, scale: float, top: int) -> str:
-    """cProfile one phase: top-``top`` functions + per-subsystem split."""
-    profiler = cProfile.Profile()
-    profiler.enable()
-    _phase_body(name)(scale)
-    profiler.disable()
-    stats = pstats.Stats(profiler, stream=io.StringIO())
-    subsystem_time: dict[str, float] = {key: 0.0 for key in _SUBSYSTEMS}
-    other = 0.0
-    total = 0.0
-    for (filename, _lineno, _fn), (_cc, _nc, tottime, _ct, _callers) \
-            in stats.stats.items():  # type: ignore[attr-defined]
-        total += tottime
-        path = filename.replace("\\", "/")
-        for key in _SUBSYSTEMS:
-            if key in path:
-                subsystem_time[key] += tottime
-                break
-        else:
-            other += tottime
-    out = io.StringIO()
-    out.write(f"--- profile: {name} ---\n")
-    out.write("subsystem time split (tottime):\n")
-    for key in _SUBSYSTEMS:
-        if subsystem_time[key] > 0:
-            share = subsystem_time[key] / total if total else 0.0
-            out.write(f"  {key:<20} {subsystem_time[key]:8.3f}s  {share:6.1%}\n")
-    if total:
-        out.write(f"  {'(interpreter/other)':<20} {other:8.3f}s  "
-                  f"{other / total:6.1%}\n")
-    stats.stream = out  # type: ignore[attr-defined]
-    stats.sort_stats("tottime").print_stats(top)
-    return out.getvalue()
-
-
 def _peak_rss_kb() -> Optional[int]:
     """Peak resident set size of this process in KiB (None if unknown)."""
     if _resource is None:  # pragma: no cover - non-POSIX
@@ -465,9 +423,9 @@ def _peak_rss_kb() -> Optional[int]:
     return int(_resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss)
 
 
-def run_bench(repeats: int = 3, scale: float = 1.0, profile: bool = False,
-              top: int = 20, phases: Optional[list[str]] = None,
-              stream=None, tier: Optional[str] = None) -> dict[str, Any]:
+def run_bench(repeats: int = 3, scale: float = 1.0,
+              phases: Optional[list[str]] = None, stream=None,
+              tier: Optional[str] = None) -> dict[str, Any]:
     """Run the benchmark suite; return the BENCH document as a dict.
 
     ``tier`` (one of :data:`TIERS`) appends that tier's ``fluid_stream@T``,
@@ -506,8 +464,6 @@ def run_bench(repeats: int = 3, scale: float = 1.0, profile: bool = False,
         print(f"  {name:<16} {result['per_s']:>12,.0f} {result['unit']}/s  "
               f"({result['wall_s'] * 1e3:,.1f} ms best of {repeats})",
               file=stream)
-        if profile:
-            print(_profile_phase(name, scale, top), file=stream)
     headline = doc["phases"].get("timeout_chain", {}).get("per_s", 0.0)
     doc["totals"] = {
         "wall_s": round(total_wall, 6),
@@ -527,8 +483,7 @@ def _missing_phases(path: str, doc: dict[str, Any]) -> list[str]:
 
 
 def main(out: Optional[str] = None, repeats: int = 3,
-         scale: Any = 1.0, profile: bool = False, top: int = 20,
-         phases: Optional[list[str]] = None) -> int:
+         scale: Any = 1.0, phases: Optional[list[str]] = None) -> int:
     """Entry point used by ``sweb-repro bench``.
 
     ``scale`` accepts a float multiplier or a tier letter (S/M/L/XL).
@@ -540,8 +495,8 @@ def main(out: Optional[str] = None, repeats: int = 3,
     multiplier, tier = parse_scale(scale)
     label = tier if tier is not None else f"{multiplier:g}"
     print(f"sweb-repro bench (repeats={repeats}, scale={label})")
-    doc = run_bench(repeats=repeats, scale=multiplier, profile=profile,
-                    top=top, phases=phases, tier=tier)
+    doc = run_bench(repeats=repeats, scale=multiplier, phases=phases,
+                    tier=tier)
     totals = doc["totals"]
     rss = totals["peak_rss_kb"]
     if totals["events_per_s"]:

@@ -7,7 +7,7 @@ Subcommands:
 * ``all [--full]`` — regenerate everything (EXPERIMENTS.md source);
 * ``serve`` — run an ad-hoc scenario from flags (testbed, policy, rps...);
 * ``bench`` — measure kernel/stack performance, write ``BENCH_kernel.json``
-  (see ``docs/PERFORMANCE.md``; ``--profile`` adds a cProfile breakdown);
+  (see ``docs/PERFORMANCE.md``);
 * ``trace`` — run a seeded scenario with per-request tracing on and emit
   a Chrome ``trace_event`` JSON plus a text flamegraph
   (see ``docs/TRACING.md``);
@@ -25,23 +25,21 @@ import time
 __all__ = ["main", "build_parser"]
 
 
-def _nonneg_int(text: str) -> int:
+def _nonneg_int(text: str, minimum: int = 0) -> int:
     """argparse type: a non-negative integer (``--trace-requests``)."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(
+            f"must be >= {minimum}, got {value}")
     return value
 
 
 def _positive_int(text: str) -> int:
     """argparse type: a strictly positive integer."""
-    value = _nonneg_int(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError("must be >= 1, got 0")
-    return value
+    return _nonneg_int(text, minimum=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,15 +87,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="geo mode: cut this site's POP off for the "
                             "middle half of the run (with --graceful its "
                             "population spills to the next-nearest site)")
-    serve.add_argument("--nodes", type=int, default=6)
+    serve.add_argument("--nodes", type=_positive_int, default=6)
     serve.add_argument("--scheduler", "--policy", dest="policy",
                        choices=list(policy_names()), default="sweb",
                        help="scheduling policy — the zoo is documented in "
                             "docs/SCHEDULING.md (--policy is an alias)")
-    serve.add_argument("--rps", type=int, default=16)
+    serve.add_argument("--rps", type=_positive_int, default=16)
     serve.add_argument("--duration", type=float, default=30.0)
     serve.add_argument("--file-size", type=float, default=1.5e6)
-    serve.add_argument("--files", type=int, default=120)
+    serve.add_argument("--files", type=_positive_int, default=120)
     serve.add_argument("--seed", type=int, default=1)
     serve.add_argument("--faults", metavar="SPEC",
                        help="fault plan, e.g. 'crash:n2@30,partition:10-20' "
@@ -143,11 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="NAME",
                        help="run only this phase (repeatable); "
                             "default: all phases")
-    bench.add_argument("--profile", action="store_true",
-                       help="cProfile each phase: top functions + "
-                            "per-subsystem time split")
-    bench.add_argument("--top", type=int, default=20,
-                       help="rows in the --profile function table")
 
     replay = sub.add_parser(
         "replay", help="replay a Common Log Format access log")
@@ -319,11 +312,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .cluster import (heterogeneous_meiko, heterogeneous_now, meiko_cs2,
                           sun_now)
     from .core.costmodel import CostParameters
-    from .experiments.runner import Scenario, run_scenario
+    from .experiments.runner import run_scenario
     from .faults import FaultPlan, FaultSpecError
     from .sim import RandomStreams
-    from .workload import (burst_workload, uniform_corpus, uniform_sampler,
-                           zipf_sampler)
+    from .workload import (Scenario, burst_workload, uniform_corpus,
+                           uniform_sampler, zipf_sampler)
 
     if args.geo or args.testbed == "geo3":
         return _cmd_serve_geo(args)
@@ -472,9 +465,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .config import load_config
-    from .experiments.runner import DEFAULT_PROFILES
-    from .sim import AllOf
+    from .experiments.runner import replay
     from .web.client import Client
+    from .workload import DEFAULT_PROFILES
     from .workload.logs import parse_clf, workload_from_clf
 
     entries = parse_clf(Path(args.logfile).read_text())
@@ -497,16 +490,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                              home=i % n)
     client = Client(cluster, profile=DEFAULT_PROFILES["ucsb"])
     sim = cluster.sim
-
-    def driver():
-        procs = []
-        for arrival in workload:
-            if arrival.time > sim.now:
-                yield sim.timeout(arrival.time - sim.now)
-            procs.append(client.fetch(arrival.path))
-        yield AllOf(sim, procs)
-
-    sim.run(until=sim.spawn(driver(), name="replay"))
+    driver = replay(sim, workload, lambda arrival: client.fetch(arrival.path))
+    sim.run(until=sim.spawn(driver, name="replay"))
     metrics = cluster.metrics
     print(f"replayed {metrics.total} requests over "
           f"{workload.duration:.1f}s (x{args.time_scale:g} time scale)")
@@ -588,8 +573,7 @@ def main(argv=None) -> int:
             print(f"sweb-repro bench: {exc}", file=sys.stderr)
             return 2
         return bench_main(out=args.out, repeats=args.repeats,
-                          scale=args.scale, profile=args.profile,
-                          top=args.top, phases=args.phases)
+                          scale=args.scale, phases=args.phases)
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "replay":

@@ -32,6 +32,7 @@ X13   extension — geo CDN: WAN latency x budget      geo_cdn
 ====  =============================================  =================
 """
 
+from ..workload import Scenario
 from . import (
     ablation_cost_terms,
     ablation_loadd,
@@ -60,7 +61,7 @@ from . import (
 )
 from .base import ExperimentReport
 from .validate import ValidationError, ValidationReport, validate_result
-from .runner import Scenario, ScenarioResult, find_max_rps, run_scenario
+from .runner import ScenarioResult, find_max_rps, run_scenario
 from .shard import (
     CellResult,
     FluidCell,

@@ -13,9 +13,10 @@ from dataclasses import replace
 from ..core import CostParameters
 from ..cluster import meiko_cs2
 from ..sim import RandomStreams
-from ..workload import bimodal_corpus, burst_workload, uniform_sampler
+from ..workload import (Scenario, bimodal_corpus, burst_workload,
+                        uniform_sampler)
 from .base import ExperimentReport
-from .runner import Scenario, ScenarioResult, run_scenario
+from .runner import ScenarioResult, run_scenario
 from .tables import ComparisonRow, render_table
 
 __all__ = ["run", "VARIANTS"]

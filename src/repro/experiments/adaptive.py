@@ -21,7 +21,7 @@ from ..cluster import meiko_cs2
 from ..sim import RandomStreams
 from ..workload import bimodal_corpus, burst_workload, uniform_sampler
 from .base import ExperimentReport
-from .runner import Scenario, ScenarioResult, run_scenario
+from .runner import ScenarioResult, replay
 from .tables import ComparisonRow, render_table
 
 __all__ = ["run"]
@@ -37,9 +37,9 @@ def _cell(oracle, rps: int, duration: float, label: str) -> ScenarioResult:
     same DNS-cached 4-host client layout Table 3 uses.
     """
     from dataclasses import replace as _replace
+    from itertools import cycle
 
     from ..core import SWEBCluster
-    from ..sim import AllOf
     from ..web import Client, UCSB_CLIENT
 
     corpus = bimodal_corpus(150, 6, large_frac=0.5, seed=9)
@@ -49,20 +49,13 @@ def _cell(oracle, rps: int, duration: float, label: str) -> ScenarioResult:
                           oracle=oracle, dns_ttl=300.0)
     corpus.install(cluster)
     sim = cluster.sim
-    hosts = [Client(cluster,
-                    profile=_replace(UCSB_CLIENT, name=f"ucsb#{i}",
-                                     domain=f"ucsb#{i}"))
-             for i in range(4)]
-
-    def driver():
-        procs = []
-        for k, arrival in enumerate(workload):
-            if arrival.time > sim.now:
-                yield sim.timeout(arrival.time - sim.now)
-            procs.append(hosts[k % 4].fetch(arrival.path))
-        yield AllOf(sim, procs)
-
-    done = sim.spawn(driver(), name="driver")
+    hosts = cycle([Client(cluster,
+                          profile=_replace(UCSB_CLIENT, name=f"ucsb#{i}",
+                                           domain=f"ucsb#{i}"))
+                   for i in range(4)])
+    driver = replay(sim, workload,
+                    lambda arrival: next(hosts).fetch(arrival.path))
+    done = sim.spawn(driver, name="driver")
     sim.run(until=done)
     return ScenarioResult(scenario=f"x5-{label}", cluster=cluster,
                           metrics=cluster.metrics,

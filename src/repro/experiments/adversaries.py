@@ -38,12 +38,13 @@ from ..workload import (
     Corpus,
     Document,
     MB,
+    Scenario,
     burst_workload,
     make_adversary,
     uniform_sampler,
 )
 from .base import ExperimentReport
-from .runner import Scenario, ScenarioResult, run_scenario
+from .runner import ScenarioResult, run_scenario
 from .tables import ComparisonRow, render_table
 
 __all__ = ["ATTACKS", "Attack", "run", "run_adversary", "skewed_corpus"]

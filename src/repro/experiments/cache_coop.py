@@ -28,9 +28,10 @@ from __future__ import annotations
 from ..cluster import meiko_cs2
 from ..core import CostParameters
 from ..sim import RandomStreams
-from ..workload import Corpus, Document, MB, burst_workload, zipf_sampler
+from ..workload import (Corpus, Document, MB, Scenario, burst_workload,
+                        zipf_sampler)
 from .base import ExperimentReport
-from .runner import Scenario, ScenarioResult, run_scenario
+from .runner import ScenarioResult, run_scenario
 from .tables import ComparisonRow, render_table
 
 __all__ = ["run", "run_config", "hot_cold_corpus", "CONFIGS"]

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from ..cluster import meiko_cs2
 from ..core import SWEBCluster
-from ..sim import AllOf, RandomStreams
+from ..sim import RandomStreams
 from ..web import Client
-from ..workload import burst_workload, uniform_corpus, uniform_sampler
+from ..workload import (Scenario, burst_workload, uniform_corpus,
+                        uniform_sampler)
 from .base import ExperimentReport
-from .runner import Scenario, run_scenario
+from .runner import replay, run_scenario
 from .tables import ComparisonRow, render_table
 
 __all__ = ["run"]
@@ -58,16 +59,9 @@ def _spof_run(dispatcher, duration: float = 12.0, rps: int = 8,
         yield sim.timeout(kill_at)
         cluster.node_leave(0)           # the dispatcher, in centralized mode
 
-    def driver():
-        procs = []
-        for arrival in workload:
-            if arrival.time > sim.now:
-                yield sim.timeout(arrival.time - sim.now)
-            procs.append(client.fetch(arrival.path))
-        yield AllOf(sim, procs)
-
     sim.spawn(killer(), name="killer")
-    sim.run(until=sim.spawn(driver(), name="driver"))
+    driver = replay(sim, workload, lambda arrival: client.fetch(arrival.path))
+    sim.run(until=sim.spawn(driver, name="driver"))
     metrics = cluster.metrics
     after = [r for r in metrics.records if r.start >= kill_at]
     dropped_after = sum(1 for r in after if r.dropped)

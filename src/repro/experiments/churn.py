@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from ..core import SWEBCluster
 from ..cluster import meiko_cs2
-from ..sim import AllOf, RandomStreams
+from ..sim import RandomStreams
 from ..web import Client
 from ..workload import bimodal_corpus, burst_workload, uniform_sampler
 from .base import ExperimentReport
+from .runner import replay
 from .tables import ComparisonRow, render_table
 
 __all__ = ["run", "run_churn"]
@@ -47,16 +48,9 @@ def run_churn(policy: str, duration: float = 30.0, rps: int = 12,
         yield sim.timeout(rejoin_at - leave_at)
         cluster.node_join(victim, update_dns=False)
 
-    def driver():
-        procs = []
-        for arrival in workload:
-            if arrival.time > sim.now:
-                yield sim.timeout(arrival.time - sim.now)
-            procs.append(client.fetch(arrival.path))
-        yield AllOf(sim, procs)
-
     sim.spawn(churner(), name="churner")
-    done = sim.spawn(driver(), name="driver")
+    driver = replay(sim, workload, lambda arrival: client.fetch(arrival.path))
+    done = sim.spawn(driver, name="driver")
     sim.run(until=done)
 
     metrics = cluster.metrics

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from ..cluster import meiko_cs2
 from ..core import SWEBCluster
-from ..sim import AllOf, Monitor, RandomStreams, ascii_sparkline
+from ..sim import Monitor, RandomStreams, ascii_sparkline
 from ..web import Client
 from ..workload import burst_workload, uniform_corpus, uniform_sampler
 from .base import ExperimentReport
+from .runner import replay
 from .tables import ComparisonRow, render_table
 
 __all__ = ["run", "queue_trajectory"]
@@ -41,15 +42,8 @@ def queue_trajectory(rps: int, duration: float, seed: int = 1,
     workload = burst_workload(rps, duration, sampler)
     client = Client(cluster, timeout=120.0)
 
-    def driver():
-        procs = []
-        for arrival in workload:
-            if arrival.time > sim.now:
-                yield sim.timeout(arrival.time - sim.now)
-            procs.append(client.fetch(arrival.path))
-        yield AllOf(sim, procs)
-
-    sim.run(until=sim.spawn(driver(), name="driver"))
+    driver = replay(sim, workload, lambda arrival: client.fetch(arrival.path))
+    sim.run(until=sim.spawn(driver, name="driver"))
     _times, backlog = monitor.series("backlog")
     return backlog, cluster.metrics
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from ..cluster import meiko_cs2
 from ..sim import RandomStreams
-from ..workload import bimodal_corpus, burst_workload, uniform_sampler
+from ..workload import (Scenario, bimodal_corpus, burst_workload,
+                        uniform_sampler)
 from .base import ExperimentReport
-from .runner import Scenario, run_scenario
+from .runner import run_scenario
 from .tables import ComparisonRow, render_table
 
 __all__ = ["run"]

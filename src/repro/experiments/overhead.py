@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from ..cluster import meiko_cs2
 from ..sim import RandomStreams
-from ..workload import burst_workload, uniform_corpus, uniform_sampler
+from ..workload import (Scenario, burst_workload, uniform_corpus,
+                        uniform_sampler)
 from .base import ExperimentReport
 from .paper_data import OVERHEAD
-from .runner import Scenario, run_scenario
+from .runner import run_scenario
 from .tables import ComparisonRow, render_table
 
 __all__ = ["run"]

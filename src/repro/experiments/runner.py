@@ -9,21 +9,14 @@ by arrival through simulated clients, waits for every request to finish
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from ..core import SWEBCluster
-from ..sim import AllOf, Summary
+from ..sim import AllOf, Event, Simulator, Summary
 from ..web import Client, Metrics
-# Deprecated re-export shim: ``Scenario`` and ``DEFAULT_PROFILES`` moved
-# to :mod:`repro.workload` when the scenario presets grew into their own
-# layer; they stay importable from here only so pre-move callers keep
-# working.  New code should import from ``repro.workload`` —
-# tests/test_experiments_runner.py pins both paths to the same objects
-# so the shim cannot silently drift from the real definitions.
-from ..workload import DEFAULT_PROFILES, Scenario
+from ..workload import Arrival, Scenario
 
-__all__ = ["DEFAULT_PROFILES", "Scenario", "ScenarioResult",
-           "run_scenario", "find_max_rps"]
+__all__ = ["ScenarioResult", "replay", "run_scenario", "find_max_rps"]
 
 
 @dataclass
@@ -109,7 +102,7 @@ class ScenarioResult:
         Routed through ``Metrics.response_percentile`` (and from there
         the shared ``repro.obs.percentiles`` helper) rather than a
         local re-derivation."""
-        if not self.metrics.response_times().count:
+        if not self.metrics.response_times():
             return 0.0
         return self.metrics.response_percentile(95)
 
@@ -156,6 +149,20 @@ class ScenarioResult:
                 f"mean_rt={rt:.3f}s")
 
 
+def replay(sim: Simulator, workload: Iterable[Arrival],
+           fetch: Callable[[Arrival], Event]):
+    """Kernel process: at each arrival's time call ``fetch(arrival)``,
+    which starts one request and returns its process, then wait until
+    every request has settled."""
+    procs = []
+    for arrival in workload:
+        if arrival.time > sim.now:
+            yield sim.timeout(arrival.time - sim.now)
+        procs.append(fetch(arrival))
+    if procs:
+        yield AllOf(sim, procs)
+
+
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Execute one scenario to completion and aggregate its metrics."""
     cluster = SWEBCluster(
@@ -187,23 +194,18 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         clients[name] = hosts
     cursors = {name: 0 for name in clients}
 
-    def driver():
-        procs = []
-        for arrival in scenario.workload:
-            if arrival.time > sim.now:
-                yield sim.timeout(arrival.time - sim.now)
-            hosts = clients.get(arrival.client)
-            if hosts is None:
-                raise KeyError(
-                    f"workload references unknown client {arrival.client!r}")
-            # Spread a profile's requests over its hosts round-robin.
-            idx = cursors[arrival.client]
-            cursors[arrival.client] = (idx + 1) % len(hosts)
-            procs.append(hosts[idx].fetch(arrival.path))
-        if procs:
-            yield AllOf(sim, procs)
+    def fetch(arrival: Arrival) -> Event:
+        hosts = clients.get(arrival.client)
+        if hosts is None:
+            raise KeyError(
+                f"workload references unknown client {arrival.client!r}")
+        # Spread a profile's requests over its hosts round-robin.
+        idx = cursors[arrival.client]
+        cursors[arrival.client] = (idx + 1) % len(hosts)
+        return hosts[idx].fetch(arrival.path)
 
-    done = sim.spawn(driver(), name="workload-driver")
+    done = sim.spawn(replay(sim, scenario.workload, fetch),
+                     name="workload-driver")
     sim.run(until=done)
     # Surface the cluster-layer page-cache counters in the metrics object
     # so reports need not reach back into the cluster (docs/CACHING.md).

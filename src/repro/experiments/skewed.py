@@ -15,10 +15,11 @@ cost model sees no reason to pile onto the home node).
 from __future__ import annotations
 
 from ..cluster import meiko_cs2
-from ..workload import burst_workload, hot_file_sampler, single_hot_file
+from ..workload import (Scenario, burst_workload, hot_file_sampler,
+                        single_hot_file)
 from .base import ExperimentReport
 from .paper_data import SKEWED_TEST
-from .runner import Scenario, ScenarioResult, run_scenario
+from .runner import ScenarioResult, run_scenario
 from .tables import ComparisonRow, render_table
 
 __all__ = ["run", "run_policy"]

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from ..cluster import ClusterSpec, meiko_cs2, sun_now
 from ..sim import RandomStreams
-from ..workload import burst_workload, uniform_corpus, uniform_sampler
+from ..workload import (Scenario, burst_workload, uniform_corpus,
+                        uniform_sampler)
 from .base import ExperimentReport
 from .paper_data import TABLE1
-from .runner import Scenario, find_max_rps
+from .runner import find_max_rps
 from .tables import ComparisonRow, render_table
 
 __all__ = ["run", "max_rps_cell"]

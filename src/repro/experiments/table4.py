@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from ..cluster import meiko_cs2, sun_now
 from ..sim import RandomStreams
-from ..workload import burst_workload, uniform_corpus, uniform_sampler
+from ..workload import (Scenario, burst_workload, uniform_corpus,
+                        uniform_sampler)
 from .base import ExperimentReport
-from .runner import Scenario, ScenarioResult, run_scenario
+from .runner import ScenarioResult, run_scenario
 from .tables import ComparisonRow, render_table
 
 __all__ = ["run", "run_cell"]

@@ -1,12 +1,10 @@
 """Shared percentile math — the one place quantiles are computed.
 
-Before this module existed, ``sim/stats.py`` computed percentiles in two
-places (``Summary.of`` and ``Tally.percentile``) and downstream callers
-(``ScenarioResult.p95_response_time``, the X10 report) each re-derived
-p95 through their own path.  Everything now routes through these two
-functions, so "p95" means exactly one thing repo-wide: NumPy's default
-linear-interpolation quantile.  ``tests/test_obs_registry.py`` pins the
-equivalence on shared inputs.
+``Summary.of``, ``Metrics.response_percentile``,
+``ScenarioResult.p95_response_time`` and the X10 report all route
+through these two functions, so "p95" means exactly one thing repo-wide:
+NumPy's default linear-interpolation quantile.
+``tests/test_obs_registry.py`` pins the equivalence on shared inputs.
 """
 
 from __future__ import annotations

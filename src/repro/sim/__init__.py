@@ -2,15 +2,15 @@
 
 Public surface:
 
-* :class:`Simulator`, :class:`Event`, :class:`Process`, :class:`Interrupt` —
-  the event loop and process model (:mod:`repro.sim.engine`).
-* :class:`Resource`, :class:`Store`, :class:`Container` — queueing
-  primitives (:mod:`repro.sim.resources`).
+* :class:`Simulator`, :class:`Event`, :class:`Process`, :class:`AnyOf`,
+  :class:`AllOf` — the event loop and process model
+  (:mod:`repro.sim.engine`).
 * :class:`FairShareServer` — processor-sharing stations, the model behind
   CPUs, disks and links (:mod:`repro.sim.bandwidth`).
 * :class:`RandomStreams` — deterministic named substreams.
-* :class:`Tally`, :class:`TimeWeighted`, :class:`Counter`,
-  :class:`PhaseAccumulator`, :class:`Summary` — metrics.
+* :class:`Summary`, :class:`PhaseAccumulator` — sample summaries and
+  per-phase cost totals.
+* :class:`Monitor` — periodic probes of model state.
 * :class:`Trace` — structured event log.
 """
 
@@ -18,7 +18,6 @@ from .engine import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -28,9 +27,8 @@ from .engine import (
 )
 from .bandwidth import FairShareServer, Job
 from .monitor import Monitor, ascii_series, ascii_sparkline
-from .resources import Container, Resource, Store
 from .rng import RandomStreams
-from .stats import Counter, PhaseAccumulator, Summary, Tally, TimeWeighted
+from .stats import PhaseAccumulator, Summary
 from .streamnames import STREAM_NAMES, crc32_key, stream_collisions
 from .trace import DETAIL as TRACE_DETAIL
 from .trace import SUMMARY as TRACE_SUMMARY
@@ -39,27 +37,20 @@ from .trace import Trace, TraceRecord
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
-    "Counter",
     "Event",
     "FairShareServer",
-    "Interrupt",
     "Job",
     "Monitor",
     "NORMAL",
     "PhaseAccumulator",
     "Process",
     "RandomStreams",
-    "Resource",
     "STREAM_NAMES",
     "SimulationError",
     "Simulator",
-    "Store",
     "Summary",
     "TRACE_DETAIL",
     "TRACE_SUMMARY",
-    "Tally",
-    "TimeWeighted",
     "Timeout",
     "Trace",
     "TraceRecord",

@@ -15,13 +15,13 @@ never dispatched, and the heap is compacted once such dead entries
 outnumber live ones, so the heap holds live work only.
 
 Performance: this file is the hottest code in the repository (see
-``docs/PERFORMANCE.md``).  The main loop in :meth:`Simulator.run` inlines
-:meth:`Simulator.step`, the trigger/timeout paths push onto the heap
-directly instead of going through :meth:`Simulator._push`, and processed
-events return their callback lists to a per-simulator free pool so steady
-state allocates no lists.  All of it is behaviour-preserving: the
-schedule order — (time, priority, seq) — is untouched, and
-``tests/test_determinism.py`` pins bit-identical fixed-seed results.
+``docs/PERFORMANCE.md``).  The main loop in :meth:`Simulator.run`
+inlines :meth:`Simulator.step`, the trigger/timeout paths push onto the
+heap directly, and processed events return their callback lists to a
+per-simulator free pool so steady state allocates no lists.  All of it
+is behaviour-preserving: the schedule order — (time, priority, seq) — is
+untouched, and ``tests/test_determinism.py`` pins bit-identical
+fixed-seed results.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "Process",
     "AnyOf",
     "AllOf",
-    "Interrupt",
     "Simulator",
     "SimulationError",
     "StopSimulation",
@@ -44,7 +43,8 @@ __all__ = [
     "NORMAL",
 ]
 
-#: Scheduling priority for interrupts and simulation-control events.
+#: Scheduling priority for process start-up, deferred callbacks and
+#: simulation-control events.
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
@@ -62,20 +62,6 @@ class StopSimulation(Exception):
     def __init__(self, value: Any = None) -> None:
         super().__init__(value)
         self.value = value
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    ``cause`` carries the value given by the interrupter.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0]
 
 
 class Event:
@@ -156,66 +142,17 @@ class Event:
         sim._seq = seq = sim._seq + 1
         heappush(sim._queue, (sim._now, priority, seq, self))
 
-    # -- combinators -------------------------------------------------------
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.sim, [self, other])
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.sim, [self, other])
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} at {id(self):#x} state={self._state}>"
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after creation."""
+    """An event that fires ``delay`` time units after creation.
+
+    Built only by :meth:`Simulator.timeout`, which sets every field itself.
+    """
 
     __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        # Hot path: sets every Event field directly (no super() chain) and
-        # pushes the pre-triggered event onto the heap in one go.
-        self.sim = sim
-        pool = sim._cb_pool
-        self.callbacks = pool.pop() if pool else []
-        self._value = value
-        self._ok = True
-        self._state = Event.TRIGGERED
-        self._defused = False
-        self.delay = delay
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, (sim._now + delay, NORMAL, seq, self))
-
-
-class _Interruption(Event):
-    """Urgent helper event that throws :class:`Interrupt` into a process."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: Any) -> None:
-        super().__init__(process.sim)
-        self.process = process
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        self._state = Event.TRIGGERED
-        self.callbacks.append(self._apply)
-        self.sim._push(self, delay=0.0, priority=URGENT)
-
-    def _apply(self, event: Event) -> None:
-        proc = self.process
-        if proc.triggered:  # process already finished; nothing to interrupt
-            return
-        # Detach the process from whatever it currently waits on, then make
-        # the interruption the thing that resumes it.
-        if proc._target is not None and proc._target.callbacks is not None:
-            try:
-                proc._target.callbacks.remove(proc._resume)
-            except ValueError:
-                pass
-        proc._resume(self)
 
 
 class Process(Event):
@@ -249,12 +186,6 @@ class Process(Event):
     def target(self) -> Optional[Event]:
         """The event this process currently waits on (None if just started)."""
         return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError(f"{self.name} has terminated; cannot interrupt")
-        _Interruption(self, cause)
 
     def _resume(self, event: Event) -> None:
         sim = self.sim
@@ -431,9 +362,8 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires ``delay`` time units from now.
 
-        Hot path: builds the :class:`Timeout` without the ``__init__``
-        call frame (one frame per event adds up) — keep the field
-        assignments in sync with :meth:`Timeout.__init__`.
+        Hot path: builds the :class:`Timeout` with ``__new__`` and sets
+        every field directly (no ``__init__`` call frame per event).
         """
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
@@ -472,20 +402,7 @@ class Simulator:
         heappush(self._queue, (self._now, URGENT, seq, ev))
         return ev
 
-    # Alias familiar to simpy users.
-    process = spawn
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     # -- scheduling ----------------------------------------------------------
-    def _push(self, event: Event, delay: float, priority: int) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
-
     def cancel(self, event: Event) -> None:
         """Withdraw a scheduled event before it is processed.
 

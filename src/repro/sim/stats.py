@@ -1,4 +1,4 @@
-"""Measurement helpers: summaries, time-weighted values, counters.
+"""Measurement helpers: sample summaries and per-phase cost totals.
 
 The experiment harness reports the same quantities the paper does —
 average response time, drop rate, maximum sustained rps, per-phase cost
@@ -8,19 +8,18 @@ these primitives.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 # Percentile math is deliberately not implemented here: repro.obs (the
 # dependency-free observability layer below sim) owns the one shared
-# implementation, so Summary, Tally, histograms and reports can never
+# implementation, so Summary, histograms and reports can never
 # disagree about what "p95" means.
 from ..obs.percentiles import percentiles as _percentiles
 
-__all__ = ["Summary", "Tally", "TimeWeighted", "Counter", "PhaseAccumulator"]
+__all__ = ["Summary", "PhaseAccumulator"]
 
 
 @dataclass(frozen=True)
@@ -61,105 +60,6 @@ class Summary:
         )
 
 
-class Tally:
-    """Collects scalar observations (e.g. per-request response times)."""
-
-    def __init__(self, name: str = "tally") -> None:
-        self.name = name
-        self.values: list[float] = []
-
-    def record(self, value: float) -> None:
-        self.values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.values)) if self.values else float("nan")
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.values)) if self.values else 0.0
-
-    def percentile(self, q: float) -> float:
-        return _percentiles(self.values, (q,))[0]
-
-    def summary(self) -> Summary:
-        return Summary.of(self.values)
-
-    def __repr__(self) -> str:
-        return f"<Tally {self.name!r} n={self.count} mean={self.mean:.4g}>"
-
-
-class TimeWeighted:
-    """A piecewise-constant signal with time-weighted averaging.
-
-    ``update(t, v)`` sets the value at time ``t``; ``average(t0, t1)`` is the
-    exact time-weighted mean over the window (used for CPU load averages
-    seen by ``loadd``).
-    """
-
-    def __init__(self, initial: float = 0.0, at: float = 0.0) -> None:
-        self._times: list[float] = [float(at)]
-        self._values: list[float] = [float(initial)]
-
-    @property
-    def current(self) -> float:
-        return self._values[-1]
-
-    def update(self, t: float, value: float) -> None:
-        if t < self._times[-1] - 1e-12:
-            raise ValueError("time must be non-decreasing")
-        if value == self._values[-1]:
-            return
-        self._times.append(float(t))
-        self._values.append(float(value))
-
-    def add(self, t: float, delta: float) -> None:
-        self.update(t, self._values[-1] + delta)
-
-    def value_at(self, t: float) -> float:
-        idx = int(np.searchsorted(self._times, t, side="right")) - 1
-        idx = max(idx, 0)
-        return self._values[idx]
-
-    def average(self, t0: float, t1: float) -> float:
-        if t1 <= t0:
-            return self.value_at(t0)
-        times = np.asarray(self._times)
-        values = np.asarray(self._values)
-        # Integrate the step function over [t0, t1].
-        edges = np.concatenate(([t0], times[(times > t0) & (times < t1)], [t1]))
-        idx = np.searchsorted(times, edges[:-1], side="right") - 1
-        idx = np.clip(idx, 0, len(values) - 1)
-        widths = np.diff(edges)
-        return float(np.sum(values[idx] * widths) / (t1 - t0))
-
-
-class Counter:
-    """Named integer counters (drops, redirects, cache hits...)."""
-
-    def __init__(self) -> None:
-        self._counts: dict[str, int] = {}
-
-    def incr(self, key: str, by: int = 1) -> None:
-        self._counts[key] = self._counts.get(key, 0) + by
-
-    def __getitem__(self, key: str) -> int:
-        return self._counts.get(key, 0)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._counts)
-
-    def __repr__(self) -> str:
-        return f"<Counter {self._counts!r}>"
-
-
 class PhaseAccumulator:
     """Accumulates time spent per named phase (Table 5's breakdown)."""
 
@@ -188,8 +88,3 @@ class PhaseAccumulator:
 
     def as_dict(self) -> dict[str, float]:
         return dict(self._totals)
-
-    def merge(self, other: "PhaseAccumulator") -> None:
-        for phase, total in other._totals.items():
-            self._totals[phase] = self._totals.get(phase, 0.0) + total
-            self._counts[phase] = self._counts.get(phase, 0) + other._counts[phase]

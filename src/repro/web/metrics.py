@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from ..obs import LATENCY_BUCKETS, MetricsRegistry, percentile
-from ..sim import PhaseAccumulator, Summary, Tally
+from ..sim import PhaseAccumulator, Summary
 
 __all__ = ["RequestRecord", "Metrics", "PHASE_NAMES"]
 
@@ -72,8 +74,7 @@ class Metrics:
         #: (SWEBCluster always passes the cluster's shared registry)
         self.registry = registry if registry is not None else MetricsRegistry()
         #: request-lifecycle counters, registered as the ``http.*``
-        #: namespace of :attr:`registry` (same incr/[]/as_dict API the
-        #: old ad-hoc ``sim.stats.Counter`` had)
+        #: namespace of :attr:`registry`
         self.counters = self.registry.counters("http")
         #: completed-request latency histogram (fixed buckets, so p50 /
         #: p95 / p99 are available without rescanning the records)
@@ -133,21 +134,17 @@ class Metrics:
     def drop_rate(self) -> float:
         return self.dropped / self.total if self.total else 0.0
 
-    def response_times(self, only_ok: bool = True) -> Tally:
-        tally = Tally("response_time")
-        for rec in self.records:
-            if rec.dropped or rec.end is None:
-                continue
-            if only_ok and not rec.ok:
-                continue
-            tally.record(rec.response_time)
-        return tally
+    def response_times(self, only_ok: bool = True) -> list[float]:
+        return [rec.response_time for rec in self.records
+                if not (rec.dropped or rec.end is None)
+                and (rec.ok or not only_ok)]
 
     def response_summary(self) -> Summary:
-        return self.response_times().summary()
+        return Summary.of(self.response_times())
 
     def mean_response_time(self) -> float:
-        return self.response_times().mean
+        times = self.response_times()
+        return float(np.mean(times)) if times else float("nan")
 
     def response_percentile(self, q: float, only_ok: bool = True) -> float:
         """Exact response-time percentile over completed requests.
@@ -156,7 +153,7 @@ class Metrics:
         the same math as :class:`Summary` — so reports quoting "p95"
         can never disagree with the summary table (``nan`` when no
         requests completed)."""
-        return percentile(self.response_times(only_ok=only_ok).values, q)
+        return percentile(self.response_times(only_ok=only_ok), q)
 
     def throughput(self, duration: float) -> float:
         """Completed requests per second over ``duration``."""

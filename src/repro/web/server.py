@@ -17,7 +17,7 @@ from ..cluster.network import Internet, WANPath
 from ..cluster.node import Node
 from ..cluster.filesystem import DistributedFileSystem
 from ..obs import Span, Tracer
-from ..sim import Event, Simulator, Trace
+from ..sim import AllOf, Event, Simulator, Trace
 from ..sim.trace import DETAIL as TRACE_DETAIL
 
 if TYPE_CHECKING:  # pragma: no cover - avoid a web <-> core import cycle
@@ -379,7 +379,7 @@ class HTTPServer:
         send_ops = self.params.send_ops_per_byte * response.body_bytes
         if send_ops > 0:
             stack = self.node.compute(send_ops, category="send")
-            yield wire & stack
+            yield AllOf(self.sim, [wire, stack])
         else:
             yield wire
         self._span_end(sp)

@@ -103,6 +103,8 @@ class Corpus:
 
 def _place(i: int, n_nodes: int, placement, rng: Optional[RandomStreams]) -> int:
     """Resolve a placement strategy to a home node for document ``i``."""
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     if isinstance(placement, int):
         return placement % n_nodes
     if placement == "round-robin":

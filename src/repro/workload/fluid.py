@@ -37,7 +37,7 @@ import hashlib
 from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -254,18 +254,6 @@ class FluidResult:
                 f"completed={self.n_requests}, "
                 f"redirected={self.redirected / max(1, self.n_requests):.1%}, "
                 f"mean_rt={hist.mean:.4f}s")
-
-
-def _service_times(scenario: FluidScenario,
-                   rng: RandomStreams) -> Sequence[float]:
-    """Per-path service time: fixed CPU cost + size over the medium rate.
-
-    Sizes draw once per path from the ``fluid-sizes`` substream; the
-    ``hot_set`` most popular ranks are priced at memory bandwidth, the
-    tail at disk bandwidth.
-    """
-    service, _ = _service_tables(scenario, rng)
-    return service
 
 
 def _service_tables(

@@ -108,6 +108,18 @@ def test_parser_rejects_bad_trace_counts(capsys):
     capsys.readouterr()
 
 
+def test_parser_rejects_non_positive_serve_sizes(capsys):
+    # --nodes 0 used to reach the corpus builder and die with a
+    # ZeroDivisionError; --rps/--files had the same hole.
+    parser = build_parser()
+    for flag, value in (("--nodes", "0"), ("--nodes", "-2"),
+                        ("--rps", "0"), ("--files", "0")):
+        with pytest.raises(SystemExit) as err:
+            parser.parse_args(["serve", flag, value])
+        assert err.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_trace_out_requires_trace_requests(capsys):
     assert main(["serve", "--trace-out", "t.json"]) == 2
     assert "--trace-out requires --trace-requests" in capsys.readouterr().err

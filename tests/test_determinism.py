@@ -26,10 +26,11 @@ from pathlib import Path
 from repro.cluster import meiko_cs2, sun_now
 from repro.core.costmodel import CostParameters
 from repro.experiments.cache_coop import hot_cold_corpus
-from repro.experiments.runner import Scenario, run_scenario
+from repro.experiments.runner import run_scenario
 from repro.geo import GeoScenario, run_geo
 from repro.sim import RandomStreams, Trace
 from repro.workload import (
+    Scenario,
     burst_workload,
     poisson_workload,
     uniform_corpus,

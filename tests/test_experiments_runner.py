@@ -3,9 +3,9 @@
 import pytest
 
 from repro.cluster import meiko_cs2
-from repro.experiments.runner import Scenario, ScenarioResult, find_max_rps, run_scenario
+from repro.experiments.runner import ScenarioResult, find_max_rps, run_scenario
 from repro.sim import RandomStreams
-from repro.workload import burst_workload, uniform_corpus, uniform_sampler
+from repro.workload import Scenario, burst_workload, uniform_corpus, uniform_sampler
 
 
 def tiny_scenario(rps=2, duration=3.0, policy="sweb", n=2, size=1e4,
@@ -16,23 +16,6 @@ def tiny_scenario(rps=2, duration=3.0, policy="sweb", n=2, size=1e4,
                         uniform_sampler(corpus, RandomStreams(seed)))
     return Scenario(name="tiny", spec=spec, corpus=corpus, workload=wl,
                     policy=policy, seed=seed, **kw)
-
-
-def test_runner_reexport_shim_is_identical():
-    """The deprecated runner re-exports must BE the workload objects.
-
-    ``Scenario`` and ``DEFAULT_PROFILES`` moved to ``repro.workload``;
-    the runner keeps importable aliases for pre-move callers.  Pinning
-    identity (not equality) guarantees the shim cannot silently drift
-    into a stale copy of the real definitions.
-    """
-    import repro.experiments.runner as runner
-    import repro.workload as workload
-
-    assert runner.Scenario is workload.Scenario
-    assert runner.DEFAULT_PROFILES is workload.DEFAULT_PROFILES
-    from repro.experiments import Scenario as exported_scenario
-    assert exported_scenario is workload.Scenario
 
 
 def test_run_scenario_completes_all_requests():

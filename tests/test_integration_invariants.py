@@ -3,10 +3,10 @@
 import pytest
 
 from repro.cluster import meiko_cs2
-from repro.experiments.runner import Scenario, run_scenario
+from repro.experiments.runner import run_scenario
 from repro.experiments.table3 import run_cell
 from repro.sim import RandomStreams
-from repro.workload import bimodal_corpus, burst_workload, uniform_sampler
+from repro.workload import Scenario, bimodal_corpus, burst_workload, uniform_sampler
 
 
 @pytest.fixture(scope="module")

@@ -4,9 +4,9 @@ import pytest
 
 from repro.cluster import Disk, meiko_cs2
 from repro.experiments.report import generate_report
-from repro.experiments.runner import Scenario, run_scenario
+from repro.experiments.runner import run_scenario
 from repro.sim import RandomStreams, Simulator
-from repro.workload import burst_workload, uniform_corpus, uniform_sampler
+from repro.workload import Scenario, burst_workload, uniform_corpus, uniform_sampler
 
 
 # ----------------------------------------------------------------- report

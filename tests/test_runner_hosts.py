@@ -4,9 +4,9 @@ import pytest
 
 from repro.cluster import meiko_cs2
 from repro.core import CostParameters
-from repro.experiments.runner import Scenario, run_scenario
+from repro.experiments.runner import run_scenario
 from repro.sim import RandomStreams
-from repro.workload import burst_workload, uniform_corpus, uniform_sampler
+from repro.workload import Scenario, burst_workload, uniform_corpus, uniform_sampler
 
 
 def scenario(hosts, ttl, rps=4, duration=4.0, n=4, policy="round-robin",

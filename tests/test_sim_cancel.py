@@ -258,7 +258,7 @@ def test_condition_on_a_cancelled_event_raises():
     with pytest.raises(SimulationError):
         AnyOf(sim, [live, dead])
     with pytest.raises(SimulationError):
-        sim.all_of([dead])
+        AllOf(sim, [dead])
     with pytest.raises(SimulationError):
         sim.run(until=dead)
 

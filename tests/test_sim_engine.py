@@ -6,7 +6,6 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     SimulationError,
     Simulator,
 )
@@ -205,63 +204,6 @@ def test_waiting_on_already_processed_event_resumes_immediately():
     assert log == [(5.0, "早い")]
 
 
-def test_interrupt_wakes_process_early():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-            log.append("slept")
-        except Interrupt as inter:
-            log.append(("interrupted", sim.now, inter.cause))
-
-    proc = sim.spawn(sleeper())
-
-    def interrupter():
-        yield sim.timeout(2.0)
-        proc.interrupt("wake up")
-
-    sim.spawn(interrupter())
-    sim.run()
-    assert log == [("interrupted", 2.0, "wake up")]
-
-
-def test_interrupt_dead_process_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    proc = sim.spawn(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
-def test_interrupted_process_can_continue():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt:
-            pass
-        yield sim.timeout(1.0)
-        log.append(sim.now)
-
-    proc = sim.spawn(sleeper())
-
-    def interrupter():
-        yield sim.timeout(2.0)
-        proc.interrupt()
-
-    sim.spawn(interrupter())
-    sim.run()
-    assert log == [3.0]
-
-
 def test_anyof_first_wins():
     sim = Simulator()
     results = []
@@ -269,7 +211,7 @@ def test_anyof_first_wins():
     def proc():
         t1 = sim.timeout(5.0, value="slow")
         t2 = sim.timeout(2.0, value="fast")
-        got = yield t1 | t2
+        got = yield AnyOf(sim, [t1, t2])
         results.append((sim.now, list(got.values())))
 
     sim.spawn(proc())
@@ -284,7 +226,7 @@ def test_allof_waits_for_all():
     def proc():
         t1 = sim.timeout(5.0, value="a")
         t2 = sim.timeout(2.0, value="b")
-        got = yield t1 & t2
+        got = yield AllOf(sim, [t1, t2])
         results.append((sim.now, sorted(got.values())))
 
     sim.spawn(proc())

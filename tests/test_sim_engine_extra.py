@@ -1,4 +1,4 @@
-"""Extra kernel edge-case tests (conditions, interrupts, determinism)."""
+"""Extra kernel edge-case tests (conditions, process state, determinism)."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     SimulationError,
     Simulator,
 )
@@ -20,7 +19,7 @@ def test_nested_conditions():
         a = sim.timeout(1.0, value="a")
         b = sim.timeout(2.0, value="b")
         c = sim.timeout(9.0, value="c")
-        got = yield (a & b) | c
+        got = yield AnyOf(sim, [AllOf(sim, [a, b]), c])
         out.append((sim.now, sorted(v for v in got.values()
                                     if isinstance(v, str))))
 
@@ -48,51 +47,6 @@ def test_condition_over_already_failed_event_defused():
     sim.spawn(proc())
     sim.run()
     assert caught == ["pre-failed"]
-
-
-def test_interrupt_during_condition_wait():
-    sim = Simulator()
-    out = []
-
-    def sleeper():
-        try:
-            yield AllOf(sim, [sim.timeout(50.0), sim.timeout(60.0)])
-        except Interrupt as inter:
-            out.append((sim.now, inter.cause))
-
-    proc = sim.spawn(sleeper())
-
-    def poker():
-        yield sim.timeout(1.0)
-        proc.interrupt("now")
-
-    sim.spawn(poker())
-    sim.run()
-    assert out == [(1.0, "now")]
-
-
-def test_double_interrupt_is_safe():
-    sim = Simulator()
-    hits = []
-
-    def sleeper():
-        for _ in range(2):
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt:
-                hits.append(sim.now)
-
-    proc = sim.spawn(sleeper())
-
-    def poker():
-        yield sim.timeout(1.0)
-        proc.interrupt()
-        yield sim.timeout(1.0)
-        proc.interrupt()
-
-    sim.spawn(poker())
-    sim.run()
-    assert hits == [1.0, 2.0]
 
 
 def test_process_is_alive_and_target():

@@ -5,16 +5,14 @@ Invariants checked:
 * event processing is globally time-ordered;
 * identical schedules replay identically (determinism);
 * the fair-share server conserves work and is never idle while work is
-  pending (work conservation);
-* a FIFO Resource never exceeds capacity and grants in arrival order;
-* TimeWeighted.average equals a brute-force integral.
+  pending (work conservation).
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import FairShareServer, Resource, Simulator, TimeWeighted
+from repro.sim import FairShareServer, Simulator
 
 delays = st.lists(st.floats(min_value=0.0, max_value=50.0,
                             allow_nan=False, allow_infinity=False),
@@ -111,56 +109,3 @@ def test_fair_share_completion_never_before_unloaded_time(jobs, rate):
     sim.run()
     for elapsed, floor in spans:
         assert elapsed >= floor - 1e-6
-
-
-@given(
-    st.integers(min_value=1, max_value=5),
-    st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=1, max_size=15),
-)
-@settings(max_examples=60, deadline=None)
-def test_resource_capacity_invariant(capacity, holds):
-    sim = Simulator()
-    res = Resource(sim, capacity=capacity)
-    grant_order = []
-    max_in_use = 0
-
-    def user(tag, hold):
-        nonlocal max_in_use
-        with res.request() as req:
-            yield req
-            grant_order.append(tag)
-            max_in_use = max(max_in_use, res.count)
-            assert res.count <= capacity
-            yield sim.timeout(hold)
-
-    for i, hold in enumerate(holds):
-        sim.spawn(user(i, hold))
-    sim.run()
-    assert max_in_use <= capacity
-    # All requests arrive at t=0 in spawn order; FIFO grants preserve it.
-    assert grant_order == list(range(len(holds)))
-
-
-@given(
-    st.lists(
-        st.tuples(st.floats(min_value=0.001, max_value=10.0),
-                  st.floats(min_value=-5.0, max_value=5.0)),
-        min_size=1, max_size=12,
-    )
-)
-@settings(max_examples=60, deadline=None)
-def test_time_weighted_average_matches_bruteforce(steps):
-    tw = TimeWeighted(initial=0.0, at=0.0)
-    t = 0.0
-    pieces = []  # (t0, t1, value)
-    value = 0.0
-    for dt, v in steps:
-        pieces.append((t, t + dt, value))
-        t += dt
-        value = v
-        tw.update(t, v)
-    t_end = t + 1.0
-    pieces.append((t, t_end, value))
-    integral = sum((b - a) * v for a, b, v in pieces)
-    expected = integral / t_end
-    assert math.isclose(tw.average(0.0, t_end), expected, rel_tol=1e-9, abs_tol=1e-9)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim import Counter, PhaseAccumulator, Summary, Tally, TimeWeighted
+from repro.sim import PhaseAccumulator, Summary
 
 
 # ------------------------------------------------------------------ Summary
@@ -24,74 +24,6 @@ def test_summary_empty():
     assert s.total == 0.0
 
 
-# -------------------------------------------------------------------- Tally
-def test_tally_basic():
-    t = Tally("rt")
-    for v in (1.0, 3.0, 5.0):
-        t.record(v)
-    assert t.count == 3
-    assert t.mean == pytest.approx(3.0)
-    assert t.total == pytest.approx(9.0)
-    assert t.percentile(50) == pytest.approx(3.0)
-
-
-def test_tally_empty_stats_are_nan():
-    t = Tally()
-    assert math.isnan(t.mean)
-    assert math.isnan(t.percentile(50))
-    assert t.total == 0.0
-
-
-# ------------------------------------------------------------- TimeWeighted
-def test_time_weighted_average_step_function():
-    tw = TimeWeighted(initial=0.0, at=0.0)
-    tw.update(2.0, 10.0)   # 0 on [0,2), 10 on [2,4)
-    tw.update(4.0, 0.0)
-    assert tw.average(0.0, 4.0) == pytest.approx(5.0)
-    assert tw.average(0.0, 2.0) == pytest.approx(0.0)
-    assert tw.average(2.0, 4.0) == pytest.approx(10.0)
-
-
-def test_time_weighted_value_at():
-    tw = TimeWeighted(initial=1.0, at=0.0)
-    tw.update(5.0, 7.0)
-    assert tw.value_at(0.0) == 1.0
-    assert tw.value_at(4.999) == 1.0
-    assert tw.value_at(5.0) == 7.0
-    assert tw.current == 7.0
-
-
-def test_time_weighted_add_delta():
-    tw = TimeWeighted(initial=2.0)
-    tw.add(1.0, 3.0)
-    assert tw.current == 5.0
-    tw.add(2.0, -5.0)
-    assert tw.current == 0.0
-
-
-def test_time_weighted_rejects_time_travel():
-    tw = TimeWeighted()
-    tw.update(5.0, 1.0)
-    with pytest.raises(ValueError):
-        tw.update(4.0, 2.0)
-
-
-def test_time_weighted_window_past_last_update():
-    tw = TimeWeighted(initial=3.0, at=0.0)
-    # Signal constant at 3; any window averages 3.
-    assert tw.average(10.0, 20.0) == pytest.approx(3.0)
-
-
-# ------------------------------------------------------------------ Counter
-def test_counter():
-    c = Counter()
-    c.incr("drops")
-    c.incr("drops", 2)
-    assert c["drops"] == 3
-    assert c["missing"] == 0
-    assert c.as_dict() == {"drops": 3}
-
-
 # -------------------------------------------------------- PhaseAccumulator
 def test_phase_accumulator():
     pa = PhaseAccumulator()
@@ -102,17 +34,6 @@ def test_phase_accumulator():
     assert pa.count("preprocess") == 2
     assert pa.mean("preprocess") == pytest.approx(0.07)
     assert pa.phases() == ["preprocess", "transfer"]
-
-
-def test_phase_accumulator_merge():
-    a, b = PhaseAccumulator(), PhaseAccumulator()
-    a.record("x", 1.0)
-    b.record("x", 2.0)
-    b.record("y", 3.0)
-    a.merge(b)
-    assert a.total("x") == pytest.approx(3.0)
-    assert a.total("y") == pytest.approx(3.0)
-    assert a.count("x") == 2
 
 
 def test_phase_accumulator_rejects_negative():

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.cluster import meiko_cs2, sun_now
-from repro.experiments.runner import Scenario, run_scenario
+from repro.experiments.runner import run_scenario
 from repro.experiments.validate import (
     ValidationError,
     validate_result,
 )
 from repro.sim import RandomStreams
-from repro.workload import bimodal_corpus, burst_workload, uniform_corpus, uniform_sampler
+from repro.workload import Scenario, bimodal_corpus, burst_workload, uniform_corpus, uniform_sampler
 
 
 def healthy_run(policy="sweb", spec=None, **kw):

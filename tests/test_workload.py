@@ -46,6 +46,11 @@ def test_uniform_corpus_random_placement_needs_rng():
     assert {d.home for d in corpus.documents} == {0, 1}
 
 
+def test_corpus_rejects_empty_cluster():
+    with pytest.raises(ValueError, match="n_nodes"):
+        uniform_corpus(3, 1.0, 0)
+
+
 def test_mixed_corpus_size_range_and_determinism():
     c1 = mixed_corpus(100, n_nodes=3, seed=5)
     c2 = mixed_corpus(100, n_nodes=3, seed=5)

@@ -5,9 +5,10 @@ from datetime import datetime, timezone
 import pytest
 
 from repro import SWEBCluster, meiko_cs2
-from repro.experiments.runner import Scenario, run_scenario
+from repro.experiments.runner import run_scenario
 from repro.sim import RandomStreams
 from repro.workload import (
+    Scenario,
     burst_workload,
     parse_clf,
     uniform_corpus,
