@@ -159,7 +159,7 @@ def _phase_trace_disabled(scale: float) -> tuple[int, str, dict[str, Any]]:
     trace = Trace(enabled=False)
     emit = trace.emit
     for i in range(n):
-        emit(float(i), "bench", "bench", "noop", i=i, level=2)
+        emit(float(i), "bench", "bench", "noop", i=i)
     return n, "emits", {"records_kept": len(trace)}
 
 

@@ -77,14 +77,6 @@ class CacheDirectory:
             self._reports[report.node] = report
             self.updates += 1
 
-    def forget(self, node: int) -> None:
-        """Drop any report from ``node`` (e.g. when it is declared dead)."""
-        self._reports.pop(node, None)
-
-    def report_for(self, node: int) -> Optional[CacheReport]:
-        """The last report received from ``node``, fresh or not."""
-        return self._reports.get(node)
-
     def holds(self, node: int, path: str, now: float) -> bool:
         """Does the directory believe ``node`` has ``path`` in RAM *now*?"""
         if node == self.owner and self.local_probe is not None:

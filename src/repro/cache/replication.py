@@ -24,7 +24,6 @@ from ..cluster.network import ClusterNetwork
 from ..cluster.node import Node
 from ..obs import MetricsRegistry
 from ..sim import Event, Process, Simulator, Trace
-from ..sim.trace import DETAIL as TRACE_DETAIL
 from .stats import FileHeat
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -198,7 +197,7 @@ class ReplicationDaemon:
                 self._counters.incr("bytes_replicated", by=int(meta.size))
             if self.trace is not None and self.trace.active:
                 self.trace.emit(self.sim.now, "cache", "replicator",
-                                "replicate", level=TRACE_DETAIL, path=path,
+                                "replicate", path=path,
                                 src=source.id, dst=target, bytes=meta.size)
             done.succeed(path)
 

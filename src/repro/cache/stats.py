@@ -16,53 +16,27 @@ __all__ = ["FileHeat"]
 
 
 class FileHeat:
-    """Monotone per-file request counters shared by a cluster's servers."""
+    """Monotone per-file served-byte counters shared by a cluster's servers."""
 
     def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
         self._bytes: Dict[str, float] = {}
         self.total = 0
 
     def record(self, path: str, nbytes: float = 0.0) -> None:
         """Count one served request for ``path`` of ``nbytes`` body bytes."""
-        self._counts[path] = self._counts.get(path, 0) + 1
         self._bytes[path] = self._bytes.get(path, 0.0) + nbytes
         self.total += 1
-
-    def count(self, path: str) -> int:
-        """Requests recorded for ``path`` so far."""
-        return self._counts.get(path, 0)
-
-    def bytes_for(self, path: str) -> float:
-        """Body bytes served for ``path`` so far."""
-        return self._bytes.get(path, 0.0)
 
     @property
     def total_bytes(self) -> float:
         """Body bytes served across all recorded requests."""
         return sum(self._bytes.values())
 
-    def mean_count(self) -> float:
-        """Average request count over all files seen at least once."""
-        if not self._counts:
-            return 0.0
-        return self.total / len(self._counts)
-
     def mean_bytes(self) -> float:
         """Average served bytes over all files seen at least once."""
         if not self._bytes:
             return 0.0
         return self.total_bytes / len(self._bytes)
-
-    def top(self, n: int) -> List[Tuple[str, int]]:
-        """The ``n`` hottest paths as ``(path, count)``, deterministically.
-
-        Sorted by descending count, then path, so equal-heat files rank
-        in a stable order independent of dict insertion history.
-        """
-        ranked = sorted(self._counts.items(),
-                        key=lambda item: (-item[1], item[0]))
-        return ranked[:max(n, 0)]
 
     def top_bytes(self, n: int) -> List[Tuple[str, float]]:
         """The ``n`` paths with the most served bytes, deterministically.

@@ -370,10 +370,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"redirected: {result.redirection_rate:.1%}, "
           f"remote reads: {result.remote_read_fraction():.1%}")
     # Two different caches are in play; label each unambiguously.
-    totals = result.metrics.page_cache_totals()
+    caches = [node.cache for node in result.cluster.nodes]
     line = (f"page cache (RAM): {result.cache_hit_rate():.1%} hit rate "
-            f"({totals['hits']:.0f} hits / {totals['misses']:.0f} misses, "
-            f"{totals['evictions']:.0f} evictions)")
+            f"({sum(c.hits for c in caches)} hits / "
+            f"{sum(c.misses for c in caches)} misses, "
+            f"{sum(c.evictions for c in caches)} evictions)")
     if result.replications:
         line += f", {result.replications} hot-file replications"
     print(line)

@@ -8,7 +8,7 @@ load" the paper's cost model measures (`load_1` in the t_data term).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..sim import Event, FairShareServer, Simulator
 
@@ -32,20 +32,13 @@ class Disk:
     """
 
     def __init__(self, sim: Simulator, bandwidth: float,
-                 capacity: float = 1e9, name: str = "disk",
-                 seek_latency: float = 0.0) -> None:
+                 capacity: float = 1e9, name: str = "disk") -> None:
         if bandwidth <= 0:
             raise ValueError(f"disk bandwidth must be > 0, got {bandwidth}")
-        if seek_latency < 0:
-            raise ValueError(f"negative seek_latency: {seek_latency}")
         self.sim = sim
         self.name = name
         self.bandwidth = float(bandwidth)
         self.capacity = float(capacity)
-        #: fixed per-read positioning cost (seek + rotational latency);
-        #: 0 by default — the paper's b_disk already folds it into the
-        #: effective bandwidth, but the knob exists for finer models.
-        self.seek_latency = float(seek_latency)
         self.used_bytes = 0.0
         self.server = FairShareServer(sim, rate=bandwidth, name=f"{name}.channel")
         self.bytes_read = 0.0
@@ -62,21 +55,7 @@ class Disk:
             raise ValueError(f"negative read size: {nbytes}")
         self.bytes_read += nbytes
         self.reads += 1
-        if self.seek_latency <= 0:
-            return self.server.submit(nbytes, tag=tag).done
-        done = Event(self.sim)
-
-        # Process-free callback chain (docs/PERFORMANCE.md): scheduling
-        # order matches the old generator pump exactly.
-        def queue_job(_ev: Event) -> None:
-            job = self.server.submit(nbytes, tag=tag)
-            job.done.callbacks.append(lambda ev: done.succeed(nbytes))
-
-        def start(_ev: Event) -> None:
-            self.sim.timeout(self.seek_latency).callbacks.append(queue_job)
-
-        self.sim.defer(start)
-        return done
+        return self.server.submit(nbytes, tag=tag).done
 
     def allocate(self, nbytes: float) -> None:
         """Account for a stored file (placement-time bookkeeping)."""
@@ -111,14 +90,6 @@ class Disk:
     def channel_load(self) -> int:
         """Number of in-flight reads (the paper's disk-channel load)."""
         return self.server.njobs
-
-    def effective_bandwidth(self) -> float:
-        """Per-stream bandwidth given the current channel load."""
-        return self.bandwidth / max(1, self.server.njobs)
-
-    def utilization(self) -> float:
-        """Busy time so far (seconds)."""
-        return self.server.busy_integral()
 
     def __repr__(self) -> str:
         return (f"<Disk {self.name!r} bw={self.bandwidth / 1e6:.1f}MB/s "

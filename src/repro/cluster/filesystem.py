@@ -119,10 +119,6 @@ class DistributedFileSystem:
         self._files[path] = meta
         return meta
 
-    def add_files(self, entries: Iterable[tuple[str, float, int]]) -> None:
-        for path, size, home in entries:
-            self.add_file(path, size, home)
-
     def add_striped_file(self, path: str, size: float,
                          stripes: Iterable[int]) -> FileMeta:
         """Stripe a file across several nodes' disks in equal chunks.

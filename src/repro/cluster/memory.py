@@ -15,7 +15,6 @@ thrashing regime.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
 
 __all__ = ["PageCache"]
 
@@ -38,10 +37,6 @@ class PageCache:
     @property
     def used_bytes(self) -> float:
         return self._used
-
-    @property
-    def free_bytes(self) -> float:
-        return self.capacity - self._used
 
     def __contains__(self, path: str) -> bool:
         return path in self._entries
@@ -88,14 +83,6 @@ class PageCache:
             self.evictions += 1
         self._entries[path] = size
         self._used += size
-        return True
-
-    def invalidate(self, path: str) -> bool:
-        """Drop ``path`` from the cache (e.g. file migrated); True if present."""
-        size = self._entries.pop(path, None)
-        if size is None:
-            return False
-        self._used -= size
         return True
 
     def clear(self) -> None:

@@ -68,13 +68,9 @@ class Link:
         self.sim.defer(start)
         return done
 
-    @property
-    def load(self) -> int:
-        """In-flight transfers (the paper's ``load_2``)."""
-        return self.server.njobs
-
     def __repr__(self) -> str:
-        return f"<Link {self.name!r} bw={self.bandwidth / 1e6:.2f}MB/s load={self.load}>"
+        return (f"<Link {self.name!r} bw={self.bandwidth / 1e6:.2f}MB/s "
+                f"load={self.server.njobs}>")
 
 
 class ClusterNetwork:
@@ -118,10 +114,6 @@ class ClusterNetwork:
         """In-flight transfers that involve ``node`` (loadd's net metric)."""
         raise NotImplementedError
 
-    def effective_bandwidth(self, node: int) -> float:
-        """Per-stream bandwidth a new transfer at ``node`` would see."""
-        raise NotImplementedError
-
     # -- partitions (fault injection) ---------------------------------------
     def partition(self, groups) -> None:
         """Split the fabric into disjoint ``groups`` of node ids.
@@ -142,11 +134,6 @@ class ClusterNetwork:
     def heal(self) -> None:
         """Remove any partition (future transfers flow everywhere again)."""
         self._node_group = None
-
-    @property
-    def partitioned(self) -> bool:
-        """True while a partition is in force."""
-        return self._node_group is not None
 
     def reachable(self, src: int, dst: int) -> bool:
         """Whether a transfer from ``src`` to ``dst`` can cross the fabric."""
@@ -257,9 +244,6 @@ class FatTreeNetwork(ClusterNetwork):
     def node_load(self, node: int) -> int:
         return self.ports[node].njobs
 
-    def effective_bandwidth(self, node: int) -> float:
-        return self.bandwidth / max(1, self.ports[node].njobs)
-
 
 class SharedBusNetwork(ClusterNetwork):
     """Ethernet-style bus: every remote transfer shares one medium."""
@@ -344,9 +328,6 @@ class SharedBusNetwork(ClusterNetwork):
     def node_load(self, node: int) -> int:
         # A bus is global: every node observes the same contention.
         return self.bus.njobs
-
-    def effective_bandwidth(self, node: int) -> float:
-        return self.bandwidth / max(1, self.bus.njobs)
 
 
 class WANPath:

@@ -16,7 +16,7 @@ All hardware constants come from the paper's text:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..sched import SpeedFactors
@@ -65,13 +65,6 @@ class ClusterSpec:
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    def with_nodes(self, n: int) -> "ClusterSpec":
-        """Same hardware, different node count (for Table 2's sweeps)."""
-        if n < 1:
-            raise ValueError(f"need at least 1 node, got {n}")
-        base = self.nodes[0]
-        return replace(self, nodes=tuple(base for _ in range(n)))
 
     def with_speed_factors(self, factors: SpeedFactors) -> "ClusterSpec":
         """Scale per-node hardware by dimensionless speed factors.
@@ -145,9 +138,6 @@ class BuiltCluster:
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    def alive_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.alive]
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from .analysis import (
     max_sustained_rps,
     paper_example,
     service_demand,
-    speedup_bound,
 )
 from .adaptive_oracle import AdaptiveOracle, ClassStats
 from .broker import Broker, BrokerDecision
@@ -72,5 +71,4 @@ __all__ = [
     "max_sustained_rps",
     "paper_example",
     "service_demand",
-    "speedup_bound",
 ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["AnalysisInputs", "service_demand", "max_sustained_rps",
-           "paper_example", "speedup_bound"]
+           "paper_example"]
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,3 @@ def paper_example() -> AnalysisInputs:
     """
     return AnalysisInputs(p=6, F=1.5e6, b1=5e6, b2=4.5e6, d=0.0,
                           A=0.0194, O=0.0)
-
-
-def speedup_bound(inputs: AnalysisInputs) -> float:
-    """Throughput of p nodes over one node, per the same model."""
-    single = AnalysisInputs(p=1, F=inputs.F, b1=inputs.b1, b2=inputs.b2,
-                            d=0.0, A=inputs.A, O=inputs.O)
-    return max_sustained_rps(inputs) / max_sustained_rps(single)

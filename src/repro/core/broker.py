@@ -41,12 +41,6 @@ class BrokerDecision:
     def redirected(self) -> bool:
         return self.chosen != self.local
 
-    def estimate_for(self, node: int) -> Optional[CostEstimate]:
-        for est in self.estimates:
-            if est.node == node:
-                return est
-        return None
-
     def estimate_tags(self) -> dict[str, object]:
         """Flatten the consultation into span tags (repro.obs).
 

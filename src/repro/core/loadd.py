@@ -23,7 +23,6 @@ from ..cluster.network import ClusterNetwork
 from ..cluster.node import Node
 from ..obs import MetricsRegistry
 from ..sim import Event, Process, Simulator, Trace
-from ..sim.trace import DETAIL as TRACE_DETAIL
 from .costmodel import CostParameters
 from .loadinfo import ClusterView, LoadSnapshot
 
@@ -167,8 +166,7 @@ class LoadDaemon:
         self.broadcasts += 1
         if self.trace is not None and self.trace.active:
             self.trace.emit(self.sim.now, "loadd", f"loadd-{self.node.id}",
-                            "broadcast", level=TRACE_DETAIL,
-                            cpu=round(snap.cpu_load, 3),
+                            "broadcast", cpu=round(snap.cpu_load, 3),
                             disk=snap.disk_load, net=snap.net_load)
         # Piggyback the hot cached-file set on the same datagram: the
         # directory costs no extra messages, only cache_report_bytes per

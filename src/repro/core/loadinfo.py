@@ -86,9 +86,6 @@ class ClusterView:
         new_load = snap.cpu_load * (1.0 + delta) + delta
         self._snapshots[node] = replace(snap, cpu_load=new_load)
 
-    def forget(self, node: int) -> None:
-        self._snapshots.pop(node, None)
-
     # -- queries ---------------------------------------------------------------
     def get(self, node: int, now: float) -> Optional[LoadSnapshot]:
         """Snapshot for ``node`` if fresh enough, else None (unavailable)."""

@@ -18,18 +18,17 @@ left, in speed-normalised seconds), and **chash** (locality-aware
 rendezvous hashing with a bounded-load spill).
 
 The canonical list of names lives in :mod:`repro.sched.registry`; this
-module implements the ``per_client=True`` subset as strategy objects.
+module implements every one of them as a strategy object.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..sched import per_client_policy_names, preference_order
+from ..sched import policy_names, preference_order
 from ..sim import RandomStreams
 from .broker import Broker, BrokerDecision
 from .loadinfo import LoadSnapshot
-from .oracle import TaskEstimate
 
 __all__ = [
     "SchedulingPolicy",
@@ -300,7 +299,7 @@ class ConsistentHashPolicy(SchedulingPolicy):
 
 #: Per-client policy names, in canonical order — derived from the
 #: registry (:mod:`repro.sched.registry`), never hand-listed.
-POLICY_NAMES = per_client_policy_names()
+POLICY_NAMES = policy_names()
 
 
 def make_policy(name: str, rng: Optional[RandomStreams] = None) -> SchedulingPolicy:

@@ -282,21 +282,6 @@ class SWEBCluster:
         return sum(s.redirects_issued for s in self.servers.values())
 
     # -- cooperative cache (docs/CACHING.md) -----------------------------------
-    def page_cache_stats(self) -> dict[int, dict[str, float]]:
-        """Per-node page-cache counters (hits/misses/evictions/used/capacity)."""
-        return {n.id: {"hits": float(n.cache.hits),
-                       "misses": float(n.cache.misses),
-                       "evictions": float(n.cache.evictions),
-                       "used_bytes": n.cache.used_bytes,
-                       "capacity_bytes": n.cache.capacity}
-                for n in self.nodes}
-
-    def page_cache_hit_rate(self) -> float:
-        """Aggregate page-cache hit rate across every node's RAM."""
-        hits = sum(n.cache.hits for n in self.nodes)
-        total = hits + sum(n.cache.misses for n in self.nodes)
-        return hits / total if total else 0.0
-
     def total_replications(self) -> int:
         """Hot-file copies landed by the replication daemon (0 when off)."""
         return self.replicator.replications if self.replicator else 0

@@ -92,10 +92,6 @@ class ScenarioResult:
         """Client-side DNS cache hit rate (TTL-driven; not the page cache)."""
         return self.cluster.dns.cache_hit_rate
 
-    def page_cache_stats(self) -> dict[int, dict[str, float]]:
-        """Per-node page-cache counters (hits/misses/evictions/bytes)."""
-        return self.cluster.page_cache_stats()
-
     def p95_response_time(self) -> float:
         """95th-percentile response time over completed requests.
 
@@ -207,13 +203,6 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     done = sim.spawn(replay(sim, scenario.workload, fetch),
                      name="workload-driver")
     sim.run(until=done)
-    # Surface the cluster-layer page-cache counters in the metrics object
-    # so reports need not reach back into the cluster (docs/CACHING.md).
-    for node_id, stats in cluster.page_cache_stats().items():
-        cluster.metrics.record_page_cache(
-            node_id, stats["hits"], stats["misses"], stats["evictions"],
-            used_bytes=stats["used_bytes"],
-            capacity_bytes=stats["capacity_bytes"])
     return ScenarioResult(
         scenario=scenario.name,
         cluster=cluster,

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Any, Optional
 
 from ..faults import FaultPlan
-from ..sched import fluid_policy_names, per_client_policy_names
+from ..sched import fluid_policy_names, policy_names
 from ..sim import RandomStreams
 from ..workload import adversary_names
 
@@ -190,7 +190,7 @@ class FuzzConfig:
                 raise ValueError("adversaries and fault plans run on the "
                                  "per-client path only")
             return
-        if self.policy not in per_client_policy_names():
+        if self.policy not in policy_names():
             raise ValueError(f"{self.policy!r} is not a per-client policy")
         if self.rps < 1 or self.duration <= 0:
             raise ValueError(f"scenario case needs rps >= 1 and duration > 0, "
@@ -315,7 +315,7 @@ def generate_config(root_seed: int, index: int,
         config.validate()
         return config
 
-    policy = rng.choice("fuzz-shape", list(per_client_policy_names()))
+    policy = rng.choice("fuzz-shape", list(policy_names()))
     rps = int(rng.integers("fuzz-workload", profile.rps[0],
                            profile.rps[1] + 1))
     duration = round(rng.uniform("fuzz-workload", *profile.duration), 1)

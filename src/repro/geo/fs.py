@@ -184,11 +184,6 @@ class GeoFileSystem(DistributedFileSystem):
                 best, best_key = node, key
         return best
 
-    def hit_rate(self) -> float:
-        """Fraction of WAN-catalog reads served inside the site."""
-        total = self.edge_hits + self.wan_reads
-        return self.edge_hits / total if total else 0.0
-
     def __repr__(self) -> str:
         return (f"<GeoFileSystem site={self.site!r} files={len(self._files)} "
                 f"edge_hits={self.edge_hits} wan_reads={self.wan_reads}>")

@@ -89,12 +89,6 @@ class PopulationStats:
         return percentile(self.response_times, 95)
 
     @property
-    def mean(self) -> float:
-        if not self.response_times:
-            return float("nan")
-        return sum(self.response_times) / len(self.response_times)
-
-    @property
     def loss_rate(self) -> float:
         if self.offered == 0:
             return 0.0

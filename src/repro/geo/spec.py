@@ -121,9 +121,6 @@ class GeoSpec:
         return tuple(sorted(others,
                             key=lambda o: (self.link(site, o).latency, o)))
 
-    def total_weight(self) -> float:
-        return sum(s.weight for s in self.sites)
-
 
 def geo3(origin_nodes: int = 4, edge_nodes: int = 2,
          west_latency: float = 30e-3, east_latency: float = 80e-3,

@@ -13,12 +13,12 @@ truth where raw samples are already retained (``sim.stats``).
 
 Registries are per-process but their snapshots are *mergeable*:
 :func:`merge_snapshots` folds any number of ``snapshot()`` dicts into
-one — counters and bucket counts add, gauges add (every gauge in the
-repo is a cumulative quantity), histograms are reconstructed from their
-recorded bounds so merged percentiles interpolate over the combined
-counts.  The sharded experiment runner
-(``repro.experiments.shard``, see ``docs/SCALING.md``) relies on this to
-combine per-worker results into one report identical to a serial run.
+one — counters and bucket counts add, gauges add (a gauge only ever
+accumulates), histograms are reconstructed from their recorded bounds
+so merged percentiles interpolate over the combined counts.  The
+sharded experiment runner (``repro.experiments.shard``, see
+``docs/SCALING.md``) relies on this to combine per-worker results into
+one report identical to a serial run.
 """
 
 from __future__ import annotations
@@ -74,14 +74,12 @@ class CounterGroup:
 
 
 class Gauge:
-    """A last-write-wins scalar with cumulative ``add`` support."""
+    """A cumulative float total: :meth:`add` is its only update, so gauges
+    from several runs sum in :func:`merge_snapshots`."""
 
-    def __init__(self, name: str, initial: float = 0.0) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.value = float(initial)
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
+        self.value = 0.0
 
     def add(self, delta: float) -> None:
         self.value += float(delta)
@@ -307,10 +305,9 @@ def merge_snapshots(snapshots: Sequence[dict]) -> dict[str, Any]:
     Merge semantics (see ``docs/SCALING.md``):
 
     * **counters** — integer sums: exact and order-independent;
-    * **gauges** — float sums.  Every gauge the repo publishes is a
-      cumulative quantity (``loadd.bytes_sent``, ``cache.bytes_replicated``),
-      so addition is the meaningful fold; a last-write-wins gauge would
-      need per-shard reporting instead;
+    * **gauges** — float sums.  A gauge is cumulative by construction
+      (``loadd.bytes_sent``; :meth:`Gauge.add` is its only update), so
+      addition is the meaningful fold;
     * **histograms** — bucket counts, totals and min/max combine, and
       p50/p95/p99 are re-interpolated over the *combined* buckets (never
       averaged across shards).  Bounds must match across snapshots.

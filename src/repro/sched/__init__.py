@@ -20,7 +20,6 @@ from .registry import (
     POLICIES,
     PolicyInfo,
     fluid_policy_names,
-    per_client_policy_names,
     policy_names,
 )
 from .speed import MIXED_GENERATION, SpeedFactors
@@ -31,7 +30,6 @@ __all__ = [
     "PolicyInfo",
     "SpeedFactors",
     "fluid_policy_names",
-    "per_client_policy_names",
     "policy_names",
     "preference_order",
     "rank_preferences",

@@ -5,8 +5,8 @@ model, its §4.2 baselines, and the modern cluster-scheduling zoo added
 for the heterogeneous tournament (docs/SCHEDULING.md) — is declared
 here once, with the metadata every consumer needs:
 
-* the per-client simulator (``repro.core.policies``) instantiates the
-  strategy objects for names with ``per_client=True``;
+* the per-client simulator (``repro.core.policies``) implements every
+  name as a strategy object;
 * the fluid client-population model (``repro.workload.fluid``) runs the
   array-backed analogue for names with ``fluid=True``;
 * the CLI (``sweb-repro serve --scheduler``) and the docs gate
@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["PolicyInfo", "POLICIES", "fluid_policy_names",
-           "per_client_policy_names", "policy_names"]
+__all__ = ["PolicyInfo", "POLICIES", "fluid_policy_names", "policy_names"]
 
 
 @dataclass(frozen=True)
@@ -34,8 +33,6 @@ class PolicyInfo:
     reads: str
     #: per-decision complexity in the number of candidate nodes n
     complexity: str
-    #: implemented as a per-client strategy object (repro.core.policies)
-    per_client: bool = True
     #: implemented as a fluid-model decision kernel (repro.workload.fluid)
     fluid: bool = False
 
@@ -105,11 +102,6 @@ POLICIES: dict[str, PolicyInfo] = {p.name: p for p in (
 def policy_names() -> tuple[str, ...]:
     """Every registered policy name, in canonical order."""
     return tuple(POLICIES)
-
-
-def per_client_policy_names() -> tuple[str, ...]:
-    """Names runnable on the per-client path (``repro.core.policies``)."""
-    return tuple(n for n, p in POLICIES.items() if p.per_client)
 
 
 def fluid_policy_names() -> tuple[str, ...]:

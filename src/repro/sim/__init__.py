@@ -30,8 +30,6 @@ from .monitor import Monitor, ascii_series, ascii_sparkline
 from .rng import RandomStreams
 from .stats import PhaseAccumulator, Summary
 from .streamnames import STREAM_NAMES, crc32_key, stream_collisions
-from .trace import DETAIL as TRACE_DETAIL
-from .trace import SUMMARY as TRACE_SUMMARY
 from .trace import Trace, TraceRecord
 
 __all__ = [
@@ -49,8 +47,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Summary",
-    "TRACE_DETAIL",
-    "TRACE_SUMMARY",
     "Timeout",
     "Trace",
     "TraceRecord",

@@ -159,7 +159,7 @@ class Process(Event):
     """A running generator.  As an :class:`Event` it triggers when the
     generator returns (value = return value) or raises (failure)."""
 
-    __slots__ = ("gen", "name", "_target")
+    __slots__ = ("gen", "name")
 
     def __init__(self, sim: "Simulator", gen: ProcessGenerator,
                  name: Optional[str] = None) -> None:
@@ -168,7 +168,6 @@ class Process(Event):
         super().__init__(sim)
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._target: Optional[Event] = None
         # Kick the process off via an initialization event at the current time.
         init = Event(sim)
         init._ok = True
@@ -182,61 +181,49 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._state == Event.PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process currently waits on (None if just started)."""
-        return self._target
-
     def _resume(self, event: Event) -> None:
         sim = self.sim
-        sim._active_process = self
         gen = self.gen
         send = gen.send
-        try:
-            while True:
-                try:
-                    if event._ok:
-                        target = send(event._value)
-                    else:
-                        event._defused = True
-                        target = gen.throw(event._value)
-                except StopIteration as stop:
-                    self._target = None
-                    self.succeed(stop.value)
-                    return
-                except BaseException as exc:
-                    self._target = None
-                    if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                        raise
-                    self.fail(exc)
-                    return
-
-                if isinstance(target, Event):
-                    if target.sim is not sim:
-                        raise SimulationError(
-                            f"process {self.name!r} yielded an event from a "
-                            f"different simulator")
-                    cbs = target.callbacks
-                    if cbs is not None:
-                        cbs.append(self._resume)
-                        self._target = target
-                        return
-                    if target._state != Event.CANCELLED:
-                        # Already processed: resume immediately with its value.
-                        event = target
-                        continue
-                    msg = (f"process {self.name!r} yielded {target!r}, "
-                           f"which was cancelled")
+        while True:
+            try:
+                if event._ok:
+                    target = send(event._value)
                 else:
-                    msg = (f"process {self.name!r} yielded {target!r}; "
-                           f"processes must yield Event instances")
-                # Throw the error into the generator, exactly as if it had
-                # waited on an event that failed with it.
-                event = Event(sim)
-                event._ok = False
-                event._value = SimulationError(msg)
-        finally:
-            sim._active_process = None
+                    event._defused = True
+                    target = gen.throw(event._value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except BaseException as exc:
+                if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+                    raise
+                self.fail(exc)
+                return
+
+            if isinstance(target, Event):
+                if target.sim is not sim:
+                    raise SimulationError(
+                        f"process {self.name!r} yielded an event from a "
+                        f"different simulator")
+                cbs = target.callbacks
+                if cbs is not None:
+                    cbs.append(self._resume)
+                    return
+                if target._state != Event.CANCELLED:
+                    # Already processed: resume immediately with its value.
+                    event = target
+                    continue
+                msg = (f"process {self.name!r} yielded {target!r}, "
+                       f"which was cancelled")
+            else:
+                msg = (f"process {self.name!r} yielded {target!r}; "
+                       f"processes must yield Event instances")
+            # Throw the error into the generator, exactly as if it had
+            # waited on an event that failed with it.
+            event = Event(sim)
+            event._ok = False
+            event._value = SimulationError(msg)
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} alive={self.is_alive}>"
@@ -317,7 +304,6 @@ class Simulator:
         self._now = float(start_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         self._event_count = 0
         #: entries ever withdrawn by cancel(), and those still on the heap
         self._cancelled = 0
@@ -332,11 +318,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     @property
     def event_count(self) -> int:
@@ -355,10 +336,6 @@ class Simulator:
         return len(self._queue) - self._dead
 
     # -- event construction --------------------------------------------------
-    def event(self) -> Event:
-        """A fresh pending event, to be triggered manually."""
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires ``delay`` time units from now.
 

@@ -8,7 +8,7 @@ terminal charts for the examples and reports.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -59,14 +59,6 @@ class Monitor:
         if name not in self.samples:
             raise KeyError(f"unknown probe {name!r}")
         return self.times[:len(self.samples[name])], self.samples[name]
-
-    def peak(self, name: str) -> float:
-        values = self.samples.get(name) or [float("nan")]
-        return max(values)
-
-    def mean(self, name: str) -> float:
-        values = self.samples.get(name)
-        return float(np.mean(values)) if values else float("nan")
 
     def render(self, width: int = 60) -> str:
         """One sparkline per probe, labelled with min/mean/max."""

@@ -38,11 +38,6 @@ class RandomStreams:
             self._streams[name] = gen
         return gen
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """Derive a child registry (for nested components)."""
-        key = zlib.crc32(name.encode("utf-8"))
-        return RandomStreams(seed=(self.seed * 1_000_003 + key) % (2**63))
-
     # Convenience draws -----------------------------------------------------
     def uniform(self, name: str, low: float = 0.0, high: float = 1.0) -> float:
         return float(self.stream(name).uniform(low, high))

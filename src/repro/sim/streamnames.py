@@ -26,7 +26,6 @@ __all__ = ["STREAM_NAMES", "crc32_key", "registered_names",
 STREAM_NAMES: dict[str, str] = {
     # workload/corpus.py — synthetic file-corpus construction
     "placement": "home node for each generated file",
-    "mixed-size": "log-uniform file sizes for the mixed corpus",
     "kind": "large-vs-small coin flip for the bimodal corpus",
     "large": "sizes of the large files in the bimodal corpus",
     "small": "log-uniform sizes of the small bimodal files",

@@ -5,19 +5,11 @@ Every subsystem can emit timestamped, categorised records into a shared
 transaction sequence) and Figure 3 (broker/oracle/loadd interactions), and
 tests use it to assert orderings without poking at internals.
 
-Verbosity is gated cheaply so tracing costs ~nothing when off (the hot
-paths check :attr:`Trace.active` before even building the detail dict):
+Tracing costs ~nothing when off: the hot paths check :attr:`Trace.active`
+before even building a record's detail dict, and ``max_records`` caps the
+log (once full, the trace deactivates itself).
 
-* every record carries a *level*: :data:`SUMMARY` (the default — scheduling
-  decisions, request lifecycle, faults) or :data:`DETAIL` (the high-volume
-  sites: per-broadcast loadd and per-read io chatter mark themselves with
-  ``level=DETAIL``).  ``Trace(level=SUMMARY)`` drops DETAIL records at the
-  door;
-* ``Trace(sample_every=n)`` keeps every *n*-th record per category — a
-  deterministic decimation for long runs;
-* ``max_records`` caps the log; once full the trace deactivates itself.
-
-See docs/METRICS.md for the knobs and docs/PERFORMANCE.md for the cost
+See docs/METRICS.md for the API and docs/PERFORMANCE.md for the cost
 numbers.
 """
 
@@ -26,12 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
 
-__all__ = ["TraceRecord", "Trace", "SUMMARY", "DETAIL"]
-
-#: Level of headline records: scheduling, request lifecycle, faults.
-SUMMARY = 1
-#: Level of high-volume records: loadd broadcasts, per-read io chatter.
-DETAIL = 2
+__all__ = ["TraceRecord", "Trace"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,45 +39,22 @@ class TraceRecord:
 class Trace:
     """An append-only, filterable log of :class:`TraceRecord`.
 
-    ``level`` keeps only records at or below that verbosity (default
-    :data:`DETAIL` keeps everything); ``sample_every`` keeps every n-th
-    surviving record per category; ``max_records`` bounds the log.
+    ``enabled=False`` builds a trace that records nothing; ``max_records``
+    bounds the log.
     """
 
-    def __init__(self, enabled: bool = True, max_records: Optional[int] = None,
-                 level: int = DETAIL, sample_every: int = 1) -> None:
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    def __init__(self, enabled: bool = True,
+                 max_records: Optional[int] = None) -> None:
         self.max_records = max_records
-        self.level = level
-        self.sample_every = sample_every
         self.records: list[TraceRecord] = []
-        self._seen: dict[str, int] = {}
-        self._enabled = bool(enabled)
         #: cheap gate hot paths read before building a record's detail
-        self.active = self._enabled and (max_records is None or max_records > 0)
-
-    @property
-    def enabled(self) -> bool:
-        """Master switch; assignment keeps :attr:`active` in sync."""
-        return self._enabled
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        self._enabled = bool(value)
-        self.active = self._enabled and (
-            self.max_records is None or len(self.records) < self.max_records)
+        self.active = bool(enabled) and (max_records is None or max_records > 0)
 
     def emit(self, time: float, category: str, actor: str, action: str,
-             level: int = SUMMARY, **detail: Any) -> None:
-        """Append a record (no-op when inactive, filtered or sampled out)."""
-        if not self.active or level > self.level:
+             **detail: Any) -> None:
+        """Append a record (no-op when inactive)."""
+        if not self.active:
             return
-        if self.sample_every > 1:
-            seen = self._seen.get(category, 0)
-            self._seen[category] = seen + 1
-            if seen % self.sample_every:
-                return
         self.records.append(TraceRecord(time, category, actor, action, detail))
         if self.max_records is not None and len(self.records) >= self.max_records:
             self.active = False
@@ -118,10 +82,6 @@ class Trace:
                 continue
             out.append(rec)
         return out
-
-    def actions(self, **kwargs: Any) -> list[str]:
-        """Just the action names of the matching records."""
-        return [rec.action for rec in self.filter(**kwargs)]
 
     def render(self, **kwargs: Any) -> str:
         """Human-readable dump of the matching records."""

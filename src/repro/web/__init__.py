@@ -7,7 +7,6 @@ from .dns import RoundRobinDNS
 from .html import (
     HTMLPage,
     extract_images,
-    extract_links,
     render_page,
 )
 from .http import (
@@ -45,7 +44,6 @@ __all__ = [
     "STATUS_REASONS",
     "UCSB_CLIENT",
     "extract_images",
-    "extract_links",
     "parse_url",
     "redirect_response",
     "render_page",

@@ -106,13 +106,3 @@ class BrowserSession:
                     load.images_ok += 1
         load.finished = sim.now
         return load
-
-    # -- aggregate statistics ------------------------------------------------
-    def mean_page_load_time(self) -> float:
-        times = [l.load_time for l in self.loads if l.load_time is not None]
-        return sum(times) / len(times) if times else float("nan")
-
-    def complete_fraction(self) -> float:
-        if not self.loads:
-            return 0.0
-        return sum(1 for l in self.loads if l.complete) / len(self.loads)

@@ -1,4 +1,4 @@
-"""Minimal HTML model: generation and link/image extraction.
+"""Minimal HTML model: generation and image extraction.
 
 §2: "the HTML language allows the information to be presented in a
 platform-independent but still well-formatted manner."  The workload
@@ -14,11 +14,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-__all__ = ["HTMLPage", "render_page", "extract_images", "extract_links",
-           "page_size_bytes"]
+__all__ = ["HTMLPage", "render_page", "extract_images"]
 
 _IMG_RE = re.compile(r"<img\b[^>]*\bsrc=\"([^\"]+)\"", re.IGNORECASE)
-_A_RE = re.compile(r"<a\b[^>]*\bhref=\"([^\"]+)\"", re.IGNORECASE)
 
 
 @dataclass
@@ -34,10 +32,6 @@ class HTMLPage:
     def render(self) -> str:
         return render_page(self.title, self.images, self.links,
                            self.text_bytes)
-
-    @property
-    def size(self) -> int:
-        return page_size_bytes(self)
 
 
 def render_page(title: str, images: Iterable[str] = (),
@@ -67,13 +61,3 @@ def render_page(title: str, images: Iterable[str] = (),
 def extract_images(html: str) -> list[str]:
     """The image URLs a browser would fetch after loading this page."""
     return _IMG_RE.findall(html)
-
-
-def extract_links(html: str) -> list[str]:
-    """The anchor targets a user could navigate to next."""
-    return _A_RE.findall(html)
-
-
-def page_size_bytes(page: HTMLPage) -> int:
-    """Wire size of the rendered page."""
-    return len(page.render().encode("utf-8"))

@@ -13,7 +13,6 @@ paper's footnote 1 scopes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 __all__ = [
     "HTTPError",
@@ -90,11 +89,6 @@ class HTTPRequest:
             lines.append(f"{key}: {value}")
         return "\r\n".join(lines) + "\r\n\r\n"
 
-    @property
-    def wire_bytes(self) -> int:
-        """Size of the request on the wire."""
-        return len(self.format().encode("utf-8"))
-
     @staticmethod
     def parse(text: str) -> "HTTPRequest":
         """Parse wire text; raises :class:`HTTPError` on malformed input."""
@@ -148,10 +142,6 @@ class HTTPResponse:
     def is_redirect(self) -> bool:
         return self.status == 302
 
-    @property
-    def location(self) -> Optional[str]:
-        return self.headers.get("Location")
-
     def format_headers(self) -> str:
         lines = [f"{self.version} {self.status} {self.reason}"]
         headers = dict(self.headers)
@@ -166,29 +156,6 @@ class HTTPResponse:
     def wire_bytes(self) -> float:
         """Total bytes on the wire: header text plus the body size."""
         return len(self.format_headers().encode("utf-8")) + self.body_bytes
-
-    @staticmethod
-    def parse_headers(text: str) -> "HTTPResponse":
-        head, _, _ = text.partition("\r\n\r\n")
-        lines = head.split("\r\n")
-        parts = lines[0].split(" ", 2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/"):
-            raise HTTPError(f"malformed status line: {lines[0]!r}")
-        try:
-            status = int(parts[1])
-        except ValueError as exc:
-            raise HTTPError(f"bad status code: {parts[1]!r}") from exc
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            if ":" not in line:
-                raise HTTPError(f"malformed header: {line!r}")
-            key, _, value = line.partition(":")
-            headers[key.strip()] = value.strip()
-        body = float(headers.get("Content-Length", 0))
-        return HTTPResponse(status=status, headers=headers, body_bytes=body,
-                            version=parts[0])
 
 
 def redirect_response(target_host: str, path: str) -> HTTPResponse:

@@ -81,11 +81,6 @@ class Metrics:
         self.response_histogram = self.registry.histogram(
             "http.response_time_s", bounds=LATENCY_BUCKETS)
         self._next_id = 0
-        #: node id -> page-cache counters, installed post-run by
-        #: :func:`repro.experiments.runner.run_scenario` via
-        #: :meth:`record_page_cache` (the caches live in the cluster
-        #: layer; metrics only aggregates what it is handed)
-        self.page_cache: dict[int, dict[str, float]] = {}
 
     # -- record lifecycle -------------------------------------------------
     def new_record(self, path: str, start: float, client: str = "local",
@@ -170,35 +165,6 @@ class Metrics:
             for phase, duration in rec.phases.items():
                 acc.record(phase, duration)
         return acc
-
-    # -- page cache (docs/CACHING.md) -------------------------------------
-    def record_page_cache(self, node: int, hits: float, misses: float,
-                          evictions: float, used_bytes: float = 0.0,
-                          capacity_bytes: float = 0.0) -> None:
-        """Install one node's page-cache counters for reporting."""
-        self.page_cache[node] = {
-            "hits": float(hits), "misses": float(misses),
-            "evictions": float(evictions), "used_bytes": float(used_bytes),
-            "capacity_bytes": float(capacity_bytes)}
-
-    def page_cache_totals(self) -> dict[str, float]:
-        """Cluster-wide hits/misses/evictions summed over nodes."""
-        totals = {"hits": 0.0, "misses": 0.0, "evictions": 0.0}
-        for stats in self.page_cache.values():
-            for key in totals:
-                totals[key] += stats.get(key, 0.0)
-        return totals
-
-    def page_cache_hit_rate(self) -> float:
-        """Aggregate page-cache hit rate (0.0 when nothing recorded)."""
-        totals = self.page_cache_totals()
-        lookups = totals["hits"] + totals["misses"]
-        return totals["hits"] / lookups if lookups else 0.0
-
-    def served_from_cache(self) -> int:
-        """Completed requests whose bytes came from RAM (record.source)."""
-        return sum(1 for rec in self.records
-                   if rec.ok and rec.source == "cache")
 
     def served_by_histogram(self) -> dict[int, int]:
         """How many completed requests each node fulfilled."""

@@ -88,10 +88,6 @@ class LocalResolver:
         self.cache_hits = 0
         self.upstream_queries = 0
 
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.cache_hits / self.queries if self.queries else 0.0
-
     def resolve(self, hostname: str = "sweb.cs.ucsb.edu",
                 ctx: Optional[Span] = None) -> Event:
         """Asynchronous resolution; the event's value is the node address.
@@ -152,7 +148,3 @@ class LocalResolver:
 
         self.sim.spawn(pump(), name=f"resolver.{self.domain}")
         return done
-
-    def flush(self) -> None:
-        """Drop the cached mapping (an impatient admin's fix)."""
-        self._cache = None

@@ -9,7 +9,7 @@ output of the run rather than an assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 from ..cache import FileHeat
@@ -18,7 +18,6 @@ from ..cluster.node import Node
 from ..cluster.filesystem import DistributedFileSystem
 from ..obs import Span, Tracer
 from ..sim import AllOf, Event, Simulator, Trace
-from ..sim.trace import DETAIL as TRACE_DETAIL
 
 if TYPE_CHECKING:  # pragma: no cover - avoid a web <-> core import cycle
     from ..core.broker import Broker
@@ -31,7 +30,7 @@ from .http import (
     HTTPResponse,
     redirect_response,
 )
-from .metrics import Metrics, RequestRecord
+from .metrics import RequestRecord
 
 __all__ = ["Connection", "HTTPServer"]
 
@@ -333,7 +332,7 @@ class HTTPServer:
                 self.heat.record(path, body)
             if self.trace is not None and self.trace.active:
                 self.trace.emit(self.sim.now, "io", f"httpd-{self.node.id}",
-                                "file_read", level=TRACE_DETAIL, path=path,
+                                "file_read", path=path,
                                 source=outcome.source, remote=outcome.remote)
         response = HTTPResponse(status=200, body_bytes=body)
         if request.method == "HEAD":

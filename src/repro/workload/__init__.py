@@ -26,7 +26,6 @@ from .corpus import (
     MB,
     adl_corpus,
     html_site_corpus,
-    mixed_corpus,
     single_hot_file,
     uniform_corpus,
 )
@@ -57,7 +56,6 @@ from .generators import (
     burst_workload,
     hot_file_sampler,
     poisson_workload,
-    ramp_workload,
     uniform_sampler,
     weighted_sampler,
     zipf_sampler,
@@ -93,9 +91,7 @@ __all__ = [
     "burst_workload",
     "hot_file_sampler",
     "html_site_corpus",
-    "mixed_corpus",
     "poisson_workload",
-    "ramp_workload",
     "run_fluid",
     "scenario_names",
     "single_hot_file",

@@ -4,7 +4,7 @@ The paper's experiments use three shapes of content, all provided here:
 
 * **uniform** — every file the same size (Table 1, 2 and 4 use 1 KB and
   1.5 MB corpora);
-* **mixed / non-uniform** — "sizes varying from short, approximately 100
+* **bimodal (non-uniform)** — "sizes varying from short, approximately 100
   bytes, to relatively long, approximately 1.5 MB" (Table 3);
 * **single hot file** — "each client accessed the same file located on a
   single server" (the §4.2 skewed test).
@@ -17,7 +17,7 @@ spatial-query CGIs — the workload §1 motivates SWEB with.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from ..sim import RandomStreams
 
@@ -29,7 +29,6 @@ __all__ = [
     "CGISpec",
     "Corpus",
     "uniform_corpus",
-    "mixed_corpus",
     "single_hot_file",
     "adl_corpus",
     "KB",
@@ -84,18 +83,8 @@ class Corpus:
         return [d.path for d in self.documents]
 
     @property
-    def all_paths(self) -> list[str]:
-        return self.paths + [c.path for c in self.cgis]
-
-    @property
     def total_bytes(self) -> float:
         return sum(d.size for d in self.documents)
-
-    @property
-    def mean_size(self) -> float:
-        if not self.documents:
-            return 0.0
-        return self.total_bytes / len(self.documents)
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -131,30 +120,6 @@ def uniform_corpus(n_files: int, size: float, n_nodes: int,
                      home=_place(i, n_nodes, placement, rng))
             for i in range(n_files)]
     return Corpus(name=f"uniform-{int(size)}B", documents=docs)
-
-
-def mixed_corpus(n_files: int, n_nodes: int,
-                 min_size: float = 100.0, max_size: float = 1.5 * MB,
-                 placement="round-robin", prefix: str = "/mixed",
-                 rng: Optional[RandomStreams] = None,
-                 seed: int = 0) -> Corpus:
-    """Non-uniform sizes, log-uniform between ``min_size`` and ``max_size``
-    (matching Table 3's "100 bytes … 1.5 MB" span: a few huge images
-    dominate the bytes while small pages dominate the count)."""
-    if n_files < 1:
-        raise ValueError(f"n_files must be >= 1, got {n_files}")
-    if not 0 < min_size <= max_size:
-        raise ValueError(f"bad size range [{min_size}, {max_size}]")
-    rng = rng or RandomStreams(seed=seed)
-    import math
-    docs = []
-    for i in range(n_files):
-        u = rng.uniform("mixed-size", math.log(min_size), math.log(max_size))
-        size = float(math.exp(u))
-        ext = ".html" if size < 32 * KB else ".gif"
-        docs.append(Document(path=f"{prefix}/doc{i:05d}{ext}", size=size,
-                             home=_place(i, n_nodes, placement, rng)))
-    return Corpus(name="mixed", documents=docs)
 
 
 def bimodal_corpus(n_files: int, n_nodes: int, large_frac: float = 0.5,

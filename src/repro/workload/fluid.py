@@ -112,10 +112,6 @@ class FluidScenario:
         """The same cell at a different seed (grid helper)."""
         return replace(self, seed=seed)
 
-    def with_policy(self, policy: str) -> "FluidScenario":
-        """The same cell under a different decision kernel."""
-        return replace(self, policy=policy)
-
     def with_speed_factors(self, factors: SpeedFactors) -> "FluidScenario":
         """The same cell on a heterogeneous cluster (tournament helper)."""
         return replace(self, cpu_factors=factors.cpu,

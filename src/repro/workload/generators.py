@@ -11,7 +11,7 @@ provided for the examples and extensions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from ..sim import RandomStreams
 from .corpus import Corpus
@@ -21,7 +21,6 @@ __all__ = [
     "Workload",
     "burst_workload",
     "poisson_workload",
-    "ramp_workload",
     "uniform_sampler",
     "zipf_sampler",
     "hot_file_sampler",
@@ -191,20 +190,3 @@ def poisson_workload(rate: float, duration: float, sampler: PathSampler,
         arrivals.append(Arrival(time=t, path=sampler(), client=client))
     return Workload(name=f"poisson-{rate:g}rps-{int(duration)}s",
                     arrivals=arrivals, duration=float(duration))
-
-
-def ramp_workload(rps_from: int, rps_to: int, seconds_per_step: float,
-                  sampler: PathSampler, client: str = "ucsb") -> Workload:
-    """Staircase load: used to find the knee of the throughput curve."""
-    if rps_from < 1 or rps_to < rps_from:
-        raise ValueError(f"bad ramp {rps_from}..{rps_to}")
-    arrivals = []
-    t = 0.0
-    for rps in range(rps_from, rps_to + 1):
-        for second in range(int(seconds_per_step)):
-            for _ in range(rps):
-                arrivals.append(Arrival(time=t + second, path=sampler(),
-                                        client=client))
-        t += seconds_per_step
-    return Workload(name=f"ramp-{rps_from}to{rps_to}", arrivals=arrivals,
-                    duration=t)

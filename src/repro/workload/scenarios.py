@@ -19,7 +19,7 @@ Two things live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from ..cluster import ClusterSpec, meiko_cs2, sun_now
@@ -84,10 +84,6 @@ class Scenario:
     #: observational — attaching one never changes simulation results
     #: (pinned against the determinism golden).
     tracer: Optional[Tracer] = None
-
-    def with_policy(self, policy: str) -> "Scenario":
-        return replace(self, policy=policy,
-                       name=f"{self.name}/{policy}")
 
 
 def _table1(rps: int = 16, policy: str = "sweb", duration: float = 30.0,

@@ -221,6 +221,10 @@ def test_cluster_view_queries_in_node_order_whatever_the_arrival_order():
     assert view.known_nodes() == [0, 1, 2, 3, 4]
     assert list(view.availability(1.0)) == [0, 1, 2, 3, 4]
     view.inflate_cpu(3, 0.3)
-    view.forget(1)
+    # Re-reporting a known node keeps its slot; a stale report hides it.
+    view.update(LoadSnapshot(node=1, cpu_load=0.0, disk_load=0.0,
+                             net_load=0.0, cpu_speed=4e7,
+                             disk_bandwidth=1e7, timestamp=-10.0))
+    assert view.known_nodes() == [0, 1, 2, 3, 4]
     assert [s.node for s in view.available(1.0)] == [0, 2, 3, 4]
     assert [s.node for s in view.available(20.0)] == [2]

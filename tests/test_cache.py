@@ -49,9 +49,13 @@ def test_directory_keeps_freshest_report_per_node():
     directory = CacheDirectory(owner=0)
     directory.update(CacheReport(node=1, paths=("/a",), timestamp=2.0))
     directory.update(CacheReport(node=1, paths=("/b",), timestamp=1.0))
-    assert directory.report_for(1).paths == ("/a",)  # stale one ignored
+    # stale one ignored
+    assert directory.holds(1, "/a", now=2.0)
+    assert not directory.holds(1, "/b", now=2.0)
     directory.update(CacheReport(node=1, paths=("/c",), timestamp=2.0))
-    assert directory.report_for(1).paths == ("/c",)  # equal ts: newest wins
+    # equal ts: newest wins
+    assert directory.holds(1, "/c", now=2.0)
+    assert not directory.holds(1, "/a", now=2.0)
 
 
 def test_directory_holds_respects_ttl():
@@ -80,8 +84,10 @@ def test_directory_holders_sorted_and_forget():
     directory.update(CacheReport(node=1, paths=("/a", "/b"), timestamp=0.0))
     assert directory.holders("/a", now=1.0) == [1, 2, 3]
     assert directory.holders("/b", now=1.0) == [1]
-    directory.forget(1)
+    # A newer report without "/a" takes node 1 out of its holders.
+    directory.update(CacheReport(node=1, paths=("/b",), timestamp=0.5))
     assert directory.holders("/a", now=1.0) == [2, 3]
+    assert directory.holders("/b", now=1.0) == [1]
 
 
 def test_directory_rejects_bad_ttl():
@@ -95,23 +101,17 @@ def test_file_heat_counts_and_byte_ranking():
     for _ in range(3):
         heat.record("/small", nbytes=100.0)
     heat.record("/big", nbytes=3e6)
-    assert heat.count("/small") == 3
-    assert heat.count("/big") == 1
     assert heat.total == 4
-    assert heat.mean_count() == pytest.approx(2.0)
-    assert heat.bytes_for("/big") == pytest.approx(3e6)
     assert heat.total_bytes == pytest.approx(3e6 + 300.0)
     assert heat.mean_bytes() == pytest.approx((3e6 + 300.0) / 2)
-    # By count the small file leads; by bytes the big one does.
-    assert heat.top(2)[0][0] == "/small"
-    assert heat.top_bytes(2)[0][0] == "/big"
+    # The small file has more requests; by bytes the big one leads.
+    assert heat.top_bytes(2) == [("/big", pytest.approx(3e6)),
+                                 ("/small", pytest.approx(300.0))]
 
 
 def test_file_heat_empty_means_are_zero():
     heat = FileHeat()
-    assert heat.mean_count() == 0.0
     assert heat.mean_bytes() == 0.0
-    assert heat.top(5) == []
     assert heat.top_bytes(5) == []
 
 

@@ -47,6 +47,24 @@ def test_cli_serve_small(capsys):
     assert "cpu shares:" in out
 
 
+def test_cli_serve_summary_is_pinned(capsys):
+    # Every field of the page-cache line is nonzero here (hits, misses,
+    # evictions, replications), so the whole summary is checked verbatim.
+    code = main(["serve", "--nodes", "3", "--rps", "4", "--duration", "4",
+                 "--zipf", "1.0", "--replicate", "--file-size", "16000000",
+                 "--files", "40"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "cli: offered=4.0 rps, completed=16, drop=0.0%, mean_rt=28.698s\n"
+        "response: mean 28.698s p50 30.766s p90 36.072s p99 36.249s\n"
+        "redirected: 0.0%, remote reads: 43.8%\n"
+        "page cache (RAM): 15.8% hit rate (3 hits / 16 misses, "
+        "7 evictions), 3 hot-file replications\n"
+        "dns cache (client TTL): 0.0% hit rate\n"
+        "cpu shares: fork 0.14%, loadd 0.20%, parsing 0.84%, "
+        "scheduling 0.03%, send 33.56%\n")
+
+
 def test_cli_config_template_roundtrips(capsys):
     from repro.config import load_config
     assert main(["config-template"]) == 0

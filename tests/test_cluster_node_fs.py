@@ -185,13 +185,6 @@ def test_now_preset_shares_bus_as_nic():
     assert built.nodes[0].nic is built.network.bus
 
 
-def test_with_nodes_resizes():
-    spec = meiko_cs2().with_nodes(2)
-    assert spec.num_nodes == 2
-    with pytest.raises(ValueError):
-        meiko_cs2().with_nodes(0)
-
-
 def test_heterogeneous_now_speeds():
     spec = heterogeneous_now([40e6, 10e6])
     assert [ns.cpu_speed for ns in spec.nodes] == [40e6, 10e6]

@@ -32,13 +32,6 @@ def test_shared_nic_requires_bus():
         spec.build(Simulator())
 
 
-def test_with_nodes_preserves_hardware():
-    spec = sun_now(4).with_nodes(2)
-    assert spec.num_nodes == 2
-    assert spec.nodes[0].cpu_speed == sun_now().nodes[0].cpu_speed
-    assert spec.network_kind == "bus"
-
-
 def test_meiko_and_now_have_paper_constants():
     meiko = meiko_cs2()
     assert meiko.nodes[0].disk_bandwidth == pytest.approx(5e6)    # b1
@@ -48,11 +41,3 @@ def test_meiko_and_now_have_paper_constants():
     assert now.network_bandwidth == pytest.approx(1.25e6)         # 10 Mb/s
     assert now.nfs_penalty == pytest.approx(0.60)
     assert now.nodes[0].ram_bytes == pytest.approx(16e6)
-
-
-def test_built_cluster_alive_nodes():
-    built = meiko_cs2(3).build(Simulator())
-    assert len(built.alive_nodes()) == 3
-    built.nodes[1].leave()
-    assert [n.id for n in built.alive_nodes()] == [0, 2]
-    assert built.num_nodes == 3

@@ -73,14 +73,6 @@ def test_broker_missing_file_estimates_cpu_only():
     assert decision.task.disk_bytes == 0.0
 
 
-def test_broker_decision_estimate_lookup():
-    cluster = make_cluster()
-    decision = cluster.brokers[0].choose_server("/on0.html", client_latency=0.0)
-    est = decision.estimate_for(0)
-    assert est is not None and est.node == 0
-    assert decision.estimate_for(99) is None
-
-
 def test_broker_tie_prefers_local():
     cluster = make_cluster()
     # A non-existent tiny request: all-idle nodes tie on CPU cost; the

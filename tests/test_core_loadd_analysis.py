@@ -10,7 +10,6 @@ from repro.core import (
     max_sustained_rps,
     paper_example,
     service_demand,
-    speedup_bound,
 )
 
 
@@ -105,12 +104,6 @@ def test_redirection_probability_adds_overhead():
     quiet = AnalysisInputs(p=4, F=1e6, b1=5e6, b2=5e6, d=0.0, A=0.02, O=0.01)
     busy = AnalysisInputs(p=4, F=1e6, b1=5e6, b2=5e6, d=0.5, A=0.02, O=0.01)
     assert service_demand(busy) > service_demand(quiet)
-
-
-def test_speedup_bound_is_superunitary():
-    inputs = AnalysisInputs(p=6, F=1.5e6, b1=5e6, b2=4.5e6, A=0.02)
-    s = speedup_bound(inputs)
-    assert 4.0 < s <= 6.0
 
 
 def test_analysis_validation():

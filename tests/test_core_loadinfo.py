@@ -60,14 +60,6 @@ def test_inflate_unknown_node_is_noop():
     assert view.get(7, now=0.0) is None
 
 
-def test_forget():
-    view = ClusterView(owner=0)
-    view.update(snap(node=1))
-    view.forget(1)
-    assert view.get(1, now=0.0) is None
-    assert view.known_nodes() == []
-
-
 def test_snapshot_aged():
     s = snap(t=3.0)
     assert s.aged(10.0) == pytest.approx(7.0)

@@ -40,14 +40,6 @@ def test_run_scenario_is_deterministic():
     assert r1.cluster.sim.event_count == r2.cluster.sim.event_count
 
 
-def test_scenario_with_policy_clones():
-    sc = tiny_scenario()
-    sc2 = sc.with_policy("round-robin")
-    assert sc2.policy == "round-robin"
-    assert sc.policy == "sweb"
-    assert sc2.name.endswith("/round-robin")
-
-
 def test_result_accessors():
     res = run_scenario(tiny_scenario())
     assert 0.0 <= res.cache_hit_rate() <= 1.0

@@ -250,7 +250,7 @@ def test_edge_miss_crosses_wan_then_hits_cache():
     assert fs.wan_reads == 1 and fs.edge_hits == 1
     assert fs.wan_bytes == pytest.approx(50 * KB)
     assert fs.edge_installs == 1
-    assert fs.hit_rate() == pytest.approx(0.5)
+    assert system.edge_hit_rate() == pytest.approx(0.5)
     # The transfer took real simulated time: latency + bytes/bandwidth.
     assert system.sim.now > geo3().link("origin", "west").latency
 

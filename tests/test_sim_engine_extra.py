@@ -34,7 +34,7 @@ def test_condition_over_already_failed_event_defused():
     caught = []
 
     def proc():
-        bad = sim.event()
+        bad = Event(sim)
         bad.fail(RuntimeError("pre-failed"))
         bad.defuse()
         # wait for the failure to be processed
@@ -59,7 +59,6 @@ def test_process_is_alive_and_target():
     assert proc.is_alive
     sim.run(until=1.0)
     assert proc.is_alive
-    assert proc.target is not None
     sim.run()
     assert not proc.is_alive
 
@@ -73,12 +72,12 @@ def test_event_or_and_require_same_sim():
 def test_fail_requires_exception():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.event().fail("not an exception")
+        Event(sim).fail("not an exception")
 
 
 def test_defused_failure_does_not_crash_run():
     sim = Simulator()
-    ev = sim.event()
+    ev = Event(sim)
     ev.fail(RuntimeError("ignored"))
     ev.defuse()
     sim.run()   # must not raise
@@ -86,7 +85,7 @@ def test_defused_failure_does_not_crash_run():
 
 def test_value_of_failed_event_is_the_exception():
     sim = Simulator()
-    ev = sim.event()
+    ev = Event(sim)
     exc = RuntimeError("boom")
     ev.fail(exc)
     ev.defuse()

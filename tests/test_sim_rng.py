@@ -35,14 +35,6 @@ def test_stream_is_cached():
     assert rs.stream("s") is rs.stream("s")
 
 
-def test_spawn_derives_stable_child():
-    a = RandomStreams(seed=3).spawn("child")
-    b = RandomStreams(seed=3).spawn("child")
-    assert a.uniform("x") == b.uniform("x")
-    c = RandomStreams(seed=3).spawn("other")
-    assert a.seed != c.seed
-
-
 def test_integers_in_range():
     rs = RandomStreams(seed=0)
     draws = [rs.integers("i", 3, 9) for _ in range(200)]

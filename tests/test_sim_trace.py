@@ -1,6 +1,6 @@
 """Unit tests for the structured trace (repro.sim.trace)."""
 
-from repro.sim import TRACE_DETAIL, TRACE_SUMMARY, Trace
+from repro.sim import Trace
 
 
 def make_trace():
@@ -38,7 +38,8 @@ def test_filter_predicate():
 
 def test_actions_helper():
     tr = make_trace()
-    assert tr.actions(category="http") == ["dns_lookup", "connect", "redirect"]
+    assert [r.action for r in tr.filter(category="http")] == [
+        "dns_lookup", "connect", "redirect"]
 
 
 def test_disabled_trace_records_nothing():
@@ -67,34 +68,11 @@ def test_iteration_in_time_order():
     assert times == sorted(times)
 
 
-def test_summary_level_drops_detail_records():
-    tr = Trace(level=TRACE_SUMMARY)
-    tr.emit(0.0, "sched", "broker-0", "choose_server")          # SUMMARY
-    tr.emit(0.1, "loadd", "loadd-0", "broadcast", level=TRACE_DETAIL)
-    assert tr.actions() == ["choose_server"]
-    # default level keeps everything
-    tr_all = Trace()
-    tr_all.emit(0.0, "loadd", "loadd-0", "broadcast", level=TRACE_DETAIL)
-    assert len(tr_all) == 1
-
-
-def test_sample_every_decimates_per_category():
-    tr = Trace(sample_every=3)
-    for i in range(9):
-        tr.emit(float(i), "io", "httpd-0", f"read{i}")
-    tr.emit(9.0, "fault", "injector", "apply")   # sparse category survives
-    assert tr.actions(category="io") == ["read0", "read3", "read6"]
-    assert tr.actions(category="fault") == ["apply"]
-
-
 def test_active_gate_tracks_enabled_and_cap():
     tr = Trace(max_records=2)
     assert tr.active
     tr.emit(0.0, "c", "a", "x")
     tr.emit(0.1, "c", "a", "y")
     assert not tr.active          # full -> deactivated
-    tr2 = Trace()
-    tr2.enabled = False
-    assert not tr2.active
-    tr2.enabled = True
-    assert tr2.active
+    assert not Trace(enabled=False).active
+    assert Trace().active

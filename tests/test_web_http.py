@@ -57,12 +57,6 @@ def test_request_parse_absolute_url_target():
     assert parsed.host == "h.example"
 
 
-def test_request_wire_bytes_positive():
-    req = HTTPRequest(method="GET", path="/x")
-    assert req.wire_bytes == len(req.format().encode())
-    assert req.wire_bytes > 10
-
-
 def test_request_parse_rejects_malformed():
     for bad in ("", "GET\r\n\r\n", "GET /x\r\n\r\n", "FROB /x HTTP/1.0\r\n\r\n",
                 "GET /x FTP/1.0\r\n\r\n", "GET x HTTP/1.0\r\n\r\n",
@@ -88,13 +82,6 @@ def test_response_reason_lookup():
     assert HTTPResponse(status=999).reason == "Unknown"
 
 
-def test_response_headers_roundtrip():
-    resp = HTTPResponse(status=200, body_bytes=1.5e6)
-    parsed = HTTPResponse.parse_headers(resp.format_headers())
-    assert parsed.status == 200
-    assert parsed.body_bytes == pytest.approx(1.5e6)
-
-
 def test_response_wire_bytes_includes_headers_and_body():
     resp = HTTPResponse(status=200, body_bytes=1000.0)
     assert resp.wire_bytes > 1000.0
@@ -103,12 +90,5 @@ def test_response_wire_bytes_includes_headers_and_body():
 def test_redirect_response_shape():
     resp = redirect_response("sweb3.cs.ucsb.edu", "/maps/x.gif")
     assert resp.is_redirect
-    assert resp.location == "http://sweb3.cs.ucsb.edu/maps/x.gif"
+    assert resp.headers["Location"] == "http://sweb3.cs.ucsb.edu/maps/x.gif"
     assert resp.body_bytes == 0.0
-
-
-def test_response_parse_rejects_malformed():
-    with pytest.raises(HTTPError):
-        HTTPResponse.parse_headers("BANANA\r\n\r\n")
-    with pytest.raises(HTTPError):
-        HTTPResponse.parse_headers("HTTP/1.0 abc Huh\r\n\r\n")

@@ -7,9 +7,7 @@ from repro.workload import (
     adl_corpus,
     burst_workload,
     hot_file_sampler,
-    mixed_corpus,
     poisson_workload,
-    ramp_workload,
     single_hot_file,
     uniform_corpus,
     uniform_sampler,
@@ -24,7 +22,6 @@ def test_uniform_corpus_round_robin_placement():
     assert len(corpus) == 10
     homes = [d.home for d in corpus.documents]
     assert homes == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
-    assert corpus.mean_size == pytest.approx(1.5e6)
     assert corpus.total_bytes == pytest.approx(15e6)
 
 
@@ -49,15 +46,6 @@ def test_uniform_corpus_random_placement_needs_rng():
 def test_corpus_rejects_empty_cluster():
     with pytest.raises(ValueError, match="n_nodes"):
         uniform_corpus(3, 1.0, 0)
-
-
-def test_mixed_corpus_size_range_and_determinism():
-    c1 = mixed_corpus(100, n_nodes=3, seed=5)
-    c2 = mixed_corpus(100, n_nodes=3, seed=5)
-    assert [d.size for d in c1.documents] == [d.size for d in c2.documents]
-    sizes = [d.size for d in c1.documents]
-    assert min(sizes) >= 100.0 and max(sizes) <= 1.5e6
-    assert max(sizes) / min(sizes) > 50    # genuinely non-uniform
 
 
 def test_single_hot_file_shape():
@@ -88,8 +76,6 @@ def test_corpus_validation():
         uniform_corpus(0, 1.0, 1)
     with pytest.raises(ValueError):
         uniform_corpus(1, -1.0, 1)
-    with pytest.raises(ValueError):
-        mixed_corpus(1, 1, min_size=10.0, max_size=1.0)
 
 
 # ----------------------------------------------------------------- samplers
@@ -157,14 +143,6 @@ def test_poisson_workload_rate():
     assert all(0 <= a.time < 100.0 for a in wl)
 
 
-def test_ramp_workload_increases():
-    corpus = uniform_corpus(3, 1.0, 1)
-    wl = ramp_workload(1, 3, 2.0, uniform_sampler(corpus, RandomStreams(0)))
-    # 2 s at 1 rps + 2 s at 2 rps + 2 s at 3 rps = 12 arrivals.
-    assert len(wl) == 12
-    assert wl.duration == pytest.approx(6.0)
-
-
 def test_workload_validation():
     corpus = uniform_corpus(3, 1.0, 1)
     sampler = uniform_sampler(corpus, RandomStreams(0))
@@ -174,7 +152,5 @@ def test_workload_validation():
         burst_workload(1, 0.0, sampler)
     with pytest.raises(ValueError):
         poisson_workload(0.0, 1.0, sampler, RandomStreams(0))
-    with pytest.raises(ValueError):
-        ramp_workload(3, 1, 1.0, sampler)
     with pytest.raises(ValueError):
         burst_workload(1, 1.0, sampler, client_mix=[("a", 1.0)])
