@@ -21,8 +21,10 @@ if TYPE_CHECKING:
 
 __all__ = ["RULES"]
 
-#: private engine attributes nothing outside sim/engine.py may touch
-_ENGINE_INTERNALS = frozenset({"_queue", "_heap", "_cb_pool"})
+#: private engine attributes nothing outside sim/engine.py may touch: the
+#: heap of future entries, the same-instant lanes and the callback pool
+_ENGINE_INTERNALS = frozenset({"_queue", "_heap", "_urgent", "_normal",
+                               "_cb_pool"})
 
 
 class HeapqRule(Rule):
@@ -52,7 +54,8 @@ class EngineInternalsRule(Rule):
 
     name = "sched-engine-internals"
     summary = ("no access to the simulator's private event queue "
-               "(_queue/_heap/_cb_pool) outside sim/engine.py")
+               "(_queue/_heap/_urgent/_normal/_cb_pool) outside "
+               "sim/engine.py")
 
     def check(self, ctx: "FileContext") -> Iterator["Diagnostic"]:
         if ctx.layer is None:

@@ -10,11 +10,12 @@ The implementation is event-driven: whenever the set of active jobs (or the
 rate) changes, every job's remaining work is advanced using the allocation
 that was in force, then one pass computes the new allocation together with
 the earliest completion under it and re-arms the server's single wake-up
-timer.  The timer it replaces stays where it is on the event heap, so no
-other event's ``(time, priority, seq)`` moves, but its callback list is
-emptied: it dispatches as a no-op and never calls back into the server
-(:attr:`FairShareServer.wakeups_superseded` counts these stale wake-ups).
-Each :class:`Job` is itself the event that fires at its completion.
+timer.  The timer it replaces is withdrawn with
+:meth:`~repro.sim.engine.Simulator.cancel`: it is never dispatched, and
+its heap key is unique, so no other event's ``(time, priority, seq)``
+moves (:attr:`FairShareServer.wakeups_superseded` counts these stale
+wake-ups).  Each :class:`Job` is itself the event that fires at its
+completion.
 Membership churn is O(n) per change and the server never scans jobs on a
 clock tick.
 """
@@ -118,8 +119,8 @@ class FairShareServer:
         self._jobs_completed = 0
         #: Wake-up timers armed since construction (observation only).
         self.wakeups_armed = 0
-        #: Armed wake-ups replaced before they fired; each still dispatches
-        #: from the heap as a no-op (observation only).
+        #: Armed wake-ups replaced before they fired, each withdrawn with
+        #: Simulator.cancel (observation only).
         self.wakeups_superseded = 0
 
     # -- public API ----------------------------------------------------------
@@ -271,9 +272,9 @@ class FairShareServer:
         """
         timer = self._timer
         if timer is not None:
-            # Superseded: the entry keeps its heap slot (and so the order
-            # of every other event) but dispatches with no callbacks.
-            timer.callbacks.clear()
+            # Superseded: withdrawn, never dispatched.  Its heap key is
+            # unique, so no other event's order moves.
+            self.sim.cancel(timer)
             self._timer = None
             self.wakeups_superseded += 1
         jobs = self._jobs

@@ -35,9 +35,13 @@ from .metrics import RequestRecord
 __all__ = ["Connection", "HTTPServer"]
 
 
-@dataclass
+@dataclass(eq=False)
 class Connection:
-    """One client↔server TCP connection carrying one HTTP request."""
+    """One client↔server TCP connection carrying one HTTP request.
+
+    Compared by identity: a connection is one live object, and the
+    field-by-field ``__eq__`` a dataclass would generate is never wanted.
+    """
 
     raw_request: str
     wan: WANPath
@@ -109,9 +113,9 @@ class HTTPServer:
         self.requests_handled = 0
         self.redirects_issued = 0
         self.forwards_issued = 0
-        #: connections currently in the §3.2 pipeline (so a crash can
-        #: reset them; see reset_connections)
-        self._live: list[Connection] = []
+        #: connections currently in the §3.2 pipeline, in admission order
+        #: (so a crash can reset them; see reset_connections)
+        self._live: dict[Connection, None] = {}
 
     # -- connection admission -----------------------------------------------
     def try_accept(self, conn: Connection) -> bool:
@@ -121,7 +125,7 @@ class HTTPServer:
             self.connections_refused += 1
             return False
         self.connections_active += 1
-        self._live.append(conn)
+        self._live[conn] = None
         self.sim.spawn(self._handle(conn), name=f"httpd{self.node.id}.conn")
         return True
 
@@ -246,8 +250,7 @@ class HTTPServer:
             yield from self._fulfill(conn, request, is_cgi)
         finally:
             self.connections_active -= 1
-            if conn in self._live:
-                self._live.remove(conn)
+            self._live.pop(conn, None)
 
     def _forward(self, conn: Connection, target_id: int):
         """Request forwarding: ship the request over the cluster fabric,

@@ -2,8 +2,9 @@
 
 import pytest
 
+import repro.cluster.network as network
 from repro.cluster import FatTreeNetwork, Internet, Link, SharedBusNetwork, WANPath
-from repro.sim import FairShareServer, Simulator
+from repro.sim import AllOf, FairShareServer, Simulator
 
 
 # --------------------------------------------------------------------- Link
@@ -86,6 +87,64 @@ def test_fattree_node_load_and_effective_bandwidth():
     assert net.node_load(0) == 1
     assert net.node_load(1) == 1
     assert net.node_load(2) == 0
+
+
+def _allof_join(sim, first, second, done, value):
+    """The join the fat-tree used before the countdown: an AllOf."""
+    both = AllOf(sim, [first, second])
+    both.callbacks.append(lambda ev: done.succeed(value))
+
+
+def _fattree_program(cancel_leg):
+    """Transfers and multicasts on one fabric, several finishing at the
+    same instant; optionally cancel one port job mid-transfer.  Returns
+    everything the run observed — each transfer's and port job's
+    dispatch, with its position in the schedule."""
+    sim = Simulator()
+    net = FatTreeNetwork(sim, nodes=4, bandwidth=10e6, latency=1e-3)
+    log = []
+
+    def watch(label, ev, value=True):
+        # event_count at dispatch pins each event's place in the schedule
+        ev.callbacks.append(lambda e: log.append(
+            (label, sim.event_count, sim.now, e.value if value else e.ok)))
+
+    for port in net.ports:
+        def submit(nbytes, tag=None, _submit=port.submit, _name=port.name):
+            job = _submit(nbytes, tag=tag)
+            watch((_name, tag), job, value=False)
+            return job
+        port.submit = submit
+    for i, (src, dst, size) in enumerate([(0, 1, 4e6), (2, 1, 1e6),
+                                          (1, 0, 2e6), (3, 3, 5e6)]):
+        watch(f"t{i}", net.transfer(src, dst, size, tag=f"t{i}"))
+    for i, ev in enumerate(net.multicast(2, [0, 3, 2], 3e6, tag="m")):
+        watch(f"m{i}", ev)
+    for i, ev in enumerate(net.multicast(0, [1, 2, 3], 1e6, tag="n")):
+        watch(f"n{i}", ev)
+    raised = None
+    try:
+        if cancel_leg:
+            sim.run(until=0.1)
+            port = net.ports[1]
+            port.cancel(port.jobs[0])
+        sim.run()
+    except InterruptedError as exc:
+        raised = str(exc)
+        sim.run()
+    return log, raised, sim.now, sim.event_count
+
+
+@pytest.mark.parametrize("cancel_leg", [False, True])
+def test_fattree_countdown_join_matches_allof(monkeypatch, cancel_leg):
+    """Same completions, clocks, values and event count as an AllOf join;
+    a failed leg fails the join at once and surfaces from run() after the
+    transfer's done event has been triggered, as the AllOf did."""
+    countdown = _fattree_program(cancel_leg)
+    monkeypatch.setattr(network, "_join", _allof_join)
+    assert countdown == _fattree_program(cancel_leg)
+    if cancel_leg:
+        assert countdown[1] is not None
 
 
 def test_fattree_rejects_bad_endpoints():

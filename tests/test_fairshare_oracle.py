@@ -7,7 +7,15 @@ operation sequence — submits with weights, caps and zero or sub-epsilon
 work, cancels, rate changes and load-integral reads between events — each
 on its own simulator, and must agree *exactly*: completion order and
 outcome, every ``finished_at`` (compared as ``repr``), ``work_completed``,
-both integrals at every read and at the end, and ``sim.event_count``.
+both integrals at every read and as accrued at the end, the clock of the
+last live dispatch, and the live dispatch count.
+
+The reference leaves a superseded wake-up on the heap, where it later
+dispatches as a no-op (and moves the clock); the production server
+withdraws it with ``Simulator.cancel``.  So the production kernel's
+``event_count`` must equal the reference's minus the superseded wake-ups
+the reference dispatched, its clock must stop at the last live dispatch,
+and every superseded wake-up must be exactly one cancelled entry.
 """
 
 import random
@@ -18,6 +26,33 @@ from hypothesis import given, settings, strategies as st
 from repro.sim import FairShareServer, Simulator
 
 from .fairshare_reference import ReferenceFairShareServer
+
+
+class _Production(FairShareServer):
+    """The production server, noting the clock of its last wake-up (every
+    wake-up that reaches it is live: superseded ones are cancelled)."""
+
+    stale = 0
+    live_wake_at = 0.0
+
+    def _wake(self, timer):
+        self.live_wake_at = self.sim.now
+        super()._wake(timer)
+
+
+class _Reference(ReferenceFairShareServer):
+    """The reference, counting the superseded wake-ups it dispatches as
+    no-ops and noting the clock of its last live wake-up."""
+
+    stale = 0
+    live_wake_at = 0.0
+
+    def _wake(self, generation):
+        if generation != self._generation:
+            self.stale += 1
+        else:
+            self.live_wake_at = self.sim.now
+        super()._wake(generation)
 
 # Gaps from simultaneous through draining the server to jumps that make
 # the clock's ulp exceed short completion delays (the wake-up floor).
@@ -58,11 +93,16 @@ def _drive(server_cls, rate, ops):
     log = []
     reads = []
     jobs = []
+    # Clocks of live dispatches: job outcomes and the feed's last step.
+    marks = [sim.now]
 
     def recorder(job):
         # Completion order and outcome, keyed by the submission index.
-        return lambda ev: log.append((job.tag, ev.ok, repr(sim.now),
-                                      repr(job.finished_at)))
+        def record(ev):
+            marks.append(sim.now)
+            log.append((job.tag, ev.ok, repr(sim.now),
+                        repr(job.finished_at)))
+        return record
 
     def feed():
         for op in ops:
@@ -82,9 +122,16 @@ def _drive(server_cls, rate, ops):
                 value = (srv.population_integral() if op[2] == "pop"
                          else srv.busy_integral())
                 reads.append((op[2], repr(value), srv.njobs))
+        marks.append(sim.now)
 
     sim.spawn(feed())
     sim.run()
+    last_live = max(max(marks), srv.live_wake_at)
+    if server_cls is _Production:
+        # No withdrawn wake-up dispatched or moved the clock, and each
+        # superseded one is exactly one cancelled entry.
+        assert sim.now == last_live
+        assert sim.cancelled == srv.wakeups_superseded
     return {
         "log": log,
         "finished_at": [repr(job.finished_at) for job in jobs],
@@ -92,10 +139,13 @@ def _drive(server_cls, rate, ops):
         "reads": reads,
         "work_completed": repr(srv.work_completed),
         "jobs_completed": srv.jobs_completed,
-        "pop": repr(srv.population_integral()),
-        "busy": repr(srv.busy_integral()),
-        "event_count": sim.event_count,
-        "now": repr(sim.now),
+        # Accrued up to the last state change: a later no-op dispatch on
+        # the reference moves its clock, but never its integrals.
+        "pop": repr(srv._pop_integral),
+        "busy": repr(srv._busy_integral),
+        "accrued_to": repr(srv._last_update),
+        "live_events": sim.event_count - srv.stale,
+        "now": repr(last_live),
     }
 
 
@@ -108,8 +158,8 @@ def test_sub_ulp_completion_at_a_large_clock_matches_reference():
 
 
 def _assert_same(rate, ops):
-    new = _drive(FairShareServer, rate, ops)
-    old = _drive(ReferenceFairShareServer, rate, ops)
+    new = _drive(_Production, rate, ops)
+    old = _drive(_Reference, rate, ops)
     assert new == old
 
 

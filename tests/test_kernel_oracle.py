@@ -1,0 +1,375 @@
+"""Differential test: the kernel against its heap-only reference.
+
+``tests/kernel_reference.py`` is the scheduler that kept every entry —
+due now or later — on one ``(time, priority, seq)`` heap.  The production
+kernel sends same-instant pushes to per-priority FIFO lanes and merges
+them with the heap in the run loop (and, by a hand-synced copy, in
+``step()``).  Random programs run on both kernels and must produce the
+same dispatch log — every labelled event with the clock it fired at and
+its place in the schedule (``event_count``) —
+the same condition and process values, the same errors, and after every
+top-level operation the same clock, ``event_count``, ``pending`` and
+``cancelled``.
+
+The programs mix zero-delay timeouts, delays that float rounding absorbs
+and exact ties; ``succeed``/``fail``/``defuse`` from the top level, from
+processes and from deferred callbacks; ``defer`` and nested ``spawn``;
+``AnyOf``/``AllOf`` waits; ``cancel`` of lane entries (a just-triggered
+event, a zero-delay timeout) and of heap entries; ``run(until=t)``
+including ``t == now`` while lane entries are pending; ``run(until=ev)``,
+which stops mid-instant; and ``step()`` and ``peek()`` in between.
+"""
+
+import math
+
+from hypothesis import given, settings, strategies as st
+
+import repro.sim.engine as production
+
+from . import kernel_reference as reference
+
+# Exact ties, zero delays and delays below one ulp of a clock >= 1 (the
+# NORMAL lane on the production kernel once time has moved).
+_delay = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, 1.0, 2.5, 1e-18, 5e-17]),
+    st.floats(min_value=0.0, max_value=10.0,
+              allow_nan=False, allow_infinity=False))
+_index = st.integers(min_value=0, max_value=10_000)
+_trigger = st.tuples(st.sampled_from(["succeed", "fail", "fail_defused"]),
+                     _index)
+_action = st.one_of(
+    st.none(),
+    _trigger,
+    st.tuples(st.just("timeout"), _delay),
+    st.tuples(st.just("cancel"), _index),
+)
+# One step of a process script; "spawn" starts a child with a flat script.
+_leaf_step = st.one_of(
+    st.tuples(st.just("wait"), _index),
+    st.tuples(st.just("sleep"), _delay),
+    _trigger,
+    st.tuples(st.just("cancel"), _index),
+    st.tuples(st.just("defer"), _action),
+    st.tuples(st.sampled_from(["any", "all"]),
+              st.lists(_index, min_size=0, max_size=3)),
+)
+_step = st.one_of(
+    _leaf_step,
+    st.tuples(st.just("spawn"), st.lists(_leaf_step, max_size=4)),
+)
+_op = st.one_of(
+    st.tuples(st.just("timeouts"), st.lists(_delay, min_size=1, max_size=6)),
+    st.tuples(st.just("events"), st.integers(min_value=1, max_value=3)),
+    _trigger,
+    st.tuples(st.just("cancel"), st.lists(_index, min_size=1, max_size=4)),
+    st.tuples(st.just("spawn"), st.lists(_step, max_size=6)),
+    st.tuples(st.just("defer"), _action),
+    st.tuples(st.sampled_from(["any", "all"]),
+              st.lists(_index, min_size=0, max_size=4)),
+    st.tuples(st.just("run_until"), _delay),
+    st.tuples(st.just("run_event"), _index),
+    st.tuples(st.just("step"),),
+    st.tuples(st.just("peek"),),
+)
+
+
+class _Run:
+    """One kernel driven by a program, with everything it observed."""
+
+    def __init__(self, kernel) -> None:
+        self.k = kernel
+        self.sim = kernel.Simulator()
+        self.events: list = []
+        self.label: dict[int, int] = {}
+        self.log: list[tuple] = []
+
+    # -- labelled events ----------------------------------------------------
+    def add(self, ev, kind: str):
+        """Label ``ev`` and log its dispatch (and value) when it fires."""
+        index = len(self.events)
+        self.events.append(ev)
+        self.label[id(ev)] = index
+        ev.callbacks.append(lambda e: self.log.append(
+            (kind, index, self.sim.now, self.sim.event_count,
+             self.render(e))))
+        return ev
+
+    def render(self, ev) -> tuple:
+        return ("ok" if ev._ok else "failed", self.render_value(ev._value))
+
+    def render_value(self, value):
+        """``value`` with events as labels and exceptions as text, so the
+        two kernels' observations compare equal."""
+        if isinstance(value, dict):
+            return sorted((self.label[id(k)], self.render_value(v))
+                          for k, v in value.items())
+        if isinstance(value, BaseException):
+            return (type(value).__name__, str(value))
+        return value
+
+    def pick(self, i):
+        return self.events[i % len(self.events)] if self.events else None
+
+    def error(self, where: str, exc: BaseException) -> None:
+        self.log.append(("error", where, type(exc).__name__, self.sim.now))
+
+    # -- operations shared by the top level, processes and deferred calls
+    def timeout(self, delay: float):
+        index = len(self.events)
+        return self.add(self.sim.timeout(delay, value=index), "timeout")
+
+    def trigger(self, kind: str, i: int) -> None:
+        ev = self.pick(i)
+        # Only plain events are triggered by hand; timeouts, processes and
+        # conditions trigger themselves.
+        if type(ev) is not self.k.Event or ev.triggered:
+            return
+        if kind == "succeed":
+            ev.succeed(self.label[id(ev)])
+        else:
+            ev.fail(ValueError(f"boom{self.label[id(ev)]}"))
+            if kind == "fail_defused":
+                ev.defuse()
+
+    def cancel(self, i: int) -> None:
+        ev = self.pick(i)
+        if ev is None:
+            return
+        try:
+            self.sim.cancel(ev)
+        except self.k.SimulationError as exc:
+            self.error("cancel", exc)
+
+    def condition(self, kind: str, picks: list) -> None:
+        cls = self.k.AnyOf if kind == "any" else self.k.AllOf
+        evs = [self.pick(i) for i in picks] if self.events else []
+        try:
+            self.add(cls(self.sim, evs), kind)
+        except self.k.SimulationError as exc:
+            self.error(kind, exc)
+
+    def act(self, action) -> None:
+        if action is None:
+            return
+        kind = action[0]
+        if kind == "timeout":
+            self.timeout(action[1])
+        elif kind == "cancel":
+            self.cancel(action[1])
+        else:
+            self.trigger(kind, action[1])
+
+    def defer(self, action) -> None:
+        index = len(self.events)
+
+        def call(ev):
+            self.log.append(("deferred", index, self.sim.now))
+            self.act(action)
+
+        self.add(self.sim.defer(call), "defer")
+
+    def spawn(self, steps: list) -> None:
+        index = len(self.events)
+        self.add(self.sim.spawn(self.script(index, steps)), "process")
+
+    def script(self, pid: int, steps: list):
+        self.log.append(("start", pid, self.sim.now))
+        for step in steps:
+            kind = step[0]
+            if kind == "wait":
+                target = self.pick(step[1])
+                if target is None:
+                    continue
+                try:
+                    value = yield target
+                except Exception as exc:
+                    self.error(f"wait{pid}", exc)
+                else:
+                    self.log.append(("woke", pid, self.sim.now,
+                                     self.render_value(value)))
+            elif kind == "sleep":
+                yield self.timeout(step[1])
+            elif kind == "cancel":
+                self.cancel(step[1])
+            elif kind == "defer":
+                self.defer(step[1])
+            elif kind in ("any", "all"):
+                self.condition(kind, step[1])
+            elif kind == "spawn":
+                self.spawn(step[1])
+            else:
+                self.trigger(kind, step[1])
+        return pid
+
+    # -- top-level operations ------------------------------------------------
+    def apply(self, op) -> None:
+        kind = op[0]
+        sim = self.sim
+        try:
+            if kind == "timeouts":
+                for delay in op[1]:
+                    self.timeout(delay)
+            elif kind == "events":
+                for _ in range(op[1]):
+                    self.add(self.k.Event(sim), "event")
+            elif kind == "cancel":
+                for i in op[1]:
+                    self.cancel(i)
+            elif kind == "spawn":
+                self.spawn(op[1])
+            elif kind == "defer":
+                self.defer(op[1])
+            elif kind in ("any", "all"):
+                self.condition(kind, op[1])
+            elif kind == "run_until":
+                value = sim.run(until=sim.now + op[1])
+                self.log.append(("ran", self.render_value(value)))
+            elif kind == "run_event":
+                target = self.pick(op[1])
+                if target is not None:
+                    value = sim.run(until=target)
+                    self.log.append(("ran", self.render_value(value)))
+            elif kind == "step":
+                sim.step()
+            elif kind == "peek":
+                self.log.append(("peek", sim.peek()))
+            else:
+                self.trigger(kind, op[1])
+        except (ValueError, self.k.SimulationError,
+                self.k.StopSimulation) as exc:
+            # An undefused failure (or a failed process) surfaces here, and
+            # so does the stop marker of a run() such a failure cut short.
+            self.error(kind, exc)
+        self.log.append(("state", sim.now, sim.event_count, sim.pending,
+                         sim.cancelled))
+
+    def drain(self) -> None:
+        """Run to exhaustion, logging each failure that surfaces and each
+        stale stop marker that ends a run early."""
+        for _ in range(10_000):
+            try:
+                self.sim.run()
+            except (ValueError, self.k.SimulationError) as exc:
+                self.error("drain", exc)
+            if self.sim.peek() == math.inf:
+                return
+            self.log.append(("stopped", self.sim.now))
+        raise AssertionError("drain did not terminate")
+
+
+def _play(ops):
+    new = _Run(production)
+    ref = _Run(reference)
+    for op in ops:
+        new.apply(op)
+        ref.apply(op)
+        assert new.log == ref.log
+    new.drain()
+    ref.drain()
+    assert new.log == ref.log
+    assert (new.sim.now, new.sim.event_count, new.sim.pending,
+            new.sim.cancelled) == (ref.sim.now, ref.sim.event_count,
+                                   ref.sim.pending, ref.sim.cancelled)
+    assert new.sim.peek() == math.inf
+    return new, ref
+
+
+@given(st.lists(_op, min_size=1, max_size=30))
+@settings(max_examples=400, deadline=None)
+def test_kernel_matches_heap_only_reference(ops):
+    _play(ops)
+
+
+def test_lanes_interleave_with_due_heap_entries():
+    """The run stops at t=1 on its URGENT marker, leaving a NORMAL heap
+    entry due now (pushed at t=0).  Same-instant pushes of both
+    priorities follow: the URGENT lane runs before that heap entry, the
+    NORMAL lane after it."""
+    ops = [("timeouts", [1.0]),                     # 0: NORMAL, heap
+           ("run_until", 1.0),                      # URGENT stopper at 1.0
+           ("timeouts", [0.0, 1e-18]),              # NORMAL lane twice
+           ("spawn", [("sleep", 0.0), ("defer", ("timeout", 0.0))]),
+           ("defer", ("succeed", 0)),
+           ("run_until", 0.0),                      # stopper in URGENT lane
+           ("peek",), ("step",), ("step",), ("step",)]
+    new, _ = _play(ops)
+    order = [entry[:2] for entry in new.log
+             if entry[0] in ("start", "defer", "timeout", "process")]
+    assert order == [("start", 3), ("defer", 4),         # URGENT lane
+                     ("timeout", 0),                     # due heap entry
+                     ("timeout", 1), ("timeout", 2),     # NORMAL lane
+                     ("timeout", 5), ("defer", 6), ("process", 3),
+                     ("timeout", 7)]
+    assert new.sim.now == 1.0
+
+
+def test_due_urgent_heap_entry_precedes_the_urgent_lane():
+    """Two stop markers due at t=1, the first left by a run() that a
+    failure cut short: after it stops the next run, the second (URGENT,
+    on the heap, due now) precedes a process started at t=1."""
+    ops = [("events", 1), ("fail", 0),
+           ("run_until", 1.0),      # aborted at t=0: its marker stays
+           ("run_until", 1.0),      # stopped at t=1 by the stale marker
+           ("spawn", [("sleep", 0.0)]),
+           ("step",), ("step",), ("peek",)]
+    new, _ = _play(ops)
+    assert ("error", "step", "StopSimulation", 1.0) in new.log
+    # The same through run(): the marker ends it before the process starts.
+    new, _ = _play(ops[:5] + [("run_until", 5.0), ("peek",)])
+    assert not any(entry[0] == "start" for entry in new.log)
+
+
+def test_stale_stop_moves_lane_entries_to_the_heap():
+    """A run(until=ev) cut short leaves its halt on ``ev``; a later
+    run(until=1) stops there mid-instant and the clock jumps to 1 with
+    same-instant entries still queued.  They keep their old time, as on
+    a single heap: they precede a process started after the jump, and
+    the next dispatch reports them as in the past."""
+    ops = [("events", 2), ("fail", 0), ("succeed", 1),
+           ("run_event", 1),        # aborted by the failure of event 0
+           ("timeouts", [0.0, 0.0]), ("defer", None),
+           ("run_until", 1.0),      # stopped at t=0 by event 1's halt
+           ("spawn", []),           # URGENT lane at t=1, behind them
+           ("peek",), ("step",), ("run_until", 0.0)]
+    new, _ = _play(ops)
+    assert ("error", "step", "SimulationError", 1.0) in new.log
+    # A jump within the clock tolerance: the old entries still dispatch,
+    # in their old order, without moving the clock back.
+    ops[6] = ("run_until", 5e-13)
+    new, _ = _play(ops)
+    fired = [entry[:3] for entry in new.log
+             if entry[0] in ("timeout", "defer")]
+    assert fired == [("defer", 4, 0.0), ("timeout", 2, 5e-13),
+                     ("timeout", 3, 5e-13)]
+
+
+def test_cancel_of_lane_and_heap_entries():
+    ops = [("timeouts", [0.0, 0.0, 3.0, 3.0, 3.0]),
+           ("events", 2),
+           ("succeed", 5),
+           ("cancel", [0, 5, 2, 3]),                # two lane, two heap
+           ("peek",), ("step",), ("run_until", 0.0), ("step",)]
+    new, ref = _play(ops)
+    assert new.sim.cancelled == 4
+    assert ref.sim.event_count == new.sim.event_count
+
+
+def test_same_instant_pushes_skip_the_heap():
+    """Only strictly-future entries reach the heap; a cancelled lane entry
+    leaves ``pending`` at once and never dispatches."""
+    sim = production.Simulator(start_time=1.0)
+    ev = production.Event(sim)
+    ev.succeed()
+    sim.defer(lambda e: None)
+    zero = sim.timeout(0.0)
+    absorbed = sim.timeout(1e-18)   # below one ulp of the clock
+    sim.timeout(0.5)
+    assert len(sim._queue) == 1 and sim.pending == 5
+    sim.cancel(zero)
+    assert sim.pending == 4 and sim.cancelled == 1
+    assert sim.peek() == 1.0
+    sim.run(until=1.0)              # stopper in the URGENT lane: stops
+    assert sim.event_count == 2     # after the deferred call, before NORMAL
+    sim.run()
+    assert absorbed.processed and not zero.processed
+    assert sim.event_count == 5 and sim.now == 1.5

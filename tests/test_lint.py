@@ -174,6 +174,18 @@ def test_engine_internals_flagged(tmp_path):
     assert len(diags) == 1 and "_queue" in diags[0].message
 
 
+def test_engine_lanes_flagged(tmp_path):
+    code = ('"""D."""\ndef f(sim):\n'
+            '    return len(sim._normal) + len(sim._urgent)\n')
+    diags = _lint(tmp_path, "cluster/x.py", code,
+                  rule="sched-engine-internals")
+    assert len(diags) == 2
+    assert {"_normal", "_urgent"} == {d.message.split("'.")[1].split("'")[0]
+                                      for d in diags}
+    assert _lint(tmp_path, "sim/engine.py", code,
+                 rule="sched-engine-internals") == []
+
+
 # -- ordering -------------------------------------------------------------
 
 def test_set_iteration_flagged(tmp_path):

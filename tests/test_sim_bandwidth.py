@@ -313,10 +313,13 @@ def test_wakeup_counters_balance_and_stale_entries_stay_inert():
 
         def read(ev):
             before = srv._timer
+            withdrawn = sim.cancelled
             srv.population_integral()
             if before is not None:
-                # Still on the heap, its callbacks already emptied.
-                assert before.callbacks == [] and before is not srv._timer
+                # Withdrawn from the kernel: no callbacks left, counted as
+                # one cancelled entry.
+                assert before.callbacks is None and before is not srv._timer
+                assert sim.cancelled == withdrawn + 1
                 superseded_timers.append(before)
         sim.timeout(when).callbacks.append(read)
 
@@ -332,11 +335,12 @@ def test_wakeup_counters_balance_and_stale_entries_stay_inert():
     assert superseded_timers
     assert srv.njobs == 0 and _pending(srv) == 0
     assert srv.wakeups_superseded >= len(superseded_timers)
-    # Every armed timer was dispatched from the heap (fired or stale), yet
-    # only the fired ones ran server code: the kernel saw feeders + job
-    # completions + all armed timers + the checkpoints' stop events.
+    # Every superseded timer was withdrawn, and only the fired ones were
+    # dispatched: the kernel saw feeders + job completions + fired timers
+    # + the checkpoints' stop events.
+    assert sim.cancelled == srv.wakeups_superseded
     assert sim.event_count == (feeders + srv.jobs_completed
-                               + srv.wakeups_armed + len(checkpoints))
+                               + srv.fired + len(checkpoints))
 
 
 def test_superseded_wakeup_dispatch_runs_no_server_code():
@@ -346,10 +350,14 @@ def test_superseded_wakeup_dispatch_runs_no_server_code():
     stale = srv._timer
     srv.submit(10.0)  # re-arms: the first timer is superseded
     assert srv.wakeups_armed == 2 and srv.wakeups_superseded == 1
-    assert stale is not srv._timer and stale.callbacks == []
+    assert stale is not srv._timer and stale.callbacks is None
+    assert sim.cancelled == 1
     sim.run(until=10.0 + 1e-9)  # past the stale entry's original due time
     assert srv.fired == 0
     assert srv.njobs == 2
+    # Only the stop marker was dispatched: the withdrawn timer never was.
+    assert sim.event_count == 1 and not stale.processed
     sim.run()
     assert srv.fired == 1 and srv.wakeups_superseded == 1
     assert srv.jobs_completed == 2
+    assert sim.event_count == 1 + srv.fired + srv.jobs_completed

@@ -2,14 +2,16 @@
 
 A cancelled entry is never dispatched, never counted and never moves the
 clock; the heap is compacted once dead entries outnumber live ones.  The
-reference is the kernel with cancellation reduced to emptying the event's
-callback list, the way superseded fair-share timers are retired: the
-entry keeps its heap slot and dispatches as a no-op.  Random programs —
-timeouts, cancels (from the driver and from inside processes),
-``AnyOf``/``AllOf`` waits, ``step()``, ``run(until=t)`` and ``peek()`` —
-run through both and must agree on every live dispatch, its clock, every
-condition value and ``event_count`` up to the dead entries the reference
-dispatched.
+reference is the frozen heap-only kernel (``tests/kernel_reference.py``)
+with cancellation reduced to emptying the event's callback list, the way
+superseded fair-share timers were once retired: the entry keeps its heap
+slot and dispatches as a no-op.  Random programs — timeouts, cancels (from
+the top level and from inside processes), ``AnyOf``/``AllOf`` waits,
+``step()``, ``run(until=t)`` and ``peek()`` — run through both and must
+agree on every live dispatch, its clock, every condition value and
+``event_count`` up to the dead entries the reference dispatched.  The
+reference helpers read the reference kernel's own heap, which holds every
+scheduled entry (the production heap holds only strictly-future ones).
 """
 
 import math
@@ -17,13 +19,16 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.sim.engine as production
 from repro.sim import AllOf, AnyOf, Event, SimulationError, Simulator
 
+from . import kernel_reference as reference
 
-class _NoOpCancelSimulator(Simulator):
+
+class _NoOpCancelSimulator(reference.Simulator):
     """The reference: cancel() only empties the callback list."""
 
-    def cancel(self, event: Event) -> None:
+    def cancel(self, event) -> None:
         if event.callbacks is not None:
             event.callbacks.clear()
 
@@ -31,7 +36,8 @@ class _NoOpCancelSimulator(Simulator):
 class _Run:
     """One simulator driven by a program, with everything it observed."""
 
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(self, kernel, sim) -> None:
+        self.k = kernel
         self.sim = sim
         self.events: list[Event] = []
         self.label: dict[int, int] = {}
@@ -60,7 +66,7 @@ class _Run:
                       if ev not in self.dead)
 
     def wait(self, kind: str, picks: list, then_cancel, child) -> None:
-        cond = (AnyOf if kind == "any" else AllOf)(
+        cond = (self.k.AnyOf if kind == "any" else self.k.AllOf)(
             self.sim, [self.events[i] for i in picks])
         tag = len(self.log)
 
@@ -109,8 +115,8 @@ _op = st.one_of(
 
 
 def _play(ops):
-    new = _Run(Simulator())
-    ref = _Run(_NoOpCancelSimulator())
+    new = _Run(production, Simulator())
+    ref = _Run(reference, _NoOpCancelSimulator())
     for op in ops:
         kind = op[0]
         for run in (new, ref):
