@@ -20,12 +20,10 @@ class FileHeat:
 
     def __init__(self) -> None:
         self._bytes: Dict[str, float] = {}
-        self.total = 0
 
     def record(self, path: str, nbytes: float = 0.0) -> None:
-        """Count one served request for ``path`` of ``nbytes`` body bytes."""
+        """Add one served request's ``nbytes`` body bytes to ``path``."""
         self._bytes[path] = self._bytes.get(path, 0.0) + nbytes
-        self.total += 1
 
     @property
     def total_bytes(self) -> float:

@@ -23,12 +23,13 @@ module implements every one of them as a strategy object.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from ..sched import policy_names, preference_order
 from ..sim import RandomStreams
 from .broker import Broker, BrokerDecision
 from .loadinfo import LoadSnapshot
+from .oracle import TaskEstimate
 
 __all__ = [
     "SchedulingPolicy",
@@ -53,50 +54,87 @@ def _job_count(snap: LoadSnapshot) -> float:
     return snap.cpu_load + snap.disk_load + snap.net_load
 
 
+def _least(candidates: Iterable[LoadSnapshot], local: int,
+           load: Callable[[LoadSnapshot], float]) -> int:
+    """The candidate with the least ``load``; ties prefer the local node,
+    then the lowest id."""
+    return min(candidates, key=lambda s: (load(s), s.node != local,
+                                          s.node)).node
+
+
 class SchedulingPolicy:
     """Decides which node serves a request that DNS delivered to ``broker.node_id``.
 
-    Every policy answers through the broker's :class:`BrokerDecision`
-    shape so the server code is policy-agnostic; only SWEB actually runs
-    the cost model.
+    :meth:`decide` does the work every policy shares: read the nodes the
+    broker's load view believes available, characterise the task once,
+    serve locally when no node is believed available, answer in the
+    broker's :class:`BrokerDecision` shape (so the server code is
+    policy-agnostic), and charge a redirect target Δ of believed CPU
+    load (§3.2).  A policy states only its choice, in :meth:`pick`.
     """
 
     name = "abstract"
     #: whether the server should charge broker-analysis CPU time
     consults_broker = False
+    #: whether :meth:`pick` reads the load view; a view-blind policy is
+    #: offered no candidates, never falls back and never inflates
+    reads_view = True
 
     def decide(self, broker: Broker, path: str,
                client_latency: float) -> BrokerDecision:
+        local = broker.node_id
+        candidates = (broker.view.available(broker.sim.now)
+                      if self.reads_view else [])
+        fs = broker.fs
+        task = broker.oracle.characterize(
+            path, fs.locate(path).size if fs.exists(path) else 0.0)
+        if candidates or not self.reads_view:
+            chosen = self.pick(broker, path, task, candidates)
+        else:                            # nothing believed available
+            chosen = local
+        if chosen != local and self.inflates(candidates):
+            broker.view.inflate_cpu(chosen, broker.cost_model.params.delta)
+        return BrokerDecision(chosen=chosen, local=local, estimates=(),
+                              task=task)
+
+    def pick(self, broker: Broker, path: str, task: TaskEstimate,
+             candidates: list[LoadSnapshot]) -> int:
+        """The node that serves ``path``: the policy's whole rule."""
         raise NotImplementedError
 
-    def _trivial(self, broker: Broker, path: str, chosen: int) -> BrokerDecision:
-        file_size = broker.fs.locate(path).size if broker.fs.exists(path) else 0.0
-        task = broker.oracle.characterize(path, file_size)
-        return BrokerDecision(chosen=chosen, local=broker.node_id,
-                              estimates=(), task=task)
+    def inflates(self, candidates: list[LoadSnapshot]) -> bool:
+        """Whether a redirect charges its target Δ (§3.2)."""
+        return self.reads_view
+
+
+class _SampledPolicy(SchedulingPolicy):
+    """A policy that draws its choice from a named random substream."""
+
+    def __init__(self, rng: Optional[RandomStreams] = None) -> None:
+        self.rng = rng or RandomStreams(seed=0)
 
 
 class RoundRobinPolicy(SchedulingPolicy):
     """Serve wherever DNS rotation landed the request (NCSA's approach)."""
 
     name = "round-robin"
+    reads_view = False
 
-    def decide(self, broker: Broker, path: str,
-               client_latency: float) -> BrokerDecision:
-        return self._trivial(broker, path, broker.node_id)
+    def pick(self, broker: Broker, path: str, task: TaskEstimate,
+             candidates: list[LoadSnapshot]) -> int:
+        return broker.node_id
 
 
 class FileLocalityPolicy(SchedulingPolicy):
     """Always move the request to the node owning the file."""
 
     name = "file-locality"
+    reads_view = False
 
-    def decide(self, broker: Broker, path: str,
-               client_latency: float) -> BrokerDecision:
-        chosen = broker.node_id
-        if broker.fs.exists(path):
-            chosen = broker.fs.locate(path).home
-        return self._trivial(broker, path, chosen)
+    def pick(self, broker: Broker, path: str, task: TaskEstimate,
+             candidates: list[LoadSnapshot]) -> int:
+        fs = broker.fs
+        return fs.locate(path).home if fs.exists(path) else broker.node_id
 
 
 class SWEBPolicy(SchedulingPolicy):
@@ -121,37 +159,25 @@ class CPUOnlyPolicy(SchedulingPolicy):
     name = "cpu-only"
     consults_broker = True
 
-    def decide(self, broker: Broker, path: str,
-               client_latency: float) -> BrokerDecision:
-        now = broker.sim.now
-        candidates = broker.view.available(now)
-        if not candidates:
-            return self._trivial(broker, path, broker.node_id)
-        best = min(candidates,
-                   key=lambda s: (s.cpu_load / s.cpu_speed,
-                                  s.node != broker.node_id, s.node))
-        decision = self._trivial(broker, path, best.node)
-        if decision.redirected:
-            broker.view.inflate_cpu(best.node, broker.cost_model.params.delta)
-        return decision
+    def pick(self, broker: Broker, path: str, task: TaskEstimate,
+             candidates: list[LoadSnapshot]) -> int:
+        return _least(candidates, broker.node_id,
+                      lambda s: s.cpu_load / s.cpu_speed)
 
 
-class RandomPolicy(SchedulingPolicy):
-    """Uniform random placement (a sanity-check baseline)."""
+class RandomPolicy(_SampledPolicy):
+    """Uniform random placement (a sanity-check baseline); never
+    inflates."""
 
     name = "random"
 
-    def __init__(self, rng: Optional[RandomStreams] = None) -> None:
-        self.rng = rng or RandomStreams(seed=0)
-
-    def decide(self, broker: Broker, path: str,
-               client_latency: float) -> BrokerDecision:
-        now = broker.sim.now
-        candidates = broker.view.available(now)
-        if not candidates:
-            return self._trivial(broker, path, broker.node_id)
+    def pick(self, broker: Broker, path: str, task: TaskEstimate,
+             candidates: list[LoadSnapshot]) -> int:
         idx = self.rng.integers("random-policy", 0, len(candidates))
-        return self._trivial(broker, path, candidates[idx].node)
+        return candidates[idx].node
+
+    def inflates(self, candidates: list[LoadSnapshot]) -> bool:
+        return False
 
 
 class JoinShortestQueuePolicy(SchedulingPolicy):
@@ -166,54 +192,36 @@ class JoinShortestQueuePolicy(SchedulingPolicy):
     name = "jsq"
     consults_broker = True
 
-    def decide(self, broker: Broker, path: str,
-               client_latency: float) -> BrokerDecision:
-        now = broker.sim.now
-        candidates = broker.view.available(now)
-        if not candidates:
-            return self._trivial(broker, path, broker.node_id)
-        best = min(candidates,
-                   key=lambda s: (_job_count(s),
-                                  s.node != broker.node_id, s.node))
-        decision = self._trivial(broker, path, best.node)
-        if decision.redirected:
-            broker.view.inflate_cpu(best.node, broker.cost_model.params.delta)
-        return decision
+    def pick(self, broker: Broker, path: str, task: TaskEstimate,
+             candidates: list[LoadSnapshot]) -> int:
+        return _least(candidates, broker.node_id, _job_count)
 
 
-class PowerOfTwoPolicy(SchedulingPolicy):
+class PowerOfTwoPolicy(_SampledPolicy):
     """Power of two choices: sample two nodes, join the shorter queue.
 
     Two uniform samples plus one comparison buys an exponential
     improvement over purely random placement (Mitzenmacher's
-    supermarket result) while reading only two nodes' state.
+    supermarket result) while reading only two nodes' state.  A lone
+    candidate is taken without a draw and without inflation.
     """
 
     name = "po2"
     consults_broker = True
 
-    def __init__(self, rng: Optional[RandomStreams] = None) -> None:
-        self.rng = rng or RandomStreams(seed=0)
-
-    def decide(self, broker: Broker, path: str,
-               client_latency: float) -> BrokerDecision:
-        now = broker.sim.now
-        candidates = broker.view.available(now)
-        if not candidates:
-            return self._trivial(broker, path, broker.node_id)
+    def pick(self, broker: Broker, path: str, task: TaskEstimate,
+             candidates: list[LoadSnapshot]) -> int:
         if len(candidates) == 1:
-            return self._trivial(broker, path, candidates[0].node)
+            return candidates[0].node
         i = self.rng.integers("po2-policy", 0, len(candidates))
         j = self.rng.integers("po2-policy", 0, len(candidates) - 1)
         if j >= i:                       # second sample over the rest
             j += 1
-        best = min(candidates[i], candidates[j],
-                   key=lambda s: (_job_count(s),
-                                  s.node != broker.node_id, s.node))
-        decision = self._trivial(broker, path, best.node)
-        if decision.redirected:
-            broker.view.inflate_cpu(best.node, broker.cost_model.params.delta)
-        return decision
+        return _least((candidates[i], candidates[j]), broker.node_id,
+                      _job_count)
+
+    def inflates(self, candidates: list[LoadSnapshot]) -> bool:
+        return len(candidates) > 1
 
 
 class LeastWorkLeftPolicy(SchedulingPolicy):
@@ -231,92 +239,55 @@ class LeastWorkLeftPolicy(SchedulingPolicy):
     name = "lwl"
     consults_broker = True
 
-    def decide(self, broker: Broker, path: str,
-               client_latency: float) -> BrokerDecision:
-        now = broker.sim.now
-        candidates = broker.view.available(now)
-        if not candidates:
-            return self._trivial(broker, path, broker.node_id)
-        file_size = (broker.fs.locate(path).size
-                     if broker.fs.exists(path) else 0.0)
-        task = broker.oracle.characterize(path, file_size)
+    def pick(self, broker: Broker, path: str, task: TaskEstimate,
+             candidates: list[LoadSnapshot]) -> int:
         cpu_ops = max(task.cpu_ops, 1.0)
         disk_bytes = max(task.disk_bytes, 0.0)
-
-        def backlog_seconds(s: LoadSnapshot) -> float:
-            return (s.cpu_load * cpu_ops / s.cpu_speed
-                    + s.disk_load * disk_bytes / s.disk_bandwidth)
-
-        best = min(candidates,
-                   key=lambda s: (backlog_seconds(s),
-                                  s.node != broker.node_id, s.node))
-        decision = BrokerDecision(chosen=best.node, local=broker.node_id,
-                                  estimates=(), task=task)
-        if decision.redirected:
-            broker.view.inflate_cpu(best.node, broker.cost_model.params.delta)
-        return decision
+        return _least(candidates, broker.node_id,
+                      lambda s: (s.cpu_load * cpu_ops / s.cpu_speed
+                                 + s.disk_load * disk_bytes
+                                 / s.disk_bandwidth))
 
 
 class ConsistentHashPolicy(SchedulingPolicy):
     """Locality-aware consistent hashing with a bounded-load spill.
 
     Rendezvous-hashes the path to an owner node so each node's page
-    cache accumulates a stable shard of the corpus; when the owner's
-    believed queue exceeds the bounded-load threshold (2x the cluster
-    mean), the request spills down the deterministic preference order
-    to the first underloaded node (cf. consistent hashing with bounded
-    loads, arXiv:1608.01350).
+    cache accumulates a stable shard of the corpus.  The owner keeps the
+    request while its believed job count is within the bounded-load
+    threshold, ``load <= 2 x mean + 1`` (twice the cluster mean plus
+    one job); past it, the request spills down the deterministic
+    preference order to the first node within it (cf. consistent
+    hashing with bounded loads, arXiv:1608.01350).
     """
 
     name = "chash"
     consults_broker = True
 
-    def decide(self, broker: Broker, path: str,
-               client_latency: float) -> BrokerDecision:
-        now = broker.sim.now
-        candidates = broker.view.available(now)
-        if not candidates:
-            return self._trivial(broker, path, broker.node_id)
+    def pick(self, broker: Broker, path: str, task: TaskEstimate,
+             candidates: list[LoadSnapshot]) -> int:
         counts = {s.node: _job_count(s) for s in candidates}
         bound = 2.0 * (sum(counts.values()) / len(counts)) + 1.0
+        # No count is negative, so the least-loaded candidate is within
+        # the bound and the walk always ends at a candidate.
         order = preference_order(path, len(broker.fs.nodes))
-        chosen = None
-        for node in order:
-            if node not in counts:
-                continue
-            if chosen is None:           # owner = first available in order
-                chosen = node
-            if counts[node] <= bound:
-                chosen = node
-                break
-        if chosen is None:
-            chosen = candidates[0].node
-        decision = self._trivial(broker, path, chosen)
-        if decision.redirected:
-            broker.view.inflate_cpu(chosen, broker.cost_model.params.delta)
-        return decision
+        return next(node for node in order
+                    if node in counts and counts[node] <= bound)
 
 
 #: Per-client policy names, in canonical order — derived from the
 #: registry (:mod:`repro.sched.registry`), never hand-listed.
 POLICY_NAMES = policy_names()
 
+_CLASSES = {cls.name: cls for cls in (
+    RoundRobinPolicy, FileLocalityPolicy, SWEBPolicy, CPUOnlyPolicy,
+    RandomPolicy, JoinShortestQueuePolicy, PowerOfTwoPolicy,
+    LeastWorkLeftPolicy, ConsistentHashPolicy)}
+
 
 def make_policy(name: str, rng: Optional[RandomStreams] = None) -> SchedulingPolicy:
     """Factory used by experiment configs."""
-    table = {
-        "round-robin": RoundRobinPolicy,
-        "file-locality": FileLocalityPolicy,
-        "sweb": SWEBPolicy,
-        "cpu-only": CPUOnlyPolicy,
-        "jsq": JoinShortestQueuePolicy,
-        "lwl": LeastWorkLeftPolicy,
-        "chash": ConsistentHashPolicy,
-    }
-    if name == "random":
-        return RandomPolicy(rng=rng)
-    if name == "po2":
-        return PowerOfTwoPolicy(rng=rng)
-    if name not in table:
+    cls = _CLASSES.get(name)
+    if cls is None:
         raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
-    return table[name]()
+    return cls(rng=rng) if issubclass(cls, _SampledPolicy) else cls()

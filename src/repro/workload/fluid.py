@@ -34,6 +34,7 @@ requests complete in seconds (``sweb-repro bench --scale L``).
 from __future__ import annotations
 
 import hashlib
+import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -121,6 +122,14 @@ class FluidScenario:
         """Raise ``ValueError`` on a malformed cell."""
         if self.nodes < 1:
             raise ValueError(f"nodes must be >= 1, got {self.nodes}")
+        # NaN slips past every comparison below (a NaN rate runs to a NaN
+        # finish, a NaN redirect penalty never redirects), and an
+        # infinite cost or bandwidth prices nothing real.
+        for name in ("rate", "t_cpu", "t_redirect", "mean_file_bytes",
+                     "disk_bps", "mem_bps"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.rate <= 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
         if self.n_requests < 1:
@@ -293,13 +302,19 @@ def _make_stepper(scenario: FluidScenario, rng: RandomStreams,
                   busy: "list[float]", served: "list[int]"):
     """Build the per-batch decision kernel for ``scenario.policy``.
 
-    Each stepper consumes one arrival batch and fills the latency /
-    node / redirected columns, advancing the shared ``busy`` clocks and
-    ``served`` counters.  The round-robin DNS cursor and any
-    policy-private state (queue deques, extra RNG substreams, hash
-    preference tables) live in the closure, carried across batches.
+    Each policy's loop only decides: for every request it picks the
+    serving node ``best``, advances that node's busy clock, and writes
+    the node and its finish time.  One numpy pass per batch (``step``
+    below) then does what every policy shares: the round-robin DNS home
+    of each request, whether the policy moved it off that home, its
+    latency (finish minus arrival, plus ``t_redirect`` when moved), the
+    redirect flags and the per-node ``served`` counts.  The DNS cursor
+    and any policy-private state (queue deques, extra RNG substreams,
+    hash preference tables) live in the closure, carried across batches.
+    Homogeneous cells pass ``service_by=None``, and every node then
+    prices from the one ``service`` table.
 
-    The homogeneous ``sweb`` stepper decides the broker argmin without
+    The homogeneous ``sweb`` loop decides the broker argmin without
     pricing every node.  A non-home node scores ``(max(b_j, a) + s) +
     t_redirect``, which never falls as its busy clock ``b_j`` grows, and
     only a strictly lower score moves a request.  So an idle home keeps
@@ -310,8 +325,9 @@ def _make_stepper(scenario: FluidScenario, rng: RandomStreams,
     request.  The ``jsq`` scan stops at the first empty queue, since no
     count is lower.  Both make the same choices, with the same floats,
     as a scan of every node; ``tests/test_fluid_oracle.py`` checks them
-    against those scans, kept in ``tests/fluid_reference.py``, and
-    ``tests/test_sched_policies.py`` pins every policy's fingerprint.
+    against those scans, kept in ``tests/fluid_reference.py``;
+    ``tests/test_sched_policies.py`` pins every policy's fingerprint and
+    ``tests/test_policy_goldens.py`` pins them across batch boundaries.
     New policies draw only from *new* named substreams (``fluid-po2``,
     ``fluid-choice``), which never perturbs the arrival/path/size draws
     of existing runs.
@@ -320,24 +336,20 @@ def _make_stepper(scenario: FluidScenario, rng: RandomStreams,
     t_redirect = scenario.t_redirect
     node_range = range(n_nodes)
     policy = scenario.policy
-    rr = 0  # round-robin DNS cursor, carried across batches
+    by_node = service_by or [service] * n_nodes
 
-    if policy == "sweb" and service_by is None:
-        def step(m, arr_list, rank_list, lat, node_col, red_col):
-            nonlocal rr
-            redirected = 0
+    # Every pick(m, arr_list, rank_list, homes, node_col, fin) below
+    # fills node_col[i] and fin[i] (the finish time) for i < m.
+    if policy == "sweb" and not scenario.heterogeneous:
+        def pick(m, arr_list, rank_list, homes, node_col, fin):
             for i in range(m):
                 a = arr_list[i]
                 s = service[rank_list[i]]
-                home = rr
-                rr = rr + 1
-                if rr == n_nodes:
-                    rr = 0
+                best = home = homes[i]
                 # Broker argmin over estimated completions; moving off
                 # the DNS home node costs the redirect penalty.  Scores
                 # never fall as busy clocks grow, so the least busy
                 # clock prices the best move (see the docstring).
-                best = home
                 b = busy[home]
                 if b > a:
                     lo = min(busy)
@@ -351,112 +363,57 @@ def _make_stepper(scenario: FluidScenario, rng: RandomStreams,
                                             == target):
                                         best = j
                                         break
-                busy[best] = finish = ((busy[best] if busy[best] > a else a)
-                                       + s)
-                served[best] += 1
-                if best != home:
-                    latency = finish - a + t_redirect
-                    redirected += 1
-                    red_col[i] = 1
-                else:
-                    latency = finish - a
-                lat[i] = latency
+                b = busy[best]
+                busy[best] = fin[i] = (b if b > a else a) + s
                 node_col[i] = best
-            return redirected
-        return step
 
-    if policy == "sweb":
+    elif policy == "sweb":
         # Heterogeneous SWEB: same argmin, but each candidate is priced
         # at its own node's service time (fast nodes win more requests).
-        def step(m, arr_list, rank_list, lat, node_col, red_col):
-            nonlocal rr
-            redirected = 0
+        def pick(m, arr_list, rank_list, homes, node_col, fin):
             for i in range(m):
                 a = arr_list[i]
                 rank = rank_list[i]
-                home = rr
-                rr = rr + 1
-                if rr == n_nodes:
-                    rr = 0
-                best = home
+                best = home = homes[i]
                 b = busy[home]
-                best_score = (b if b > a else a) + service_by[home][rank]
+                best_score = (b if b > a else a) + by_node[home][rank]
                 for j in node_range:
                     if j == home:
                         continue
                     b = busy[j]
-                    score = ((b if b > a else a) + service_by[j][rank]
+                    score = ((b if b > a else a) + by_node[j][rank]
                              + t_redirect)
                     if score < best_score:
                         best_score = score
                         best = j
-                s = service_by[best][rank]
-                busy[best] = finish = ((busy[best] if busy[best] > a else a)
-                                       + s)
-                served[best] += 1
-                if best != home:
-                    latency = finish - a + t_redirect
-                    redirected += 1
-                    red_col[i] = 1
-                else:
-                    latency = finish - a
-                lat[i] = latency
+                b = busy[best]
+                busy[best] = fin[i] = (b if b > a else a) + by_node[best][rank]
                 node_col[i] = best
-            return redirected
-        return step
 
-    if policy == "round-robin":
-        def step(m, arr_list, rank_list, lat, node_col, red_col):
-            nonlocal rr
+    elif policy == "round-robin":
+        def pick(m, arr_list, rank_list, homes, node_col, fin):
             for i in range(m):
                 a = arr_list[i]
-                rank = rank_list[i]
-                home = rr
-                rr = rr + 1
-                if rr == n_nodes:
-                    rr = 0
-                s = (service[rank] if service_by is None
-                     else service_by[home][rank])
-                busy[home] = finish = ((busy[home] if busy[home] > a else a)
-                                       + s)
-                served[home] += 1
-                lat[i] = finish - a
+                home = homes[i]
+                b = busy[home]
+                busy[home] = fin[i] = ((b if b > a else a)
+                                       + by_node[home][rank_list[i]])
                 node_col[i] = home
-            return 0
-        return step
 
-    if policy == "random":
+    elif policy == "random":
         choice_gen = rng.stream("fluid-choice")
 
-        def step(m, arr_list, rank_list, lat, node_col, red_col):
-            nonlocal rr
-            redirected = 0
+        def pick(m, arr_list, rank_list, homes, node_col, fin):
             choices = choice_gen.integers(0, n_nodes, size=m).tolist()
             for i in range(m):
                 a = arr_list[i]
-                rank = rank_list[i]
-                home = rr
-                rr = rr + 1
-                if rr == n_nodes:
-                    rr = 0
                 best = choices[i]
-                s = (service[rank] if service_by is None
-                     else service_by[best][rank])
-                busy[best] = finish = ((busy[best] if busy[best] > a else a)
-                                       + s)
-                served[best] += 1
-                if best != home:
-                    latency = finish - a + t_redirect
-                    redirected += 1
-                    red_col[i] = 1
-                else:
-                    latency = finish - a
-                lat[i] = latency
+                b = busy[best]
+                busy[best] = fin[i] = ((b if b > a else a)
+                                       + by_node[best][rank_list[i]])
                 node_col[i] = best
-            return redirected
-        return step
 
-    if policy in ("jsq", "po2"):
+    elif policy in ("jsq", "po2"):
         # Per-node FIFO queues of finish times: finishes are appended in
         # nondecreasing order (busy clocks only advance), so draining
         # the front past the arrival instant is amortised O(1) and
@@ -471,27 +428,19 @@ def _make_stepper(scenario: FluidScenario, rng: RandomStreams,
             return len(q)
 
         def _finish_on(j, a, rank):
-            s = service[rank] if service_by is None else service_by[j][rank]
             b = busy[j]
-            busy[j] = finish = (b if b > a else a) + s
+            busy[j] = finish = (b if b > a else a) + by_node[j][rank]
             queues[j].append(finish)
-            served[j] += 1
             return finish
 
         if policy == "jsq":
-            def step(m, arr_list, rank_list, lat, node_col, red_col):
-                nonlocal rr
-                redirected = 0
+            def pick(m, arr_list, rank_list, homes, node_col, fin):
                 for i in range(m):
                     a = arr_list[i]
-                    home = rr
-                    rr = rr + 1
-                    if rr == n_nodes:
-                        rr = 0
                     # Nothing beats an empty queue, so the scan stops at
                     # the first one; the drains it skips are lazy and a
                     # later _count (arrivals never decrease) catches up.
-                    best = home
+                    best = home = homes[i]
                     best_count = _count(home, a)
                     if best_count:
                         for j in node_range:
@@ -503,65 +452,35 @@ def _make_stepper(scenario: FluidScenario, rng: RandomStreams,
                                 best = j
                                 if not c:
                                     break
-                    finish = _finish_on(best, a, rank_list[i])
-                    if best != home:
-                        latency = finish - a + t_redirect
-                        redirected += 1
-                        red_col[i] = 1
-                    else:
-                        latency = finish - a
-                    lat[i] = latency
+                    fin[i] = _finish_on(best, a, rank_list[i])
                     node_col[i] = best
-                return redirected
-            return step
-
-        def step(m, arr_list, rank_list, lat, node_col, red_col):
-            nonlocal rr
-            redirected = 0
-            if n_nodes == 1:
-                first = [0] * m
-                second = [0] * m
-            else:
-                first = po2_gen.integers(0, n_nodes, size=m).tolist()
-                second = po2_gen.integers(0, n_nodes - 1, size=m).tolist()
-            for i in range(m):
-                a = arr_list[i]
-                home = rr
-                rr = rr + 1
-                if rr == n_nodes:
-                    rr = 0
-                x = first[i]
-                y = second[i]
-                if y >= x:   # second sample drawn over the other n-1 nodes
-                    y += 1 if n_nodes > 1 else 0
-                best = y if _count(y, a) < _count(x, a) else x
-                finish = _finish_on(best, a, rank_list[i])
-                if best != home:
-                    latency = finish - a + t_redirect
-                    redirected += 1
-                    red_col[i] = 1
+        else:
+            def pick(m, arr_list, rank_list, homes, node_col, fin):
+                if n_nodes == 1:
+                    first = [0] * m
+                    second = [0] * m
                 else:
-                    latency = finish - a
-                lat[i] = latency
-                node_col[i] = best
-            return redirected
-        return step
+                    first = po2_gen.integers(0, n_nodes, size=m).tolist()
+                    second = po2_gen.integers(0, n_nodes - 1,
+                                              size=m).tolist()
+                for i in range(m):
+                    a = arr_list[i]
+                    x = first[i]
+                    y = second[i]
+                    if y >= x:   # second sample drawn over the other n-1
+                        y += 1 if n_nodes > 1 else 0
+                    best = y if _count(y, a) < _count(x, a) else x
+                    fin[i] = _finish_on(best, a, rank_list[i])
+                    node_col[i] = best
 
-    if policy == "lwl":
-        def step(m, arr_list, rank_list, lat, node_col, red_col):
-            nonlocal rr
-            redirected = 0
+    elif policy == "lwl":
+        def pick(m, arr_list, rank_list, homes, node_col, fin):
             for i in range(m):
                 a = arr_list[i]
-                rank = rank_list[i]
-                home = rr
-                rr = rr + 1
-                if rr == n_nodes:
-                    rr = 0
                 # Outstanding work in seconds; busy clocks already run
                 # in each node's own time, so the comparison is speed-
                 # normalised for free on heterogeneous clusters.
-                best = home
+                best = home = homes[i]
                 w = busy[home] - a
                 best_w = w if w > 0.0 else 0.0
                 for j in node_range:
@@ -573,36 +492,19 @@ def _make_stepper(scenario: FluidScenario, rng: RandomStreams,
                     if w < best_w:
                         best_w = w
                         best = j
-                s = (service[rank] if service_by is None
-                     else service_by[best][rank])
-                busy[best] = finish = ((busy[best] if busy[best] > a else a)
-                                       + s)
-                served[best] += 1
-                if best != home:
-                    latency = finish - a + t_redirect
-                    redirected += 1
-                    red_col[i] = 1
-                else:
-                    latency = finish - a
-                lat[i] = latency
+                b = busy[best]
+                busy[best] = fin[i] = ((b if b > a else a)
+                                       + by_node[best][rank_list[i]])
                 node_col[i] = best
-            return redirected
-        return step
 
-    if policy == "chash":
+    elif policy == "chash":
         prefs = rank_preferences(scenario.n_paths, n_nodes)
         inv_n = 1.0 / n_nodes
 
-        def step(m, arr_list, rank_list, lat, node_col, red_col):
-            nonlocal rr
-            redirected = 0
+        def pick(m, arr_list, rank_list, homes, node_col, fin):
             for i in range(m):
                 a = arr_list[i]
                 rank = rank_list[i]
-                home = rr
-                rr = rr + 1
-                if rr == n_nodes:
-                    rr = 0
                 order = prefs[rank]
                 total_w = 0.0
                 for j in node_range:
@@ -618,28 +520,34 @@ def _make_stepper(scenario: FluidScenario, rng: RandomStreams,
                     w = busy[j] - a
                     if w < 0.0:
                         w = 0.0
-                    s_j = (service[rank] if service_by is None
-                           else service_by[j][rank])
-                    if w <= 2.0 * mean_w + s_j:
+                    if w <= 2.0 * mean_w + by_node[j][rank]:
                         best = j
                         break
-                s = (service[rank] if service_by is None
-                     else service_by[best][rank])
-                busy[best] = finish = ((busy[best] if busy[best] > a else a)
-                                       + s)
-                served[best] += 1
-                if best != home:
-                    latency = finish - a + t_redirect
-                    redirected += 1
-                    red_col[i] = 1
-                else:
-                    latency = finish - a
-                lat[i] = latency
+                b = busy[best]
+                busy[best] = fin[i] = (b if b > a else a) + by_node[best][rank]
                 node_col[i] = best
-            return redirected
-        return step
 
-    raise ValueError(f"no fluid stepper for policy {policy!r}")
+    else:
+        raise ValueError(f"no fluid stepper for policy {policy!r}")
+
+    rr = 0  # round-robin DNS cursor, carried across batches
+
+    def step(m, arr_list, rank_list, lat, node_col, red_col):
+        nonlocal rr
+        homes = (rr + np.arange(m)) % n_nodes
+        rr = (rr + m) % n_nodes
+        pick(m, arr_list, rank_list, homes.tolist(), node_col, lat)
+        nodes = np.frombuffer(node_col, dtype=np.intc)
+        moved = nodes != homes
+        latency = np.frombuffer(lat, dtype=np.float64)
+        latency -= arr_list             # finish -> finish - arrival
+        np.add(latency, t_redirect, out=latency, where=moved)
+        np.frombuffer(red_col, dtype=np.int8)[:] = moved
+        counts = np.bincount(nodes, minlength=n_nodes).tolist()
+        for j in node_range:
+            served[j] += counts[j]
+        return int(np.count_nonzero(moved))
+    return step
 
 
 def _popularity_cdf(scenario: FluidScenario) -> Optional[np.ndarray]:
@@ -660,8 +568,9 @@ def run_fluid(scenario: FluidScenario,
 
     One simulator process advances batch by batch: numpy draws a batch
     of Poisson arrivals and Zipf path ranks, a ``sim.timeout`` jumps the
-    kernel clock to the batch end, and a tight scalar loop applies the
-    two-stage assignment to per-node busy-clocks.  Metrics go into
+    kernel clock to the batch end, a tight scalar loop applies the
+    two-stage assignment to per-node busy-clocks, and one numpy pass
+    derives the batch's latencies and redirects.  Metrics go into
     ``registry`` under the ``fluid.*`` namespace (histogram
     ``fluid.latency_s`` on the shared ``LATENCY_BUCKETS``), and a
     streaming sha256 fingerprints every outcome for the shard runner's

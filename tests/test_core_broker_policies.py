@@ -142,3 +142,57 @@ def test_policy_classes_expose_names():
     assert RandomPolicy().name == "random"
     assert SWEBPolicy.consults_broker and CPUOnlyPolicy.consults_broker
     assert not RoundRobinPolicy.consults_broker
+
+
+# ------------------------------------------ the shared decide() exceptions
+def _pinned_view(cluster, node, candidates):
+    """Make ``node``'s view offer exactly ``candidates``; return the list
+    of nodes it is asked to inflate."""
+    view = cluster.views[node]
+    snaps = [view.get(c, 0.0) for c in candidates]
+    view.available = lambda now: list(snaps)
+    inflated = []
+    inflate = view.inflate_cpu
+    view.inflate_cpu = lambda n, delta: (inflated.append(n),
+                                         inflate(n, delta))
+    return inflated
+
+
+@pytest.mark.parametrize("name, inflates", [
+    ("cpu-only", True), ("jsq", True), ("lwl", True), ("chash", True),
+    ("random", False), ("po2", False)])
+def test_lone_remote_candidate_is_taken(name, inflates):
+    """One believed-available node, not the local one: every load-aware
+    policy moves the request there; random and po2's lone-candidate
+    branch do not charge it Δ."""
+    cluster = make_cluster(policy=name)
+    inflated = _pinned_view(cluster, 0, [2])
+    d = cluster.policy.decide(cluster.brokers[0], "/on1.html", 0.0)
+    assert d.chosen == 2 and d.redirected
+    assert d.task.disk_bytes == 1.5e6
+    assert inflated == ([2] if inflates else [])
+
+
+@pytest.mark.parametrize("name", ["cpu-only", "random", "jsq", "po2",
+                                  "lwl", "chash"])
+def test_no_candidates_serves_locally(name):
+    cluster = make_cluster(policy=name)
+    inflated = _pinned_view(cluster, 1, [])
+    d = cluster.policy.decide(cluster.brokers[1], "/on2.html", 0.0)
+    assert d.chosen == 1 and not d.redirected
+    assert d.task.disk_bytes == 1.5e6
+    assert inflated == []
+
+
+@pytest.mark.parametrize("name", ["round-robin", "file-locality"])
+def test_view_blind_policies_never_use_the_view(name):
+    cluster = make_cluster(policy=name)
+
+    def unreadable(*args):
+        raise AssertionError("the view was used")
+
+    cluster.views[0].available = unreadable
+    cluster.views[0].inflate_cpu = unreadable
+    d = cluster.policy.decide(cluster.brokers[0], "/on2.html", 0.0)
+    assert d.chosen == (0 if name == "round-robin" else 2)
+    assert d.task.disk_bytes == 1.5e6

@@ -7,8 +7,11 @@ size and record retention), the array-backed record semantics, the
 queue model's basic physics, and the registry it publishes into.
 """
 
+import math
+
 import pytest
 
+from repro.fuzz import FuzzConfig, run_case
 from repro.obs import MetricsRegistry
 from repro.workload import (
     FluidRecords,
@@ -153,6 +156,26 @@ def test_validate_rejects_malformed_cells():
 def test_validate_rejects_negative_costs_and_bandwidths(field, value):
     with pytest.raises(ValueError, match=field):
         _small(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("field", ["rate", "t_cpu", "t_redirect",
+                                   "mean_file_bytes", "disk_bps", "mem_bps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_validate_rejects_non_finite_costs(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        _small(**{field: value}).validate()
+
+
+def test_fuzz_replay_rejects_a_nan_rate():
+    """``FuzzConfig.from_json`` parses ``NaN``, so a replayed artifact
+    must be stopped by the fluid scenario's own validation."""
+    config = FuzzConfig(case_id="nan", mode="fluid", seed=1, nodes=3,
+                        policy="sweb", rate=500.0, n_requests=100)
+    text = config.to_json().replace('"rate": 500.0', '"rate": NaN')
+    replayed = FuzzConfig.from_json(text)
+    assert math.isnan(replayed.rate)
+    with pytest.raises(ValueError, match="rate must be finite"):
+        run_case(replayed)
 
 
 def test_validate_accepts_the_boundary_values():
