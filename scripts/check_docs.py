@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Docs consistency gate: index coverage, link resolution, CLI accuracy.
+"""Docs consistency gate: index coverage, links, CLI accuracy, repo paths.
 
-The handbook under ``docs/`` drifts in three characteristic ways, and
+The handbook under ``docs/`` drifts in four characteristic ways, and
 this script fails the build on each of them:
 
 1. **Orphan pages** — a ``docs/*.md`` file that ``docs/README.md`` never
@@ -18,10 +18,16 @@ this script fails the build on each of them:
    live ``repro.sched`` policy registry) additionally have their
    documented *values* validated — a doc naming a scheduler that was
    never registered, or that got renamed, fails the gate.
+4. **Stale repo paths** — a file or directory of the repository named in
+   inline code (``src/...``, ``tests/...``, ``benchmarks/...``,
+   ``scripts/...``, ``examples/...``) that does not exist.  A pytest node
+   id (``::test_x``) or line reference (``:120``) after the path is
+   ignored, and a glob must match at least one path.
 
 Beyond ``docs/`` and the top-level ``README.md``, the generated
 ``EXPERIMENTS.md`` (when present) is scanned for links and CLI
-invocations too, so its reproduce lines stay runnable.
+invocations too, so its reproduce lines stay runnable; repo paths are
+also checked in ``DESIGN.md``.
 
 Usage::
 
@@ -51,6 +57,13 @@ _INLINE_CODE_RE = re.compile(r"`([^`\n]+)`")
 _FENCE_RE = re.compile(r"^(```|~~~)")
 #: shell tokens that end a sweb-repro invocation's argument list
 _STOP_TOKENS = {"&&", "||", ";", "|", ">", ">>", "<", "#", "2>&1"}
+#: a repository path: one of the tracked top-level trees, up to the first
+#: character that cannot belong to a path
+_REPO_PATH_RE = re.compile(
+    r"(?<![\w/.])((?:src|tests|benchmarks|scripts|examples)/"
+    r"[^\s`'\"()\[\],;]*)")
+#: a pytest node id or a line reference after a path
+_PATH_SUFFIX_RE = re.compile(r"(::\S*|:\d+(-\d+)?)$")
 
 
 def markdown_links(text: str) -> list[str]:
@@ -81,6 +94,22 @@ def code_regions(text: str) -> list[str]:
         else:
             regions.extend(_INLINE_CODE_RE.findall(line))
     return regions
+
+
+def repo_paths(text: str) -> list[str]:
+    """Repository paths named in the doc's inline code spans."""
+    found = []
+    in_fence = False
+    for line in text.splitlines():
+        if _FENCE_RE.match(line.strip()):
+            in_fence = not in_fence
+            continue
+        if in_fence:
+            continue
+        for span in _INLINE_CODE_RE.findall(line):
+            for path in _REPO_PATH_RE.findall(span):
+                found.append(_PATH_SUFFIX_RE.sub("", path).rstrip("."))
+    return found
 
 
 def cli_invocations(text: str) -> list[str]:
@@ -229,6 +258,16 @@ def check_tree(root: Path) -> list[str]:
                                             global_flags, choices):
                 problems.append(
                     f"{rel}: in `sweb-repro {invocation}`: {problem}")
+
+    # 4. repo paths named in inline code exist
+    design = root / "DESIGN.md"
+    for page in candidates + ([design] if design.is_file() else []):
+        rel = page.relative_to(root)
+        for path in repo_paths(page.read_text()):
+            exists = (any(root.glob(path)) if "*" in path
+                      else (root / path).exists())
+            if not exists:
+                problems.append(f"{rel}: missing repo path -> {path}")
     return problems
 
 

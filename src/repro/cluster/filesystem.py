@@ -17,7 +17,7 @@ create such copies, so their event schedules are untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from ..obs import Span, Tracer
 from ..sim import AllOf, Event, Simulator
@@ -53,9 +53,8 @@ class FileMeta:
         return len(self.stripes) > 1
 
 
-@dataclass(frozen=True)
-class ReadOutcome:
-    """What happened during a read (for traces and tests)."""
+class ReadOutcome(NamedTuple):
+    """What happened during a read (for traces and tests; immutable)."""
 
     path: str
     nbytes: float

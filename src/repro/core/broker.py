@@ -13,8 +13,7 @@ when the request is shipped away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, NamedTuple, Optional, TYPE_CHECKING
 
 from ..cluster.filesystem import DistributedFileSystem
 from ..sim import Simulator, Trace
@@ -28,9 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["BrokerDecision", "Broker"]
 
 
-@dataclass(frozen=True)
-class BrokerDecision:
-    """Outcome of one broker consultation."""
+class BrokerDecision(NamedTuple):
+    """Outcome of one broker consultation (immutable)."""
 
     chosen: int                      # node that should serve the request
     local: int                       # node the broker ran on

@@ -15,7 +15,6 @@ bytes that show up in the §4.3 overhead measurements.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterator, Optional
 
 from ..cache import CacheDirectory, CacheReport, hot_set
@@ -162,7 +161,7 @@ class LoadDaemon:
         if self.corrupt_factor is not None:
             # Corruption happens on the wire: peers receive the doctored
             # report while this node's own view keeps the true sample.
-            snap = replace(snap, cpu_load=snap.cpu_load * self.corrupt_factor)
+            snap = snap._replace(cpu_load=snap.cpu_load * self.corrupt_factor)
         self.broadcasts += 1
         if self.trace is not None and self.trace.active:
             self.trace.emit(self.sim.now, "loadd", f"loadd-{self.node.id}",

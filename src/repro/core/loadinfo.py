@@ -8,15 +8,13 @@ overloading" hazard §3.2 mitigates with Δ-inflation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = ["LoadSnapshot", "ClusterView"]
 
 
-@dataclass(frozen=True)
-class LoadSnapshot:
-    """What one loadd broadcast says about a node."""
+class LoadSnapshot(NamedTuple):
+    """What one loadd broadcast says about a node (immutable)."""
 
     node: int
     cpu_load: float        # run-queue length (jobs in service)
@@ -84,7 +82,7 @@ class ClusterView:
         if snap is None:
             return
         new_load = snap.cpu_load * (1.0 + delta) + delta
-        self._snapshots[node] = replace(snap, cpu_load=new_load)
+        self._snapshots[node] = snap._replace(cpu_load=new_load)
 
     # -- queries ---------------------------------------------------------------
     def get(self, node: int, now: float) -> Optional[LoadSnapshot]:

@@ -7,8 +7,9 @@ file."
 
 The table maps glob patterns to cost rules; the first matching pattern
 wins.  CGI programs are characterised through the :class:`CGIRegistry`.
-The winning rule of each path is remembered, so the glob match runs once
-per distinct path, not once per request.
+The estimate of each static (path, size) is remembered, so the glob
+match and the estimate record are built once per distinct file, not once
+per request; CGI estimates are read from the registry every time.
 """
 
 from __future__ import annotations
@@ -77,16 +78,9 @@ class Oracle:
     @rules.setter
     def rules(self, rules: tuple[OracleRule, ...]) -> None:
         self._rules = tuple(rules)
-        #: path -> its first matching rule, filled as paths are seen
-        self._rule_of: dict[str, OracleRule] = {}
-
-    def _rule_for(self, path: str) -> OracleRule:
-        """The first rule of the table whose pattern matches ``path``."""
-        rule = self._rule_of.get(path)
-        if rule is None:
-            rule = next(r for r in self._rules if r.matches(path))
-            self._rule_of[path] = rule
-        return rule
+        #: (path, file size) -> its static estimate, filled as files are
+        #: seen and cleared with the table it was derived from
+        self._estimates: dict[tuple[str, float], TaskEstimate] = {}
 
     @classmethod
     def from_config(cls, config: dict,
@@ -112,10 +106,14 @@ class Oracle:
             prog = self.cgi.lookup(path)
             return TaskEstimate(cpu_ops=prog.cpu_ops, disk_bytes=0.0,
                                 output_bytes=prog.output_bytes, is_cgi=True)
-        rule = self._rule_for(path)
-        return TaskEstimate(
-            cpu_ops=rule.base_ops + rule.ops_per_byte * file_size,
-            disk_bytes=file_size, output_bytes=file_size, is_cgi=False)
+        key = (path, file_size)
+        est = self._estimates.get(key)
+        if est is None:
+            rule = next(r for r in self._rules if r.matches(path))
+            est = self._estimates[key] = TaskEstimate(
+                cpu_ops=rule.base_ops + rule.ops_per_byte * file_size,
+                disk_bytes=file_size, output_bytes=file_size, is_cgi=False)
+        return est
 
     def __repr__(self) -> str:
         return f"<Oracle rules={len(self.rules)} cgi={len(self.cgi)}>"

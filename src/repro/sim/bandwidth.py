@@ -10,7 +10,9 @@ The implementation is event-driven: whenever the set of active jobs (or the
 rate) changes, every job's remaining work is advanced using the allocation
 that was in force, then one pass computes the new allocation together with
 the earliest completion under it and re-arms the server's single wake-up
-timer.  The timer it replaces is withdrawn with
+timer (a job alone in service, the common case on a lightly loaded
+node, is armed and completed without the general pass).  The timer it
+replaces is withdrawn with
 :meth:`~repro.sim.engine.Simulator.cancel`: it is never dispatched, and
 its heap key is unique, so no other event's ``(time, priority, seq)``
 moves (:attr:`FairShareServer.wakeups_superseded` counts these stale
@@ -98,8 +100,8 @@ class FairShareServer:
     """
 
     def __init__(self, sim: Simulator, rate: float, name: str = "server") -> None:
-        if rate < 0:
-            raise ValueError(f"rate must be >= 0, got {rate}")
+        if not 0 <= rate < _INF:
+            raise ValueError(f"rate must be finite and >= 0, got {rate}")
         self.sim = sim
         self.name = name
         self._rate = float(rate)
@@ -156,18 +158,21 @@ class FairShareServer:
         ``cap`` bounds the rate this single job may receive (e.g. a WAN
         client whose modem is slower than the server's link).
         """
-        if work < 0:
-            raise ValueError(f"negative work: {work}")
-        if weight <= 0:
-            raise ValueError(f"weight must be > 0, got {weight}")
-        if cap is not None and cap <= 0:
-            raise ValueError(f"cap must be > 0, got {cap}")
+        # Chained comparisons: NaN fails every one of them, so a NaN (or
+        # infinite) job can never enter and strand the station.
+        if not 0 <= work < _INF:
+            raise ValueError(f"work must be finite and >= 0, got {work}")
+        if not 0 < weight < _INF:
+            raise ValueError(f"weight must be finite and > 0, got {weight}")
+        if cap is not None and not 0 < cap < _INF:
+            raise ValueError(f"cap must be finite and > 0, got {cap}")
         jobs = self._jobs
-        if jobs:
-            self._advance()
-        else:
+        idle = not jobs
+        if idle:
             # Idle server: nothing accrued, only the accounting clock moves.
             self._last_update = self.sim._now
+        else:
+            self._advance()
         job = Job(self, work, weight, cap, tag)
         if job.remaining <= _EPS:
             self._finish(job)
@@ -175,7 +180,12 @@ class FairShareServer:
             jobs.append(job)
             if job._shaped:
                 self._nshaped += 1
-        self._reallocate()
+        if not idle:
+            self._reallocate()
+        elif jobs:
+            # No wake-up is armed on an idle station (every path that
+            # empties it disarms it), so the lone job is armed directly.
+            self._serve_alone(job)
         return job
 
     def cancel(self, job: Job) -> None:
@@ -192,8 +202,8 @@ class FairShareServer:
 
     def set_rate(self, rate: float) -> None:
         """Change the total service rate (e.g. node slowdown)."""
-        if rate < 0:
-            raise ValueError(f"rate must be >= 0, got {rate}")
+        if not 0 <= rate < _INF:
+            raise ValueError(f"rate must be finite and >= 0, got {rate}")
         self._advance()
         self._rate = float(rate)
         self._reallocate()
@@ -280,24 +290,11 @@ class FairShareServer:
         jobs = self._jobs
         if not jobs:
             return
-        total = self._rate
         if len(jobs) == 1:
-            # Single job: water-filling ends on its first round — the full
-            # rate (as total * w / w, bit for bit), or its cap if lower.
-            job = jobs[0]
-            if total > _EPS:
-                w = job.weight
-                rate = total * w / w
-                cap = job.cap
-                if cap is not None and rate > cap + _EPS:
-                    rate = cap
-            else:
-                rate = 0.0
-            job._rate = rate
-            if rate <= _EPS:
-                return
-            soonest = job.remaining / rate
-        elif not self._nshaped:
+            self._serve_alone(jobs[0])
+            return
+        total = self._rate
+        if not self._nshaped:
             # Unit weights, no caps (the common case): the weight sum is
             # exactly float(n) and total * 1.0 / n is total / n, so every
             # job gets one rate; division by a positive constant preserves
@@ -345,22 +342,74 @@ class FairShareServer:
                     if t < soonest:
                         soonest = t
         if soonest < _INF:
-            # Floor the delay at the clock's float resolution: a delay below
-            # one ulp of `now` would not advance time, and the wake-up would
-            # re-arm itself forever (zero-dt livelock).
-            sim = self.sim
-            now = sim._now
-            floor = 4.0 * _ulp(now if now > 1.0 else 1.0)
-            timer = sim.timeout(soonest if soonest > floor else floor)
-            timer.callbacks.append(self._on_wake)
-            self._timer = timer
-            self.wakeups_armed += 1
+            self._arm(soonest)
+
+    def _serve_alone(self, job: Job) -> None:
+        """Give a job alone in service its rate and arm its completion.
+
+        Water-filling ends on its first round: the full rate (as
+        total * w / w, bit for bit), or its cap if lower.  The caller has
+        disarmed any earlier wake-up.
+        """
+        total = self._rate
+        if total > _EPS:
+            w = job.weight
+            rate = total * w / w
+            cap = job.cap
+            if cap is not None and rate > cap + _EPS:
+                rate = cap
+        else:
+            rate = 0.0
+        job._rate = rate
+        if rate > _EPS:
+            soonest = job.remaining / rate
+            if soonest < _INF:
+                self._arm(soonest)
+
+    def _arm(self, delay: float) -> None:
+        """Arm the station's one wake-up ``delay`` seconds from now."""
+        # Floor the delay at the clock's float resolution: a delay below
+        # one ulp of `now` would not advance time, and the wake-up would
+        # re-arm itself forever (zero-dt livelock).
+        sim = self.sim
+        now = sim._now
+        floor = 4.0 * _ulp(now if now > 1.0 else 1.0)
+        timer = sim.timeout(delay if delay > floor else floor)
+        timer.callbacks.append(self._on_wake)
+        self._timer = timer
+        self.wakeups_armed += 1
 
     def _wake(self, timer: Event) -> None:
         """Callback of the armed wake-up: the earliest completion is due."""
         self._timer = None
-        self._advance()
-        self._reallocate()
+        jobs = self._jobs
+        if len(jobs) != 1:
+            self._advance()
+            self._reallocate()
+            return
+        # A lone job: _advance then _reallocate, with the same float
+        # operations in the same order, minus the list rebuild and the
+        # empty reallocation after it completes.
+        job = jobs[0]
+        now = self.sim._now
+        dt = now - self._last_update
+        if dt > 0:
+            self._last_update = now
+            self._pop_integral += dt  # n * dt with n == 1: exactly dt
+            self._busy_integral += dt
+            step = job._rate * dt
+            rem = job.remaining
+            if step > rem:
+                step = rem
+            job.remaining = rem = rem - step
+            self._work_done += step
+            if rem <= job._tol:
+                jobs.clear()
+                if job._shaped:
+                    self._nshaped -= 1
+                self._finish(job)
+                return
+        self._serve_alone(job)
 
     def __repr__(self) -> str:
         return f"<FairShareServer {self.name!r} rate={self._rate:.3g} njobs={self.njobs}>"

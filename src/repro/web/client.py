@@ -68,6 +68,9 @@ class Client:
         #: optional two-level resolver (repro.web.resolver.LocalResolver);
         #: when None, the cluster's fused RoundRobinDNS answers directly.
         self.resolver = resolver
+        #: (method, path, node) -> the request's wire text, formatted
+        #: once per distinct request this client sends
+        self._texts: dict[tuple[str, str, int], str] = {}
 
     # -- public API -------------------------------------------------------
     def fetch(self, path: str, method: str = "GET",
@@ -154,10 +157,7 @@ class Client:
                                         f"client-{rec.req_id}", "dns_lookup",
                                         node=node_id)
 
-            request_text = HTTPRequest(
-                method=method, path=path,
-                host=f"sweb{node_id}.cs.ucsb.edu",
-                headers={"User-Agent": "Mosaic/2.6 (X11; SunOS)"}).format()
+            request_text = self._request_text(method, path, node_id)
 
             hop = 0
             while True:
@@ -286,6 +286,17 @@ class Client:
             self._end(span)
         rec.add_phase("network", sim.now - t0)
         return node_id
+
+    def _request_text(self, method: str, path: str, node_id: int) -> str:
+        """The wire text of ``method path`` addressed to node ``node_id``."""
+        key = (method, path, node_id)
+        text = self._texts.get(key)
+        if text is None:
+            text = self._texts[key] = HTTPRequest(
+                method=method, path=path,
+                host=f"sweb{node_id}.cs.ucsb.edu",
+                headers={"User-Agent": "Mosaic/2.6 (X11; SunOS)"}).format()
+        return text
 
     def _connection(self, request_text: str, rec: RequestRecord,
                     hop: int, body_bytes: float = 0.0,

@@ -3,8 +3,12 @@
 Requests and responses are real text (formatted and parsed character by
 character, as NCSA httpd would), because the paper charges measurable CPU
 time to "parsing the HTML commands" — 70 ms of preprocessing per request
-and 4.4 % of the CPU at 16 rps.  Bodies are carried as byte *counts*, not
-payloads: the simulator moves sizes, not content.
+and 4.4 % of the CPU at 16 rps.  That simulated CPU cost is charged on
+every request; the host work is not repeated needlessly: a client formats
+each distinct request text once, and each server parses each distinct
+text, and formats each distinct response header for its byte count, once.
+Bodies are carried as byte *counts*, not payloads: the simulator moves
+sizes, not content.
 
 SWEB handles GET (and HEAD); POST and friends return 501, exactly as the
 paper's footnote 1 scopes it.
@@ -153,9 +157,14 @@ class HTTPResponse:
         return "\r\n".join(lines) + "\r\n\r\n"
 
     @property
+    def header_bytes(self) -> int:
+        """Size of the encoded status line and header text."""
+        return len(self.format_headers().encode("utf-8"))
+
+    @property
     def wire_bytes(self) -> float:
         """Total bytes on the wire: header text plus the body size."""
-        return len(self.format_headers().encode("utf-8")) + self.body_bytes
+        return self.header_bytes + self.body_bytes
 
 
 def redirect_response(target_host: str, path: str) -> HTTPResponse:

@@ -116,6 +116,11 @@ class HTTPServer:
         #: connections currently in the §3.2 pipeline, in admission order
         #: (so a crash can reset them; see reset_connections)
         self._live: dict[Connection, None] = {}
+        #: raw request text -> its parse (well-formed texts only, so a
+        #: malformed one is rejected on every arrival)
+        self._parsed: dict[str, HTTPRequest] = {}
+        #: (version, status, header items, body size) -> header byte count
+        self._header_bytes: dict[tuple, int] = {}
 
     # -- connection admission -----------------------------------------------
     def try_accept(self, conn: Connection) -> bool:
@@ -172,7 +177,7 @@ class HTTPServer:
             # complete the pathname and determine permissions.
             yield self.node.compute(self.params.fork_ops, category="fork")
             try:
-                request = HTTPRequest.parse(conn.raw_request)
+                request = self._parse(conn.raw_request)
             except HTTPError:
                 yield self.node.compute(self.params.preprocess_ops,
                                         category="parsing")
@@ -282,7 +287,7 @@ class HTTPServer:
         rec.add_phase("redirection", self.sim.now - t0)
         if peer is None or not peer.try_accept(inner):
             self._span_end(fwspan, fallback=True)
-            request = HTTPRequest.parse(conn.raw_request)
+            request = self._parse(conn.raw_request)
             yield from self._fulfill(conn, request,
                                      self.cgi.is_cgi(request.path))
             return
@@ -295,6 +300,23 @@ class HTTPServer:
         self._span_end(fwspan)
         # The relayed response now leaves through *our* NIC.
         yield from self._respond(conn, response, phase="data_transfer")
+
+    def _parse(self, raw: str) -> HTTPRequest:
+        """Parse ``raw`` (once per distinct text); raises HTTPError."""
+        request = self._parsed.get(raw)
+        if request is None:
+            request = self._parsed[raw] = HTTPRequest.parse(raw)
+        return request
+
+    def _wire_bytes(self, response: HTTPResponse) -> float:
+        """``response.wire_bytes``, formatting each distinct header once."""
+        body = response.body_bytes
+        key = (response.version, response.status,
+               tuple(response.headers.items()), body)
+        header = self._header_bytes.get(key)
+        if header is None:
+            header = self._header_bytes[key] = response.header_bytes
+        return header + body
 
     def _handle_post(self, conn: Connection, request: HTTPRequest):
         """POST: upload the body, then run the target CGI locally."""
@@ -364,8 +386,7 @@ class HTTPServer:
             # mid-pipeline: the client already got its 503; nothing to send.
             return
         t0 = self.sim.now
-        # wire_bytes formats the header text: evaluate it once.
-        wire_bytes = response.wire_bytes
+        wire_bytes = self._wire_bytes(response)
         sp = self._span(conn, "send", phase, status=response.status,
                         bytes=wire_bytes)
         if conn.relay_to is not None:

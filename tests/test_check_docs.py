@@ -3,7 +3,7 @@
 Runs the checker against the live repo tree (the tier-1 wiring: docs
 must stay consistent with the CLI) and against throwaway fixture trees
 that exercise each failure mode — orphan pages, dead relative links,
-and stale ``sweb-repro`` invocations.
+stale ``sweb-repro`` invocations, and repo paths that do not exist.
 """
 
 import importlib.util
@@ -166,3 +166,40 @@ def test_markdown_links_extraction():
     links = check_docs.markdown_links(
         "[a](X.md) ![img](pic.png) [b](Y.md#sec) [c](http://e.com)")
     assert links == ["X.md", "pic.png", "Y.md#sec", "http://e.com"]
+
+
+def test_missing_repo_paths_fail(tmp_path):
+    root = _tree(tmp_path,
+                 index="- [G](G.md)\n",
+                 pages={"G.md": (
+                     "Real: `src/pkg/mod.py`, `tests/test_a.py::test_x`, "
+                     "`src/pkg/mod.py:12`, `tests/data/*.json`, "
+                     "`python scripts/tool.py --flag`, `examples/`.\n"
+                     "Stale: `src/pkg/gone.py` and `tests/data/*.csv`.\n"
+                     "```\n"
+                     "python benchmarks/fenced_is_not_checked.py\n"
+                     "```\n"
+                     "Not a repo path: `other/src/x.py`, `mysrc/y.py`.\n")},
+                 readme="`benchmarks/test_bench_old.py`\n")
+    for rel in ("src/pkg/mod.py", "tests/test_a.py", "tests/data/g.json",
+                "scripts/tool.py", "examples/demo.py"):
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text("")
+    (root / "DESIGN.md").write_text(
+        "| S1 | `benchmarks/test_bench_analysis.py` |\n")
+    problems = [p for p in check_docs.check_tree(root)
+                if "missing repo path" in p]
+    assert sorted(problems) == [
+        "DESIGN.md: missing repo path -> benchmarks/test_bench_analysis.py",
+        "README.md: missing repo path -> benchmarks/test_bench_old.py",
+        "docs/G.md: missing repo path -> src/pkg/gone.py",
+        "docs/G.md: missing repo path -> tests/data/*.csv",
+    ]
+
+
+def test_repo_path_extraction():
+    text = ("`src/a.py` and `PYTHONPATH=src python tests/t.py --regen` and "
+            "`tests/t.py::test_y`, `src/b.py:10-20`\n"
+            "```\n`scripts/in_fence.py`\n```\n")
+    assert check_docs.repo_paths(text) == [
+        "src/a.py", "tests/t.py", "tests/t.py", "src/b.py"]

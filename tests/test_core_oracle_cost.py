@@ -52,6 +52,44 @@ def test_oracle_cgi_estimate_from_registry():
     assert est.disk_bytes == 0.0
 
 
+def test_oracle_estimate_built_once_per_file():
+    oracle = Oracle()
+    first = oracle.characterize("/a.html", 1e3)
+    assert oracle.characterize("/a.html", 1e3) is first
+    # A different size is a different file state: its own estimate.
+    assert oracle.characterize("/a.html", 2e3).disk_bytes == 2e3
+
+
+def test_setting_rules_after_characterize_takes_effect():
+    oracle = Oracle(rules=[OracleRule(pattern="*", ops_per_byte=1.0)])
+    assert oracle.characterize("/a.html", 100.0).cpu_ops == 100.0
+    oracle.rules = (OracleRule(pattern="*.html", ops_per_byte=2.0,
+                               base_ops=5.0),
+                    OracleRule(pattern="*", ops_per_byte=1.0))
+    assert oracle.characterize("/a.html", 100.0).cpu_ops == 205.0
+    assert oracle.characterize("/b.txt", 100.0).cpu_ops == 100.0
+
+
+def test_cgi_estimates_follow_the_registry():
+    reg = CGIRegistry()
+    reg.add("/cgi-bin/q", cpu_ops=7e6, output_bytes=2e4)
+    oracle = Oracle(cgi_registry=reg)
+    assert oracle.characterize("/cgi-bin/q", 0.0).cpu_ops == 7e6
+    reg.add("/cgi-bin/q", cpu_ops=9e6, output_bytes=2e4)
+    assert oracle.characterize("/cgi-bin/q", 0.0).cpu_ops == 9e6
+
+
+def test_adaptive_oracle_override_is_not_memoised():
+    from repro.core import AdaptiveOracle
+    oracle = AdaptiveOracle(rules=[OracleRule(pattern="*", ops_per_byte=1.0)],
+                            alpha=1.0, min_observations=1)
+    assert oracle.characterize("/a.gif", 100.0).cpu_ops == 100.0
+    oracle.observe("/a.gif", 100.0, 600.0)
+    assert oracle.characterize("/a.gif", 100.0).cpu_ops == 600.0
+    # The static table's estimate is unchanged underneath.
+    assert Oracle.characterize(oracle, "/a.gif", 100.0).cpu_ops == 100.0
+
+
 def test_oracle_from_config():
     oracle = Oracle.from_config(
         {"rules": [{"pattern": "*.tif", "ops_per_byte": 0.5, "base_ops": 10}]})

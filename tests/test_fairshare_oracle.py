@@ -15,7 +15,9 @@ dispatches as a no-op (and moves the clock); the production server
 withdraws it with ``Simulator.cancel``.  So the production kernel's
 ``event_count`` must equal the reference's minus the superseded wake-ups
 the reference dispatched, its clock must stop at the last live dispatch,
-and every superseded wake-up must be exactly one cancelled entry.
+and every superseded wake-up must be exactly one cancelled entry.  The
+production server must also have armed exactly as many wake-ups as the
+reference dispatched, live and stale together.
 """
 
 import random
@@ -33,9 +35,11 @@ class _Production(FairShareServer):
     wake-up that reaches it is live: superseded ones are cancelled)."""
 
     stale = 0
+    woken = 0
     live_wake_at = 0.0
 
     def _wake(self, timer):
+        self.woken += 1
         self.live_wake_at = self.sim.now
         super()._wake(timer)
 
@@ -45,9 +49,11 @@ class _Reference(ReferenceFairShareServer):
     no-ops and noting the clock of its last live wake-up."""
 
     stale = 0
+    woken = 0
     live_wake_at = 0.0
 
     def _wake(self, generation):
+        self.woken += 1
         if generation != self._generation:
             self.stale += 1
         else:
@@ -132,6 +138,12 @@ def _drive(server_cls, rate, ops):
         # superseded one is exactly one cancelled entry.
         assert sim.now == last_live
         assert sim.cancelled == srv.wakeups_superseded
+        assert srv.wakeups_armed == srv.woken + srv.wakeups_superseded
+        armed = srv.wakeups_armed
+    else:
+        # The run drains the heap, so every timer the reference armed
+        # was dispatched, live or stale.
+        armed = srv.woken
     return {
         "log": log,
         "finished_at": [repr(job.finished_at) for job in jobs],
@@ -145,6 +157,7 @@ def _drive(server_cls, rate, ops):
         "busy": repr(srv._busy_integral),
         "accrued_to": repr(srv._last_update),
         "live_events": sim.event_count - srv.stale,
+        "armed": armed,
         "now": repr(last_live),
     }
 
@@ -200,3 +213,75 @@ def test_matches_reference_on_long_seeded_mix(gap):
         else:
             ops.append(("read", dt, rng.choice(["pop", "busy"])))
     _assert_same(12.0, ops)
+
+
+# -- lone-job programs: the station mostly idle or serving one job ---------
+def test_draining_gaps_serve_every_job_alone():
+    # Each submit lands after the previous job finished, so every job is
+    # armed on an idle station and completed in place by its wake-up.
+    ops = [("submit", 0.0 if i == 0 else 25.0, 1.0 + 13.0 * i,
+            1.0 if i % 3 else 2.5, None) for i in range(12)]
+    _assert_same(10.0, ops)
+
+
+def test_zero_and_sub_epsilon_work_on_an_idle_station():
+    _assert_same(10.0, [("submit", 0.0, 0.0, 1.0, None),
+                        ("submit", 1.0, 5e-10, 1.0, None),
+                        ("submit", 1.0, 3e-9, 1.0, None),
+                        ("submit", 1.0, 0.0, 3.0, 0.5),
+                        ("submit", 1.0, 5e-10, 0.2, 2.0),
+                        ("read", 1.0, "pop"),
+                        ("submit", 0.0, 4.0, 1.0, None),
+                        ("submit", 0.0, 0.0, 1.0, None)])
+
+
+def test_capped_lone_jobs():
+    # A cap below the rate binds; one above it (by less than the
+    # tolerance, and by more) leaves the full rate.
+    _assert_same(10.0, [("submit", 0.0, 30.0, 1.0, 2.0),
+                        ("read", 3.0, "busy"),
+                        ("submit", 40.0, 30.0, 4.0, 10.0 + 1e-10),
+                        ("submit", 40.0, 30.0, 0.5, 25.0),
+                        ("submit", 40.0, 7.0, 1.0, 9.99)])
+
+
+def test_set_rate_to_zero_and_back_with_one_job_in_service():
+    _assert_same(10.0, [("submit", 0.0, 20.0, 1.0, None),
+                        ("set_rate", 0.5, 0.0),
+                        ("read", 1.0, "busy"),
+                        ("set_rate", 2.0, 4.0),
+                        ("set_rate", 1.0, 0.0),
+                        ("set_rate", 0.0, 16.0),
+                        ("submit", 30.0, 8.0, 2.0, 3.0),
+                        ("set_rate", 1.0, 0.0),
+                        ("set_rate", 3.0, 6.0)])
+
+
+def test_integral_reads_while_one_job_is_in_service():
+    # Each read accrues and re-arms the lone job's wake-up.
+    ops = [("submit", 0.0, 30.0, 1.0, None)]
+    ops += [("read", dt, kind) for dt, kind in
+            [(0.3, "pop"), (0.0, "busy"), (1e-9, "pop"), (0.7, "busy"),
+             (2.0 - 1e-9, "pop"), (0.0, "pop")]]
+    ops += [("submit", 50.0, 5.0, 1.5, 4.0), ("read", 0.25, "busy"),
+            ("read", 50.0, "pop")]
+    _assert_same(10.0, ops)
+
+
+_drain = st.one_of(st.just(0.0),
+                   st.floats(min_value=20.0, max_value=400.0,
+                             allow_nan=False, allow_infinity=False))
+
+
+@given(rate=st.floats(min_value=0.5, max_value=60.0,
+                      allow_nan=False, allow_infinity=False),
+       ops=st.lists(st.one_of(
+           st.tuples(st.just("submit"), _drain, _work, _weight, _cap),
+           st.tuples(st.just("set_rate"), _dt, _rate),
+           st.tuples(st.just("read"), _dt, st.sampled_from(["pop", "busy"]))),
+           min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_matches_reference_on_lone_job_programs(rate, ops):
+    # Long gaps between submits: the station is mostly idle or serving a
+    # lone job, the path geo3's ~1.06 jobs per server takes.
+    _assert_same(rate, ops)

@@ -241,6 +241,44 @@ def test_invalid_args_rejected():
         srv.set_rate(-2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_arguments_rejected(bad):
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        FairShareServer(sim, rate=bad)
+    srv = FairShareServer(sim, rate=10.0)
+    with pytest.raises(ValueError):
+        srv.submit(bad)
+    with pytest.raises(ValueError):
+        srv.submit(1.0, weight=bad)
+    with pytest.raises(ValueError):
+        srv.submit(1.0, cap=bad)
+    with pytest.raises(ValueError):
+        srv.set_rate(bad)
+    # Nothing entered and the rate is untouched.
+    assert srv.njobs == 0 and srv.rate == 10.0
+    # A busy station rejects them too.
+    srv.submit(5.0)
+    with pytest.raises(ValueError):
+        srv.submit(bad)
+    with pytest.raises(ValueError):
+        srv.set_rate(bad)
+    sim.run()
+    assert srv.njobs == 0 and srv.jobs_completed == 1
+    assert sim.now == pytest.approx(0.5)
+
+
+def test_nan_weight_cannot_strand_a_healthy_neighbour():
+    sim = Simulator()
+    srv = FairShareServer(sim, rate=10.0)
+    healthy = srv.submit(10.0)
+    with pytest.raises(ValueError):
+        srv.submit(10.0, weight=math.nan)
+    sim.run()
+    assert healthy.processed and healthy.finished_at == pytest.approx(1.0)
+    assert srv.njobs == 0
+
+
 def test_service_time_helper():
     sim = Simulator()
     srv = FairShareServer(sim, rate=4.0)
