@@ -9,13 +9,13 @@ Run:  python examples/quickstart.py
 """
 
 from repro import SWEBCluster, meiko_cs2
-from repro.sim import Trace
+from repro.obs import Tracer
 
 
 def main() -> None:
     # A traced 6-node SWEB logical server with the multi-faceted scheduler.
-    trace = Trace(max_records=200)
-    cluster = SWEBCluster(meiko_cs2(6), policy="sweb", seed=7, trace=trace)
+    tracer = Tracer(max_requests=0, max_records=200)
+    cluster = SWEBCluster(meiko_cs2(6), policy="sweb", seed=7, tracer=tracer)
 
     # A tiny site: the front page on node 0, images spread over the disks.
     cluster.add_file("/index.html", 8_000, home=0)
@@ -51,7 +51,7 @@ def main() -> None:
         print(f"  {phase:<14} {breakdown.mean(phase) * 1e3:8.2f} ms")
     print()
     print("First trace lines (Figure 1's transaction, live):")
-    for record in trace.filter(category="http")[:8]:
+    for record in tracer.filter(category="http")[:8]:
         print("  " + record.format())
 
 

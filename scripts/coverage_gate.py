@@ -39,6 +39,7 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 OBS_DIR = SRC / "repro" / "obs"
 OBS_TEST_MODULES = (
+    "tests.test_obs_events",
     "tests.test_obs_model",
     "tests.test_obs_registry",
     "tests.test_obs_export",

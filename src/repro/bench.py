@@ -14,7 +14,8 @@ Phases (see :data:`PHASES`):
 * ``timeout_chain``   — raw event throughput: one process, N timeouts;
 * ``process_spawn``   — spawn/resume cost: N short-lived processes;
 * ``fair_share``      — water-filling reallocation under job churn;
-* ``trace_disabled``  — cost of a gated-off :class:`~repro.sim.Trace`;
+* ``trace_disabled``  — cost of a capped-off :class:`~repro.obs.Tracer`'s
+  ``emit``;
 * ``end_to_end``      — the full SWEB stack serving a request stream;
 * ``coop_broker``     — cache-aware broker decisions against a seeded
   cooperative-cache directory (the repro.cache hot path);
@@ -153,14 +154,14 @@ def _phase_fair_share(scale: float) -> tuple[int, str, dict[str, Any]]:
 
 
 def _phase_trace_disabled(scale: float) -> tuple[int, str, dict[str, Any]]:
-    from .sim import Trace
+    from .obs import Tracer
 
     n = max(1, int(200_000 * scale))
-    trace = Trace(enabled=False)
-    emit = trace.emit
+    tracer = Tracer(max_records=0)
+    emit = tracer.emit
     for i in range(n):
         emit(float(i), "bench", "bench", "noop", i=i)
-    return n, "emits", {"records_kept": len(trace)}
+    return n, "emits", {"records_kept": len(tracer.records)}
 
 
 def _phase_end_to_end(scale: float) -> tuple[int, str, dict[str, Any]]:

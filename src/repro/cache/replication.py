@@ -22,8 +22,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 from ..cluster.filesystem import DistributedFileSystem
 from ..cluster.network import ClusterNetwork
 from ..cluster.node import Node
-from ..obs import MetricsRegistry
-from ..sim import Event, Process, Simulator, Trace
+from ..obs import MetricsRegistry, Tracer
+from ..sim import Event, Process, Simulator
 from .stats import FileHeat
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,7 +47,7 @@ class ReplicationDaemon:
                  fs: DistributedFileSystem, network: ClusterNetwork,
                  heat: FileHeat, period: float = 2.0, factor: int = 3,
                  skew: float = 2.0, max_per_cycle: int = 4,
-                 trace: Optional[Trace] = None,
+                 tracer: Optional[Tracer] = None,
                  registry: Optional[MetricsRegistry] = None) -> None:
         if period <= 0:
             raise ValueError("replication period must be positive")
@@ -66,7 +66,7 @@ class ReplicationDaemon:
         self.factor = int(factor)
         self.skew = float(skew)
         self.max_per_cycle = int(max_per_cycle)
-        self.trace = trace
+        self.tracer = tracer
         #: shared run-wide registry the daemon publishes its ``cache.*``
         #: counters into (None = standalone use; attributes below still
         #: carry the same totals)
@@ -82,7 +82,7 @@ class ReplicationDaemon:
     def from_params(cls, sim: Simulator, nodes: Sequence[Node],
                     fs: DistributedFileSystem, network: ClusterNetwork,
                     heat: FileHeat, params: "CostParameters",
-                    trace: Optional[Trace] = None,
+                    tracer: Optional[Tracer] = None,
                     registry: Optional[MetricsRegistry] = None,
                     ) -> "ReplicationDaemon":
         """Build a daemon from the knobs on :class:`CostParameters`."""
@@ -91,7 +91,7 @@ class ReplicationDaemon:
                    factor=params.replication_factor,
                    skew=params.replication_skew,
                    max_per_cycle=params.replication_max_per_cycle,
-                   trace=trace, registry=registry)
+                   tracer=tracer, registry=registry)
 
     # -- planning -----------------------------------------------------------
     def _node_load(self, node: Node) -> float:
@@ -195,10 +195,10 @@ class ReplicationDaemon:
             if self._counters is not None:
                 self._counters.incr("replications")
                 self._counters.incr("bytes_replicated", by=int(meta.size))
-            if self.trace is not None and self.trace.active:
-                self.trace.emit(self.sim.now, "cache", "replicator",
-                                "replicate", path=path,
-                                src=source.id, dst=target, bytes=meta.size)
+            if self.tracer is not None and self.tracer.active:
+                self.tracer.emit(self.sim.now, "cache", "replicator",
+                                 "replicate", path=path,
+                                 src=source.id, dst=target, bytes=meta.size)
             done.succeed(path)
 
         self.sim.spawn(pump(), name=f"replicate:{path}->{target}")

@@ -330,8 +330,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     tracer = None
     if args.trace_requests is not None:
         from .obs import Tracer
-        # 0 means "no cap": trace every request of the run.
-        tracer = Tracer(max_requests=args.trace_requests or None)
+        # 0 means "no cap": trace every request of the run.  Spans only:
+        # the event log is not exported.
+        tracer = Tracer(max_requests=args.trace_requests or None,
+                        max_records=0)
     plan = None
     if args.faults:
         try:
@@ -407,7 +409,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .workload import build_scenario
 
     exp = args.experiment.upper()
-    tracer = Tracer(max_requests=args.requests)
+    tracer = Tracer(max_requests=args.requests, max_records=0)
     if exp == "X10":
         # The X10 shape (docs/CACHING.md): Zipf hot set homed on node 0,
         # cooperative cache directory + hot-file replication on — the

@@ -80,11 +80,6 @@ class Disk:
         self.degrade_factor = 1.0
         self.server.set_rate(self.bandwidth)
 
-    @property
-    def current_bandwidth(self) -> float:
-        """The channel's actual total rate (nominal unless degraded)."""
-        return self.server.rate
-
     # -- load metrics (read by loadd) --------------------------------------
     @property
     def channel_load(self) -> int:

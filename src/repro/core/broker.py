@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional, TYPE_CHECKING
 
 from ..cluster.filesystem import DistributedFileSystem
-from ..sim import Simulator, Trace
+from ..obs import Tracer
+from ..sim import Simulator
 from .costmodel import CostEstimate, CostModel
 from .loadinfo import ClusterView
 from .oracle import Oracle, TaskEstimate
@@ -63,7 +64,7 @@ class Broker:
     def __init__(self, sim: Simulator, node_id: int, view: ClusterView,
                  oracle: Oracle, cost_model: CostModel,
                  fs: DistributedFileSystem,
-                 trace: Optional[Trace] = None,
+                 tracer: Optional[Tracer] = None,
                  local_probe: Optional[Callable[[], "LoadSnapshot"]] = None,
                  directory: Optional["CacheDirectory"] = None) -> None:
         self.sim = sim
@@ -72,7 +73,7 @@ class Broker:
         self.oracle = oracle
         self.cost_model = cost_model
         self.fs = fs
-        self.trace = trace
+        self.tracer = tracer
         #: instantaneous self-load reading (a node's own /proc is current;
         #: only the peers' broadcast info is stale)
         self.local_probe = local_probe
@@ -108,12 +109,12 @@ class Broker:
             peer_age = self.view.freshest_peer_age(now)
             if peer_age is None or peer_age > params.fallback_staleness:
                 self.fallbacks += 1
-                if self.trace is not None:
-                    self.trace.emit(now, "sched", f"broker-{self.node_id}",
-                                    "stale_fallback", path=path,
-                                    peer_age=(round(peer_age, 3)
-                                              if peer_age is not None
-                                              else None))
+                if self.tracer is not None and self.tracer.active:
+                    self.tracer.emit(now, "sched", f"broker-{self.node_id}",
+                                     "stale_fallback", path=path,
+                                     peer_age=(round(peer_age, 3)
+                                               if peer_age is not None
+                                               else None))
                 file_size = (self.fs.locate(path).size
                              if self.fs.exists(path) else 0.0)
                 return BrokerDecision(
@@ -178,9 +179,9 @@ class Broker:
             self.redirections += 1
             # Δ-inflation: guard against unsynchronized overloading.
             self.view.inflate_cpu(best.node, params.delta)
-        if self.trace is not None:
-            self.trace.emit(now, "sched", f"broker-{local}",
-                            "choose_server", path=path, winner=best.node,
-                            t_s=round(best_key[0], 6),
-                            candidates=len(estimates))
+        if self.tracer is not None and self.tracer.active:
+            self.tracer.emit(now, "sched", f"broker-{local}",
+                             "choose_server", path=path, winner=best.node,
+                             t_s=round(best_key[0], 6),
+                             candidates=len(estimates))
         return decision

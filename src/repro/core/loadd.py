@@ -20,8 +20,8 @@ from typing import Iterator, Optional
 from ..cache import CacheDirectory, CacheReport, hot_set
 from ..cluster.network import ClusterNetwork
 from ..cluster.node import Node
-from ..obs import MetricsRegistry
-from ..sim import Event, Process, Simulator, Trace
+from ..obs import MetricsRegistry, Tracer
+from ..sim import Event, Process, Simulator
 from .costmodel import CostParameters
 from .loadinfo import ClusterView, LoadSnapshot
 
@@ -34,7 +34,7 @@ class LoadDaemon:
     def __init__(self, sim: Simulator, node: Node, view: ClusterView,
                  peer_views: dict[int, ClusterView], network: ClusterNetwork,
                  params: Optional[CostParameters] = None,
-                 trace: Optional[Trace] = None,
+                 tracer: Optional[Tracer] = None,
                  registry: Optional[MetricsRegistry] = None,
                  directory: Optional[CacheDirectory] = None,
                  peer_directories: Optional[dict[int, CacheDirectory]] = None
@@ -45,7 +45,7 @@ class LoadDaemon:
         self.peer_views = peer_views
         self.network = network
         self.params = params or CostParameters()
-        self.trace = trace
+        self.tracer = tracer
         #: cooperative cache (docs/CACHING.md): when wired, every broadcast
         #: piggybacks this node's hot cached-file set; ``peer_directories``
         #: maps peer id -> the directory a delivered report lands in
@@ -163,10 +163,10 @@ class LoadDaemon:
             # report while this node's own view keeps the true sample.
             snap = snap._replace(cpu_load=snap.cpu_load * self.corrupt_factor)
         self.broadcasts += 1
-        if self.trace is not None and self.trace.active:
-            self.trace.emit(self.sim.now, "loadd", f"loadd-{self.node.id}",
-                            "broadcast", cpu=round(snap.cpu_load, 3),
-                            disk=snap.disk_load, net=snap.net_load)
+        if self.tracer is not None and self.tracer.active:
+            self.tracer.emit(self.sim.now, "loadd", f"loadd-{self.node.id}",
+                             "broadcast", cpu=round(snap.cpu_load, 3),
+                             disk=snap.disk_load, net=snap.net_load)
         # Piggyback the hot cached-file set on the same datagram: the
         # directory costs no extra messages, only cache_report_bytes per
         # advertised path (0 by default — it rides in the report's slack).

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 from ..cluster.topology import BuiltCluster, ClusterSpec, meiko_cs2
 from ..obs import MetricsRegistry, Tracer
-from ..sim import Process, RandomStreams, Simulator, Trace
+from ..sim import Process, RandomStreams, Simulator
 
 if TYPE_CHECKING:
     from ..faults import FaultInjector, FaultPlan
@@ -54,7 +54,6 @@ class SWEBCluster:
                  seed: int = 0,
                  backlog: int = 64,
                  dns_ttl: float = 0.0,
-                 trace: Optional[Trace] = None,
                  tracer: Optional[Tracer] = None,
                  registry: Optional[MetricsRegistry] = None,
                  start_loadd: bool = True,
@@ -75,9 +74,8 @@ class SWEBCluster:
         self.params = params or CostParameters()
         self.rng = RandomStreams(seed=seed)
         self.sim = sim if sim is not None else Simulator()
-        self.trace = trace
-        #: per-request span tracer (docs/TRACING.md); observation-only,
-        #: so attaching one never alters simulation results
+        #: spans and event log (docs/TRACING.md); observation-only, so
+        #: attaching one never alters simulation results
         self.tracer = tracer
         #: run-wide metrics registry every subsystem publishes into
         #: (http.* from Metrics, loadd.*, cache.*; docs/METRICS.md)
@@ -134,7 +132,7 @@ class SWEBCluster:
             self.heat = FileHeat()
             self.replicator = ReplicationDaemon.from_params(
                 self.sim, self.nodes, self.fs, self.network, self.heat,
-                self.params, trace=self.trace, registry=self.registry)
+                self.params, tracer=tracer, registry=self.registry)
 
         # Per-node distributed state: view, broker, httpd, loadd.
         self.views: dict[int, ClusterView] = {
@@ -145,13 +143,13 @@ class SWEBCluster:
         self.loadds: dict[int, LoadDaemon] = {
             n.id: LoadDaemon(self.sim, n, self.views[n.id], self.views,
                              self.network, params=self.params,
-                             trace=self.trace, registry=self.registry,
+                             tracer=tracer, registry=self.registry,
                              directory=self.directories.get(n.id),
                              peer_directories=self.directories)
             for n in self.nodes}
         self.brokers: dict[int, Broker] = {
             n.id: Broker(self.sim, n.id, self.views[n.id], self.oracle,
-                         self.cost_model, self.fs, trace=self.trace,
+                         self.cost_model, self.fs, tracer=tracer,
                          local_probe=self.loadds[n.id].probe,
                          directory=self.directories.get(n.id))
             for n in self.nodes}
@@ -159,8 +157,8 @@ class SWEBCluster:
             n.id: HTTPServer(self.sim, n, self.fs, self.internet,
                              self.policy, self.brokers[n.id],
                              cgi_registry=self.cgi, params=self.params,
-                             backlog=backlog, trace=self.trace,
-                             tracer=tracer, heat=self.heat)
+                             backlog=backlog, tracer=tracer,
+                             heat=self.heat)
             for n in self.nodes}
         # Wire the httpds together for the forwarding mechanism.
         for server in self.servers.values():

@@ -71,6 +71,7 @@ from .shard import (
     make_fluid_grid,
     run_cell,
     run_grid,
+    scenario_fingerprint,
     scenario_record_lines,
 )
 from .tables import ComparisonRow, render_comparison, render_table
@@ -134,6 +135,7 @@ __all__ = [
     "run_experiment",
     "run_grid",
     "run_scenario",
+    "scenario_fingerprint",
     "scenario_record_lines",
     "validate_result",
 ]

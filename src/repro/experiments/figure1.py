@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..core import SWEBCluster
 from ..cluster import meiko_cs2
-from ..sim import Trace
+from ..obs import Tracer
 from ..web import AuthoritativeDNS, Client, LocalResolver, RUTGERS_CLIENT
 from .base import ExperimentReport
 from .tables import ComparisonRow, render_table
@@ -19,26 +19,28 @@ __all__ = ["run", "transaction_trace"]
 
 
 def transaction_trace(path: str = "/index.html", size: float = 8e3,
-                      seed: int = 1) -> tuple[Trace, object]:
+                      seed: int = 1) -> tuple[Tracer, object]:
     """One request through the *full* Figure 1 chain — client, local DNS,
     authoritative DNS on the destination side, then HTTP — all traced."""
-    trace = Trace()
-    cluster = SWEBCluster(meiko_cs2(2), policy="sweb", seed=seed, trace=trace)
+    tracer = Tracer(max_requests=0)
+    cluster = SWEBCluster(meiko_cs2(2), policy="sweb", seed=seed,
+                          tracer=tracer)
     cluster.add_file(path, size, home=0)
     authoritative = AuthoritativeDNS(cluster.sim,
                                      [n.id for n in cluster.nodes], ttl=30.0)
     resolver = LocalResolver(cluster.sim, authoritative,
                              wan=RUTGERS_CLIENT.wan,
-                             domain=RUTGERS_CLIENT.domain, trace=trace)
+                             domain=RUTGERS_CLIENT.domain, tracer=tracer)
     client = Client(cluster, profile=RUTGERS_CLIENT, resolver=resolver)
     proc = client.fetch(path)
     record = cluster.run(until=proc)
-    return trace, record
+    return tracer, record
 
 
 def run(fast: bool = True) -> ExperimentReport:
-    trace, record = transaction_trace()
-    events = [rec for rec in trace if rec.category in ("dns", "http")]
+    tracer, record = transaction_trace()
+    events = [rec for rec in tracer.records
+              if rec.category in ("dns", "http")]
     rows = [[f"{rec.time * 1e3:9.3f} ms", rec.category, rec.actor, rec.action,
              " ".join(f"{k}={v}" for k, v in sorted(rec.detail.items()))]
             for rec in events]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..core import SWEBCluster
 from ..cluster import meiko_cs2
-from ..sim import Trace
+from ..obs import Tracer
 from .base import ExperimentReport
 from .tables import ComparisonRow, render_table
 
@@ -19,8 +19,8 @@ __all__ = ["run"]
 
 
 def run(fast: bool = True) -> ExperimentReport:
-    trace = Trace()
-    cluster = SWEBCluster(meiko_cs2(3), policy="sweb", seed=1, trace=trace)
+    tracer = Tracer(max_requests=0)
+    cluster = SWEBCluster(meiko_cs2(3), policy="sweb", seed=1, tracer=tracer)
     # A big file whose home is NOT the DNS-chosen node, plus an idle
     # cluster, guarantees at least one broker consultation.
     cluster.add_file("/maps/big.tif", 1.5e6, home=2)
@@ -28,8 +28,8 @@ def run(fast: bool = True) -> ExperimentReport:
     record = cluster.run(until=proc)
     cluster.run(until=cluster.sim.now + 6.0)   # let loadd broadcast twice
 
-    sched = trace.filter(category="sched")
-    loadd = trace.filter(category="loadd")
+    sched = tracer.filter(category="sched")
+    loadd = tracer.filter(category="loadd")
     rows = [[f"{rec.time:8.4f}", rec.category, rec.actor, rec.action,
              " ".join(f"{k}={v}" for k, v in sorted(rec.detail.items()))]
             for rec in (sched + loadd)[:20]]

@@ -50,11 +50,6 @@ class ScenarioResult:
         return self.metrics.response_summary()
 
     @property
-    def sustained_rps(self) -> float:
-        """Completed requests per second of the offered window."""
-        return self.metrics.throughput(self.duration)
-
-    @property
     def redirection_rate(self) -> float:
         if not self.metrics.total:
             return 0.0
@@ -168,7 +163,6 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         seed=scenario.seed,
         backlog=scenario.backlog,
         dns_ttl=scenario.dns_ttl,
-        trace=scenario.trace,
         tracer=scenario.tracer,
         dispatcher=scenario.dispatcher,
     )

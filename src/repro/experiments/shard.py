@@ -31,7 +31,7 @@ from .runner import ScenarioResult, run_scenario
 
 __all__ = ["CellResult", "FluidCell", "ScenarioCell", "ShardReport",
            "grid_fingerprint", "make_fluid_grid", "run_cell", "run_grid",
-           "scenario_record_lines"]
+           "scenario_fingerprint", "scenario_record_lines"]
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,19 @@ def scenario_record_lines(result: ScenarioResult) -> list[str]:
     return lines
 
 
+def scenario_fingerprint(result: ScenarioResult) -> str:
+    """The determinism digest of one per-client run: every record line,
+    then the sorted counters, then ``finished_at``."""
+    digest = hashlib.sha256()
+    for line in scenario_record_lines(result):
+        digest.update(line.encode())
+        digest.update(b"\n")
+    counters = sorted(result.metrics.counters.as_dict().items())
+    digest.update(repr(counters).encode())
+    digest.update(repr(result.finished_at).encode())
+    return digest.hexdigest()
+
+
 def run_cell(cell: Cell) -> CellResult:
     """Run one cell to completion (the worker-side entry point).
 
@@ -175,18 +188,12 @@ def run_cell(cell: Cell) -> CellResult:
                     sorted(result.metrics.counters.as_dict().items())}
         served_by = {str(k): v for k, v in
                      sorted(result.metrics.served_by_histogram().items())}
-        digest = hashlib.sha256()
-        for line in lines:
-            digest.update(line.encode())
-            digest.update(b"\n")
-        digest.update(repr(sorted(counters.items())).encode())
-        digest.update(repr(result.finished_at).encode())
         return CellResult(
             cell_id=cell.cell_id,
             kind="scenario",
             n_requests=result.metrics.total,
             finished_at=result.finished_at,
-            fingerprint=digest.hexdigest(),
+            fingerprint=scenario_fingerprint(result),
             snapshot=result.cluster.registry.snapshot(),
             summary=result.summary_line(),
             detail={"records": lines, "counters": counters,

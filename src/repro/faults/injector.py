@@ -78,10 +78,10 @@ class FaultInjector:
     def _record(self, action: str, fault: Fault) -> None:
         now = self.cluster.sim.now
         self.log.append(InjectionRecord(time=now, action=action, fault=fault))
-        if self.cluster.trace is not None:
-            self.cluster.trace.emit(now, "fault", "injector", action,
-                                    kind=fault.kind, target=fault.node,
-                                    window=fault.window)
+        if self.cluster.tracer is not None and self.cluster.tracer.active:
+            self.cluster.tracer.emit(now, "fault", "injector", action,
+                                     kind=fault.kind, target=fault.node,
+                                     window=fault.window)
 
     def _apply(self, fault: Fault) -> None:
         cluster = self.cluster

@@ -25,7 +25,7 @@ from ..experiments import (
     ScenarioResult,
     run_grid,
     run_scenario,
-    scenario_record_lines,
+    scenario_fingerprint,
 )
 from ..geo import GeoResult, GeoScenario, GeoSpec, SiteSpec, WanLink, run_geo
 from ..obs import Tracer
@@ -146,23 +146,10 @@ def build_scenario(config: FuzzConfig) -> Scenario:
     return Scenario(name=config.case_id, spec=spec, corpus=corpus,
                     workload=workload, policy=config.policy,
                     seed=config.seed, params=params, faults=config.faults,
-                    tracer=Tracer(max_requests=64), **kwargs)
+                    tracer=Tracer(max_requests=64, max_records=0), **kwargs)
 
 
 # -- per-run collection ----------------------------------------------------
-def _scenario_fingerprint(result: ScenarioResult) -> str:
-    """The determinism digest of one per-client run — the same material
-    :func:`repro.experiments.run_cell` digests for scenario cells."""
-    digest = hashlib.sha256()
-    for line in scenario_record_lines(result):
-        digest.update(line.encode())
-        digest.update(b"\n")
-    counters = sorted(result.metrics.counters.as_dict().items())
-    digest.update(repr(counters).encode())
-    digest.update(repr(result.finished_at).encode())
-    return digest.hexdigest()
-
-
 def _node_cache_accounts(nodes) -> list[dict[str, float]]:
     """Page-cache byte accounting for one node list, from the live caches."""
     accounts = []
@@ -192,10 +179,11 @@ def _trace_failures(scenario: Scenario, result: ScenarioResult,
     Only records the client saw *complete* are checked (the same filter
     ``sweb-repro trace`` applies): a dropped record's latency is cut
     short at the reset/timeout while the simulated server-side events
-    legitimately run on.  Structural completeness (``Trace.problems()``)
-    is additionally restricted to *drained* runs: the sim stops the
-    instant the last request settles, so server-side work stalled by a
-    fault or outliving a timed-out client leaves open spans by design.
+    legitimately run on.  Structural completeness
+    (``RequestTrace.problems()``) is additionally restricted to *drained*
+    runs: the sim stops the instant the last request settles, so
+    server-side work stalled by a fault or outliving a timed-out client
+    leaves open spans by design.
     """
     tracer = scenario.tracer
     if tracer is None:
@@ -264,8 +252,8 @@ def _run_scenario_case(config: FuzzConfig) -> CaseOutcome:
 
     return CaseOutcome(
         config=config,
-        fingerprints=(_scenario_fingerprint(first),
-                      _scenario_fingerprint(second)),
+        fingerprints=(scenario_fingerprint(first),
+                      scenario_fingerprint(second)),
         offered=offered,
         settled=settled,
         completed=completed,

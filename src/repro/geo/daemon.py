@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..cache import FileHeat
-from ..sim import Event, Process, Simulator, Trace
+from ..obs import Tracer
+from ..sim import Event, Process, Simulator
 from .fs import GeoFileSystem
 from .placement import plan_placement
 from .spec import GeoSpec
@@ -31,7 +32,7 @@ class GeoPlacementDaemon:
                  edge_fs: Dict[str, GeoFileSystem],
                  heat: FileHeat, period: float = 2.0, skew: float = 1.5,
                  max_per_cycle: int = 4,
-                 trace: Optional[Trace] = None) -> None:
+                 tracer: Optional[Tracer] = None) -> None:
         if period <= 0:
             raise ValueError("placement period must be positive")
         if skew < 1.0:
@@ -45,7 +46,7 @@ class GeoPlacementDaemon:
         self.period = float(period)
         self.skew = float(skew)
         self.max_per_cycle = int(max_per_cycle)
-        self.trace = trace
+        self.tracer = tracer
         self.placements = 0
         self.bytes_placed = 0.0
         self.cycles = 0
@@ -116,10 +117,10 @@ class GeoPlacementDaemon:
             if target is not None and fs.install_replica(path, target):
                 self.placements += 1
                 self.bytes_placed += meta.size
-                if self.trace is not None and self.trace.active:
-                    self.trace.emit(self.sim.now, "geo", "placementd",
-                                    "place", path=path, site=site,
-                                    node=target.id, bytes=meta.size)
+                if self.tracer is not None and self.tracer.active:
+                    self.tracer.emit(self.sim.now, "geo", "placementd",
+                                     "place", path=path, site=site,
+                                     node=target.id, bytes=meta.size)
             done.succeed(path)
 
         self.sim.spawn(pump(), name=f"geo.place:{path}->{site}")

@@ -19,7 +19,8 @@ from ..cache import FileHeat
 from ..cluster.network import Link
 from ..core.costmodel import CostParameters
 from ..core.sweb import SWEBCluster
-from ..sim import Simulator, Trace
+from ..obs import Tracer
+from ..sim import Simulator
 from ..workload.corpus import Corpus
 from .daemon import GeoPlacementDaemon
 from .fs import GeoFileSystem
@@ -45,15 +46,22 @@ class GeoSystem:
                  placement_skew: float = 1.5,
                  placement_max_per_cycle: int = 4,
                  spill_threshold: float = 6.0,
-                 trace: Optional[Trace] = None,
+                 tracer: Optional[Tracer] = None,
                  start_daemons: bool = True) -> None:
+        """``tracer`` records the event log of every site and of the
+        placement daemon; it must have ``max_requests=0``, since each
+        site's cluster numbers its requests from 0 and their span traces
+        would collide."""
+        if tracer is not None and tracer.max_requests != 0:
+            raise ValueError("a GeoSystem tracer records events only: "
+                             "build it with max_requests=0")
         self.spec = spec or geo3()
         self.params = params or CostParameters()
         self.seed = seed
         self.graceful = graceful
         self.edge_budget_bytes = float(edge_budget_bytes)
         self.sim = Simulator()
-        self.trace = trace
+        self.tracer = tracer
 
         #: geo-wide per-file heat: every site's httpds feed one tally, so
         #: the placement daemon sees global popularity, not one site's
@@ -68,7 +76,7 @@ class GeoSystem:
         self.origin = SWEBCluster(
             spec=origin_site.cluster, params=self.params,
             seed=self._site_seed(0), backlog=backlog, dns_ttl=dns_ttl,
-            trace=trace, sim=self.sim, built=origin_built)
+            tracer=tracer, sim=self.sim, built=origin_built)
         self.clusters[origin_site.name] = self.origin
 
         for idx, edge in enumerate(s for s in self.spec.sites
@@ -86,7 +94,7 @@ class GeoSystem:
             cluster = SWEBCluster(
                 spec=edge.cluster, params=self.params,
                 seed=self._site_seed(idx + 1), backlog=backlog,
-                dns_ttl=dns_ttl, trace=trace, sim=self.sim, built=built)
+                dns_ttl=dns_ttl, tracer=tracer, sim=self.sim, built=built)
             # Price edge cache misses as WAN fetches (docs/GEO.md): the
             # broker's t_data then reflects the link, not a local disk.
             cluster.cost_model.wan_bandwidth = wan.bandwidth
@@ -110,7 +118,7 @@ class GeoSystem:
         self.placementd = GeoPlacementDaemon(
             self.sim, self.spec, self.edge_fs, self.heat,
             period=placement_period, skew=placement_skew,
-            max_per_cycle=placement_max_per_cycle, trace=trace)
+            max_per_cycle=placement_max_per_cycle, tracer=tracer)
         if start_daemons and self.edge_fs:
             self.placementd.start()
 

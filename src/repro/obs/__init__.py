@@ -2,11 +2,12 @@
 
 The observability layer sits at the very bottom of the stack (below even
 ``repro.sim``): pure data structures with zero simulation dependencies,
-so every other layer may publish into it.  Three pieces:
+so every other layer may publish into it.  Four pieces:
 
-* :mod:`repro.obs.spans` — the causal span model: :class:`Span` /
-  :class:`RequestTrace` / :class:`Tracer`, giving each request a
-  per-stage time breakdown that reconciles with its terminal latency;
+* :mod:`repro.obs.spans` — the one tracer: :class:`Tracer` holds the
+  causal span model (:class:`Span` / :class:`RequestTrace`, giving each
+  request a per-stage time breakdown that reconciles with its terminal
+  latency) and the cluster-wide event log of :class:`TraceRecord`;
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry` with counters,
   gauges and fixed-bucket :class:`Histogram` percentiles (p50/p95/p99
   without raw-sample storage); registries are per-process but their
@@ -32,7 +33,7 @@ from .registry import (
     exponential_buckets,
     merge_snapshots,
 )
-from .spans import STAGES, RequestTrace, Span, Tracer
+from .spans import STAGES, RequestTrace, Span, TraceRecord, Tracer
 
 __all__ = [
     "CLIENT_PID",
@@ -44,6 +45,7 @@ __all__ = [
     "RequestTrace",
     "STAGES",
     "Span",
+    "TraceRecord",
     "Tracer",
     "chrome_trace",
     "exponential_buckets",

@@ -1,4 +1,4 @@
-"""Causal per-request spans: the tracing half of ``repro.obs``.
+"""The one tracer: causal per-request spans plus the cluster event log.
 
 The paper's §3–4 evaluation decomposes per-request completion time into
 ``t_redirection + t_data + t_CPU + t_net``; the aggregate metrics can
@@ -13,12 +13,17 @@ This module provides the missing causal model:
   :meth:`RequestTrace.breakdown` reconciling the per-stage sums against
   the terminal latency (any un-instrumented remainder is reported
   explicitly as ``"other"``, never silently dropped);
-* :class:`Tracer` — the per-run collector the instrumentation sites talk
-  to.  Every method is ``None``-tolerant: when tracing is off (or the
-  request was not sampled) the root handle is ``None`` and every child
-  ``start``/``finish`` call no-ops, so the hot path costs one identity
-  check.  Crucially the tracer only *reads* the sim clock — it never
-  schedules events — so enabling it cannot perturb the simulation
+* :class:`TraceRecord` — one point event (a loadd broadcast, a broker
+  decision, a fault, a placement) that no single request owns;
+* :class:`Tracer` — the per-run collector every instrumentation site
+  talks to.  It keeps the two record kinds in separate lists: spans per
+  sampled request, and one time-ordered event log that
+  :meth:`Tracer.render` turns into Figure 1/Figure 3 text.  Span methods
+  are ``None``-tolerant: when the request was not sampled the root
+  handle is ``None`` and every child ``start``/``finish`` call no-ops;
+  event sites check :attr:`Tracer.active` before building a record.
+  The tracer only *reads* the sim clock — it never schedules events —
+  so attaching one cannot perturb the simulation
   (``tests/test_obs_export.py`` pins this against the determinism
   golden).
 
@@ -31,9 +36,9 @@ reconcile with the request's terminal latency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
-__all__ = ["STAGES", "Span", "RequestTrace", "Tracer"]
+__all__ = ["STAGES", "Span", "RequestTrace", "TraceRecord", "Tracer"]
 
 #: Canonical stage buckets spans are rolled up into.  The first five
 #: mirror ``repro.web.metrics.PHASE_NAMES`` (Table 5's rows); ``other``
@@ -210,33 +215,91 @@ class RequestTrace:
                 f"spans={len(self.spans)}>")
 
 
-class Tracer:
-    """Per-run span collector with head-sampling.
+@dataclass(frozen=True, slots=True)
+class TraceRecord:
+    """One event-log line: when, which component, what happened, details."""
 
-    ``max_requests`` bounds how many requests get a trace (the first N
-    to start, deterministic because request ids are issued in sim-event
-    order); ``None`` traces everything, ``0`` nothing.  All ``start`` /
-    ``finish`` / ``annotate`` calls tolerate ``None`` handles so
-    instrumentation sites need no tracing-enabled conditionals beyond
-    obtaining the root.
+    time: float
+    category: str
+    actor: str
+    action: str
+    detail: dict[str, Any]
+
+    def format(self) -> str:
+        kv = " ".join(f"{k}={v}" for k, v in sorted(self.detail.items()))
+        return f"[{self.time:10.6f}] {self.category:>9} {self.actor:<14} {self.action:<18} {kv}"
+
+
+class Tracer:
+    """Per-run collector: head-sampled request spans and a capped event log.
+
+    ``max_requests`` bounds how many requests get a span trace (the first
+    N to start, deterministic because request ids are issued in sim-event
+    order); ``max_records`` bounds the event log (once full, :attr:`active`
+    drops to ``False``).  ``None`` means no cap and ``0`` turns that kind
+    off, so a caller that wants only one kind zeroes the other cap.  No
+    tracer at all (``tracer=None``) is how tracing is switched off.
+
+    All ``start`` / ``finish`` / ``annotate`` calls tolerate ``None``
+    handles so span sites need no conditionals beyond obtaining the root.
+    A tracer serves one cluster run: request ids restart at 0 in every
+    cluster, so :meth:`begin` rejects an id it already holds.
     """
 
     def __init__(self, max_requests: Optional[int] = None,
-                 enabled: bool = True) -> None:
-        if max_requests is not None and max_requests < 0:
-            raise ValueError(
-                f"max_requests must be >= 0 or None, got {max_requests}")
+                 max_records: Optional[int] = None) -> None:
+        for name, cap in (("max_requests", max_requests),
+                          ("max_records", max_records)):
+            if cap is not None and cap < 0:
+                raise ValueError(f"{name} must be >= 0 or None, got {cap}")
         self.max_requests = max_requests
-        self.enabled = bool(enabled)
+        self.max_records = max_records
+        self.records: list[TraceRecord] = []
+        #: cheap gate event sites read before building a record's detail
+        self.active = max_records is None or max_records > 0
         self._traces: dict[int, RequestTrace] = {}
         self._next_span_id = 0
 
-    # -- lifecycle --------------------------------------------------------
+    # -- the event log ----------------------------------------------------
+    def emit(self, time: float, category: str, actor: str, action: str,
+             **detail: Any) -> None:
+        """Append an event record (no-op once the log is full)."""
+        if not self.active:
+            return
+        self.records.append(TraceRecord(time, category, actor, action, detail))
+        if self.max_records is not None and len(self.records) >= self.max_records:
+            self.active = False
+
+    def filter(self, category: Optional[str] = None, actor: Optional[str] = None,
+               action: Optional[str] = None,
+               predicate: Optional[Callable[[TraceRecord], bool]] = None,
+               ) -> list[TraceRecord]:
+        """Event records matching all the given criteria, in time order."""
+        out = []
+        for rec in self.records:
+            if category is not None and rec.category != category:
+                continue
+            if actor is not None and rec.actor != actor:
+                continue
+            if action is not None and rec.action != action:
+                continue
+            if predicate is not None and not predicate(rec):
+                continue
+            out.append(rec)
+        return out
+
+    def render(self, **kwargs: Any) -> str:
+        """Human-readable dump of the matching event records."""
+        return "\n".join(rec.format() for rec in self.filter(**kwargs))
+
+    # -- span lifecycle ---------------------------------------------------
     def begin(self, req_id: int, path: str, client: str,
               t: float) -> Optional[Span]:
-        """Open a request's root span; ``None`` when off or not sampled."""
-        if not self.enabled:
-            return None
+        """Open a request's root span; ``None`` when not sampled."""
+        if req_id in self._traces:
+            raise ValueError(
+                f"request id {req_id} is already traced: a Tracer serves "
+                f"one cluster run, and every cluster numbers requests from 0")
         if (self.max_requests is not None
                 and len(self._traces) >= self.max_requests):
             return None
@@ -294,6 +357,7 @@ class Tracer:
         return len(self._traces)
 
     def __repr__(self) -> str:
-        cap = "∞" if self.max_requests is None else str(self.max_requests)
-        return (f"<Tracer traces={len(self._traces)}/{cap} "
-                f"enabled={self.enabled}>")
+        def cap(n: Optional[int]) -> str:
+            return "∞" if n is None else str(n)
+        return (f"<Tracer traces={len(self._traces)}/{cap(self.max_requests)} "
+                f"records={len(self.records)}/{cap(self.max_records)}>")

@@ -11,7 +11,6 @@ Public surface:
 * :class:`Summary`, :class:`PhaseAccumulator` — sample summaries and
   per-phase cost totals.
 * :class:`Monitor` — periodic probes of model state.
-* :class:`Trace` — structured event log.
 """
 
 from .engine import (
@@ -30,7 +29,6 @@ from .monitor import Monitor, ascii_series, ascii_sparkline
 from .rng import RandomStreams
 from .stats import PhaseAccumulator, Summary
 from .streamnames import STREAM_NAMES, crc32_key, stream_collisions
-from .trace import Trace, TraceRecord
 
 __all__ = [
     "AllOf",
@@ -48,8 +46,6 @@ __all__ = [
     "Simulator",
     "Summary",
     "Timeout",
-    "Trace",
-    "TraceRecord",
     "URGENT",
     "ascii_series",
     "ascii_sparkline",

@@ -208,12 +208,6 @@ class FairShareServer:
         self._rate = float(rate)
         self._reallocate()
 
-    def service_time(self, work: float) -> float:
-        """Unloaded service time for ``work`` units (work / rate)."""
-        if self._rate <= 0:
-            return math.inf
-        return work / self._rate
-
     # -- load accounting ------------------------------------------------------
     def population_integral(self) -> float:
         """∫ n(t) dt up to now; diff two readings for a window average."""

@@ -152,10 +152,9 @@ class Client:
             self._end(dns_span)
             rec.dns_node = node_id
             rec.add_phase("network", sim.now - t0)
-            if self.cluster.trace is not None:
-                self.cluster.trace.emit(sim.now, "http",
-                                        f"client-{rec.req_id}", "dns_lookup",
-                                        node=node_id)
+            if tracer is not None and tracer.active:
+                tracer.emit(sim.now, "http", f"client-{rec.req_id}",
+                            "dns_lookup", node=node_id)
 
             request_text = self._request_text(method, path, node_id)
 
@@ -191,10 +190,9 @@ class Client:
                         continue
                     self._end(root, outcome="dropped", reason="refused")
                     self.metrics.drop(rec, sim.now, reason="refused")
-                    if self.cluster.trace is not None:
-                        self.cluster.trace.emit(sim.now, "http",
-                                                f"client-{rec.req_id}",
-                                                "refused", node=node_id)
+                    if tracer is not None and tracer.active:
+                        tracer.emit(sim.now, "http", f"client-{rec.req_id}",
+                                    "refused", node=node_id)
                     return rec
                 self._end(cspan)
                 # --- ship the request line + headers (small, one way) --------
@@ -206,10 +204,9 @@ class Client:
                 if not conn.reply.triggered:
                     self._end(root, outcome="dropped", reason="timeout")
                     self.metrics.drop(rec, sim.now, reason="timeout")
-                    if self.cluster.trace is not None:
-                        self.cluster.trace.emit(sim.now, "http",
-                                                f"client-{rec.req_id}",
-                                                "timeout", node=node_id)
+                    if tracer is not None and tracer.active:
+                        tracer.emit(sim.now, "http", f"client-{rec.req_id}",
+                                    "timeout", node=node_id)
                     return rec
                 response: HTTPResponse = conn.reply.value
 
@@ -229,30 +226,27 @@ class Client:
                         continue
                     self._end(root, outcome="dropped", reason="reset")
                     self.metrics.drop(rec, sim.now, reason="reset")
-                    if self.cluster.trace is not None:
-                        self.cluster.trace.emit(sim.now, "http",
-                                                f"client-{rec.req_id}",
-                                                "reset", node=node_id)
+                    if tracer is not None and tracer.active:
+                        tracer.emit(sim.now, "http", f"client-{rec.req_id}",
+                                    "reset", node=node_id)
                     return rec
 
                 if response.is_redirect and hop == 0:
                     # Follow the 302 exactly once (the SWEB rule).
                     rec.redirected = True
                     node_id = int(response.headers["X-SWEB-Node"])
-                    if self.cluster.trace is not None:
-                        self.cluster.trace.emit(sim.now, "http",
-                                                f"client-{rec.req_id}",
-                                                "follow_redirect", to=node_id)
+                    if tracer is not None and tracer.active:
+                        tracer.emit(sim.now, "http", f"client-{rec.req_id}",
+                                    "follow_redirect", to=node_id)
                     hop = 1
                     continue
                 self._end(root, outcome="ok", status=response.status,
                           served_by=rec.served_by)
                 self.metrics.finish(rec, sim.now, response.status)
-                if self.cluster.trace is not None:
-                    self.cluster.trace.emit(sim.now, "http",
-                                            f"client-{rec.req_id}", "complete",
-                                            status=response.status,
-                                            node=node_id)
+                if tracer is not None and tracer.active:
+                    tracer.emit(sim.now, "http", f"client-{rec.req_id}",
+                                "complete", status=response.status,
+                                node=node_id)
                 return rec
         finally:
             # A settled request withdraws its deadline so the event heap
@@ -271,10 +265,11 @@ class Client:
         delay = self.cluster.params.retry_backoff * (2 ** rec.retries)
         rec.retries += 1
         self.metrics.counters.incr("retries")
-        if self.cluster.trace is not None:
-            self.cluster.trace.emit(sim.now, "http", f"client-{rec.req_id}",
-                                    "retry", reason=reason, node=failed_node,
-                                    backoff=round(delay, 3))
+        tracer = self.cluster.tracer
+        if tracer is not None and tracer.active:
+            tracer.emit(sim.now, "http", f"client-{rec.req_id}",
+                        "retry", reason=reason, node=failed_node,
+                        backoff=round(delay, 3))
         t0 = sim.now
         span = self._span(root, "retry", "network", reason=reason,
                           failed_node=failed_node, backoff=round(delay, 6))

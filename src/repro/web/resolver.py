@@ -22,7 +22,7 @@ from typing import Optional
 
 from ..cluster.network import WANPath
 from ..obs import Span, Tracer
-from ..sim import Event, Simulator, Trace
+from ..sim import Event, Simulator
 
 __all__ = ["AuthoritativeDNS", "LocalResolver"]
 
@@ -72,15 +72,13 @@ class LocalResolver:
                  wan: Optional[WANPath] = None,
                  local_latency: float = 1e-3,
                  domain: str = "client.example.edu",
-                 trace: Optional[Trace] = None,
                  tracer: Optional[Tracer] = None) -> None:
         self.sim = sim
         self.authoritative = authoritative
         self.wan = wan
         self.local_latency = float(local_latency)
         self.domain = domain
-        self.trace = trace
-        #: per-request span tracer; when set, resolutions called with a
+        #: spans and event log; when set, resolutions called with a
         #: ``ctx`` span record their cache/upstream legs as child spans
         self.tracer = tracer
         self._cache: Optional[tuple[int, float]] = None   # (address, expiry)
@@ -110,9 +108,9 @@ class LocalResolver:
                 if self.tracer is not None:
                     self.tracer.finish(sp, self.sim.now, hit=True,
                                        address=self._cache[0])
-                if self.trace is not None:
-                    self.trace.emit(self.sim.now, "dns", self.domain,
-                                    "cache_hit", address=self._cache[0])
+                if self.tracer is not None and self.tracer.active:
+                    self.tracer.emit(self.sim.now, "dns", self.domain,
+                                     "cache_hit", address=self._cache[0])
                 done.succeed(self._cache[0])
                 return
             if self.tracer is not None:
@@ -124,10 +122,10 @@ class LocalResolver:
             sp = (self.tracer.start(ctx, "authoritative_query", self.sim.now,
                                     "network", server=self.authoritative.name)
                   if self.tracer is not None else None)
-            if self.trace is not None:
-                self.trace.emit(self.sim.now, "dns", self.domain,
-                                "query_authoritative",
-                                server=self.authoritative.name)
+            if self.tracer is not None and self.tracer.active:
+                self.tracer.emit(self.sim.now, "dns", self.domain,
+                                 "query_authoritative",
+                                 server=self.authoritative.name)
             yield self.sim.timeout(rtt + self.authoritative.answer_latency)
             try:
                 address, ttl = self.authoritative.answer()
@@ -140,10 +138,10 @@ class LocalResolver:
                 self._cache = (address, self.sim.now + ttl)
             if self.tracer is not None:
                 self.tracer.finish(sp, self.sim.now, address=address, ttl=ttl)
-            if self.trace is not None:
-                self.trace.emit(self.sim.now, "dns", self.domain,
-                                "authoritative_answer", address=address,
-                                ttl=ttl)
+            if self.tracer is not None and self.tracer.active:
+                self.tracer.emit(self.sim.now, "dns", self.domain,
+                                 "authoritative_answer", address=address,
+                                 ttl=ttl)
             done.succeed(address)
 
         self.sim.spawn(pump(), name=f"resolver.{self.domain}")

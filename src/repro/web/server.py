@@ -17,7 +17,7 @@ from ..cluster.network import Internet, WANPath
 from ..cluster.node import Node
 from ..cluster.filesystem import DistributedFileSystem
 from ..obs import Span, Tracer
-from ..sim import AllOf, Event, Simulator, Trace
+from ..sim import AllOf, Event, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - avoid a web <-> core import cycle
     from ..core.broker import Broker
@@ -74,7 +74,6 @@ class HTTPServer:
                  cgi_registry: Optional[CGIRegistry] = None,
                  params: Optional["CostParameters"] = None,
                  backlog: int = 64, hostname: Optional[str] = None,
-                 trace: Optional[Trace] = None,
                  heat: Optional[FileHeat] = None,
                  tracer: Optional[Tracer] = None) -> None:
         if backlog < 1:
@@ -97,9 +96,8 @@ class HTTPServer:
         self.params = params
         self.backlog = backlog
         self.hostname = hostname or f"sweb{node.id}.cs.ucsb.edu"
-        self.trace = trace
-        #: per-request span tracer (repro.obs); purely observational —
-        #: span bookkeeping reads the sim clock but never schedules
+        #: spans and event log (repro.obs); purely observational —
+        #: the tracer reads the sim clock but never schedules
         self.tracer = tracer
         #: cluster-shared per-file request counters feeding the
         #: replication daemon's skew detector (docs/CACHING.md)
@@ -147,9 +145,9 @@ class HTTPServer:
                 conn.reply.succeed(HTTPResponse(status=503))
                 reset += 1
         self.connections_reset += reset
-        if reset and self.trace is not None:
-            self.trace.emit(self.sim.now, "http", f"httpd-{self.node.id}",
-                            "reset_connections", count=reset)
+        if reset and self.tracer is not None and self.tracer.active:
+            self.tracer.emit(self.sim.now, "http", f"httpd-{self.node.id}",
+                             "reset_connections", count=reset)
         return reset
 
     # -- tracing helpers ------------------------------------------------------
@@ -244,10 +242,10 @@ class HTTPServer:
                     rec.add_phase("redirection", self.sim.now - t2)
                     self._span_end(sp)
                     self.redirects_issued += 1
-                    if self.trace is not None:
-                        self.trace.emit(self.sim.now, "http",
-                                        f"httpd-{self.node.id}", "redirect",
-                                        path=path, to=decision.chosen)
+                    if self.tracer is not None and self.tracer.active:
+                        self.tracer.emit(self.sim.now, "http",
+                                         f"httpd-{self.node.id}", "redirect",
+                                         path=path, to=decision.chosen)
                     yield from self._respond(conn, response)
                     return
 
@@ -293,9 +291,9 @@ class HTTPServer:
             return
         self.forwards_issued += 1
         rec.redirected = True
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, "http", f"httpd-{self.node.id}",
-                            "forward", to=target_id)
+        if self.tracer is not None and self.tracer.active:
+            self.tracer.emit(self.sim.now, "http", f"httpd-{self.node.id}",
+                             "forward", to=target_id)
         response: HTTPResponse = yield inner.reply
         self._span_end(fwspan)
         # The relayed response now leaves through *our* NIC.
@@ -355,10 +353,10 @@ class HTTPServer:
             rec.source = outcome.source
             if self.heat is not None:
                 self.heat.record(path, body)
-            if self.trace is not None and self.trace.active:
-                self.trace.emit(self.sim.now, "io", f"httpd-{self.node.id}",
-                                "file_read", path=path,
-                                source=outcome.source, remote=outcome.remote)
+            if self.tracer is not None and self.tracer.active:
+                self.tracer.emit(self.sim.now, "io", f"httpd-{self.node.id}",
+                                 "file_read", path=path,
+                                 source=outcome.source, remote=outcome.remote)
         response = HTTPResponse(status=200, body_bytes=body)
         if request.method == "HEAD":
             response.body_bytes = 0.0

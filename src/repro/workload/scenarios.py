@@ -26,7 +26,7 @@ from ..cluster import ClusterSpec, meiko_cs2, sun_now
 from ..core import CostParameters, SchedulingPolicy
 from ..faults import FaultPlan
 from ..obs import Tracer
-from ..sim import RandomStreams, Trace
+from ..sim import RandomStreams
 from ..web import ClientProfile, RUTGERS_CLIENT, UCSB_CLIENT
 from .corpus import (
     Corpus,
@@ -79,8 +79,7 @@ class Scenario:
     faults: Optional[Union[str, FaultPlan]] = None
     profiles: dict[str, ClientProfile] = field(
         default_factory=lambda: dict(DEFAULT_PROFILES))
-    trace: Optional[Trace] = None
-    #: per-request span tracer (repro.obs); None = tracing off.  Purely
+    #: spans and event log (repro.obs); None = tracing off.  Purely
     #: observational — attaching one never changes simulation results
     #: (pinned against the determinism golden).
     tracer: Optional[Tracer] = None

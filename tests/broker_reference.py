@@ -25,7 +25,8 @@ from repro.core.broker import BrokerDecision
 from repro.core.costmodel import CostParameters
 from repro.core.loadinfo import ClusterView, LoadSnapshot
 from repro.core.oracle import Oracle, TaskEstimate
-from repro.sim import Simulator, Trace
+from repro.obs import Tracer
+from repro.sim import Simulator
 
 __all__ = ["ReferenceCostEstimate", "ReferenceCostModel", "ReferenceOracle",
            "ReferenceAdaptiveOracle", "ReferenceBroker",
@@ -166,7 +167,7 @@ class ReferenceBroker:
     def __init__(self, sim: Simulator, node_id: int, view: ClusterView,
                  oracle: Oracle, cost_model: ReferenceCostModel,
                  fs: DistributedFileSystem,
-                 trace: Optional[Trace] = None,
+                 tracer: Optional[Tracer] = None,
                  local_probe: Optional[Callable[[], LoadSnapshot]] = None,
                  directory=None) -> None:
         self.sim = sim
@@ -175,7 +176,7 @@ class ReferenceBroker:
         self.oracle = oracle
         self.cost_model = cost_model
         self.fs = fs
-        self.trace = trace
+        self.tracer = tracer
         self.local_probe = local_probe
         self.directory = directory
         self.decisions = 0
@@ -190,12 +191,12 @@ class ReferenceBroker:
             peer_age = self.view.freshest_peer_age(now)
             if peer_age is None or peer_age > params.fallback_staleness:
                 self.fallbacks += 1
-                if self.trace is not None:
-                    self.trace.emit(now, "sched", f"broker-{self.node_id}",
-                                    "stale_fallback", path=path,
-                                    peer_age=(round(peer_age, 3)
-                                              if peer_age is not None
-                                              else None))
+                if self.tracer is not None:
+                    self.tracer.emit(now, "sched", f"broker-{self.node_id}",
+                                     "stale_fallback", path=path,
+                                     peer_age=(round(peer_age, 3)
+                                               if peer_age is not None
+                                               else None))
                 file_size = (self.fs.locate(path).size
                              if self.fs.exists(path) else 0.0)
                 return BrokerDecision(
@@ -253,9 +254,9 @@ class ReferenceBroker:
             self.redirections += 1
             # Δ-inflation: guard against unsynchronized overloading.
             self.view.inflate_cpu(best.node, self.cost_model.params.delta)
-        if self.trace is not None:
-            self.trace.emit(now, "sched", f"broker-{self.node_id}",
-                            "choose_server", path=path, winner=best.node,
-                            t_s=round(best.total, 6),
-                            candidates=len(estimates))
+        if self.tracer is not None:
+            self.tracer.emit(now, "sched", f"broker-{self.node_id}",
+                             "choose_server", path=path, winner=best.node,
+                             t_s=round(best.total, 6),
+                             candidates=len(estimates))
         return decision

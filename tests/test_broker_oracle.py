@@ -21,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.filesystem import FileMeta
 from repro.core import (AdaptiveOracle, Broker, ClusterView, CostModel,
                         CostParameters, LoadSnapshot, Oracle, OracleRule)
-from repro.sim import Simulator, Trace
+from repro.obs import Tracer
+from repro.sim import Simulator
 from repro.web.cgi import CGIRegistry
 
 from .broker_reference import (ReferenceAdaptiveOracle, ReferenceBroker,
@@ -145,7 +146,7 @@ def _build(case, sim, new: bool):
         sim, owner, view, oracle,
         (CostModel if new else ReferenceCostModel)(case["params"],
                                                    **case["model"]),
-        _FS(case["files"]), trace=Trace(),
+        _FS(case["files"]), tracer=Tracer(),
         local_probe=(None if probe is None else lambda: probe),
         directory=directory)
     return broker
@@ -159,7 +160,7 @@ def _terms(decision) -> list:
 def _state(broker) -> tuple:
     return (broker.decisions, broker.redirections, broker.fallbacks,
             repr(sorted(broker.view._snapshots.items())),
-            [rec.format() for rec in broker.trace.records],
+            [rec.format() for rec in broker.tracer.records],
             None if broker.directory is None else broker.directory.asked)
 
 

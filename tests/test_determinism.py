@@ -28,7 +28,8 @@ from repro.core.costmodel import CostParameters
 from repro.experiments.cache_coop import hot_cold_corpus
 from repro.experiments.runner import run_scenario
 from repro.geo import GeoScenario, run_geo
-from repro.sim import RandomStreams, Trace
+from repro.obs import Tracer
+from repro.sim import RandomStreams
 from repro.workload import (
     Scenario,
     burst_workload,
@@ -55,7 +56,7 @@ def _scenarios():
             20, 8.0, uniform_sampler(meiko_corpus, RandomStreams(seed=7))),
         policy="sweb",
         seed=3,
-        trace=Trace(),
+        tracer=Tracer(max_requests=0),
     )
     now_corpus = uniform_corpus(12, 8e4, 4)
     now = Scenario(
@@ -68,7 +69,7 @@ def _scenarios():
         policy="sweb",
         seed=5,
         params=CostParameters(),
-        trace=Trace(),
+        tracer=Tracer(max_requests=0),
     )
     coop_corpus = hot_cold_corpus(4)
     coop = Scenario(
@@ -84,7 +85,7 @@ def _scenarios():
                               cache_hot_set=16, replication_period=1.0,
                               replication_skew=1.0,
                               replication_max_per_cycle=8),
-        trace=Trace(),
+        tracer=Tracer(max_requests=0),
     )
     return [meiko, now, coop]
 
@@ -132,7 +133,7 @@ def fingerprint() -> dict:
     for scenario in _scenarios():
         result = run_scenario(scenario)
         metrics = result.metrics
-        trace_text = scenario.trace.render()
+        trace_text = scenario.tracer.render()
         out[scenario.name] = {
             "records": [_record_line(r) for r in metrics.records],
             "counters": {k: v for k, v in
@@ -140,7 +141,7 @@ def fingerprint() -> dict:
             "served_by": {str(k): v for k, v in
                           sorted(metrics.served_by_histogram().items())},
             "finished_at": repr(result.finished_at),
-            "trace_records": len(scenario.trace),
+            "trace_records": len(scenario.tracer.records),
             "trace_sha256": hashlib.sha256(
                 trace_text.encode()).hexdigest(),
         }

@@ -12,10 +12,10 @@ from repro.cluster import meiko_cs2
 
 
 def test_transaction_trace_returns_ok_record():
-    trace, record = transaction_trace(path="/x.html", size=5e3)
+    tracer, record = transaction_trace(path="/x.html", size=5e3)
     assert record.ok
-    assert len(trace) > 0
-    assert any(r.category == "dns" for r in trace)
+    assert len(tracer.records) > 0
+    assert any(r.category == "dns" for r in tracer.records)
 
 
 def test_skewed_run_policy_short():

@@ -30,7 +30,7 @@ def test_run_scenario_completes_all_requests():
 
 def test_run_scenario_sustained_rps():
     res = run_scenario(tiny_scenario(rps=3, duration=4.0))
-    assert res.sustained_rps == pytest.approx(3.0)
+    assert res.metrics.throughput(res.duration) == pytest.approx(3.0)
 
 
 def test_run_scenario_is_deterministic():

@@ -13,6 +13,7 @@ Three kinds of evidence:
   that still fails the same way, and replays from its JSON artifact.
 """
 
+import functools
 import json
 import time
 from dataclasses import replace
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
+from repro.experiments import ScenarioCell, run_cell
 from repro.fuzz import (
     FUZZ_FORMAT,
     FuzzConfig,
@@ -108,6 +110,15 @@ def _scenario_config():
     return FuzzConfig(case_id="t", mode="scenario", seed=1, nodes=2,
                       policy="sweb", rps=1, duration=2.0, n_files=8,
                       file_bytes=1e5)
+
+
+def test_shard_cell_and_fuzz_case_share_one_fingerprint():
+    """The shard runner and the fuzz executor digest a per-client run
+    with the one ``scenario_fingerprint``."""
+    config = _scenario_config()
+    cell = ScenarioCell("fuzz-t", factory=functools.partial(
+        executor.build_scenario, config))
+    assert run_cell(cell).fingerprint == run_case(config).fingerprints[0]
 
 
 def _fluid_config():

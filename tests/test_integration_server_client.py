@@ -4,7 +4,7 @@ import pytest
 
 from repro import SWEBCluster, meiko_cs2, sun_now, RUTGERS_CLIENT, UCSB_CLIENT
 from repro.core import CostParameters
-from repro.sim import Trace
+from repro.obs import Tracer
 
 
 def small_cluster(policy="sweb", n=3, **kw):
@@ -154,8 +154,8 @@ def test_phase_accounting_sums_to_response_time():
 
 
 def test_trace_records_full_transaction():
-    trace = Trace()
-    cluster = SWEBCluster(meiko_cs2(2), policy="sweb", seed=1, trace=trace)
+    trace = Tracer()
+    cluster = SWEBCluster(meiko_cs2(2), policy="sweb", seed=1, tracer=trace)
     cluster.add_file("/a.html", 1e4, home=0)
     proc = cluster.fetch("/a.html")
     cluster.run(until=proc)

@@ -169,7 +169,7 @@ def test_tracer_attached_run_keeps_golden_fingerprint():
     assert scenario.name == "det-meiko"
     result = run_scenario(scenario)
     metrics = result.metrics
-    trace_text = scenario.trace.render()
+    trace_text = scenario.tracer.render()
     current = {
         "records": [_record_line(r) for r in metrics.records],
         "counters": {k: v for k, v in
@@ -177,7 +177,7 @@ def test_tracer_attached_run_keeps_golden_fingerprint():
         "served_by": {str(k): v for k, v in
                       sorted(metrics.served_by_histogram().items())},
         "finished_at": repr(result.finished_at),
-        "trace_records": len(scenario.trace),
+        "trace_records": len(scenario.tracer.records),
         "trace_sha256": hashlib.sha256(trace_text.encode()).hexdigest(),
     }
     golden = json.loads(GOLDEN.read_text())["det-meiko"]
@@ -188,6 +188,11 @@ def test_tracer_attached_run_keeps_golden_fingerprint():
     # and the tracer did actually collect the run
     assert len(scenario.tracer) == len(metrics.records)
     assert all(t.root is not None for t in scenario.tracer.traces())
+    # ... and its spans reconcile with every completed request's latency
+    for rec in metrics.records:
+        if rec.ok:
+            assert scenario.tracer.get(rec.req_id).reconciles(
+                rec.response_time)
 
 
 test_tracer_attached_run_keeps_golden_fingerprint.__coverage_gate_skip__ = (

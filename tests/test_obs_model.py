@@ -218,7 +218,7 @@ def test_head_sampling_bounds_trace_count():
 
 
 def test_disabled_tracer_collects_nothing():
-    tracer = Tracer(enabled=False)
+    tracer = Tracer(max_requests=0)
     root = tracer.begin(0, "/a", "c", 0.0)
     assert root is None
     # Every downstream call must be a no-op, not a crash.

@@ -37,7 +37,7 @@ import pytest
 from repro import SWEBCluster, meiko_cs2
 from repro.core import AdaptiveOracle, CostParameters, OracleRule
 from repro.experiments.shard import scenario_record_lines
-from repro.sim import Trace
+from repro.obs import Tracer
 from repro.web.client import RUTGERS_CLIENT, UCSB_CLIENT
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -61,18 +61,18 @@ def _files(cluster: SWEBCluster, n_nodes: int) -> list[str]:
 
 def _cell(name: str):
     """Build cell ``name``: (cluster, [(path, method, body_bytes, profile)])."""
-    trace = Trace()
+    trace = Tracer(max_requests=0)
     if name == "forward":
         cluster = SWEBCluster(meiko_cs2(4), policy="sweb", seed=3,
                               params=CostParameters(reassignment="forward"),
-                              backlog=10, trace=trace)
+                              backlog=10, tracer=trace)
         paths = _files(cluster, 4)
         plan = [(paths[(3 * i) % 8], "GET", 0.0, i % 3 == 0)
                 for i in range(48)]
     elif name == "post":
         cluster = SWEBCluster(meiko_cs2(3), policy="sweb", seed=5,
                               params=CostParameters(enable_post=True),
-                              trace=trace)
+                              tracer=trace)
         paths = _files(cluster, 3)
         cluster.add_cgi("/cgi-bin/upload", cpu_ops=4e6, output_bytes=500.0)
         cluster.add_cgi("/cgi-bin/scan", cpu_ops=2e6, output_bytes=800.0,
@@ -89,7 +89,7 @@ def _cell(name: str):
                 plan.append((paths[i % 8], "GET", 0.0, False))
     elif name == "errors":
         cluster = SWEBCluster(meiko_cs2(3), policy="sweb", seed=7,
-                              trace=trace)
+                              tracer=trace)
         paths = _files(cluster, 3)
         odd = [("/doc1.gif", "FOO"), ("/doc2.txt", "PUT"),
                ("/missing.html", "GET"), ("/doc3.tif", "HEAD")]
@@ -106,13 +106,13 @@ def _cell(name: str):
                    OracleRule(pattern="*", ops_per_byte=0.05)],
             alpha=0.5, min_observations=2)
         cluster = SWEBCluster(meiko_cs2(4), policy="sweb", seed=9,
-                              oracle=oracle, trace=trace)
+                              oracle=oracle, tracer=trace)
         paths = _files(cluster, 4)
         plan = [(paths[(7 * i) % 8], "GET", 0.0, i % 5 == 0)
                 for i in range(48)]
     elif name == "striped":
         cluster = SWEBCluster(meiko_cs2(4), policy="sweb", seed=11,
-                              trace=trace)
+                              tracer=trace)
         paths = _files(cluster, 4)
         cluster.add_striped_file("/map0.tif", 3e6, stripes=[0, 1, 2, 3])
         cluster.add_striped_file("/map1.tif", 1.2e6, stripes=[2, 3])

@@ -279,14 +279,6 @@ def test_nan_weight_cannot_strand_a_healthy_neighbour():
     assert srv.njobs == 0
 
 
-def test_service_time_helper():
-    sim = Simulator()
-    srv = FairShareServer(sim, rate=4.0)
-    assert srv.service_time(8.0) == pytest.approx(2.0)
-    srv.set_rate(0.0)
-    assert math.isinf(srv.service_time(8.0))
-
-
 def test_many_staggered_jobs_total_time_matches_total_work():
     # Regardless of interleaving, the server is busy exactly
     # total_work / rate seconds when jobs overlap completely back-to-back.

@@ -3,16 +3,17 @@
 import pytest
 
 from repro.cluster import WANPath
-from repro.sim import Simulator, Trace
+from repro.obs import Tracer
+from repro.sim import Simulator
 from repro.web.resolver import AuthoritativeDNS, LocalResolver
 
 
-def make_chain(ttl=30.0, latency=0.04, trace=None):
+def make_chain(ttl=30.0, latency=0.04, tracer=None):
     sim = Simulator()
     auth = AuthoritativeDNS(sim, [0, 1, 2], ttl=ttl)
     resolver = LocalResolver(sim, auth,
                              wan=WANPath(latency=latency, bandwidth=1e6),
-                             domain="rutgers.edu", trace=trace)
+                             domain="rutgers.edu", tracer=tracer)
     return sim, auth, resolver
 
 
@@ -104,8 +105,8 @@ def test_zero_ttl_never_caches():
 
 
 def test_trace_records_dns_exchanges():
-    trace = Trace()
-    sim, _auth, resolver = make_chain(trace=trace)
+    trace = Tracer()
+    sim, _auth, resolver = make_chain(tracer=trace)
     resolve(sim, resolver)
     resolve(sim, resolver)
     actions = [rec.action for rec in trace.filter(category="dns")]

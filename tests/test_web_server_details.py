@@ -4,7 +4,7 @@ import pytest
 
 from repro import SWEBCluster, meiko_cs2
 from repro.core import CostParameters
-from repro.sim import Trace
+from repro.obs import Tracer
 
 
 def one_node(policy="round-robin", **kw):
@@ -51,8 +51,8 @@ def test_head_vs_get_cpu_send_cost():
 
 
 def test_trace_emits_file_read_events():
-    trace = Trace()
-    cluster = one_node(trace=trace)
+    trace = Tracer()
+    cluster = one_node(tracer=trace)
     cluster.run(until=cluster.fetch("/page.html"))
     reads = trace.filter(category="io", action="file_read")
     assert len(reads) == 1
