@@ -132,6 +132,11 @@ class ReplicationDaemon:
                 # the already-hot home node.  A demand fill will cache it
                 # within a period or two; spread it then, at RAM speed.
                 continue
+            missing = self.factor - len(holders)
+            if missing <= 0:
+                # Already at `factor` copies: nothing to rank (the usual
+                # case once the hot set has spread).
+                continue
             candidates = sorted(
                 (node for node in self.nodes
                  if node.alive and node.id not in holders
@@ -139,8 +144,7 @@ class ReplicationDaemon:
                  and meta.size <= node.cache.capacity
                  and (path, node.id) not in self._in_flight),
                 key=lambda node: (self._node_load(node), node.id))
-            missing = self.factor - len(holders)
-            for node in candidates[:max(missing, 0)]:
+            for node in candidates[:missing]:
                 if budget <= 0:
                     break
                 out.append((path, node.id))

@@ -171,6 +171,30 @@ def test_plan_tops_up_to_factor_and_is_deterministic():
     assert daemon.plan() == planned  # pure planning: no hidden state
 
 
+def test_plan_ranks_no_peers_once_hot_files_hold_factor_copies():
+    cluster = coop_cluster(replication_factor=2, replication_skew=1.0)
+    for i, holders in enumerate([(0, 1), (0, 2, 3)]):
+        path = f"/hot{i}"
+        cluster.fs.add_file(path, 1e6, home=0)
+        for node in holders:
+            cluster.nodes[node].cache.insert(path, 1e6)
+        cluster.replicator.heat.record(path, nbytes=1e6)
+    daemon = cluster.replicator
+    calls = []
+    rank = daemon._node_load
+    daemon._node_load = lambda node: calls.append(node.id) or rank(node)
+    # Every hot file is at (or past) its replica target: the cycle plans
+    # nothing and never ranks a candidate peer.
+    assert daemon.plan() == []
+    assert calls == []
+    # A hot file one copy short: only its candidate peers are ranked.
+    cluster.fs.add_file("/hot2", 1e6, home=0)
+    cluster.nodes[0].cache.insert("/hot2", 1e6)
+    daemon.heat.record("/hot2", nbytes=1e6)
+    assert daemon.plan() == [("/hot2", 1)]
+    assert sorted(calls) == [1, 2, 3]
+
+
 def test_replicate_lands_copy_and_counts_traffic():
     cluster = coop_cluster()
     cluster.fs.add_file("/hot", 2e6, home=0)

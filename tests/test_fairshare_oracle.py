@@ -285,3 +285,72 @@ def test_matches_reference_on_lone_job_programs(rate, ops):
     # Long gaps between submits: the station is mostly idle or serving a
     # lone job, the path geo3's ~1.06 jobs per server takes.
     _assert_same(rate, ops)
+
+
+# -- the one-pass update: queue shapes each branch of it must reproduce ----
+def test_unit_jobs_finishing_together_in_a_deep_queue():
+    # Five equal unit jobs among longer ones finish at one instant (one
+    # wake-up completes them in list order); a later batch drains behind
+    # a job that entered mid-way.
+    ops = [("submit", 0.0, w, 1.0, None)
+           for w in (10.0, 10.0, 30.0, 10.0, 50.0, 10.0, 10.0)]
+    ops += [("submit", 1.5, 4.0, 1.0, None),
+            ("submit", 0.0, 4.0, 1.0, None),
+            ("read", 2.0, "pop"),
+            ("submit", 40.0, 6.0, 1.0, None)]
+    _assert_same(10.0, ops)
+
+
+def test_shaped_job_entering_and_leaving_an_unshaped_queue():
+    # A capped job joins three unit jobs and completes; a weighted one
+    # joins and is cancelled: water-filling starts and stops with them.
+    ops = [("submit", 0.0, 20.0, 1.0, None),
+           ("submit", 0.0, 25.0, 1.0, None),
+           ("submit", 0.0, 30.0, 1.0, None),
+           ("submit", 0.5, 2.0, 1.0, 1.5),
+           ("read", 0.5, "busy"),
+           ("submit", 2.0, 40.0, 3.0, None),
+           ("cancel", 1.0, 4),
+           ("submit", 0.5, 5.0, 1.0, None)]
+    _assert_same(12.0, ops)
+    sim = Simulator()
+    srv = FairShareServer(sim, rate=12.0)
+    units = [srv.submit(w) for w in (20.0, 25.0, 30.0)]
+    assert srv._nshaped == 0
+    capped = srv.submit(2.0, cap=1.5)
+    weighted = srv.submit(40.0, weight=3.0)
+    assert srv._nshaped == 2
+    sim.run(until=capped)
+    assert srv._nshaped == 1
+    srv.cancel(weighted)
+    assert srv._nshaped == 0 and srv.njobs == 3
+    assert all(job.rate == 4.0 for job in units)
+
+
+def test_zero_and_sub_epsilon_work_on_a_busy_station():
+    # Submitted a hair before three jobs' common completion: the submit's
+    # advance completes them, and the zero-work job completes behind them.
+    ops = [("submit", 0.0, 10.0, 1.0, None),
+           ("submit", 0.0, 10.0, 1.0, None),
+           ("submit", 0.0, 10.0, 1.0, None),
+           ("submit", 1.0 - 1e-12, 0.0, 1.0, None),
+           ("submit", 0.0, 20.0, 1.0, None),
+           ("submit", 0.0, 5e-10, 1.0, None),
+           ("submit", 0.0, 0.0, 2.5, 1.0),
+           ("submit", 0.5, 3e-9, 1.0, None),
+           ("submit", 0.0, 0.0, 1.0, None)]
+    _assert_same(30.0, ops)
+    new = _drive(_Production, 30.0, ops)
+    # Completion order: the three advanced jobs, then the zero-work one.
+    assert [entry[0] for entry in new["log"][:4]] == [0, 1, 2, 3]
+
+
+def test_integral_reads_between_busy_submits():
+    ops = []
+    for i in range(10):
+        ops.append(("submit", 0.3, 5.0 + 3.0 * i,
+                    1.0 if i % 4 else 2.0, None if i % 3 else 6.0))
+        ops.append(("read", 0.0 if i % 2 else 0.1,
+                    "pop" if i % 2 else "busy"))
+    ops += [("read", 0.0, "pop"), ("read", 100.0, "busy")]
+    _assert_same(10.0, ops)
