@@ -22,9 +22,8 @@ if TYPE_CHECKING:
 __all__ = ["RULES"]
 
 #: private engine attributes nothing outside sim/engine.py may touch: the
-#: heap of future entries, the same-instant lanes and the callback pool
-_ENGINE_INTERNALS = frozenset({"_queue", "_heap", "_urgent", "_normal",
-                               "_cb_pool"})
+#: heap of future entries and the same-instant lanes
+_ENGINE_INTERNALS = frozenset({"_queue", "_heap", "_urgent", "_normal"})
 
 
 class HeapqRule(Rule):
@@ -54,8 +53,7 @@ class EngineInternalsRule(Rule):
 
     name = "sched-engine-internals"
     summary = ("no access to the simulator's private event queue "
-               "(_queue/_heap/_urgent/_normal/_cb_pool) outside "
-               "sim/engine.py")
+               "(_queue/_heap/_urgent/_normal) outside sim/engine.py")
 
     def check(self, ctx: "FileContext") -> Iterator["Diagnostic"]:
         if ctx.layer is None:
