@@ -142,7 +142,7 @@ def _phase_fair_share(scale: float) -> tuple[int, str, dict[str, Any]]:
         yield sim.timeout(i * 0.01)
         cap = 5.0 if i % 9 == 0 else None
         job = srv.submit(1.0 + (i % 7), cap=cap)
-        yield job.done
+        yield job
 
     for i in range(n):
         sim.spawn(submit(i))

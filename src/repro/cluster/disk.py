@@ -55,7 +55,7 @@ class Disk:
             raise ValueError(f"negative read size: {nbytes}")
         self.bytes_read += nbytes
         self.reads += 1
-        return self.server.submit(nbytes, tag=tag).done
+        return self.server.submit(nbytes, tag=tag)
 
     def allocate(self, nbytes: float) -> None:
         """Account for a stored file (placement-time bookkeeping)."""

@@ -57,7 +57,7 @@ class Link:
         # order matches the old generator pump exactly.
         def queue_job(_ev: Event) -> None:
             job = self.server.submit(nbytes, cap=cap, tag=tag)
-            job.done.callbacks.append(lambda ev: done.succeed(nbytes))
+            job.callbacks.append(lambda ev: done.succeed(nbytes))
 
         def start(_ev: Event) -> None:
             if self.latency > 0:
@@ -310,7 +310,7 @@ class SharedBusNetwork(ClusterNetwork):
         # order matches the old generator pump exactly.
         def queue_job(_ev: Event) -> None:
             job = self.bus.submit(nbytes, tag=tag)
-            job.done.callbacks.append(lambda ev: done.succeed(nbytes))
+            job.callbacks.append(lambda ev: done.succeed(nbytes))
 
         def start(_ev: Event) -> None:
             if self.latency > 0:
@@ -348,7 +348,7 @@ class SharedBusNetwork(ClusterNetwork):
                     yield self.sim.timeout(self.latency)
                 for done in remote:
                     job = self.bus.submit(nbytes, tag=tag)
-                    job.done.callbacks.append(
+                    job.callbacks.append(
                         lambda ev, d=done: d.succeed(nbytes))
 
             self.sim.spawn(pump(), name=f"{self.name}.mcast")
@@ -401,7 +401,7 @@ class Internet:
         # order matches the old generator pump exactly.
         def queue_job(_ev: Event) -> None:
             job = nic.submit(nbytes, cap=path.bandwidth, tag=tag)
-            job.done.callbacks.append(lambda ev: done.succeed(nbytes))
+            job.callbacks.append(lambda ev: done.succeed(nbytes))
 
         def start(_ev: Event) -> None:
             if path.latency > 0:

@@ -77,7 +77,7 @@ class Node:
             raise ValueError(f"negative ops: {ops}")
         self.cpu_ops_by_category[category] = (
             self.cpu_ops_by_category.get(category, 0.0) + ops)
-        return self.cpu.submit(ops, tag=tag or category).done
+        return self.cpu.submit(ops, tag=tag or category)
 
     def cpu_load(self) -> float:
         """Instantaneous run-queue length (jobs in service)."""
@@ -93,7 +93,7 @@ class Node:
         """Serve a page-cache hit at memory-copy bandwidth."""
         if nbytes < 0:
             raise ValueError(f"negative size: {nbytes}")
-        return self.mem.submit(nbytes, tag=tag).done
+        return self.mem.submit(nbytes, tag=tag)
 
     # -- membership -----------------------------------------------------------
     def leave(self) -> None:

@@ -49,11 +49,13 @@ class HeapqRule(Rule):
 
 
 class EngineInternalsRule(Rule):
-    """No reaching into the simulator's private event queue."""
+    """No reaching into the simulator's private event queue, and no
+    writing its clock."""
 
     name = "sched-engine-internals"
     summary = ("no access to the simulator's private event queue "
-               "(_queue/_heap/_urgent/_normal) outside sim/engine.py")
+               "(_queue/_heap/_urgent/_normal) and no assignment to "
+               "'.now' outside sim/engine.py")
 
     def check(self, ctx: "FileContext") -> Iterator["Diagnostic"]:
         if ctx.layer is None:
@@ -64,6 +66,13 @@ class EngineInternalsRule(Rule):
                 yield self.diag(ctx, node.lineno,
                                 f"touches engine internal '.{node.attr}'; "
                                 f"use the public Simulator API")
+            elif (isinstance(node, ast.Attribute) and node.attr == "now"
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                # Simulator.now is a plain attribute for speed; only the
+                # run loop may move the clock
+                yield self.diag(ctx, node.lineno,
+                                "assigns the simulator clock '.now'; only "
+                                "the run loop in sim/engine.py moves it")
 
 
 RULES = (HeapqRule(), EngineInternalsRule())

@@ -164,7 +164,7 @@ class FairShareServer:
         job.weight = weight = float(weight)
         job.cap = cap
         job.tag = tag
-        job.submitted_at = sim._now
+        job.submitted_at = sim.now
         job.finished_at = None
         job._rate = 0.0
         # Remaining work at or below which the job counts as finished.
@@ -218,7 +218,7 @@ class FairShareServer:
         weighted job is in service.
         """
         sim = self.sim
-        now = sim._now
+        now = sim.now
         jobs = self._jobs
         done = False
         dt = now - self._last_update

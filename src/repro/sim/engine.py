@@ -314,10 +314,12 @@ class Simulator:
     heap of future entries."""
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: current simulated time (read-only: only the run loop moves it;
+        #: lint rule ``sched-engine-internals`` flags writes elsewhere)
+        self.now = float(start_time)
         #: strictly-future entries, ``(time, priority, seq, event)``
         self._queue: list[tuple[float, int, int, Event]] = []
-        #: events due at ``_now``, one FIFO per priority (no seq needed:
+        #: events due at ``now``, one FIFO per priority (no seq needed:
         #: a lane's order is its push order)
         self._urgent: deque[Event] = deque()
         self._normal: deque[Event] = deque()
@@ -328,11 +330,6 @@ class Simulator:
         self._dead = 0
 
     # -- time --------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
-
     @property
     def event_count(self) -> int:
         """Events dispatched so far (a determinism fingerprint); cancelled
@@ -371,7 +368,7 @@ class Simulator:
         ev._state = 1  # Event.TRIGGERED
         ev._defused = False
         ev.delay = delay
-        now = self._now
+        now = self.now
         when = now + delay
         if when == now:
             self._normal.append(ev)
@@ -434,7 +431,7 @@ class Simulator:
         event.callbacks = None
         event._state = Event.CANCELLED
         self._cancelled += 1
-        now = self._now
+        now = self.now
         if ((type(event) is Timeout and now + event.delay != now)
                 or (event not in self._urgent and event not in self._normal)):
             self._dead += 1
@@ -457,7 +454,7 @@ class Simulator:
         urgent = self._urgent
         normal = self._normal
         while True:
-            now = self._now
+            now = self.now
             if urgent or normal:
                 # A heap entry due now was pushed before the clock got
                 # here, so it precedes every lane entry of its priority;
@@ -480,7 +477,7 @@ class Simulator:
                     self._dead -= 1
                     continue
                 if when >= now:
-                    self._now = when
+                    self.now = when
                 elif when < now - 1e-12:
                     raise SimulationError("event scheduled in the past")
             else:
@@ -498,7 +495,7 @@ class Simulator:
         old time, in lane order and behind the entries already there —
         the keys a single heap would have given it.
         """
-        old = self._now
+        old = self.now
         if at != old:
             heap = self._queue
             for prio, lane in ((URGENT, self._urgent), (NORMAL, self._normal)):
@@ -507,7 +504,7 @@ class Simulator:
                         self._seq += 1
                         heappush(heap, (old, prio, self._seq, event))
                 lane.clear()
-        self._now = at
+        self.now = at
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -523,8 +520,8 @@ class Simulator:
         for lane in (self._urgent, self._normal):
             while lane and lane[0].callbacks is None:
                 lane.popleft()
-            if lane and self._now < when:
-                return self._now
+            if lane and self.now < when:
+                return self.now
         return when
 
     def step(self) -> None:
@@ -569,14 +566,14 @@ class Simulator:
                 until.callbacks.append(_halt)
             else:
                 at = float(until)
-                if at < self._now:
-                    raise ValueError(f"until={at} lies in the past (now={self._now})")
+                if at < self.now:
+                    raise ValueError(f"until={at} lies in the past (now={self.now})")
                 stopper = Event(self)
                 stopper._ok = True
                 stopper._value = None
                 stopper._state = Event.TRIGGERED
                 stopper.callbacks = [lambda ev: (_ for _ in ()).throw(StopSimulation(None))]
-                if at == self._now:
+                if at == self.now:
                     self._urgent.append(stopper)
                 else:
                     self._seq += 1
@@ -591,7 +588,7 @@ class Simulator:
         urgent_pop = urgent.popleft
         normal_pop = normal.popleft
         pop = heappop
-        now = self._now
+        now = self.now
         try:
             while True:
                 if urgent or normal:
@@ -617,7 +614,7 @@ class Simulator:
                         self._dead -= 1
                         continue
                     if when >= now:
-                        self._now = now = when
+                        self.now = now = when
                     elif when < now - 1e-12:
                         raise SimulationError("event scheduled in the past")
                 else:

@@ -151,22 +151,24 @@ def burst_workload(rps: int, duration: float, sampler: PathSampler,
                    client_mix: Optional[list[tuple[str, float]]] = None,
                    rng: Optional[RandomStreams] = None) -> Workload:
     """The paper's generator: ``rps`` simultaneous requests at every
-    second boundary for ``duration`` seconds."""
+    second boundary for ``duration`` seconds.  A ``client_mix`` needs an
+    ``rng``, checked up front even when ``duration`` yields no arrivals."""
     if rps < 1:
         raise ValueError(f"rps must be >= 1, got {rps}")
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
+    if client_mix is not None:
+        if rng is None:
+            raise ValueError("client_mix needs an rng")
+        names = [n for n, _ in client_mix]
+        total = sum(w for _, w in client_mix)
+        probs = [w / total for _, w in client_mix]
     arrivals = []
     for second in range(int(duration)):
         t = start + float(second)
         for _ in range(rps):
             who = client
             if client_mix is not None:
-                if rng is None:
-                    raise ValueError("client_mix needs an rng")
-                names = [n for n, _ in client_mix]
-                total = sum(w for _, w in client_mix)
-                probs = [w / total for _, w in client_mix]
                 who = rng.choice("client-mix", names, p=probs)
             arrivals.append(Arrival(time=t, path=sampler(), client=who))
     return Workload(name=f"burst-{rps}rps-{int(duration)}s",

@@ -3,7 +3,19 @@
 T1 and S1 run max-rps searches that take ~a minute even in fast mode;
 they are exercised through their building blocks here and in full by the
 benchmark harness.
+
+Every fast-mode render is pinned verbatim in
+``tests/data/artifact_goldens.json``.  If a change legitimately alters an
+artifact, regenerate the file::
+
+    PYTHONPATH=src python tests/test_experiments_modules.py --regenerate
+
+and explain the change in the commit message.
 """
+
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +28,8 @@ from repro.experiments.base import ExperimentReport
 from repro.experiments.table1 import max_rps_cell
 from repro.experiments.tables import ComparisonRow, render_comparison, render_table
 from repro.experiments import paper_data
+
+ARTIFACT_GOLDEN = Path(__file__).resolve().parent / "data" / "artifact_goldens.json"
 
 
 # --------------------------------------------------------------- registry
@@ -43,7 +57,11 @@ def test_run_experiment_case_insensitive():
 # --------------------------------------------------------- fast experiments
 FAST_IDS = ("T2", "T3", "T4", "T5", "F1", "F2", "F3", "S2", "S3",
             "X1", "X2", "X3", "X4", "X5", "X6", "X7", "X8", "X9", "X10",
-            "X11", "X12")
+            "X11", "X12", "X13")
+
+
+def test_artifact_goldens_cover_every_fast_id():
+    assert sorted(json.loads(ARTIFACT_GOLDEN.read_text())) == sorted(FAST_IDS)
 
 
 @pytest.mark.parametrize("exp_id", FAST_IDS)
@@ -57,6 +75,7 @@ def test_experiment_report_structure_and_shape(exp_id):
     assert exp_id in rendered
     assert "paper vs measured" in rendered
     assert report.shape_holds, rendered
+    assert rendered == json.loads(ARTIFACT_GOLDEN.read_text())[exp_id]
 
 
 # ----------------------------------------------------- T1/S1 building block
@@ -104,3 +123,14 @@ def test_paper_data_quality_flags():
 def test_paper_analysis_constants():
     assert paper_data.ANALYSIS["p"] == 6
     assert paper_data.ANALYSIS["total_rps_s33"].value == pytest.approx(17.3)
+
+
+if __name__ == "__main__":
+    if "--regenerate" in sys.argv:
+        golden = {exp_id: run_experiment(exp_id, fast=True).render()
+                  for exp_id in FAST_IDS}
+        ARTIFACT_GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True)
+                                   + "\n")
+        print(f"wrote {ARTIFACT_GOLDEN}")
+    else:
+        print(__doc__)

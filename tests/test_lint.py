@@ -186,6 +186,18 @@ def test_engine_lanes_flagged(tmp_path):
                  rule="sched-engine-internals") == []
 
 
+def test_clock_assignment_flagged(tmp_path):
+    code = ('"""D."""\ndef f(sim, t):\n'
+            '    sim.now = t\n'
+            '    sim.now += 1.0\n'
+            '    return sim.now\n')
+    diags = _lint(tmp_path, "geo/x.py", code, rule="sched-engine-internals")
+    assert [d.line for d in diags] == [3, 4]
+    assert all("'.now'" in d.message for d in diags)
+    assert _lint(tmp_path, "sim/engine.py", code,
+                 rule="sched-engine-internals") == []
+
+
 # -- ordering -------------------------------------------------------------
 
 def test_set_iteration_flagged(tmp_path):

@@ -154,3 +154,18 @@ def test_workload_validation():
         poisson_workload(0.0, 1.0, sampler, RandomStreams(0))
     with pytest.raises(ValueError):
         burst_workload(1, 1.0, sampler, client_mix=[("a", 1.0)])
+
+
+def test_client_mix_without_rng_raises_before_any_draw():
+    # checked with the mix set-up, before the arrival loop: a duration
+    # under one second, which yields no arrivals, raises too
+    drawn = []
+
+    def sampler():
+        drawn.append(1)
+        return "/f"
+
+    for duration in (0.5, 3.0):
+        with pytest.raises(ValueError, match="client_mix needs an rng"):
+            burst_workload(2, duration, sampler, client_mix=[("a", 1.0)])
+    assert drawn == []
