@@ -27,7 +27,8 @@ this script fails the build on each of them:
 Beyond ``docs/`` and the top-level ``README.md``, the generated
 ``EXPERIMENTS.md`` (when present) is scanned for links and CLI
 invocations too, so its reproduce lines stay runnable; repo paths are
-also checked in ``DESIGN.md``.
+also checked in ``DESIGN.md`` and ``ROADMAP.md`` (the open-items list
+cites tests and sources as instructions).
 
 Usage::
 
@@ -260,8 +261,8 @@ def check_tree(root: Path) -> list[str]:
                     f"{rel}: in `sweb-repro {invocation}`: {problem}")
 
     # 4. repo paths named in inline code exist
-    design = root / "DESIGN.md"
-    for page in candidates + ([design] if design.is_file() else []):
+    extras = [root / name for name in ("DESIGN.md", "ROADMAP.md")]
+    for page in candidates + [page for page in extras if page.is_file()]:
         rel = page.relative_to(root)
         for path in repo_paths(page.read_text()):
             exists = (any(root.glob(path)) if "*" in path

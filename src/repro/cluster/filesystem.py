@@ -180,7 +180,6 @@ class DistributedFileSystem:
             return self._read_striped(meta, at_node, ctx)
         home_node = self.nodes[meta.home]
         reader = self.nodes[at_node]
-        done = Event(self.sim)
         remote = meta.home != at_node
         # A replication-daemon copy in the reading node's own cache turns
         # a would-be NFS read into a local memory-speed hit (the whole
@@ -190,21 +189,13 @@ class DistributedFileSystem:
             self.local_reads += 1
             self.replica_reads += 1
             reader.cache.lookup(path)
-
-            def pump_replica():
-                sp = self._read_span(ctx, "replica_read", at_node, path=path)
-                yield reader.read_from_cache(meta.size, tag=path)
-                self._end_span(sp, bytes=meta.size)
-                done.succeed(ReadOutcome(path=path, nbytes=meta.size,
-                                         source="cache", remote=False,
-                                         home=meta.home))
-
-            self.sim.spawn(pump_replica(), name=f"fs.read:{path}")
-            return done
+            return self._own_cache_read(meta, at_node, ctx, "replica_read",
+                                        "fs.read")
         if remote:
             self.remote_reads += 1
         else:
             self.local_reads += 1
+        done = Event(self.sim)
 
         def pump():
             # Stage 1: produce the bytes at the home node (cache or disk).
@@ -214,7 +205,7 @@ class DistributedFileSystem:
                 yield home_node.read_from_cache(meta.size, tag=path)
                 self._end_span(sp, bytes=meta.size)
             else:
-                holder = self._cached_peer(meta, at_node)
+                holder = self._cached_peer(path, at_node)
                 if holder is not None:
                     # Cooperative-cache fast path: a peer's cached replica
                     # plus one fabric hop beats the home disk.  Only the
@@ -251,16 +242,40 @@ class DistributedFileSystem:
         self.sim.spawn(pump(), name=f"fs.read:{path}")
         return done
 
-    def _cached_peer(self, meta: FileMeta, at_node: int) -> Optional[Node]:
-        """Least-loaded alive node, other than home and reader, whose page
-        cache holds the file (ties break on node id).  ``None`` when no
-        replica exists — the overwhelmingly common case."""
+    def _own_cache_read(self, meta: FileMeta, at_node: int,
+                        ctx: Optional[Span], span: str, process: str,
+                        **tags) -> Event:
+        """Serve ``meta`` from the reading node's own page cache.
+
+        The caller has already counted the hit; the read is one memory-
+        speed leg under a ``span`` child of ``ctx`` (``path`` plus
+        ``tags``), run by a process named ``process:path``."""
+        reader = self.nodes[at_node]
+        done = Event(self.sim)
+
+        def pump():
+            sp = self._read_span(ctx, span, at_node, path=meta.path, **tags)
+            yield reader.read_from_cache(meta.size, tag=meta.path)
+            self._end_span(sp, bytes=meta.size)
+            done.succeed(ReadOutcome(path=meta.path, nbytes=meta.size,
+                                     source="cache", remote=False,
+                                     home=meta.home))
+
+        self.sim.spawn(pump(), name=f"{process}:{meta.path}")
+        return done
+
+    def _cached_peer(self, path: str, at_node: int) -> Optional[Node]:
+        """Least-loaded alive node, other than the reader ``at_node``,
+        whose page cache holds ``path`` (ties break on node id).  ``None``
+        when no replica exists — the overwhelmingly common case.  A plain
+        read asks right after the home cache missed, so the home node
+        never qualifies."""
         best: Optional[Node] = None
         best_key: Optional[tuple[float, int]] = None
         for node in self.nodes:
-            if node.id == meta.home or node.id == at_node or not node.alive:
+            if node.id == at_node or not node.alive:
                 continue
-            if meta.path not in node.cache:
+            if path not in node.cache:
                 continue
             key = (float(self.network.node_load(node.id)), node.id)
             if best_key is None or key < best_key:

@@ -15,7 +15,8 @@ Three different fabrics appear in the paper:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+import math
+from typing import Any, Callable, Iterable, Optional
 
 from ..sim import Event, FairShareServer, Simulator
 
@@ -28,16 +29,63 @@ __all__ = [
     "Internet",
 ]
 
+def _check_path(bandwidth: float, latency: float) -> None:
+    """Reject a bandwidth or latency no stream could cross in finite time.
+
+    Chained comparisons, so NaN fails them too: a NaN latency would
+    otherwise skip the hop (``nan > 0`` is false) and an infinite one
+    would never land.
+    """
+    if not 0 < bandwidth < math.inf:
+        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth}")
+    if not 0 <= latency < math.inf:
+        raise ValueError(f"latency must be finite and >= 0, got {latency}")
+
+
+def _check_size(nbytes: float) -> None:
+    if nbytes < 0:
+        raise ValueError(f"negative transfer size: {nbytes}")
+
+
+def _start_hop(sim: Simulator, latency: float,
+               open_stream: Callable[[Event], None]) -> None:
+    """Call ``open_stream(event)`` once ``latency`` has passed.
+
+    The start hop of every transfer: a deferred start, scheduled like a
+    new process's initialisation event, then a latency timeout when the
+    latency is non-zero.  Process-free (docs/PERFORMANCE.md): it keeps
+    the schedule of a spawned pump process without the process.
+    """
+    def start(ev: Event) -> None:
+        if latency > 0:
+            sim.timeout(latency).callbacks.append(open_stream)
+        else:
+            open_stream(ev)
+
+    sim.defer(start)
+
+
+def _relay(job: Event, done: Event, value: Any) -> None:
+    """Succeed ``done`` with ``value`` when the station ``job`` finishes."""
+    job.callbacks.append(lambda _ev: done.succeed(value))
+
+
+def _send(sim: Simulator, station: FairShareServer, latency: float,
+          nbytes: float, tag: Any, cap: Optional[float]) -> Event:
+    """One stream through ``station`` after the start hop; the returned
+    event fires with ``nbytes`` when the last byte lands."""
+    done = Event(sim)
+    _start_hop(sim, latency, lambda _ev: _relay(
+        station.submit(nbytes, cap=cap, tag=tag), done, nbytes))
+    return done
+
 
 class Link:
     """A unidirectional shared pipe: fixed latency + fair-share bandwidth."""
 
     def __init__(self, sim: Simulator, bandwidth: float, latency: float = 0.0,
                  name: str = "link") -> None:
-        if bandwidth <= 0:
-            raise ValueError(f"link bandwidth must be > 0, got {bandwidth}")
-        if latency < 0:
-            raise ValueError(f"negative latency: {latency}")
+        _check_path(bandwidth, latency)
         self.sim = sim
         self.name = name
         self.bandwidth = float(bandwidth)
@@ -48,25 +96,9 @@ class Link:
     def transfer(self, nbytes: float, tag: Any = None,
                  cap: Optional[float] = None) -> Event:
         """Move ``nbytes`` through the link; fires when the last byte lands."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
+        _check_size(nbytes)
         self.bytes_sent += nbytes
-        done = Event(self.sim)
-
-        # Process-free callback chain (docs/PERFORMANCE.md): scheduling
-        # order matches the old generator pump exactly.
-        def queue_job(_ev: Event) -> None:
-            job = self.server.submit(nbytes, cap=cap, tag=tag)
-            job.callbacks.append(lambda ev: done.succeed(nbytes))
-
-        def start(_ev: Event) -> None:
-            if self.latency > 0:
-                self.sim.timeout(self.latency).callbacks.append(queue_job)
-            else:
-                queue_job(_ev)
-
-        self.sim.defer(start)
-        return done
+        return _send(self.sim, self.server, self.latency, nbytes, tag, cap)
 
     def __repr__(self) -> str:
         return (f"<Link {self.name!r} bw={self.bandwidth / 1e6:.2f}MB/s "
@@ -74,7 +106,13 @@ class Link:
 
 
 class ClusterNetwork:
-    """Interface for the intra-cluster interconnect.
+    """The intra-cluster interconnect: one transfer path for every fabric.
+
+    This class owns everything a transfer does apart from occupying the
+    medium: the size check, loopback (a transfer to oneself never
+    touches the fabric), the partition cut, byte accounting and the
+    latency hop.  A fabric states only how a stream occupies it
+    (:meth:`_stream`) and what a node's load is (:meth:`node_load`).
 
     Partition support (the fault-injection subsystem, docs/FAULTS.md)
     lives here so every fabric inherits it: :meth:`partition` splits the
@@ -93,22 +131,72 @@ class ClusterNetwork:
     #: transfers dropped at a partition cut (diagnostic counter)
     transfers_lost: int = 0
 
+    def __init__(self, sim: Simulator, bandwidth: float, latency: float,
+                 name: str) -> None:
+        _check_path(bandwidth, latency)
+        self.sim = sim
+        self.name = name
+        self.bandwidth = float(bandwidth)
+        self.latency = float(latency)
+        self.bytes_sent = 0.0
+
     def transfer(self, src: int, dst: int, nbytes: float, tag: Any = None) -> Event:
         """Move ``nbytes`` from node ``src`` to node ``dst``."""
-        raise NotImplementedError
+        _check_size(nbytes)
+        done, crosses = self._leg(src, dst, nbytes)
+        if crosses:
+            _start_hop(self.sim, self.latency,
+                       lambda _ev: self._stream(src, dst, nbytes, tag, done))
+        return done
 
     def multicast(self, src: int, dsts: Iterable[int], nbytes: float,
                   tag: Any = None) -> list[Event]:
         """Send one ``nbytes`` payload from ``src`` to every node in ``dsts``.
 
-        Returns one completion event per destination, in ``dsts`` order —
-        semantically identical to calling :meth:`transfer` in a loop, but
-        fabrics override it with a batched implementation that drives the
-        whole fan-out from a single simulator process (one spawn and one
-        latency timer instead of one per destination).  loadd's periodic
-        broadcasts — O(nodes²) transfers per period — are the main user.
+        Returns one completion event per destination, in ``dsts`` order.
+        One process pays the latency once, then opens every stream in
+        ``dsts`` order: the same submissions in the same order as
+        per-destination :meth:`transfer` calls, without a start hop per
+        destination.  loadd's periodic broadcasts — O(nodes²) transfers
+        per period — are the main user.
         """
-        return [self.transfer(src, dst, nbytes, tag=tag) for dst in dsts]
+        _check_size(nbytes)
+        results: list[Event] = []
+        remote: list[tuple[int, Event]] = []
+        for dst in dsts:
+            done, crosses = self._leg(src, dst, nbytes)
+            if crosses:
+                remote.append((dst, done))
+            results.append(done)
+        if remote:
+            def pump():
+                if self.latency > 0:
+                    yield self.sim.timeout(self.latency)
+                for dst, done in remote:
+                    self._stream(src, dst, nbytes, tag, done)
+
+            self.sim.spawn(pump(), name=f"{self.name}.mcast")
+        return results
+
+    def _leg(self, src: int, dst: int, nbytes: float) -> tuple[Event, bool]:
+        """The completion event of one ``src -> dst`` leg, and whether the
+        leg crosses the fabric.  A loopback leg has already succeeded; a
+        leg into a partition cut is counted lost and never fires."""
+        done = Event(self.sim)
+        if src == dst:
+            done.succeed(nbytes)
+            return done, False
+        if not self.reachable(src, dst):
+            self.transfers_lost += 1
+            return done, False
+        self.bytes_sent += nbytes
+        return done, True
+
+    def _stream(self, src: int, dst: int, nbytes: float, tag: Any,
+                done: Event) -> None:
+        """Occupy the fabric with one stream; succeed ``done`` with
+        ``nbytes`` when it has crossed."""
+        raise NotImplementedError
 
     def node_load(self, node: int) -> int:
         """In-flight transfers that involve ``node`` (loadd's net metric)."""
@@ -140,11 +228,6 @@ class ClusterNetwork:
         if self._node_group is None:
             return True
         return self._node_group.get(src) == self._node_group.get(dst)
-
-    def _lost(self, src: int, dst: int, sim: "Simulator") -> Event:
-        """A transfer into the cut: count it, return a never-firing event."""
-        self.transfers_lost += 1
-        return Event(sim)
 
 
 def _join(sim: Simulator, first: Event, second: Event, done: Event,
@@ -191,84 +274,21 @@ class FatTreeNetwork(ClusterNetwork):
                  latency: float = 10e-6, name: str = "fat-tree") -> None:
         if nodes < 1:
             raise ValueError("need at least one node")
-        if bandwidth <= 0:
-            raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-        self.sim = sim
-        self.name = name
+        super().__init__(sim, bandwidth, latency, name)
         self.nodes = nodes
-        self.bandwidth = float(bandwidth)
-        self.latency = float(latency)
         self.ports = [FairShareServer(sim, rate=bandwidth, name=f"{name}.port{i}")
                       for i in range(nodes)]
-        self.bytes_sent = 0.0
 
-    def transfer(self, src: int, dst: int, nbytes: float, tag: Any = None) -> Event:
+    def _leg(self, src: int, dst: int, nbytes: float) -> tuple[Event, bool]:
         if not (0 <= src < self.nodes and 0 <= dst < self.nodes):
             raise ValueError(f"bad endpoints {src}->{dst} (nodes={self.nodes})")
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        if src == dst:
-            # Loopback never touches the fabric.
-            done = Event(self.sim)
-            done.succeed(nbytes)
-            return done
-        if not self.reachable(src, dst):
-            return self._lost(src, dst, self.sim)
-        done = Event(self.sim)
-        self.bytes_sent += nbytes
+        return super()._leg(src, dst, nbytes)
 
-        # Process-free callback chain (docs/PERFORMANCE.md): scheduling
-        # order matches the old generator pump exactly.
-        def open_stream(_ev: Event) -> None:
-            out = self.ports[src].submit(nbytes, tag=tag)
-            inn = self.ports[dst].submit(nbytes, tag=tag)
-            _join(self.sim, out, inn, done, nbytes)
-
-        def start(_ev: Event) -> None:
-            if self.latency > 0:
-                self.sim.timeout(self.latency).callbacks.append(open_stream)
-            else:
-                open_stream(_ev)
-
-        self.sim.defer(start)
-        return done
-
-    def multicast(self, src: int, dsts: Iterable[int], nbytes: float,
-                  tag: Any = None) -> list[Event]:
-        """Batched fan-out: one process pays the latency once, then opens
-        every port-pair stream in ``dsts`` order — the same submissions in
-        the same order as per-destination :meth:`transfer` calls, without
-        a process/timer per destination."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        results: list[Event] = []
-        remote: list[tuple[int, Event]] = []
-        for dst in dsts:
-            if not (0 <= src < self.nodes and 0 <= dst < self.nodes):
-                raise ValueError(
-                    f"bad endpoints {src}->{dst} (nodes={self.nodes})")
-            if src == dst:
-                done = Event(self.sim)
-                done.succeed(nbytes)
-            elif not self.reachable(src, dst):
-                done = self._lost(src, dst, self.sim)
-            else:
-                self.bytes_sent += nbytes
-                done = Event(self.sim)
-                remote.append((dst, done))
-            results.append(done)
-        if remote:
-            def pump():
-                if self.latency > 0:
-                    yield self.sim.timeout(self.latency)
-                out_port = self.ports[src]
-                for dst, done in remote:
-                    out = out_port.submit(nbytes, tag=tag)
-                    inn = self.ports[dst].submit(nbytes, tag=tag)
-                    _join(self.sim, out, inn, done, nbytes)
-
-            self.sim.spawn(pump(), name=f"{self.name}.mcast")
-        return results
+    def _stream(self, src: int, dst: int, nbytes: float, tag: Any,
+                done: Event) -> None:
+        out = self.ports[src].submit(nbytes, tag=tag)
+        inn = self.ports[dst].submit(nbytes, tag=tag)
+        _join(self.sim, out, inn, done, nbytes)
 
     def node_load(self, node: int) -> int:
         return self.ports[node].njobs
@@ -280,79 +300,18 @@ class SharedBusNetwork(ClusterNetwork):
     def __init__(self, sim: Simulator, bandwidth: float,
                  latency: float = 0.5e-3, name: str = "ethernet",
                  background_load: float = 0.0) -> None:
-        if bandwidth <= 0:
-            raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
+        super().__init__(sim, bandwidth, latency, name)
         if not 0.0 <= background_load < 1.0:
             raise ValueError(f"background_load must be in [0,1), got {background_load}")
-        self.sim = sim
-        self.name = name
-        self.latency = float(latency)
         # The paper notes the UCSB Ethernet's effective bandwidth was low
         # because it was shared with other campus machines: model that as a
         # fixed fraction of the medium permanently consumed.
-        self.bandwidth = float(bandwidth) * (1.0 - background_load)
+        self.bandwidth *= 1.0 - background_load
         self.bus = FairShareServer(sim, rate=self.bandwidth, name=f"{name}.bus")
-        self.bytes_sent = 0.0
 
-    def transfer(self, src: int, dst: int, nbytes: float, tag: Any = None) -> Event:
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        if src == dst:
-            done = Event(self.sim)
-            done.succeed(nbytes)
-            return done
-        if not self.reachable(src, dst):
-            return self._lost(src, dst, self.sim)
-        done = Event(self.sim)
-        self.bytes_sent += nbytes
-
-        # Process-free callback chain (docs/PERFORMANCE.md): scheduling
-        # order matches the old generator pump exactly.
-        def queue_job(_ev: Event) -> None:
-            job = self.bus.submit(nbytes, tag=tag)
-            job.callbacks.append(lambda ev: done.succeed(nbytes))
-
-        def start(_ev: Event) -> None:
-            if self.latency > 0:
-                self.sim.timeout(self.latency).callbacks.append(queue_job)
-            else:
-                queue_job(_ev)
-
-        self.sim.defer(start)
-        return done
-
-    def multicast(self, src: int, dsts: Iterable[int], nbytes: float,
-                  tag: Any = None) -> list[Event]:
-        """Batched fan-out over the shared medium: one process pays the
-        latency once, then queues one bus job per destination in ``dsts``
-        order — the same contention as per-destination :meth:`transfer`
-        calls, without a process/timer per destination."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        results: list[Event] = []
-        remote: list[Event] = []
-        for dst in dsts:
-            if src == dst:
-                done = Event(self.sim)
-                done.succeed(nbytes)
-            elif not self.reachable(src, dst):
-                done = self._lost(src, dst, self.sim)
-            else:
-                self.bytes_sent += nbytes
-                done = Event(self.sim)
-                remote.append(done)
-            results.append(done)
-        if remote:
-            def pump():
-                if self.latency > 0:
-                    yield self.sim.timeout(self.latency)
-                for done in remote:
-                    job = self.bus.submit(nbytes, tag=tag)
-                    job.callbacks.append(
-                        lambda ev, d=done: d.succeed(nbytes))
-
-            self.sim.spawn(pump(), name=f"{self.name}.mcast")
-        return results
+    def _stream(self, src: int, dst: int, nbytes: float, tag: Any,
+                done: Event) -> None:
+        _relay(self.bus.submit(nbytes, tag=tag), done, nbytes)
 
     def node_load(self, node: int) -> int:
         # A bus is global: every node observes the same contention.
@@ -363,10 +322,7 @@ class WANPath:
     """The Internet path between one client and the server site."""
 
     def __init__(self, latency: float, bandwidth: float, name: str = "wan") -> None:
-        if latency < 0:
-            raise ValueError(f"negative latency: {latency}")
-        if bandwidth <= 0:
-            raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
+        _check_path(bandwidth, latency)
         self.latency = float(latency)
         self.bandwidth = float(bandwidth)
         self.name = name
@@ -392,22 +348,7 @@ class Internet:
 
     def send(self, nic: FairShareServer, path: WANPath, nbytes: float,
              tag: Any = None) -> Event:
-        if nbytes < 0:
-            raise ValueError(f"negative send size: {nbytes}")
+        _check_size(nbytes)
         self.bytes_sent += nbytes
-        done = Event(self.sim)
-
-        # Process-free callback chain (docs/PERFORMANCE.md): scheduling
-        # order matches the old generator pump exactly.
-        def queue_job(_ev: Event) -> None:
-            job = nic.submit(nbytes, cap=path.bandwidth, tag=tag)
-            job.callbacks.append(lambda ev: done.succeed(nbytes))
-
-        def start(_ev: Event) -> None:
-            if path.latency > 0:
-                self.sim.timeout(path.latency).callbacks.append(queue_job)
-            else:
-                queue_job(_ev)
-
-        self.sim.defer(start)
-        return done
+        return _send(self.sim, nic, path.latency, nbytes, tag,
+                     path.bandwidth)

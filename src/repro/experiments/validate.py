@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ..web import DROP_REASONS
+
 if TYPE_CHECKING:  # pragma: no cover
     from .runner import ScenarioResult
 
@@ -74,7 +76,7 @@ def validate_result(result: "ScenarioResult",
         if rec.end is None:
             report.fail(f"request {rec.req_id} never settled")
         elif rec.dropped:
-            if rec.drop_reason not in ("refused", "timeout", "dns"):
+            if rec.drop_reason not in DROP_REASONS:
                 report.fail(f"request {rec.req_id} has unknown drop reason "
                             f"{rec.drop_reason!r}")
         elif rec.status is None:

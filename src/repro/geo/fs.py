@@ -110,25 +110,14 @@ class GeoFileSystem(DistributedFileSystem):
         if not meta.wan:
             return super().read(path, at_node, ctx)
         reader = self.nodes[at_node]
-        done = Event(self.sim)
-
         if path in reader.cache:
             self.edge_hits += 1
             reader.cache.lookup(path)
+            return self._own_cache_read(meta, at_node, ctx, "edge_cache_read",
+                                        "geo.read", site=self.site)
 
-            def pump_local():
-                sp = self._read_span(ctx, "edge_cache_read", at_node,
-                                     path=path, site=self.site)
-                yield reader.read_from_cache(meta.size, tag=path)
-                self._end_span(sp, bytes=meta.size)
-                done.succeed(ReadOutcome(path=path, nbytes=meta.size,
-                                         source="cache", remote=False,
-                                         home=meta.home))
-
-            self.sim.spawn(pump_local(), name=f"geo.read:{path}")
-            return done
-
-        holder = self._cached_holder(path, at_node)
+        done = Event(self.sim)
+        holder = self._cached_peer(path, at_node)
         if holder is not None:
             self.edge_hits += 1
             self.peer_cache_reads += 1
@@ -169,20 +158,6 @@ class GeoFileSystem(DistributedFileSystem):
 
         self.sim.spawn(pump_wan(), name=f"geo.read:{path}")
         return done
-
-    def _cached_holder(self, path: str, at_node: int) -> Optional[Node]:
-        """Least-loaded alive peer (not the reader) caching ``path``."""
-        best: Optional[Node] = None
-        best_key: Optional[tuple[float, int]] = None
-        for node in self.nodes:
-            if node.id == at_node or not node.alive:
-                continue
-            if path not in node.cache:
-                continue
-            key = (float(self.network.node_load(node.id)), node.id)
-            if best_key is None or key < best_key:
-                best, best_key = node, key
-        return best
 
     def __repr__(self) -> str:
         return (f"<GeoFileSystem site={self.site!r} files={len(self._files)} "

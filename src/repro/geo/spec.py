@@ -11,6 +11,7 @@ probed from the client side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from ..cluster.topology import ClusterSpec, meiko_cs2
@@ -28,10 +29,13 @@ class WanLink:
     bandwidth: float
 
     def __post_init__(self) -> None:
-        if self.latency < 0:
-            raise ValueError(f"negative WAN latency: {self.latency}")
-        if self.bandwidth <= 0:
-            raise ValueError(f"WAN bandwidth must be > 0: {self.bandwidth}")
+        # Chained comparisons, so NaN and infinity fail them too.
+        if not 0 <= self.latency < math.inf:
+            raise ValueError(f"WAN latency must be finite and >= 0: "
+                             f"{self.latency}")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError(f"WAN bandwidth must be finite and > 0: "
+                             f"{self.bandwidth}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from .http import (
     parse_url,
     redirect_response,
 )
-from .metrics import Metrics, PHASE_NAMES, RequestRecord
+from .metrics import DROP_REASONS, Metrics, PHASE_NAMES, RequestRecord
 from .resolver import AuthoritativeDNS, LocalResolver
 from .server import Connection, HTTPServer
 
@@ -29,6 +29,7 @@ __all__ = [
     "Client",
     "ClientProfile",
     "Connection",
+    "DROP_REASONS",
     "HTMLPage",
     "HTTPError",
     "HTTPRequest",

@@ -16,7 +16,7 @@ import numpy as np
 from ..obs import LATENCY_BUCKETS, MetricsRegistry, percentile
 from ..sim import PhaseAccumulator, Summary
 
-__all__ = ["RequestRecord", "Metrics", "PHASE_NAMES"]
+__all__ = ["RequestRecord", "Metrics", "PHASE_NAMES", "DROP_REASONS"]
 
 #: Canonical phase keys, matching Table 5's row labels.
 PHASE_NAMES = (
@@ -26,6 +26,11 @@ PHASE_NAMES = (
     "data_transfer",    # disk/cache/NFS read + pushing bytes to the client
     "network",          # DNS, connect, WAN latencies
 )
+
+#: Why a client gives a request up: the server refused the connection,
+#: the deadline passed, no live node resolved, or the serving node
+#: crashed mid-request and no retry was left.
+DROP_REASONS = ("refused", "timeout", "dns", "reset")
 
 
 @dataclass
@@ -41,7 +46,7 @@ class RequestRecord:
     status: Optional[int] = None
     ok: bool = False
     dropped: bool = False
-    drop_reason: Optional[str] = None   # "refused" | "timeout" | "dns" | "reset"
+    drop_reason: Optional[str] = None   # one of DROP_REASONS
     dns_node: Optional[int] = None      # where the DNS rotation sent it
     served_by: Optional[int] = None     # node that fulfilled it
     redirected: bool = False

@@ -197,6 +197,18 @@ def test_missing_repo_paths_fail(tmp_path):
     ]
 
 
+def test_roadmap_repo_paths_checked(tmp_path):
+    root = _tree(tmp_path, index="")
+    (root / "src").mkdir()
+    (root / "src" / "here.py").write_text("")
+    (root / "ROADMAP.md").write_text(
+        "- Pin it in `tests/test_gone.py::test_x`; the code is in "
+        "`src/here.py:3`.\n")
+    problems = [p for p in check_docs.check_tree(root)
+                if "missing repo path" in p]
+    assert problems == ["ROADMAP.md: missing repo path -> tests/test_gone.py"]
+
+
 def test_repo_path_extraction():
     text = ("`src/a.py` and `PYTHONPATH=src python tests/t.py --regen` and "
             "`tests/t.py::test_y`, `src/b.py:10-20`\n"

@@ -1,9 +1,21 @@
 """Unit tests for interconnect models (repro.cluster.network)."""
 
+import json
+import math
+
 import pytest
 
 import repro.cluster.network as network
-from repro.cluster import FatTreeNetwork, Internet, Link, SharedBusNetwork, WANPath
+from repro.cluster import (
+    FatTreeNetwork,
+    Internet,
+    Link,
+    SharedBusNetwork,
+    WANPath,
+    meiko_cs2,
+)
+from repro.config import cluster_spec_to_dict, load_config
+from repro.geo.spec import WanLink
 from repro.sim import AllOf, FairShareServer, Simulator
 
 
@@ -200,6 +212,137 @@ def test_bus_rejects_bad_background_load():
         SharedBusNetwork(sim, bandwidth=1.0, background_load=1.0)
 
 
+# ------------------------------------------------ shared transfer path
+def _fabric_program(kind, latency):
+    """Transfers and multicasts on one fabric with a loopback destination
+    and one destination across a partition cut, then more traffic after
+    the cut heals.  Returns each completion's (label, event_count, now,
+    value), station jobs included, plus the fabric's counters."""
+    sim = Simulator()
+    if kind == "fat-tree":
+        net = FatTreeNetwork(sim, nodes=4, bandwidth=10e6, latency=latency)
+        stations = net.ports
+    else:
+        net = SharedBusNetwork(sim, bandwidth=10e6, latency=latency)
+        stations = [net.bus]
+    log = []
+
+    def watch(label, ev, value=True):
+        ev.callbacks.append(lambda e: log.append(
+            (label, sim.event_count, sim.now, e.value if value else e.ok)))
+
+    for station in stations:
+        def submit(nbytes, tag=None, _submit=station.submit,
+                   _name=station.name):
+            job = _submit(nbytes, tag=tag)
+            watch((_name, tag), job, value=False)
+            return job
+        station.submit = submit
+    net.partition([[0, 1, 2], [3]])
+    for i, (src, dst, size) in enumerate([(0, 1, 4e6), (2, 1, 1e6),
+                                          (1, 1, 5e6), (0, 3, 2e6),
+                                          (1, 0, 2e6)]):
+        watch(f"t{i}", net.transfer(src, dst, size, tag=f"t{i}"))
+    for i, ev in enumerate(net.multicast(2, [0, 2, 3, 1], 3e6, tag="m")):
+        watch(f"m{i}", ev)
+    sim.run(until=0.2)
+    net.heal()
+    for i, ev in enumerate(net.multicast(3, [3, 0, 1], 1e6, tag="n")):
+        watch(f"n{i}", ev)
+    watch("h", net.transfer(3, 2, 1e6, tag="h"))
+    sim.run()
+    return log, net.transfers_lost, net.bytes_sent, sim.now, sim.event_count
+
+
+#: the pinned schedule of _fabric_program per (fabric, latency):
+#: (completions, transfers_lost, bytes_sent, end time, event_count)
+FABRIC_SCHEDULES = {
+    ('fat-tree', 0.001): ([
+        ('t2', 5, 0.0, 5000000.0),
+        ('m1', 6, 0.0, 3000000.0),
+        ('n0', 15, 0.2, 1000000.0),
+        (('fat-tree.port2', 't1'), 20, 0.3343333333333333, True),
+        (('fat-tree.port1', 't1'), 22, 0.451, True),
+        ('t1', 24, 0.451, 1000000.0),
+        (('fat-tree.port3', 'n'), 26, 0.501, True),
+        (('fat-tree.port3', 'n'), 27, 0.501, True),
+        (('fat-tree.port3', 'h'), 28, 0.501, True),
+        (('fat-tree.port2', 'h'), 30, 0.5343333333333333, True),
+        ('h', 32, 0.5343333333333333, 1000000.0),
+        (('fat-tree.port0', 'n'), 34, 0.601, True),
+        ('n1', 36, 0.601, 1000000.0),
+        (('fat-tree.port1', 'n'), 38, 0.651, True),
+        ('n2', 40, 0.651, 1000000.0),
+        (('fat-tree.port0', 't4'), 42, 0.701, True),
+        (('fat-tree.port2', 'm'), 44, 0.8009999999999999, True),
+        (('fat-tree.port2', 'm'), 45, 0.8009999999999999, True),
+        (('fat-tree.port1', 't4'), 47, 0.801, True),
+        ('t4', 49, 0.801, 2000000.0),
+        (('fat-tree.port0', 'm'), 51, 0.9009999999999999, True),
+        ('m0', 53, 0.9009999999999999, 3000000.0),
+        (('fat-tree.port0', 't0'), 55, 1.001, True),
+        (('fat-tree.port1', 'm'), 57, 1.0010000000000001, True),
+        ('m3', 59, 1.0010000000000001, 3000000.0),
+        (('fat-tree.port1', 't0'), 61, 1.101, True),
+        ('t0', 63, 1.101, 4000000.0),
+    ], 2, 16000000.0, 1.101, 63),
+    ('bus', 0.0005): ([
+        ('t2', 5, 0.0, 5000000.0),
+        ('m1', 6, 0.0, 3000000.0),
+        ('n0', 15, 0.2, 1000000.0),
+        (('ethernet.bus', 't1'), 20, 0.6805, True),
+        ('t1', 21, 0.6805, 1000000.0),
+        (('ethernet.bus', 'n'), 23, 0.9604999999999999, True),
+        (('ethernet.bus', 'n'), 24, 0.9604999999999999, True),
+        (('ethernet.bus', 'h'), 25, 0.9604999999999999, True),
+        ('n1', 26, 0.9604999999999999, 1000000.0),
+        ('n2', 27, 0.9604999999999999, 1000000.0),
+        ('h', 28, 0.9604999999999999, 1000000.0),
+        (('ethernet.bus', 't4'), 30, 1.2005, True),
+        ('t4', 31, 1.2005, 2000000.0),
+        (('ethernet.bus', 'm'), 33, 1.5005, True),
+        (('ethernet.bus', 'm'), 34, 1.5005, True),
+        ('m0', 35, 1.5005, 3000000.0),
+        ('m3', 36, 1.5005, 3000000.0),
+        (('ethernet.bus', 't0'), 38, 1.6004999999999998, True),
+        ('t0', 39, 1.6004999999999998, 4000000.0),
+    ], 2, 16000000.0, 1.6004999999999998, 39),
+    ('bus', 0.0): ([
+        ('t2', 5, 0.0, 5000000.0),
+        ('m1', 6, 0.0, 3000000.0),
+        ('n0', 11, 0.2, 1000000.0),
+        (('ethernet.bus', 't1'), 14, 0.6799999999999999, True),
+        ('t1', 15, 0.6799999999999999, 1000000.0),
+        (('ethernet.bus', 'n'), 17, 0.96, True),
+        (('ethernet.bus', 'n'), 18, 0.96, True),
+        (('ethernet.bus', 'h'), 19, 0.96, True),
+        ('n1', 20, 0.96, 1000000.0),
+        ('n2', 21, 0.96, 1000000.0),
+        ('h', 22, 0.96, 1000000.0),
+        (('ethernet.bus', 't4'), 24, 1.2, True),
+        ('t4', 25, 1.2, 2000000.0),
+        (('ethernet.bus', 'm'), 27, 1.5, True),
+        (('ethernet.bus', 'm'), 28, 1.5, True),
+        ('m0', 29, 1.5, 3000000.0),
+        ('m3', 30, 1.5, 3000000.0),
+        (('ethernet.bus', 't0'), 32, 1.6, True),
+        ('t0', 33, 1.6, 4000000.0),
+    ], 2, 16000000.0, 1.6, 33),
+}
+
+
+@pytest.mark.parametrize("kind,latency", list(FABRIC_SCHEDULES))
+def test_fabric_schedule_pinned(kind, latency):
+    """Loopback legs finish at once and move no bytes, legs into the cut
+    never finish and count as lost, and every other leg lands at the
+    pinned clock and place in the schedule."""
+    log, lost, sent, end, count = _fabric_program(kind, latency)
+    assert (log, lost, sent, end, count) == FABRIC_SCHEDULES[kind, latency]
+    assert lost == 2                 # t3 and m2 crossed the cut
+    assert sent == 16e6              # loopback and lost legs move nothing
+    assert {"t3", "m2"}.isdisjoint(label for label, *_ in log)
+
+
 # ----------------------------------------------------------------- Internet
 def test_internet_send_capped_by_client_path():
     sim = Simulator()
@@ -258,3 +401,37 @@ def test_wanpath_validation():
         WANPath(latency=-1.0, bandwidth=1.0)
     with pytest.raises(ValueError):
         WANPath(latency=0.0, bandwidth=0.0)
+
+
+# ------------------------------------------------------- path validation
+PATHS = {
+    "link": lambda bw, lat: Link(Simulator(), bandwidth=bw, latency=lat),
+    "fat-tree": lambda bw, lat: FatTreeNetwork(Simulator(), 2, bandwidth=bw,
+                                               latency=lat),
+    "bus": lambda bw, lat: SharedBusNetwork(Simulator(), bandwidth=bw,
+                                            latency=lat),
+    "wan-path": lambda bw, lat: WANPath(latency=lat, bandwidth=bw),
+    "wan-link": lambda bw, lat: WanLink(latency=lat, bandwidth=bw),
+}
+
+
+@pytest.mark.parametrize("kind", list(PATHS))
+@pytest.mark.parametrize("bandwidth,latency", [
+    (1e6, -1.0), (1e6, math.nan), (1e6, math.inf),
+    (0.0, 0.0), (-1e6, 0.0), (math.nan, 0.0), (math.inf, 0.0)])
+def test_paths_reject_non_finite_values(kind, bandwidth, latency):
+    """A NaN latency would skip the hop, an infinite one never lands and
+    an infinite bandwidth fails only at the first send: all refused at
+    construction."""
+    with pytest.raises(ValueError):
+        PATHS[kind](bandwidth, latency)
+    PATHS[kind](1e6, 0.0)
+
+
+def test_json_config_with_nan_latency_rejected():
+    cluster = cluster_spec_to_dict(meiko_cs2(2))
+    cluster["network_latency"] = math.nan
+    config = load_config(json.dumps({"cluster": cluster}))   # JSON allows NaN
+    assert math.isnan(config.spec.network_latency)
+    with pytest.raises(ValueError, match="latency"):
+        config.build()

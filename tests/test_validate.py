@@ -9,6 +9,7 @@ from repro.experiments.validate import (
     validate_result,
 )
 from repro.sim import RandomStreams
+from repro.web import DROP_REASONS
 from repro.workload import Scenario, bimodal_corpus, burst_workload, uniform_corpus, uniform_sampler
 
 
@@ -73,3 +74,19 @@ def test_dangling_request_detected():
     result.metrics.records[0].end = None
     report = validate_result(result, strict=False)
     assert any("never settled" in v for v in report.violations)
+
+
+def test_crash_fault_run_validates():
+    # A node crash resets requests mid-flight: "reset" is a drop reason
+    # the client really records, so the run must validate.
+    spec = meiko_cs2(3)
+    corpus = uniform_corpus(30, 1.5e6, 3)
+    wl = burst_workload(10, 10.0, uniform_sampler(corpus, RandomStreams(2)))
+    result = run_scenario(Scenario(name="v", spec=spec, corpus=corpus,
+                                   workload=wl, seed=2, faults="crash:n1@3"))
+    reasons = [r.drop_reason for r in result.metrics.records if r.dropped]
+    assert {reason: reasons.count(reason) for reason in set(reasons)} == {
+        "refused": 27, "reset": 10}
+    report = validate_result(result, strict=False)
+    assert report.violations == []
+    assert set(reasons) <= set(DROP_REASONS)
