@@ -17,7 +17,8 @@ shipped.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (Generator, Iterator, List, Optional, Sequence, Tuple,
+                    TYPE_CHECKING)
 
 from ..cluster.filesystem import DistributedFileSystem
 from ..cluster.network import ClusterNetwork
@@ -166,7 +167,7 @@ class ReplicationDaemon:
             key=lambda node: (self._node_load(node), node.id))
         return holders[0] if holders else home_node
 
-    def replicate(self, path: str, target: int) -> Event:
+    def replicate(self, path: str, target: int) -> Process:
         """Copy ``path`` into ``target``'s page cache, paying real cost.
 
         The bytes are produced at a cache-resident source — the home
@@ -179,10 +180,9 @@ class ReplicationDaemon:
         """
         meta = self.fs.locate(path)
         target_node = self.nodes[target]
-        done = Event(self.sim)
         self._in_flight.add((path, target))
 
-        def pump() -> Iterator[Event]:
+        def pump() -> Generator[Event, object, str]:
             source = self._source_node(meta, target)
             if source.cache.lookup(path):
                 yield source.read_from_cache(meta.size, tag=path)
@@ -203,10 +203,9 @@ class ReplicationDaemon:
                 self.tracer.emit(self.sim.now, "cache", "replicator",
                                  "replicate", path=path,
                                  src=source.id, dst=target, bytes=meta.size)
-            done.succeed(path)
+            return path
 
-        self.sim.spawn(pump(), name=f"replicate:{path}->{target}")
-        return done
+        return self.sim.spawn(pump(), name=f"replicate:{path}->{target}")
 
     # -- the daemon loop -----------------------------------------------------
     def start(self) -> Process:

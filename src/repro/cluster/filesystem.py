@@ -17,14 +17,14 @@ create such copies, so their event schedules are untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Generator, Iterable, NamedTuple, Optional
 
 from ..obs import Span, Tracer
 from ..sim import AllOf, Event, Simulator
 from .network import ClusterNetwork
 from .node import Node
 
-__all__ = ["FileMeta", "ReadOutcome", "DistributedFileSystem"]
+__all__ = ["FileMeta", "ReadOutcome", "ReadGenerator", "DistributedFileSystem"]
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,10 @@ class ReadOutcome(NamedTuple):
     source: str      # "cache" or "disk"
     remote: bool
     home: int
+
+
+#: a read: a sub-generator of kernel events returning its ReadOutcome
+ReadGenerator = Generator[Event, object, ReadOutcome]
 
 
 class DistributedFileSystem:
@@ -164,21 +168,24 @@ class DistributedFileSystem:
 
     # -- I/O ---------------------------------------------------------------------
     def read(self, path: str, at_node: int,
-             ctx: Optional[Span] = None) -> Event:
-        """Read ``path`` as seen from ``at_node``.
+             ctx: Optional[Span] = None) -> ReadGenerator:
+        """Read ``path`` as seen from ``at_node``: ``outcome = yield from
+        fs.read(...)`` in a process, or ``sim.spawn(fs.read(...))`` for an
+        event that fires with the :class:`ReadOutcome`.
 
-        Returns an event whose value is a :class:`ReadOutcome`.  Local
-        reads hit the node's page cache or disk; remote reads are served
-        by the home node (its cache or disk) and then shipped over the
-        interconnect with the NFS penalty applied to the bytes moved.
-        ``ctx`` is the caller's span: when tracing is on, each leg of the
-        read (cache hit, disk, replica, peer cache, NFS wire) becomes a
-        child span under it.
+        The counters move at the call.  Local reads hit the node's page
+        cache or disk; remote reads are served by the home node (its cache
+        or disk), then shipped over the interconnect with the NFS penalty
+        applied to the bytes moved.  ``ctx`` is the caller's span: when
+        tracing is on, each leg of the read becomes a child span under it.
         """
         meta = self.locate(path)
         if meta.is_striped:
+            if at_node in meta.stripes:
+                self.local_reads += 1
+            else:
+                self.remote_reads += 1
             return self._read_striped(meta, at_node, ctx)
-        home_node = self.nodes[meta.home]
         reader = self.nodes[at_node]
         remote = meta.home != at_node
         # A replication-daemon copy in the reading node's own cache turns
@@ -189,80 +196,82 @@ class DistributedFileSystem:
             self.local_reads += 1
             self.replica_reads += 1
             reader.cache.lookup(path)
-            return self._own_cache_read(meta, at_node, ctx, "replica_read",
-                                        "fs.read")
+            return self._own_cache_read(meta, at_node, ctx, "replica_read")
         if remote:
             self.remote_reads += 1
         else:
             self.local_reads += 1
-        done = Event(self.sim)
+        return self._read_home(meta, at_node, ctx)
 
-        def pump():
-            # Stage 1: produce the bytes at the home node (cache or disk).
-            if home_node.cache.lookup(path):
-                source = "cache"
-                sp = self._read_span(ctx, "cache_read", meta.home, path=path)
-                yield home_node.read_from_cache(meta.size, tag=path)
-                self._end_span(sp, bytes=meta.size)
-            else:
-                holder = self._cached_peer(path, at_node)
-                if holder is not None:
-                    # Cooperative-cache fast path: a peer's cached replica
-                    # plus one fabric hop beats the home disk.  Only the
-                    # replication daemon creates non-home copies, so plain
-                    # runs never reach this branch.
-                    self.peer_cache_reads += 1
-                    holder.cache.lookup(path)
-                    sp = self._read_span(ctx, "peer_cache_read", holder.id,
-                                         path=path, dst=at_node)
-                    yield holder.read_from_cache(meta.size, tag=path)
-                    wire = meta.size * (1.0 + self.remote_penalty)
-                    yield self.network.transfer(holder.id, at_node, wire,
-                                                tag=path)
-                    self._end_span(sp, bytes=meta.size)
-                    done.succeed(ReadOutcome(path=path, nbytes=meta.size,
-                                             source="cache", remote=True,
-                                             home=meta.home))
-                    return
-                source = "disk"
-                sp = self._read_span(ctx, "disk_read", meta.home, path=path)
-                yield home_node.disk.read(meta.size, tag=path)
-                self._end_span(sp, bytes=meta.size)
-                home_node.cache.insert(path, meta.size)
-            # Stage 2: ship them over the interconnect if non-local.
-            if remote:
-                wire_bytes = meta.size * (1.0 + self.remote_penalty)
-                sp = self._read_span(ctx, "nfs_transfer", meta.home,
-                                     path=path, dst=at_node)
-                yield self.network.transfer(meta.home, at_node, wire_bytes, tag=path)
-                self._end_span(sp, bytes=wire_bytes)
-            done.succeed(ReadOutcome(path=path, nbytes=meta.size, source=source,
-                                     remote=remote, home=meta.home))
-
-        self.sim.spawn(pump(), name=f"fs.read:{path}")
-        return done
+    def _read_home(self, meta: FileMeta, at_node: int,
+                   ctx: Optional[Span]) -> ReadGenerator:
+        """A whole-file read through the home node, for :meth:`read`."""
+        path = meta.path
+        home_node = self.nodes[meta.home]
+        remote = meta.home != at_node
+        # Stage 1: produce the bytes at the home node (cache or disk).
+        if home_node.cache.lookup(path):
+            source = "cache"
+            sp = self._read_span(ctx, "cache_read", meta.home, path=path)
+            yield home_node.read_from_cache(meta.size, tag=path)
+            self._end_span(sp, bytes=meta.size)
+        else:
+            holder = self._cached_peer(path, at_node)
+            if holder is not None:
+                # Cooperative-cache fast path: a peer's cached replica
+                # plus one fabric hop beats the home disk.  Only the
+                # replication daemon creates non-home copies, so plain
+                # runs never reach this branch.
+                return (yield from self._peer_cache_read(
+                    meta, holder, at_node, ctx, "peer_cache_read"))
+            source = "disk"
+            sp = self._read_span(ctx, "disk_read", meta.home, path=path)
+            yield home_node.disk.read(meta.size, tag=path)
+            self._end_span(sp, bytes=meta.size)
+            home_node.cache.insert(path, meta.size)
+        # Stage 2: ship them over the interconnect if non-local.
+        if remote:
+            wire_bytes = meta.size * (1.0 + self.remote_penalty)
+            sp = self._read_span(ctx, "nfs_transfer", meta.home,
+                                 path=path, dst=at_node)
+            yield self.network.transfer(meta.home, at_node, wire_bytes,
+                                        tag=path)
+            self._end_span(sp, bytes=wire_bytes)
+        return ReadOutcome(path=path, nbytes=meta.size, source=source,
+                           remote=remote, home=meta.home)
 
     def _own_cache_read(self, meta: FileMeta, at_node: int,
-                        ctx: Optional[Span], span: str, process: str,
-                        **tags) -> Event:
+                        ctx: Optional[Span], span: str,
+                        **tags) -> ReadGenerator:
         """Serve ``meta`` from the reading node's own page cache.
 
         The caller has already counted the hit; the read is one memory-
         speed leg under a ``span`` child of ``ctx`` (``path`` plus
-        ``tags``), run by a process named ``process:path``."""
-        reader = self.nodes[at_node]
-        done = Event(self.sim)
+        ``tags``)."""
+        sp = self._read_span(ctx, span, at_node, path=meta.path, **tags)
+        yield self.nodes[at_node].read_from_cache(meta.size, tag=meta.path)
+        self._end_span(sp, bytes=meta.size)
+        return ReadOutcome(path=meta.path, nbytes=meta.size, source="cache",
+                           remote=False, home=meta.home)
 
-        def pump():
-            sp = self._read_span(ctx, span, at_node, path=meta.path, **tags)
-            yield reader.read_from_cache(meta.size, tag=meta.path)
-            self._end_span(sp, bytes=meta.size)
-            done.succeed(ReadOutcome(path=meta.path, nbytes=meta.size,
-                                     source="cache", remote=False,
-                                     home=meta.home))
+    def _peer_cache_read(self, meta: FileMeta, holder: Node, at_node: int,
+                         ctx: Optional[Span], span: str,
+                         **tags) -> ReadGenerator:
+        """Serve ``meta`` from ``holder``'s page cache plus one fabric hop.
 
-        self.sim.spawn(pump(), name=f"{process}:{meta.path}")
-        return done
+        Counts the peer read; the leg runs under a ``span`` child of
+        ``ctx`` (``path``, ``dst`` plus ``tags``), and the hop carries the
+        NFS penalty."""
+        self.peer_cache_reads += 1
+        holder.cache.lookup(meta.path)
+        sp = self._read_span(ctx, span, holder.id, path=meta.path,
+                             dst=at_node, **tags)
+        yield holder.read_from_cache(meta.size, tag=meta.path)
+        wire = meta.size * (1.0 + self.remote_penalty)
+        yield self.network.transfer(holder.id, at_node, wire, tag=meta.path)
+        self._end_span(sp, bytes=meta.size)
+        return ReadOutcome(path=meta.path, nbytes=meta.size, source="cache",
+                           remote=True, home=meta.home)
 
     def _cached_peer(self, path: str, at_node: int) -> Optional[Node]:
         """Least-loaded alive node, other than the reader ``at_node``,
@@ -283,7 +292,7 @@ class DistributedFileSystem:
         return best
 
     def _read_striped(self, meta: FileMeta, at_node: int,
-                      ctx: Optional[Span] = None) -> Event:
+                      ctx: Optional[Span] = None) -> ReadGenerator:
         """Parallel chunk reads from every stripe disk.
 
         The assembled file is cached at the *reading* node (there is no
@@ -291,46 +300,31 @@ class DistributedFileSystem:
         interconnect with the NFS penalty.
         """
         reader = self.nodes[at_node]
-        done = Event(self.sim)
-        if at_node in meta.stripes:
-            self.local_reads += 1
-        else:
-            self.remote_reads += 1
-        chunk = meta.size / len(meta.stripes)
-
-        def pump():
-            if reader.cache.lookup(meta.path):
-                sp = self._read_span(ctx, "cache_read", at_node,
-                                     path=meta.path)
-                yield reader.read_from_cache(meta.size, tag=meta.path)
-                self._end_span(sp, bytes=meta.size)
-                done.succeed(ReadOutcome(path=meta.path, nbytes=meta.size,
-                                         source="cache",
-                                         remote=at_node not in meta.stripes,
-                                         home=meta.home))
-                return
-            # One span for the whole parallel fan-out: the stripe legs
-            # overlap by design, so modelling them as sibling child spans
-            # would violate the non-overlap invariant.
-            sp = self._read_span(ctx, "striped_read", at_node,
-                                 path=meta.path, stripes=len(meta.stripes))
-            waits = []
-            for node in meta.stripes:
-                waits.append(self.nodes[node].disk.read(chunk, tag=meta.path))
-                if node != at_node:
-                    wire = chunk * (1.0 + self.remote_penalty)
-                    waits.append(self.network.transfer(node, at_node, wire,
-                                                       tag=meta.path))
-            yield AllOf(self.sim, waits)
+        remote = at_node not in meta.stripes
+        if reader.cache.lookup(meta.path):
+            sp = self._read_span(ctx, "cache_read", at_node, path=meta.path)
+            yield reader.read_from_cache(meta.size, tag=meta.path)
             self._end_span(sp, bytes=meta.size)
-            reader.cache.insert(meta.path, meta.size)
-            done.succeed(ReadOutcome(path=meta.path, nbytes=meta.size,
-                                     source="disk",
-                                     remote=at_node not in meta.stripes,
-                                     home=meta.home))
-
-        self.sim.spawn(pump(), name=f"fs.sread:{meta.path}")
-        return done
+            return ReadOutcome(path=meta.path, nbytes=meta.size,
+                               source="cache", remote=remote, home=meta.home)
+        # One span for the whole parallel fan-out: the stripe legs
+        # overlap by design, so modelling them as sibling child spans
+        # would violate the non-overlap invariant.
+        sp = self._read_span(ctx, "striped_read", at_node,
+                             path=meta.path, stripes=len(meta.stripes))
+        chunk = meta.size / len(meta.stripes)
+        waits = []
+        for node in meta.stripes:
+            waits.append(self.nodes[node].disk.read(chunk, tag=meta.path))
+            if node != at_node:
+                wire = chunk * (1.0 + self.remote_penalty)
+                waits.append(self.network.transfer(node, at_node, wire,
+                                                   tag=meta.path))
+        yield AllOf(self.sim, waits)
+        self._end_span(sp, bytes=meta.size)
+        reader.cache.insert(meta.path, meta.size)
+        return ReadOutcome(path=meta.path, nbytes=meta.size, source="disk",
+                           remote=remote, home=meta.home)
 
     def __repr__(self) -> str:
         return (f"<DistributedFileSystem files={len(self._files)} "

@@ -51,18 +51,14 @@ def _start_hop(sim: Simulator, latency: float,
                open_stream: Callable[[Event], None]) -> None:
     """Call ``open_stream(event)`` once ``latency`` has passed.
 
-    The start hop of every transfer: a deferred start, scheduled like a
-    new process's initialisation event, then a latency timeout when the
-    latency is non-zero.  Process-free (docs/PERFORMANCE.md): it keeps
-    the schedule of a spawned pump process without the process.
+    The start hop of every transfer: the latency timeout is armed in the
+    caller's step; a zero latency defers the start instead, scheduled like
+    a new process's initialisation event (docs/ARCHITECTURE.md).
     """
-    def start(ev: Event) -> None:
-        if latency > 0:
-            sim.timeout(latency).callbacks.append(open_stream)
-        else:
-            open_stream(ev)
-
-    sim.defer(start)
+    if latency > 0:
+        sim.timeout(latency).callbacks.append(open_stream)
+    else:
+        sim.defer(open_stream)
 
 
 def _relay(job: Event, done: Event, value: Any) -> None:
@@ -154,7 +150,7 @@ class ClusterNetwork:
         """Send one ``nbytes`` payload from ``src`` to every node in ``dsts``.
 
         Returns one completion event per destination, in ``dsts`` order.
-        One process pays the latency once, then opens every stream in
+        One start hop pays the latency once, then opens every stream in
         ``dsts`` order: the same submissions in the same order as
         per-destination :meth:`transfer` calls, without a start hop per
         destination.  loadd's periodic broadcasts — O(nodes²) transfers
@@ -169,13 +165,11 @@ class ClusterNetwork:
                 remote.append((dst, done))
             results.append(done)
         if remote:
-            def pump():
-                if self.latency > 0:
-                    yield self.sim.timeout(self.latency)
+            def open_streams(_ev: Event) -> None:
                 for dst, done in remote:
                     self._stream(src, dst, nbytes, tag, done)
 
-            self.sim.spawn(pump(), name=f"{self.name}.mcast")
+            _start_hop(self.sim, self.latency, open_streams)
         return results
 
     def _leg(self, src: int, dst: int, nbytes: float) -> tuple[Event, bool]:
@@ -230,36 +224,31 @@ class ClusterNetwork:
         return self._node_group.get(src) == self._node_group.get(dst)
 
 
-def _join(sim: Simulator, first: Event, second: Event, done: Event,
-          value: Any) -> None:
-    """Succeed ``done`` with ``value`` once both legs have succeeded.
+def _join(first: Event, second: Event, done: Event, value: Any) -> Event:
+    """Succeed ``done`` with ``value`` once both legs have succeeded, and
+    return ``done``.
 
-    A countdown on the legs' callbacks triggers one relay event whose
-    callback succeeds ``done``: the relay takes the lane slot an
-    ``AllOf([first, second])`` would have taken, so the schedule is the
-    same without building the condition.  As with ``AllOf``, the first
-    failed leg fails the relay at once (and is defused); ``done`` still
-    succeeds when the relay dispatches, and the relay's failure then
-    propagates out of the run.
+    A countdown on the legs' callbacks triggers ``done`` itself, with no
+    condition or relay event in between.  As with ``AllOf``, the first
+    failed leg is defused and fails ``done`` with its exception at once.
     """
-    relay = Event(sim)
-    relay.callbacks.append(lambda _ev: done.succeed(value))
     left = 2
 
     def leg(ev: Event) -> None:
         nonlocal left
-        if relay.triggered:
+        if done.triggered:
             return
         if not ev.ok:
             ev.defuse()
-            relay.fail(ev.value)
+            done.fail(ev.value)
             return
         left -= 1
         if not left:
-            relay.succeed()
+            done.succeed(value)
 
     first.callbacks.append(leg)
     second.callbacks.append(leg)
+    return done
 
 
 class FatTreeNetwork(ClusterNetwork):
@@ -288,7 +277,7 @@ class FatTreeNetwork(ClusterNetwork):
                 done: Event) -> None:
         out = self.ports[src].submit(nbytes, tag=tag)
         inn = self.ports[dst].submit(nbytes, tag=tag)
-        _join(self.sim, out, inn, done, nbytes)
+        _join(out, inn, done, nbytes)
 
     def node_load(self, node: int) -> int:
         return self.ports[node].njobs

@@ -13,7 +13,7 @@ being shipped twice while a transfer is still on the wire.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 from ..cache import FileHeat
 from ..obs import Tracer
@@ -100,16 +100,15 @@ class GeoPlacementDaemon:
                               max_placements=self.max_per_cycle)
 
     # -- execution ---------------------------------------------------------
-    def place(self, path: str, site: str) -> Event:
+    def place(self, path: str, site: str) -> Process:
         """Ship one copy of ``path`` to ``site``, paying the real costs."""
         fs = self.edge_fs[site]
         meta = fs.locate(path)
-        done = Event(self.sim)
         self._in_flight.add((path, site))
 
-        def pump() -> Iterator[Event]:
+        def pump() -> Generator[Event, object, str]:
             origin_meta = fs.origin_fs.locate(path)
-            yield fs.origin_fs.read(path, at_node=origin_meta.home)
+            yield from fs.origin_fs.read(path, at_node=origin_meta.home)
             wire = meta.size * (1.0 + fs.remote_penalty)
             yield fs.uplink.transfer(wire, tag="geo-place")
             self._in_flight.discard((path, site))
@@ -121,10 +120,9 @@ class GeoPlacementDaemon:
                     self.tracer.emit(self.sim.now, "geo", "placementd",
                                      "place", path=path, site=site,
                                      node=target.id, bytes=meta.size)
-            done.succeed(path)
+            return path
 
-        self.sim.spawn(pump(), name=f"geo.place:{path}->{site}")
-        return done
+        return self.sim.spawn(pump(), name=f"geo.place:{path}->{site}")
 
     @staticmethod
     def _target_node(fs: GeoFileSystem):

@@ -26,12 +26,13 @@ from typing import Optional
 from ..cluster.filesystem import (
     DistributedFileSystem,
     FileMeta,
+    ReadGenerator,
     ReadOutcome,
 )
 from ..cluster.network import ClusterNetwork, Link
 from ..cluster.node import Node
 from ..obs import Span
-from ..sim import Event, Simulator
+from ..sim import Simulator
 
 __all__ = ["GeoFileSystem"]
 
@@ -105,7 +106,7 @@ class GeoFileSystem(DistributedFileSystem):
 
     # -- I/O ---------------------------------------------------------------
     def read(self, path: str, at_node: int,
-             ctx: Optional[Span] = None) -> Event:
+             ctx: Optional[Span] = None) -> ReadGenerator:
         meta = self.locate(path)
         if not meta.wan:
             return super().read(path, at_node, ctx)
@@ -114,50 +115,33 @@ class GeoFileSystem(DistributedFileSystem):
             self.edge_hits += 1
             reader.cache.lookup(path)
             return self._own_cache_read(meta, at_node, ctx, "edge_cache_read",
-                                        "geo.read", site=self.site)
-
-        done = Event(self.sim)
+                                        site=self.site)
         holder = self._cached_peer(path, at_node)
         if holder is not None:
             self.edge_hits += 1
-            self.peer_cache_reads += 1
-            holder.cache.lookup(path)
-
-            def pump_peer():
-                sp = self._read_span(ctx, "edge_peer_read", holder.id,
-                                     path=path, dst=at_node, site=self.site)
-                yield holder.read_from_cache(meta.size, tag=path)
-                wire = meta.size * (1.0 + self.remote_penalty)
-                yield self.network.transfer(holder.id, at_node, wire,
-                                            tag=path)
-                self._end_span(sp, bytes=meta.size)
-                done.succeed(ReadOutcome(path=path, nbytes=meta.size,
-                                         source="cache", remote=True,
-                                         home=meta.home))
-
-            self.sim.spawn(pump_peer(), name=f"geo.read:{path}")
-            return done
-
+            return self._peer_cache_read(meta, holder, at_node, ctx,
+                                         "edge_peer_read", site=self.site)
         # WAN miss: origin read + uplink transfer + gated pull-through.
         self.wan_reads += 1
         self.wan_bytes += meta.size
         self.remote_reads += 1
+        return self._read_wan(meta, reader, ctx)
 
-        def pump_wan():
-            origin_meta = self.origin_fs.locate(path)
-            sp = self._read_span(ctx, "wan_fetch", at_node, path=path,
-                                 site=self.site)
-            yield self.origin_fs.read(path, at_node=origin_meta.home, ctx=sp)
-            wire = meta.size * (1.0 + self.remote_penalty)
-            yield self.uplink.transfer(wire, tag=path)
-            self._end_span(sp, bytes=wire)
-            self.install_replica(path, reader)
-            done.succeed(ReadOutcome(path=path, nbytes=meta.size,
-                                     source="wan", remote=True,
-                                     home=meta.home))
-
-        self.sim.spawn(pump_wan(), name=f"geo.read:{path}")
-        return done
+    def _read_wan(self, meta: FileMeta, reader: Node,
+                  ctx: Optional[Span]) -> ReadGenerator:
+        """A WAN miss for :meth:`read`: the origin read, the uplink
+        transfer, then a pull-through install in ``reader``'s cache."""
+        path = meta.path
+        origin_meta = self.origin_fs.locate(path)
+        sp = self._read_span(ctx, "wan_fetch", reader.id, path=path,
+                             site=self.site)
+        yield from self.origin_fs.read(path, at_node=origin_meta.home, ctx=sp)
+        wire = meta.size * (1.0 + self.remote_penalty)
+        yield self.uplink.transfer(wire, tag=path)
+        self._end_span(sp, bytes=wire)
+        self.install_replica(path, reader)
+        return ReadOutcome(path=path, nbytes=meta.size, source="wan",
+                           remote=True, home=meta.home)
 
     def __repr__(self) -> str:
         return (f"<GeoFileSystem site={self.site!r} files={len(self._files)} "

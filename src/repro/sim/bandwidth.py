@@ -18,8 +18,9 @@ appended).  The timer it replaces is withdrawn with
 never dispatched, and its heap key is unique, so no other event's
 ``(time, priority, seq)`` moves (:attr:`FairShareServer.wakeups_superseded`
 counts these stale wake-ups).  Each :class:`Job` is itself the event that
-fires at its completion.  Membership churn is O(n) per change and the
-server never scans jobs on a clock tick.
+fires at its completion; the jobs a wake-up completes fire in place,
+inside the wake-up's own dispatch.  Membership churn is O(n) per change
+and the server never scans jobs on a clock tick.
 """
 
 from __future__ import annotations
@@ -200,11 +201,28 @@ class FairShareServer:
 
     # -- internals -------------------------------------------------------------
     def _wake(self, timer: Event) -> None:
-        """Callback of the armed wake-up: the earliest completion is due."""
-        self._timer = None
-        self._pass(None, None)
+        """Callback of the armed wake-up: the earliest completion is due.
 
-    def _pass(self, entering: Optional[Job], leaving: Optional[Job]) -> None:
+        The jobs it completes are dispatched in place, in list order, once
+        the pass has re-armed the station (a waiter may submit to it); if
+        a callback raises (a ``run(until=job)`` stop), the rest succeed."""
+        self._timer = None
+        finished: list[Job] = []
+        self._pass(None, None, finished)
+        for i, job in enumerate(finished):
+            callbacks, job.callbacks = job.callbacks, None
+            try:
+                for cb in callbacks:
+                    cb(job)
+            except BaseException:
+                for rest in finished[i + 1:]:
+                    rest._state = 0  # Event.PENDING: succeed() queues it
+                    rest.succeed(rest)
+                raise
+            job._state = 2  # Event.PROCESSED
+
+    def _pass(self, entering: Optional[Job], leaving: Optional[Job],
+              finished: Optional[list[Job]] = None) -> None:
         """Bring the station to ``now`` after a membership change, in one pass.
 
         In order: advance every job by the rate it held since the last
@@ -213,6 +231,7 @@ class FairShareServer:
         advance finished); withdraw ``leaving`` if it is still in service;
         then withdraw the armed wake-up, give every job its new rate and
         arm one wake-up at the earliest completion under those rates.
+        A completed job succeeds, or is triggered onto ``finished`` if given.
         A lone job and a queue of unit-weight, uncapped jobs are branches
         of the allocation; water-filling runs only while a capped or
         weighted job is in service.
@@ -257,7 +276,12 @@ class FairShareServer:
                     job._rate = 0.0
                     job.finished_at = now
                     self._jobs_completed += 1
-                    job.succeed(job)
+                    if finished is None:
+                        job.succeed(job)
+                    else:
+                        job._ok, job._value = True, job
+                        job._state = 1  # Event.TRIGGERED
+                        finished.append(job)
                 else:
                     keep.append(job)
             jobs[:] = keep

@@ -169,7 +169,8 @@ class Timeout(Event):
 
 class Process(Event):
     """A running generator.  As an :class:`Event` it triggers when the
-    generator returns (value = return value) or raises (failure)."""
+    generator returns (value = return value) or raises (failure); a
+    return with nothing waiting is processed in place, unqueued."""
 
     __slots__ = ("gen", "name")
 
@@ -208,7 +209,13 @@ class Process(Event):
                     event._defused = True
                     target = gen.throw(event._value)
             except StopIteration as stop:
-                self.succeed(stop.value)
+                if self.callbacks:
+                    self.succeed(stop.value)
+                else:
+                    # Nothing waits: processed in place, never queued or
+                    # counted; a later ``yield self`` resumes at once.
+                    self._ok, self._value = True, stop.value
+                    self._state, self.callbacks = 2, None  # PROCESSED
                 return
             except BaseException as exc:
                 if isinstance(exc, (KeyboardInterrupt, SystemExit)):
@@ -332,8 +339,9 @@ class Simulator:
     # -- time --------------------------------------------------------------
     @property
     def event_count(self) -> int:
-        """Events dispatched so far (a determinism fingerprint); cancelled
-        entries are never dispatched."""
+        """Queue dispatches so far (a determinism fingerprint): cancelled
+        entries and events processed in place (a process nothing waits
+        on, the jobs a fair-share wake-up completes) are not counted."""
         return self._event_count
 
     @property

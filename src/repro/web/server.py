@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 from ..cache import FileHeat
-from ..cluster.network import Internet, WANPath
+from ..cluster.network import Internet, WANPath, _join
 from ..cluster.node import Node
 from ..cluster.filesystem import DistributedFileSystem
 from ..obs import Span, Tracer
-from ..sim import AllOf, Event, Simulator
+from ..sim import Event, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - avoid a web <-> core import cycle
     from ..core.broker import Broker
@@ -343,12 +343,13 @@ class HTTPServer:
             prog = self.cgi.lookup(path)
             # A CGI may scan a data file before computing.
             if prog.reads_path is not None and self.fs.exists(prog.reads_path):
-                yield self.fs.read(prog.reads_path, at_node=self.node.id,
-                                   ctx=sp)
+                yield from self.fs.read(prog.reads_path,
+                                        at_node=self.node.id, ctx=sp)
             yield self.node.compute(prog.cpu_ops, category="cgi")
             body = prog.output_bytes
         else:
-            outcome = yield self.fs.read(path, at_node=self.node.id, ctx=sp)
+            outcome = yield from self.fs.read(path, at_node=self.node.id,
+                                              ctx=sp)
             body = outcome.nbytes
             rec.source = outcome.source
             if self.heat is not None:
@@ -400,7 +401,7 @@ class HTTPServer:
         send_ops = self.params.send_ops_per_byte * response.body_bytes
         if send_ops > 0:
             stack = self.node.compute(send_ops, category="send")
-            yield AllOf(self.sim, [wire, stack])
+            yield _join(wire, stack, Event(self.sim), None)
         else:
             yield wire
         self._span_end(sp)

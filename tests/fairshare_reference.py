@@ -6,8 +6,10 @@ a fused rate/earliest-completion pass and jobs that are their own
 completion events.  It is kept verbatim (only the class names differ) as
 the oracle for ``tests/test_fairshare_oracle.py``: driven through the same
 operations, the production server must reproduce its completion order,
-completion times, work totals, load integrals and kernel event count
-exactly.  Nothing under ``src/`` imports it.
+completion times, work totals and load integrals exactly, and its kernel
+event count less the superseded wake-ups this server dispatches and the
+completions the production server dispatches in place inside a wake-up.
+Nothing under ``src/`` imports it.
 
 Every reallocation here bumps ``_generation`` and arms a fresh timer with
 a closure; a timer armed under an older generation still fires but

@@ -2,7 +2,10 @@
 
 This is the :mod:`repro.sim.engine` that shipped before events due at the
 current instant moved to per-priority FIFO lanes.  It is kept verbatim
-(only this docstring differs) as the oracle for
+apart from this docstring and one dispatch rule the production kernel
+adopted later, so the two keep one dispatch structure: a process whose
+generator returns while nothing waits on it is processed in place, never
+queued or counted (``Process._resume``).  It is the oracle for
 ``tests/test_kernel_oracle.py`` and the no-op-cancel reference of
 ``tests/test_sim_cancel.py``: driven through the same program, the
 production kernel must dispatch the same events in the same order at the
@@ -184,7 +187,15 @@ class Process(Event):
                     event._defused = True
                     target = gen.throw(event._value)
             except StopIteration as stop:
-                self.succeed(stop.value)
+                if self.callbacks:
+                    self.succeed(stop.value)
+                else:
+                    # Nothing waits: processed in place, never queued or
+                    # counted; a later ``yield self`` resumes at once.
+                    self._ok = True
+                    self._value = stop.value
+                    self._state = Event.PROCESSED
+                    self.callbacks = None
                 return
             except BaseException as exc:
                 if isinstance(exc, (KeyboardInterrupt, SystemExit)):

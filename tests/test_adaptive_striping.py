@@ -88,7 +88,7 @@ def test_striped_read_uses_all_disks_in_parallel():
 
         def go():
             t0 = cluster.sim.now
-            yield cluster.fs.read(path, at_node=node)
+            yield from cluster.fs.read(path, at_node=node)
             times.append(cluster.sim.now - t0)
 
         cluster.sim.spawn(go())
@@ -111,8 +111,8 @@ def test_striped_file_cached_at_reader():
     outcomes = []
 
     def go():
-        outcomes.append((yield cluster.fs.read("/s.bin", at_node=1)))
-        outcomes.append((yield cluster.fs.read("/s.bin", at_node=1)))
+        outcomes.append((yield from cluster.fs.read("/s.bin", at_node=1)))
+        outcomes.append((yield from cluster.fs.read("/s.bin", at_node=1)))
 
     cluster.sim.spawn(go())
     cluster.run(until=60.0)

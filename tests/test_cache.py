@@ -259,7 +259,7 @@ def test_remote_read_served_by_readers_replica():
     cluster = coop_cluster()
     cluster.fs.add_file("/doc", 1e6, home=0)
     cluster.nodes[2].cache.insert("/doc", 1e6)  # planted replica
-    done = cluster.fs.read("/doc", at_node=2)
+    done = cluster.sim.spawn(cluster.fs.read("/doc", at_node=2))
     cluster.sim.run(until=done)
     outcome = done.value
     assert outcome.source == "cache"
@@ -272,7 +272,7 @@ def test_home_cache_miss_served_from_peer_replica():
     cluster = coop_cluster()
     cluster.fs.add_file("/doc", 1e6, home=0)
     cluster.nodes[3].cache.insert("/doc", 1e6)  # replica elsewhere
-    done = cluster.fs.read("/doc", at_node=1)
+    done = cluster.sim.spawn(cluster.fs.read("/doc", at_node=1))
     cluster.sim.run(until=done)
     outcome = done.value
     assert outcome.source == "cache"
@@ -284,7 +284,7 @@ def test_home_cache_miss_served_from_peer_replica():
 def test_read_without_any_cached_copy_hits_home_disk():
     cluster = coop_cluster()
     cluster.fs.add_file("/doc", 1e6, home=0)
-    done = cluster.fs.read("/doc", at_node=1)
+    done = cluster.sim.spawn(cluster.fs.read("/doc", at_node=1))
     cluster.sim.run(until=done)
     assert done.value.source == "disk"
     assert cluster.fs.peer_cache_reads == 0

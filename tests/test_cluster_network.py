@@ -101,10 +101,19 @@ def test_fattree_node_load_and_effective_bandwidth():
     assert net.node_load(2) == 0
 
 
-def _allof_join(sim, first, second, done, value):
-    """The join the fat-tree used before the countdown: an AllOf."""
-    both = AllOf(sim, [first, second])
-    both.callbacks.append(lambda ev: done.succeed(value))
+def _allof_join(first, second, done, value):
+    """The countdown's join through an ``AllOf`` and a relay: the same
+    outcome one dispatch later."""
+    both = AllOf(first.sim, [first, second])
+
+    def relay(ev):
+        if ev.ok:
+            done.succeed(value)
+        else:
+            ev.defuse()
+            done.fail(ev.value)
+
+    both.callbacks.append(relay)
 
 
 def _fattree_program(cancel_leg):
@@ -149,14 +158,24 @@ def _fattree_program(cancel_leg):
 
 @pytest.mark.parametrize("cancel_leg", [False, True])
 def test_fattree_countdown_join_matches_allof(monkeypatch, cancel_leg):
-    """Same completions, clocks, values and event count as an AllOf join;
-    a failed leg fails the join at once and surfaces from run() after the
-    transfer's done event has been triggered, as the AllOf did."""
-    countdown = _fattree_program(cancel_leg)
+    """Same completions, in the same order, at the same clocks with the
+    same values as an AllOf join; a failed leg fails the transfer's done
+    event at once, which surfaces from run().  The countdown succeeds
+    ``done`` itself, so each of the eight joins (three transfers, five
+    multicast legs) dispatches one event fewer."""
+    log, raised, now, count = _fattree_program(cancel_leg)
     monkeypatch.setattr(network, "_join", _allof_join)
-    assert countdown == _fattree_program(cancel_leg)
+    a_log, a_raised, a_now, a_count = _fattree_program(cancel_leg)
+
+    def unplaced(entries):
+        # Exceptions compare by text: each run raises its own instance.
+        return [(label, when, repr(value) if isinstance(value, Exception)
+                 else value) for label, _n, when, value in entries]
+
+    assert (unplaced(log), raised, now) == (unplaced(a_log), a_raised, a_now)
+    assert a_count - count == 8
     if cancel_leg:
-        assert countdown[1] is not None
+        assert raised is not None
 
 
 def test_fattree_rejects_bad_endpoints():
@@ -258,76 +277,76 @@ def _fabric_program(kind, latency):
 #: (completions, transfers_lost, bytes_sent, end time, event_count)
 FABRIC_SCHEDULES = {
     ('fat-tree', 0.001): ([
-        ('t2', 5, 0.0, 5000000.0),
-        ('m1', 6, 0.0, 3000000.0),
-        ('n0', 15, 0.2, 1000000.0),
-        (('fat-tree.port2', 't1'), 20, 0.3343333333333333, True),
-        (('fat-tree.port1', 't1'), 22, 0.451, True),
-        ('t1', 24, 0.451, 1000000.0),
-        (('fat-tree.port3', 'n'), 26, 0.501, True),
-        (('fat-tree.port3', 'n'), 27, 0.501, True),
-        (('fat-tree.port3', 'h'), 28, 0.501, True),
-        (('fat-tree.port2', 'h'), 30, 0.5343333333333333, True),
-        ('h', 32, 0.5343333333333333, 1000000.0),
-        (('fat-tree.port0', 'n'), 34, 0.601, True),
-        ('n1', 36, 0.601, 1000000.0),
-        (('fat-tree.port1', 'n'), 38, 0.651, True),
-        ('n2', 40, 0.651, 1000000.0),
-        (('fat-tree.port0', 't4'), 42, 0.701, True),
-        (('fat-tree.port2', 'm'), 44, 0.8009999999999999, True),
-        (('fat-tree.port2', 'm'), 45, 0.8009999999999999, True),
-        (('fat-tree.port1', 't4'), 47, 0.801, True),
-        ('t4', 49, 0.801, 2000000.0),
-        (('fat-tree.port0', 'm'), 51, 0.9009999999999999, True),
-        ('m0', 53, 0.9009999999999999, 3000000.0),
-        (('fat-tree.port0', 't0'), 55, 1.001, True),
-        (('fat-tree.port1', 'm'), 57, 1.0010000000000001, True),
-        ('m3', 59, 1.0010000000000001, 3000000.0),
-        (('fat-tree.port1', 't0'), 61, 1.101, True),
-        ('t0', 63, 1.101, 4000000.0),
-    ], 2, 16000000.0, 1.101, 63),
+        ('t2', 1, 0.0, 5000000.0),
+        ('m1', 2, 0.0, 3000000.0),
+        ('n0', 8, 0.2, 1000000.0),
+        (('fat-tree.port2', 't1'), 11, 0.3343333333333333, True),
+        (('fat-tree.port1', 't1'), 12, 0.451, True),
+        ('t1', 13, 0.451, 1000000.0),
+        (('fat-tree.port3', 'n'), 14, 0.501, True),
+        (('fat-tree.port3', 'n'), 14, 0.501, True),
+        (('fat-tree.port3', 'h'), 14, 0.501, True),
+        (('fat-tree.port2', 'h'), 15, 0.5343333333333333, True),
+        ('h', 16, 0.5343333333333333, 1000000.0),
+        (('fat-tree.port0', 'n'), 17, 0.601, True),
+        ('n1', 18, 0.601, 1000000.0),
+        (('fat-tree.port1', 'n'), 19, 0.651, True),
+        ('n2', 20, 0.651, 1000000.0),
+        (('fat-tree.port0', 't4'), 21, 0.701, True),
+        (('fat-tree.port2', 'm'), 22, 0.8009999999999999, True),
+        (('fat-tree.port2', 'm'), 22, 0.8009999999999999, True),
+        (('fat-tree.port1', 't4'), 23, 0.801, True),
+        ('t4', 24, 0.801, 2000000.0),
+        (('fat-tree.port0', 'm'), 25, 0.9009999999999999, True),
+        ('m0', 26, 0.9009999999999999, 3000000.0),
+        (('fat-tree.port0', 't0'), 27, 1.001, True),
+        (('fat-tree.port1', 'm'), 28, 1.0010000000000001, True),
+        ('m3', 29, 1.0010000000000001, 3000000.0),
+        (('fat-tree.port1', 't0'), 30, 1.101, True),
+        ('t0', 31, 1.101, 4000000.0),
+    ], 2, 16000000.0, 1.101, 31),
     ('bus', 0.0005): ([
-        ('t2', 5, 0.0, 5000000.0),
-        ('m1', 6, 0.0, 3000000.0),
-        ('n0', 15, 0.2, 1000000.0),
-        (('ethernet.bus', 't1'), 20, 0.6805, True),
-        ('t1', 21, 0.6805, 1000000.0),
-        (('ethernet.bus', 'n'), 23, 0.9604999999999999, True),
-        (('ethernet.bus', 'n'), 24, 0.9604999999999999, True),
-        (('ethernet.bus', 'h'), 25, 0.9604999999999999, True),
-        ('n1', 26, 0.9604999999999999, 1000000.0),
-        ('n2', 27, 0.9604999999999999, 1000000.0),
-        ('h', 28, 0.9604999999999999, 1000000.0),
-        (('ethernet.bus', 't4'), 30, 1.2005, True),
-        ('t4', 31, 1.2005, 2000000.0),
-        (('ethernet.bus', 'm'), 33, 1.5005, True),
-        (('ethernet.bus', 'm'), 34, 1.5005, True),
-        ('m0', 35, 1.5005, 3000000.0),
-        ('m3', 36, 1.5005, 3000000.0),
-        (('ethernet.bus', 't0'), 38, 1.6004999999999998, True),
-        ('t0', 39, 1.6004999999999998, 4000000.0),
-    ], 2, 16000000.0, 1.6004999999999998, 39),
+        ('t2', 1, 0.0, 5000000.0),
+        ('m1', 2, 0.0, 3000000.0),
+        ('n0', 8, 0.2, 1000000.0),
+        (('ethernet.bus', 't1'), 11, 0.6805, True),
+        ('t1', 12, 0.6805, 1000000.0),
+        (('ethernet.bus', 'n'), 13, 0.9604999999999999, True),
+        (('ethernet.bus', 'n'), 13, 0.9604999999999999, True),
+        (('ethernet.bus', 'h'), 13, 0.9604999999999999, True),
+        ('n1', 14, 0.9604999999999999, 1000000.0),
+        ('n2', 15, 0.9604999999999999, 1000000.0),
+        ('h', 16, 0.9604999999999999, 1000000.0),
+        (('ethernet.bus', 't4'), 17, 1.2005, True),
+        ('t4', 18, 1.2005, 2000000.0),
+        (('ethernet.bus', 'm'), 19, 1.5005, True),
+        (('ethernet.bus', 'm'), 19, 1.5005, True),
+        ('m0', 20, 1.5005, 3000000.0),
+        ('m3', 21, 1.5005, 3000000.0),
+        (('ethernet.bus', 't0'), 22, 1.6004999999999998, True),
+        ('t0', 23, 1.6004999999999998, 4000000.0),
+    ], 2, 16000000.0, 1.6004999999999998, 23),
     ('bus', 0.0): ([
         ('t2', 5, 0.0, 5000000.0),
         ('m1', 6, 0.0, 3000000.0),
-        ('n0', 11, 0.2, 1000000.0),
-        (('ethernet.bus', 't1'), 14, 0.6799999999999999, True),
-        ('t1', 15, 0.6799999999999999, 1000000.0),
-        (('ethernet.bus', 'n'), 17, 0.96, True),
-        (('ethernet.bus', 'n'), 18, 0.96, True),
-        (('ethernet.bus', 'h'), 19, 0.96, True),
-        ('n1', 20, 0.96, 1000000.0),
-        ('n2', 21, 0.96, 1000000.0),
-        ('h', 22, 0.96, 1000000.0),
-        (('ethernet.bus', 't4'), 24, 1.2, True),
-        ('t4', 25, 1.2, 2000000.0),
-        (('ethernet.bus', 'm'), 27, 1.5, True),
-        (('ethernet.bus', 'm'), 28, 1.5, True),
-        ('m0', 29, 1.5, 3000000.0),
-        ('m3', 30, 1.5, 3000000.0),
-        (('ethernet.bus', 't0'), 32, 1.6, True),
-        ('t0', 33, 1.6, 4000000.0),
-    ], 2, 16000000.0, 1.6, 33),
+        ('n0', 10, 0.2, 1000000.0),
+        (('ethernet.bus', 't1'), 11, 0.6799999999999999, True),
+        ('t1', 12, 0.6799999999999999, 1000000.0),
+        (('ethernet.bus', 'n'), 13, 0.96, True),
+        (('ethernet.bus', 'n'), 13, 0.96, True),
+        (('ethernet.bus', 'h'), 13, 0.96, True),
+        ('n1', 14, 0.96, 1000000.0),
+        ('n2', 15, 0.96, 1000000.0),
+        ('h', 16, 0.96, 1000000.0),
+        (('ethernet.bus', 't4'), 17, 1.2, True),
+        ('t4', 18, 1.2, 2000000.0),
+        (('ethernet.bus', 'm'), 19, 1.5, True),
+        (('ethernet.bus', 'm'), 19, 1.5, True),
+        ('m0', 20, 1.5, 3000000.0),
+        ('m3', 21, 1.5, 3000000.0),
+        (('ethernet.bus', 't0'), 22, 1.6, True),
+        ('t0', 23, 1.6, 4000000.0),
+    ], 2, 16000000.0, 1.6, 23),
 }
 
 

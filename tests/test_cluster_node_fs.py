@@ -81,10 +81,10 @@ def test_local_read_miss_then_hit_is_faster():
 
     def go():
         t0 = sim.now
-        outcome = yield fs.read("/doc", at_node=0)
+        outcome = yield from fs.read("/doc", at_node=0)
         times.append((sim.now - t0, outcome.source, outcome.remote))
         t1 = sim.now
-        outcome = yield fs.read("/doc", at_node=0)
+        outcome = yield from fs.read("/doc", at_node=0)
         times.append((sim.now - t1, outcome.source, outcome.remote))
 
     sim.spawn(go())
@@ -104,7 +104,7 @@ def test_remote_read_pays_nfs_penalty():
 
     def go():
         t0 = sim.now
-        outcome = yield fs.read("/doc", at_node=1)
+        outcome = yield from fs.read("/doc", at_node=1)
         times.append((sim.now - t0, outcome))
 
     sim.spawn(go())
@@ -122,8 +122,8 @@ def test_remote_read_served_from_home_cache():
     outcomes = []
 
     def go():
-        outcomes.append((yield fs.read("/doc", at_node=0)))   # warm home cache
-        outcomes.append((yield fs.read("/doc", at_node=1)))   # remote, cached
+        outcomes.append((yield from fs.read("/doc", at_node=0)))   # warm home cache
+        outcomes.append((yield from fs.read("/doc", at_node=1)))   # remote, cached
 
     sim.spawn(go())
     sim.run()
@@ -156,8 +156,8 @@ def test_read_counters():
     fs.add_file("/a", 10.0, home=0)
 
     def go():
-        yield fs.read("/a", at_node=0)
-        yield fs.read("/a", at_node=1)
+        yield from fs.read("/a", at_node=0)
+        yield from fs.read("/a", at_node=1)
 
     sim.spawn(go())
     sim.run()

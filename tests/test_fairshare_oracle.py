@@ -12,9 +12,12 @@ last live dispatch, and the live dispatch count.
 
 The reference leaves a superseded wake-up on the heap, where it later
 dispatches as a no-op (and moves the clock); the production server
-withdraws it with ``Simulator.cancel``.  So the production kernel's
+withdraws it with ``Simulator.cancel``.  The reference queues every
+completion; the production server dispatches the jobs a wake-up completes
+in place, inside the wake-up's dispatch.  So the production kernel's
 ``event_count`` must equal the reference's minus the superseded wake-ups
-the reference dispatched, its clock must stop at the last live dispatch,
+the reference dispatched and minus the jobs completed in place, its clock
+must stop at the last live dispatch,
 and every superseded wake-up must be exactly one cancelled entry.  The
 production server must also have armed exactly as many wake-ups as the
 reference dispatched, live and stale together.
@@ -32,16 +35,20 @@ from .fairshare_reference import ReferenceFairShareServer
 
 class _Production(FairShareServer):
     """The production server, noting the clock of its last wake-up (every
-    wake-up that reaches it is live: superseded ones are cancelled)."""
+    wake-up that reaches it is live: superseded ones are cancelled) and
+    counting the jobs its wake-ups complete in place."""
 
     stale = 0
     woken = 0
+    in_place = 0
     live_wake_at = 0.0
 
     def _wake(self, timer):
         self.woken += 1
         self.live_wake_at = self.sim.now
+        before = self.jobs_completed
         super()._wake(timer)
+        self.in_place += self.jobs_completed - before
 
 
 class _Reference(ReferenceFairShareServer):
@@ -50,6 +57,7 @@ class _Reference(ReferenceFairShareServer):
 
     stale = 0
     woken = 0
+    in_place = 0
     live_wake_at = 0.0
 
     def _wake(self, generation):
@@ -156,7 +164,7 @@ def _drive(server_cls, rate, ops):
         "pop": repr(srv._pop_integral),
         "busy": repr(srv._busy_integral),
         "accrued_to": repr(srv._last_update),
-        "live_events": sim.event_count - srv.stale,
+        "live_events": sim.event_count - srv.stale + srv.in_place,
         "armed": armed,
         "now": repr(last_live),
     }
@@ -354,3 +362,40 @@ def test_integral_reads_between_busy_submits():
                     "pop" if i % 2 else "busy"))
     ops += [("read", 0.0, "pop"), ("read", 100.0, "busy")]
     _assert_same(10.0, ops)
+
+
+def _resubmit_chains(server_cls):
+    """Two chains of jobs on one station: each waiter, once its job is
+    done, submits the next job of its chain to the same station.  The two
+    first jobs finish at one wake-up, so on the production server the
+    first waiter submits while the second job's dispatch is still to come
+    in the same in-place pass."""
+    sim = Simulator()
+    srv = server_cls(sim, rate=10.0)
+    log = []
+
+    def chain(name, works):
+        for i, work in enumerate(works):
+            job = srv.submit(work, tag=(name, i))
+            yield job.done
+            log.append((name, i, repr(sim.now), repr(job.finished_at),
+                        srv.njobs))
+
+    for name, works in (("a", (10.0, 4.0, 6.0)), ("b", (10.0, 2.0, 8.0))):
+        sim.spawn(chain(name, works))
+    sim.run()
+    return log, repr(srv.work_completed), srv, sim
+
+
+def test_waiter_submitting_to_the_station_during_in_place_dispatch():
+    new_log, new_work, new_srv, new_sim = _resubmit_chains(_Production)
+    old_log, old_work, old_srv, old_sim = _resubmit_chains(_Reference)
+    # Every job finishes at the reference clock, in the reference order.
+    assert (new_log, new_work) == (old_log, old_work)
+    assert [entry[:3] for entry in new_log[:2]] == [("a", 0, "2.0"),
+                                                   ("b", 0, "2.0")]
+    # Only the count moves: every job here is completed by a wake-up,
+    # and those are dispatched in place.
+    assert new_srv.in_place == new_srv.jobs_completed == 6
+    assert (old_sim.event_count - old_srv.stale
+            - new_sim.event_count) == new_srv.in_place

@@ -235,9 +235,9 @@ def _edge_read_twice(budget):
     outcomes = []
 
     def reader():
-        first = yield fs.read(path, at_node=0)
+        first = yield from fs.read(path, at_node=0)
         outcomes.append(first)
-        second = yield fs.read(path, at_node=0)
+        second = yield from fs.read(path, at_node=0)
         outcomes.append(second)
 
     system.run(until=system.sim.spawn(reader(), name="t.reader"))

@@ -13,8 +13,9 @@ top-level operation the same clock, ``event_count``, ``pending`` and
 
 The programs mix zero-delay timeouts, delays that float rounding absorbs
 and exact ties; ``succeed``/``fail``/``defuse`` from the top level, from
-processes and from deferred callbacks; ``defer`` and nested ``spawn``;
-``AnyOf``/``AllOf`` waits; ``cancel`` of lane entries (a just-triggered
+processes and from deferred callbacks; ``defer`` and nested ``spawn``,
+with or without a waiter (a process nothing waits on completes in place
+on both kernels); ``AnyOf``/``AllOf`` waits; ``cancel`` of lane entries (a just-triggered
 event, a zero-delay timeout) and of heap entries; ``run(until=t)``
 including ``t == now`` while lane entries are pending; ``run(until=ev)``,
 which stops mid-instant; and ``step()`` and ``peek()`` in between.
@@ -53,16 +54,20 @@ _leaf_step = st.one_of(
     st.tuples(st.sampled_from(["any", "all"]),
               st.lists(_index, min_size=0, max_size=3)),
 )
+# "spawn_quiet" starts a process nothing waits on (no dispatch log), which
+# both kernels complete in place unless a later wait or condition joins it.
 _step = st.one_of(
     _leaf_step,
-    st.tuples(st.just("spawn"), st.lists(_leaf_step, max_size=4)),
+    st.tuples(st.sampled_from(["spawn", "spawn_quiet"]),
+              st.lists(_leaf_step, max_size=4)),
 )
 _op = st.one_of(
     st.tuples(st.just("timeouts"), st.lists(_delay, min_size=1, max_size=6)),
     st.tuples(st.just("events"), st.integers(min_value=1, max_value=3)),
     _trigger,
     st.tuples(st.just("cancel"), st.lists(_index, min_size=1, max_size=4)),
-    st.tuples(st.just("spawn"), st.lists(_step, max_size=6)),
+    st.tuples(st.sampled_from(["spawn", "spawn_quiet"]),
+              st.lists(_step, max_size=6)),
     st.tuples(st.just("defer"), _action),
     st.tuples(st.sampled_from(["any", "all"]),
               st.lists(_index, min_size=0, max_size=4)),
@@ -84,14 +89,16 @@ class _Run:
         self.log: list[tuple] = []
 
     # -- labelled events ----------------------------------------------------
-    def add(self, ev, kind: str):
-        """Label ``ev`` and log its dispatch (and value) when it fires."""
+    def add(self, ev, kind: str, logged: bool = True):
+        """Label ``ev`` and, if ``logged``, log its dispatch (and value)
+        when it fires."""
         index = len(self.events)
         self.events.append(ev)
         self.label[id(ev)] = index
-        ev.callbacks.append(lambda e: self.log.append(
-            (kind, index, self.sim.now, self.sim.event_count,
-             self.render(e))))
+        if logged:
+            ev.callbacks.append(lambda e: self.log.append(
+                (kind, index, self.sim.now, self.sim.event_count,
+                 self.render(e))))
         return ev
 
     def render(self, ev) -> tuple:
@@ -168,9 +175,10 @@ class _Run:
 
         self.add(self.sim.defer(call), "defer")
 
-    def spawn(self, steps: list) -> None:
+    def spawn(self, steps: list, logged: bool = True) -> None:
         index = len(self.events)
-        self.add(self.sim.spawn(self.script(index, steps)), "process")
+        self.add(self.sim.spawn(self.script(index, steps)), "process",
+                 logged)
 
     def script(self, pid: int, steps: list):
         self.log.append(("start", pid, self.sim.now))
@@ -195,10 +203,11 @@ class _Run:
                 self.defer(step[1])
             elif kind in ("any", "all"):
                 self.condition(kind, step[1])
-            elif kind == "spawn":
-                self.spawn(step[1])
+            elif kind in ("spawn", "spawn_quiet"):
+                self.spawn(step[1], kind == "spawn")
             else:
                 self.trigger(kind, step[1])
+        self.log.append(("return", pid, self.sim.now, self.sim.event_count))
         return pid
 
     # -- top-level operations ------------------------------------------------
@@ -215,8 +224,8 @@ class _Run:
             elif kind == "cancel":
                 for i in op[1]:
                     self.cancel(i)
-            elif kind == "spawn":
-                self.spawn(op[1])
+            elif kind in ("spawn", "spawn_quiet"):
+                self.spawn(op[1], kind == "spawn")
             elif kind == "defer":
                 self.defer(op[1])
             elif kind in ("any", "all"):
@@ -373,3 +382,14 @@ def test_same_instant_pushes_skip_the_heap():
     sim.run()
     assert absorbed.processed and not zero.processed
     assert sim.event_count == 5 and sim.now == 1.5
+
+
+def test_process_nothing_waits_on_completes_in_place():
+    """A process returning with no waiter is processed in place on both
+    kernels: a later wait resumes at once with its value, and only the
+    two starts and the waited-on process's completion are dispatched."""
+    ops = [("spawn_quiet", []), ("spawn", [("wait", 0)]), ("run_until", 1.0)]
+    new, _ = _play(ops)
+    assert ("woke", 1, 0.0, 0) in new.log
+    assert new.events[0].processed and new.events[0].value == 0
+    assert new.sim.event_count == 4  # two starts, one completion, the stop

@@ -310,15 +310,19 @@ def test_job_is_its_own_completion_event():
 
 
 class _CountingServer(FairShareServer):
-    """Counts the wake-ups that reach the server's code."""
+    """Counts the wake-ups that reach the server's code, and the jobs they
+    complete (dispatched in place: never counted by the kernel)."""
 
     def __init__(self, *args, **kwargs):
         self.fired = 0
+        self.in_place = 0
         super().__init__(*args, **kwargs)
 
     def _wake(self, timer):
         self.fired += 1
+        before = self.jobs_completed
         super()._wake(timer)
+        self.in_place += self.jobs_completed - before
 
 
 def _pending(srv):
@@ -366,10 +370,12 @@ def test_wakeup_counters_balance_and_stale_entries_stay_inert():
     assert srv.njobs == 0 and _pending(srv) == 0
     assert srv.wakeups_superseded >= len(superseded_timers)
     # Every superseded timer was withdrawn, and only the fired ones were
-    # dispatched: the kernel saw feeders + job completions + fired timers
-    # + the checkpoints' stop events.
+    # dispatched: the kernel saw feeders + the job completions that were
+    # not dispatched in place by a wake-up + fired timers + the
+    # checkpoints' stop events.
     assert sim.cancelled == srv.wakeups_superseded
-    assert sim.event_count == (feeders + srv.jobs_completed
+    assert 0 < srv.in_place <= srv.jobs_completed
+    assert sim.event_count == (feeders + srv.jobs_completed - srv.in_place
                                + srv.fired + len(checkpoints))
 
 
@@ -390,4 +396,27 @@ def test_superseded_wakeup_dispatch_runs_no_server_code():
     sim.run()
     assert srv.fired == 1 and srv.wakeups_superseded == 1
     assert srv.jobs_completed == 2
-    assert sim.event_count == 1 + srv.fired + srv.jobs_completed
+    # Both jobs finish at the wake-up and are dispatched in place.
+    assert srv.in_place == 2
+    assert sim.event_count == 1 + srv.fired
+
+
+def test_run_until_a_job_finishing_with_others_at_one_wake_up():
+    # Both jobs finish at the wake-up at t=2 and are dispatched in place.
+    # run(until=first) stops inside that dispatch; the second job, not yet
+    # dispatched, succeeds through the lane, so its waiter still wakes.
+    sim = Simulator()
+    srv = FairShareServer(sim, rate=10.0)
+    first, second = srv.submit(10.0), srv.submit(10.0)
+    woke = []
+
+    def waiter():
+        job = yield second
+        woke.append((job is second, sim.now))
+
+    sim.spawn(waiter())
+    assert sim.run(until=first) is first
+    assert sim.now == 2.0 and second.triggered and not second.processed
+    assert woke == []
+    sim.run()
+    assert woke == [(True, 2.0)] and second.processed

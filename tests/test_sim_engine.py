@@ -317,3 +317,82 @@ def test_nested_processes_three_deep():
     sim.spawn(root(out))
     sim.run()
     assert out == [(2.0, 2)]
+
+
+# -- processes nothing waits on: completed in place --------------------------
+def _child(sim, value="v", fail=False):
+    yield sim.timeout(1.0)
+    if fail:
+        raise ValueError("explode")
+    return value
+
+
+def _in_place_and_queued(program):
+    """Run ``program(sim, proc)`` twice around one child process: as is,
+    so the child returns with nothing waiting and completes in place, and
+    with a no-op callback on the child, which queues its completion as a
+    waited-on process does.  Returns both (observations, event_count)."""
+    runs = []
+    for queued in (False, True):
+        sim = Simulator()
+        proc = sim.spawn(_child(sim))
+        if queued:
+            proc.callbacks.append(lambda ev: None)
+        runs.append((program(sim, proc), sim.event_count))
+    return runs
+
+
+def test_same_instant_yield_of_a_completed_process_gets_its_value():
+    def program(sim, proc):
+        log = []
+
+        def waiter():
+            # Due at the child's return instant, after its timeout.
+            yield sim.timeout(1.0)
+            log.append(("waits", proc.processed))
+            value = yield proc
+            log.append((sim.now, value))
+
+        sim.spawn(waiter())
+        sim.run()
+        return log, proc.value
+
+    (in_place, n_in_place), (queued, n_queued) = _in_place_and_queued(program)
+    assert in_place == ([("waits", True), (1.0, "v")], "v")
+    # Queued, the waiter reaches the child before its completion dispatches.
+    assert queued == ([("waits", False), (1.0, "v")], "v")
+    assert n_queued - n_in_place == 1
+
+
+def test_allof_over_a_process_completed_in_place():
+    def program(sim, proc):
+        sim.run(until=2.0)
+        tick = sim.timeout(0.5, value="t")
+        both = AllOf(sim, [proc, tick])
+        sim.run(until=both)
+        return sim.now, both.value == {proc: "v", tick: "t"}
+
+    (in_place, n_in_place), (queued, n_queued) = _in_place_and_queued(program)
+    assert in_place == queued == (2.5, True)
+    assert n_queued - n_in_place == 1
+
+
+def test_run_until_a_process_completed_in_place_returns_its_value():
+    def program(sim, proc):
+        sim.run(until=2.0)
+        return proc.processed, sim.run(until=proc), sim.now
+
+    (in_place, n_in_place), (queued, n_queued) = _in_place_and_queued(program)
+    assert in_place == queued == (True, "v", 2.0)
+    assert n_queued - n_in_place == 1
+
+
+def test_failing_process_with_no_waiter_still_surfaces_from_run():
+    sim = Simulator()
+    proc = sim.spawn(_child(sim, fail=True))
+    with pytest.raises(ValueError, match="explode"):
+        sim.run()
+    # A failure keeps the queued path: the timeout, the start and the
+    # completion all dispatched.
+    assert proc.processed and not proc.ok
+    assert sim.event_count == 3
