@@ -224,15 +224,18 @@ class ClusterNetwork:
         return self._node_group.get(src) == self._node_group.get(dst)
 
 
-def _join(first: Event, second: Event, done: Event, value: Any) -> Event:
-    """Succeed ``done`` with ``value`` once both legs have succeeded, and
-    return ``done``.
+def _join(first: Event, second: Event, done: Event, value: Any,
+          need: int = 2) -> Event:
+    """Succeed ``done`` with ``value`` once ``need`` legs have succeeded
+    (both by default, as ``AllOf``; the first, with ``need=1``, as
+    ``AnyOf``), and return ``done``.
 
     A countdown on the legs' callbacks triggers ``done`` itself, with no
-    condition or relay event in between.  As with ``AllOf``, the first
-    failed leg is defused and fails ``done`` with its exception at once.
+    condition or relay event in between.  As with a condition, the first
+    failed leg is defused and fails ``done`` with its exception at once,
+    and a leg already processed counts at once.
     """
-    left = 2
+    left = need
 
     def leg(ev: Event) -> None:
         nonlocal left
@@ -246,8 +249,12 @@ def _join(first: Event, second: Event, done: Event, value: Any) -> Event:
         if not left:
             done.succeed(value)
 
-    first.callbacks.append(leg)
-    second.callbacks.append(leg)
+    for ev in (first, second):
+        callbacks = ev.callbacks
+        if callbacks is None:
+            leg(ev)
+        else:
+            callbacks.append(leg)
     return done
 
 

@@ -11,16 +11,25 @@ a wake-up, a cancel, a rate change or an integral read) is one pass over
 the jobs (:meth:`FairShareServer._pass`).  It advances every job's
 remaining work by the allocation that was in force, completes the jobs
 that ran out, computes the new allocation together with the earliest
-completion under it and re-arms the server's single wake-up timer (a
-:meth:`~repro.sim.engine.Simulator.timeout` with the wake-up callback
-appended).  The timer it replaces is withdrawn with
-:meth:`~repro.sim.engine.Simulator.cancel` (O(1) for a wake-up): it is
-never dispatched, and its heap key is unique, so no other event's
+completion under it and arms the station's one reusable waker event at
+that instant (:meth:`~repro.sim.engine.Simulator.schedule`).  The entry
+it replaces is voided with :meth:`~repro.sim.engine.Simulator.withdraw`:
+it is never dispatched, and its heap key is unique, so no other event's
 ``(time, priority, seq)`` moves (:attr:`FairShareServer.wakeups_superseded`
 counts these stale wake-ups).  Each :class:`Job` is itself the event that
 fires at its completion; the jobs a wake-up completes fire in place,
 inside the wake-up's own dispatch.  Membership churn is O(n) per change
 and the server never scans jobs on a clock tick.
+
+When one job is left in service (by a pass, or submitted to an idle
+station, where the pass would only admit it and is skipped) and it will
+be exactly done at its wake-up instant, the job itself is scheduled
+there, in place of the waker, under the same heap key
+(:meth:`FairShareServer._arm_lone`).  A completion hook, its first
+callback, does the pass's bookkeeping and triggers it, and the kernel
+runs its waiters in the same dispatch.  Any later pass withdraws that
+entry and removes the hook first, so the job then completes as any
+other.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from __future__ import annotations
 import math
 from typing import Any, Optional
 
-from .engine import Event, Simulator, Timeout
+from .engine import Event, Simulator
 
 __all__ = ["Job", "FairShareServer"]
 
@@ -94,20 +103,29 @@ class FairShareServer:
         # Jobs in service with a cap or a non-unit weight; while it is 0
         # every job gets the same share and water-filling is unnecessary.
         self._nshaped = 0
-        # The one armed wake-up (None when no completion is scheduled) and
-        # the bound method every arm attaches to it.
-        self._timer: Optional[Timeout] = None
-        self._on_wake = self._wake
+        # The armed heap entry (None when no completion is scheduled): the
+        # reusable waker's, or a lone job's own.  The waker is built
+        # triggered; the kernel clears its callbacks on every dispatch, so
+        # _wake puts this list back.
+        self._entry: Optional[list[Any]] = None
+        self._wake_callbacks = [self._wake]
+        self._waker = waker = Event(sim)
+        waker._ok = True
+        waker._state = Event.TRIGGERED
+        waker.callbacks = self._wake_callbacks
+        # The completion hook a lone job's own entry carries first.
+        self._on_lone_due = self._lone_due
         self._last_update = sim.now
         # Integrals for load/utilisation accounting (see sample helpers).
         self._pop_integral = 0.0   # ∫ n(t) dt
         self._busy_integral = 0.0  # ∫ [n(t) > 0] dt
         self._work_done = 0.0      # total work completed
         self._jobs_completed = 0
-        #: Wake-up timers armed since construction (observation only).
+        #: Wake-ups armed since construction, the lone jobs' own entries
+        #: included (observation only).
         self.wakeups_armed = 0
         #: Armed wake-ups replaced before they fired, each withdrawn with
-        #: Simulator.cancel (observation only).
+        #: Simulator.withdraw (observation only).
         self.wakeups_superseded = 0
 
     # -- public API ----------------------------------------------------------
@@ -172,7 +190,17 @@ class FairShareServer:
         job._tol = _EPS * (work if work > 1.0 else 1.0)
         # Capped or weighted: its share needs water-filling.
         job._shaped = cap is not None or weight != 1.0
-        self._pass(job, None)
+        jobs = self._jobs
+        if jobs or work <= job._tol:
+            self._pass(job, None)
+            return job
+        # An idle station, a job with work: the pass would advance no job
+        # and complete none, so it comes down to admitting this one.
+        self._last_update = sim.now
+        jobs.append(job)
+        if job._shaped:
+            self._nshaped += 1
+        self._arm_lone(job)
         return job
 
     def cancel(self, job: Job) -> None:
@@ -200,13 +228,41 @@ class FairShareServer:
         return self._busy_integral
 
     # -- internals -------------------------------------------------------------
-    def _wake(self, timer: Event) -> None:
-        """Callback of the armed wake-up: the earliest completion is due.
+    def _lone_due(self, job: Job) -> None:
+        """First callback of a lone job's own entry: its completion is due.
+
+        The pass a wake-up would run now, cut to the one job it completes,
+        with the same float operations in the same order; then the job
+        triggers, and the kernel runs its waiters in this same dispatch."""
+        self._entry = None
+        now = self.sim.now
+        dt = now - self._last_update
+        self._last_update = now
+        self._pop_integral += dt
+        self._busy_integral += dt
+        step = job._rate * dt
+        rem = job.remaining
+        if step > rem:
+            step = rem
+        self._work_done += step
+        self._jobs.clear()
+        if job._shaped:
+            self._nshaped -= 1
+        job.remaining = 0.0
+        job._rate = 0.0
+        job.finished_at = now
+        self._jobs_completed += 1
+        job._ok, job._value = True, job
+        job._state = 1  # Event.TRIGGERED
+
+    def _wake(self, waker: Event) -> None:
+        """Callback of the armed waker: the earliest completion is due.
 
         The jobs it completes are dispatched in place, in list order, once
         the pass has re-armed the station (a waiter may submit to it); if
         a callback raises (a ``run(until=job)`` stop), the rest succeed."""
-        self._timer = None
+        self._entry = None
+        waker.callbacks = self._wake_callbacks
         finished: list[Job] = []
         self._pass(None, None, finished)
         for i, job in enumerate(finished):
@@ -225,18 +281,31 @@ class FairShareServer:
               finished: Optional[list[Job]] = None) -> None:
         """Bring the station to ``now`` after a membership change, in one pass.
 
-        In order: advance every job by the rate it held since the last
-        change; admit ``entering``; complete, in list order, every job out
-        of work (so a zero-work entrant completes behind the jobs the
-        advance finished); withdraw ``leaving`` if it is still in service;
-        then withdraw the armed wake-up, give every job its new rate and
-        arm one wake-up at the earliest completion under those rates.
+        In order: withdraw the armed entry (a lone job's own entry loses
+        its completion hook first); advance every job by the rate it held
+        since the last change; admit ``entering``; complete, in list
+        order, every job out of work (so a zero-work entrant completes
+        behind the jobs the advance finished); withdraw ``leaving`` if it
+        is still in service; then give every job its new rate and arm the
+        waker at the earliest completion under those rates (or, for a lone
+        job exactly done then, the job itself).
         A completed job succeeds, or is triggered onto ``finished`` if given.
         A lone job and a queue of unit-weight, uncapped jobs are branches
         of the allocation; water-filling runs only while a capped or
         weighted job is in service.
         """
         sim = self.sim
+        entry = self._entry
+        if entry is not None:
+            # Superseded: withdrawn, never dispatched.  Its heap key is
+            # unique, so no other event's order moves.  A lone job loses
+            # its hook before it can complete (or fail) through a lane.
+            self._entry = None
+            event = entry[3]
+            if event is not self._waker:
+                del event.callbacks[0]
+            sim.withdraw(entry)
+            self.wakeups_superseded += 1
         now = sim.now
         jobs = self._jobs
         done = False
@@ -293,34 +362,14 @@ class FairShareServer:
             leaving.fail(InterruptedError(f"job {leaving.tag!r} cancelled"))
             leaving.defuse()
 
-        timer = self._timer
-        if timer is not None:
-            # Superseded: withdrawn, never dispatched.  Its heap key is
-            # unique, so no other event's order moves.
-            sim.cancel(timer)
-            self._timer = None
-            self.wakeups_superseded += 1
         n = len(jobs)
         if not n:
             return
-        total = self._rate
         if n == 1:
-            # Water-filling ends on its first round: the full rate (as
-            # total * w / w, bit for bit), or the cap if lower.
-            job = jobs[0]
-            if total > _EPS:
-                w = job.weight
-                rate = total * w / w
-                cap = job.cap
-                if cap is not None and rate > cap + _EPS:
-                    rate = cap
-            else:
-                rate = 0.0
-            job._rate = rate
-            if rate <= _EPS:
-                return
-            soonest = job.remaining / rate
-        elif not self._nshaped:
+            self._arm_lone(jobs[0])
+            return
+        total = self._rate
+        if not self._nshaped:
             # Unit weights, no caps: the weight sum is exactly float(n)
             # and total * 1.0 / n is total / n, so every job gets one
             # rate; division by a positive constant preserves order, so
@@ -371,13 +420,51 @@ class FairShareServer:
             # Floor the delay at the clock's float resolution: a delay
             # below one ulp of `now` would not advance time, and the
             # wake-up would re-arm itself forever (zero-dt livelock).  The
-            # floor also keeps every wake-up a heap entry, which
-            # Simulator.cancel withdraws in O(1).
+            # floor also keeps every wake-up strictly in the future, as
+            # Simulator.schedule requires.
             floor = 4.0 * _ulp(now if now > 1.0 else 1.0)
-            self._timer = timer = sim.timeout(
-                soonest if soonest > floor else floor)
-            timer.callbacks.append(self._on_wake)
+            self._entry = sim.schedule(
+                self._waker, now + (soonest if soonest > floor else floor))
             self.wakeups_armed += 1
+
+    def _arm_lone(self, job: Job) -> None:
+        """Give the one job in service its rate and arm its completion.
+
+        Water-filling ends on its first round: the full rate (as
+        total * w / w, bit for bit), or the cap if lower.  When the job
+        will be exactly done at its wake-up instant (the completion test
+        the wake-up's pass would make there), the job itself is scheduled
+        in place of the waker, under the same heap key, with its
+        completion hook ahead of any waiter already attached."""
+        total = self._rate
+        if total > _EPS:
+            w = job.weight
+            rate = total * w / w
+            cap = job.cap
+            if cap is not None and rate > cap + _EPS:
+                rate = cap
+        else:
+            rate = 0.0
+        job._rate = rate
+        if rate <= _EPS:
+            return
+        sim = self.sim
+        now = sim.now
+        rem = job.remaining
+        soonest = rem / rate
+        # The wake-up instant, floored as in _pass.
+        floor = 4.0 * _ulp(now if now > 1.0 else 1.0)
+        when = now + (soonest if soonest > floor else floor)
+        self.wakeups_armed += 1
+        step = rate * (when - now)
+        if step > rem:
+            step = rem
+        if rem - step <= job._tol:
+            job.callbacks.insert(0, self._on_lone_due)
+            self._entry = sim.schedule(job, when)
+        else:
+            # Rounding leaves work over at `when`: the waker re-arms.
+            self._entry = sim.schedule(self._waker, when)
 
     def __repr__(self) -> str:
         return f"<FairShareServer {self.name!r} rate={self._rate:.3g} njobs={self.njobs}>"

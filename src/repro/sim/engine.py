@@ -21,10 +21,16 @@ the NORMAL lane, and only then advances the clock.  That is exactly the
 ``heappop`` per same-instant relay.
 
 Cancellation: :meth:`Simulator.cancel` withdraws a scheduled event (a
-client's deadline once its reply has arrived, a superseded fair-share
-wake-up).  Its heap or lane entry is skipped, never dispatched, and the
-heap is compacted once such dead entries outnumber live ones, so the heap
-holds live work only.
+client's deadline once its reply has arrived).  Its heap or lane entry is
+skipped, never dispatched, and the heap is compacted once such dead
+entries outnumber live ones, so the heap holds live work only.
+
+Voidable entries: a heap entry is a 4-item list ``[time, priority, seq,
+event]``.  :meth:`Simulator.schedule` puts an event that lives on (a
+fair-share station's reusable waker, a lone job) on the heap and returns
+its entry; :meth:`Simulator.withdraw` voids that entry in place by
+swapping the event for a dead sentinel, so the event itself stays
+pending and can be scheduled again.
 
 Performance: this file is the hottest code in the repository (see
 ``docs/PERFORMANCE.md``).  The main loop in :meth:`Simulator.run`
@@ -62,6 +68,8 @@ URGENT = 0
 NORMAL = 1
 
 ProcessGenerator = Generator["Event", Any, Any]
+
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -316,6 +324,18 @@ class AllOf(_Condition):
         return self._count >= len(self.events)
 
 
+class _Withdrawn:
+    """What a withdrawn heap entry holds in place of its event: no
+    callbacks, so the run loop discards the entry as a dead one."""
+
+    __slots__ = ()
+    callbacks = None
+
+
+#: The one dead sentinel every withdrawn entry points at.
+_DEAD = _Withdrawn()
+
+
 class Simulator:
     """The event loop: owns virtual time, the same-instant lanes and the
     heap of future entries."""
@@ -324,15 +344,17 @@ class Simulator:
         #: current simulated time (read-only: only the run loop moves it;
         #: lint rule ``sched-engine-internals`` flags writes elsewhere)
         self.now = float(start_time)
-        #: strictly-future entries, ``(time, priority, seq, event)``
-        self._queue: list[tuple[float, int, int, Event]] = []
+        #: strictly-future entries, ``[time, priority, seq, event]`` (a
+        #: list, so that withdraw() can void one in place)
+        self._queue: list[list[Any]] = []
         #: events due at ``now``, one FIFO per priority (no seq needed:
         #: a lane's order is its push order)
         self._urgent: deque[Event] = deque()
         self._normal: deque[Event] = deque()
         self._seq = 0
         self._event_count = 0
-        #: entries ever withdrawn by cancel(), and those still on the heap
+        #: entries ever withdrawn by cancel()/withdraw(), and the
+        #: withdrawn entries still on the heap
         self._cancelled = 0
         self._dead = 0
 
@@ -346,7 +368,8 @@ class Simulator:
 
     @property
     def cancelled(self) -> int:
-        """Scheduled entries withdrawn by :meth:`cancel` so far."""
+        """Scheduled entries withdrawn by :meth:`cancel` or
+        :meth:`withdraw` so far."""
         return self._cancelled
 
     @property
@@ -364,10 +387,14 @@ class Simulator:
         Hot path: builds the :class:`Timeout` with ``__new__`` and sets
         every field directly (no ``__init__`` call frame per event).  A
         delay the clock cannot resolve (zero, or one that float rounding
-        absorbs) lands in the NORMAL lane.
+        absorbs) lands in the NORMAL lane.  A negative, NaN or infinite
+        delay is rejected: a NaN key would dispatch out of order, and an
+        infinite one would move the clock to infinity.
         """
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        # Chained comparison: NaN fails it.
+        if not 0 <= delay < _INF:
+            raise ValueError(f"timeout delay must be finite and >= 0, "
+                             f"got {delay}")
         ev = Timeout.__new__(Timeout)
         ev.sim = self
         ev.callbacks = []
@@ -382,7 +409,7 @@ class Simulator:
             self._normal.append(ev)
         else:
             self._seq = seq = self._seq + 1
-            heappush(self._queue, (when, NORMAL, seq, ev))
+            heappush(self._queue, [when, NORMAL, seq, ev])
         return ev
 
     def spawn(self, gen: ProcessGenerator, name: Optional[str] = None) -> Process:
@@ -407,6 +434,56 @@ class Simulator:
         return ev
 
     # -- scheduling ----------------------------------------------------------
+    def schedule(self, event: Event, when: float) -> list[Any]:
+        """Put ``event`` on the heap at ``when`` and return its entry.
+
+        ``when`` must lie strictly after :attr:`now`.  The entry takes the
+        next sequence number, exactly as :meth:`timeout` does for a
+        future delay, with NORMAL priority.  The kernel dispatches the
+        event as it finds it: its callbacks run in order and a failure
+        with nothing to defuse it stops the run.  So the event must be
+        triggered by then, either built triggered (a reusable waker) or
+        triggered by its first callback (a lone fair-share job's
+        completion hook).  An event may be scheduled again once its entry
+        has been dispatched or withdrawn; dispatch clears its callbacks,
+        so a reused event restores them itself.
+        """
+        if not self.now < when < _INF:
+            raise ValueError(f"schedule() needs now < when < inf, got "
+                             f"when={when} at now={self.now}")
+        self._seq = seq = self._seq + 1
+        entry = [when, NORMAL, seq, event]
+        heappush(self._queue, entry)
+        return entry
+
+    def withdraw(self, entry: list[Any]) -> None:
+        """Void a live entry returned by :meth:`schedule`.
+
+        The entry keeps its heap slot but now holds a dead sentinel, so it
+        is never dispatched, never counted in :attr:`event_count` and never
+        moves the clock.  It counts in :attr:`cancelled` and compacts the
+        heap exactly as :meth:`cancel` does.  The event itself is left
+        untouched: it stays pending, its waiters keep waiting and it can
+        be yielded or scheduled again.  Withdraw an entry once, and only
+        while it is still on the heap.
+        """
+        entry[3] = _DEAD
+        self._cancelled += 1
+        self._dead += 1
+        if 2 * self._dead > len(self._queue):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop the dead entries from the heap, in place (run() holds a
+        reference to this very list).  Live keys ``(time, priority,
+        seq)`` are unique, so filtering and re-heapifying leaves their pop
+        order unchanged."""
+        queue = self._queue
+        queue[:] = [entry for entry in queue
+                    if entry[3].callbacks is not None]
+        heapq.heapify(queue)
+        self._dead = 0
+
     def cancel(self, event: Event) -> None:
         """Withdraw a scheduled event before it is processed.
 
@@ -418,12 +495,11 @@ class Simulator:
         that has already been processed (or cancelled) is a no-op.
 
         Once cancelled heap entries outnumber live ones, the heap is
-        compacted in place: live keys ``(time, priority, seq)`` are
-        unique, so filtering and re-heapifying leaves their pop order
-        unchanged.  Lanes drain every instant and are never compacted.
+        compacted (see :meth:`_compact`).  Lanes drain every instant and
+        are never compacted.
 
-        O(1) for a :class:`Timeout` still ahead of the clock (a superseded
-        wake-up, a deadline): lanes hold only entries pushed at the
+        O(1) for a :class:`Timeout` still ahead of the clock (a client's
+        deadline): lanes hold only entries pushed at the
         current instant, so a timeout whose ``now + delay`` differs from
         ``now`` is a heap entry — pushed now, it went to the heap; pushed
         earlier, it cannot be in a lane.  Any other event is looked up in
@@ -443,13 +519,8 @@ class Simulator:
         if ((type(event) is Timeout and now + event.delay != now)
                 or (event not in self._urgent and event not in self._normal)):
             self._dead += 1
-        queue = self._queue
-        if 2 * self._dead > len(queue):
-            # In place: run() holds a reference to this very list.
-            queue[:] = [entry for entry in queue
-                        if entry[3].callbacks is not None]
-            heapq.heapify(queue)
-            self._dead = 0
+        if 2 * self._dead > len(self._queue):
+            self._compact()
 
     def _pop(self) -> Optional[Event]:
         """Remove the next live event in (time, priority, seq) order,
@@ -510,7 +581,7 @@ class Simulator:
                 for event in lane:
                     if event.callbacks is not None:
                         self._seq += 1
-                        heappush(heap, (old, prio, self._seq, event))
+                        heappush(heap, [old, prio, self._seq, event])
                 lane.clear()
         self.now = at
 
@@ -585,7 +656,7 @@ class Simulator:
                     self._urgent.append(stopper)
                 else:
                     self._seq += 1
-                    heapq.heappush(self._queue, (at, URGENT, self._seq, stopper))
+                    heapq.heappush(self._queue, [at, URGENT, self._seq, stopper])
         # Hot loop: an inlined copy of _pop() and step() (kept in sync by
         # hand) with bound locals — the method-call and attribute-lookup
         # overhead per event is the single largest kernel cost.  Callbacks

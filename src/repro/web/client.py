@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
-from ..cluster.network import WANPath
+from ..cluster.network import WANPath, _join
 from ..obs import Span
-from ..sim import AnyOf, Event
+from ..sim import Event
 from .http import HTTPRequest, HTTPResponse
 from .metrics import Metrics, RequestRecord
 from .server import Connection
@@ -59,8 +59,9 @@ class Client:
                  metrics: Optional[Metrics] = None,
                  timeout: float = 120.0,
                  resolver=None) -> None:
-        if timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {timeout}")
+        # Chained comparison: NaN fails it, so no deadline can be NaN.
+        if not 0 < timeout < float("inf"):
+            raise ValueError(f"timeout must be finite and > 0, got {timeout}")
         self.cluster = cluster
         self.profile = profile
         self.metrics = metrics if metrics is not None else cluster.metrics
@@ -200,7 +201,7 @@ class Client:
                 rec.add_phase(phase, sim.now - t1)
 
                 # --- wait for the full response, bounded by the deadline -----
-                yield AnyOf(sim, [conn.reply, deadline])
+                yield _join(conn.reply, deadline, Event(sim), None, need=1)
                 if not conn.reply.triggered:
                     self._end(root, outcome="dropped", reason="timeout")
                     self.metrics.drop(rec, sim.now, reason="timeout")

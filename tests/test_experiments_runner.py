@@ -50,6 +50,12 @@ def test_result_accessors():
     assert "tiny" in res.summary_line()
 
 
+def test_nan_client_timeout_fails_at_build_time():
+    # Rejected when the clients are built, before any request is sent.
+    with pytest.raises(ValueError, match="timeout must be finite"):
+        run_scenario(tiny_scenario(client_timeout=float("nan")))
+
+
 def test_unknown_client_in_workload_raises():
     sc = tiny_scenario()
     for a in sc.workload.arrivals:

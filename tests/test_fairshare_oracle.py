@@ -12,9 +12,11 @@ last live dispatch, and the live dispatch count.
 
 The reference leaves a superseded wake-up on the heap, where it later
 dispatches as a no-op (and moves the clock); the production server
-withdraws it with ``Simulator.cancel``.  The reference queues every
+withdraws it with ``Simulator.withdraw``.  The reference queues every
 completion; the production server dispatches the jobs a wake-up completes
-in place, inside the wake-up's dispatch.  So the production kernel's
+in place, inside the wake-up's dispatch, and a job left alone in service
+is its own wake-up entry (one dispatch that completes it).  So the
+production kernel's
 ``event_count`` must equal the reference's minus the superseded wake-ups
 the reference dispatched and minus the jobs completed in place, its clock
 must stop at the last live dispatch,
@@ -35,8 +37,9 @@ from .fairshare_reference import ReferenceFairShareServer
 
 class _Production(FairShareServer):
     """The production server, noting the clock of its last wake-up (every
-    wake-up that reaches it is live: superseded ones are cancelled) and
-    counting the jobs its wake-ups complete in place."""
+    wake-up that reaches it is live: superseded ones are withdrawn) and
+    counting the jobs its wake-ups complete in place.  A lone job's own
+    entry is a wake-up that completes that one job in place."""
 
     stale = 0
     woken = 0
@@ -49,6 +52,12 @@ class _Production(FairShareServer):
         before = self.jobs_completed
         super()._wake(timer)
         self.in_place += self.jobs_completed - before
+
+    def _lone_due(self, job):
+        self.woken += 1
+        self.live_wake_at = self.sim.now
+        self.in_place += 1
+        super()._lone_due(job)
 
 
 class _Reference(ReferenceFairShareServer):
@@ -100,8 +109,15 @@ _op = st.one_of(
 )
 
 
-def _drive(server_cls, rate, ops):
-    """Run ``ops`` against a fresh ``server_cls``; return what it observed."""
+def _drive(server_cls, rate, ops, urgent=False):
+    """Run ``ops`` against a fresh ``server_cls``; return what it observed.
+
+    Each op's second item is the gap since the previous op, waited by a
+    feeding process.  With ``urgent``, it is instead the absolute time of
+    the op, reached with ``run(until=...)``: the op then runs at top level
+    behind that run's URGENT stop marker, ahead of every NORMAL entry due
+    at the same instant (a lone job's own completion entry among them).
+    """
     sim = Simulator()
     srv = server_cls(sim, rate=rate)
     log = []
@@ -118,27 +134,36 @@ def _drive(server_cls, rate, ops):
                         repr(job.finished_at)))
         return record
 
+    def act(op):
+        kind = op[0]
+        if kind == "submit":
+            _, _, work, weight, cap = op
+            job = srv.submit(work, weight=weight, cap=cap, tag=len(jobs))
+            jobs.append(job)
+            job.done.callbacks.append(recorder(job))
+        elif kind == "cancel":
+            if jobs:
+                srv.cancel(jobs[op[2] % len(jobs)])
+        elif kind == "set_rate":
+            srv.set_rate(op[2])
+        else:
+            value = (srv.population_integral() if op[2] == "pop"
+                     else srv.busy_integral())
+            reads.append((op[2], repr(value), srv.njobs))
+
     def feed():
         for op in ops:
             yield sim.timeout(op[1])
-            kind = op[0]
-            if kind == "submit":
-                _, _, work, weight, cap = op
-                job = srv.submit(work, weight=weight, cap=cap, tag=len(jobs))
-                jobs.append(job)
-                job.done.callbacks.append(recorder(job))
-            elif kind == "cancel":
-                if jobs:
-                    srv.cancel(jobs[op[2] % len(jobs)])
-            elif kind == "set_rate":
-                srv.set_rate(op[2])
-            else:
-                value = (srv.population_integral() if op[2] == "pop"
-                         else srv.busy_integral())
-                reads.append((op[2], repr(value), srv.njobs))
+            act(op)
         marks.append(sim.now)
 
-    sim.spawn(feed())
+    if urgent:
+        for op in ops:
+            sim.run(until=op[1])
+            marks.append(sim.now)  # the stop marker: a live dispatch
+            act(op)
+    else:
+        sim.spawn(feed())
     sim.run()
     last_live = max(max(marks), srv.live_wake_at)
     if server_cls is _Production:
@@ -178,10 +203,11 @@ def test_sub_ulp_completion_at_a_large_clock_matches_reference():
                         ("read", 1e-9, "pop")])
 
 
-def _assert_same(rate, ops):
-    new = _drive(_Production, rate, ops)
-    old = _drive(_Reference, rate, ops)
+def _assert_same(rate, ops, urgent=False):
+    new = _drive(_Production, rate, ops, urgent)
+    old = _drive(_Reference, rate, ops, urgent)
     assert new == old
+    return new
 
 
 @given(rate=_rate, ops=st.lists(_op, min_size=1, max_size=40))
@@ -274,6 +300,130 @@ def test_integral_reads_while_one_job_is_in_service():
     ops += [("submit", 50.0, 5.0, 1.5, 4.0), ("read", 0.25, "busy"),
             ("read", 50.0, "pop")]
     _assert_same(10.0, ops)
+
+
+# -- a lone job on its own entry, superseded -------------------------------
+# At rate 10, a lone job of 20 units submitted at t=0 is due at t=2.0 on
+# its own heap entry; each op below supersedes that entry before it fires.
+_SUPERSEDERS = [("submit", 5.0, 1.0, None), ("cancel", 0),
+                ("set_rate", 4.0), ("read", "pop"), ("read", "busy")]
+
+
+def _superseder(op, at):
+    kind = op[0]
+    if kind == "submit":
+        return ("submit", at) + op[1:]
+    return (kind, at, op[1])
+
+
+@pytest.mark.parametrize("op", _SUPERSEDERS, ids=lambda op: op[0])
+def test_lone_job_entry_superseded_before_it_is_due(op):
+    ops = [("submit", 0.0, 20.0, 1.0, None), _superseder(op, 1.0),
+           ("submit", 40.0, 3.0, 1.0, None)]
+    _assert_same(10.0, ops)
+
+
+@pytest.mark.parametrize("op", _SUPERSEDERS, ids=lambda op: op[0])
+def test_lone_job_entry_superseded_at_its_due_instant(op):
+    # The op runs at t=2.0 from the URGENT lane, ahead of the job's own
+    # NORMAL entry: its pass completes the job, which must then succeed
+    # through the lane once, without its completion hook.
+    ops = [("submit", 0.0, 20.0, 1.0, None), _superseder(op, 2.0),
+           ("read", 2.0, "pop"), ("submit", 50.0, 3.0, 2.0, 1.0),
+           ("read", 50.3, "busy")]
+    new = _assert_same(10.0, ops, urgent=True)
+    assert new["log"][0][:3] == (0, True, "2.0")
+
+
+def test_lone_job_programs_with_urgent_ops():
+    # Lone jobs on an idle station, each op run from the URGENT lane,
+    # some of them exactly at a lone job's due instant.
+    ops = [("submit", 0.0, 30.0, 1.0, None), ("read", 1.0, "busy"),
+           ("submit", 10.0, 30.0, 1.0, None), ("read", 13.0, "pop"),
+           ("submit", 20.0, 30.0, 2.0, 5.0), ("set_rate", 26.0, 20.0),
+           ("submit", 40.0, 10.0, 1.0, None), ("cancel", 40.5, 3),
+           ("submit", 60.0, 40.0, 1.0, None), ("submit", 64.0, 0.0, 1.0,
+                                                None),
+           ("read", 100.0, "busy")]
+    _assert_same(10.0, ops, urgent=True)
+
+
+def _run_until_lone_job(server_cls):
+    sim = Simulator()
+    srv = server_cls(sim, rate=10.0)
+    job = srv.submit(20.0, tag="lone")
+    woke = []
+
+    def waiter():
+        got = yield job.done
+        woke.append((got is job, sim.now))
+
+    sim.spawn(waiter())
+    sim.step()  # the waiter starts: it waits ahead of run()'s stop hook
+    value = sim.run(until=job.done)
+    first = (value is job, sim.now, job.finished_at, list(woke),
+             srv.njobs, repr(srv.work_completed))
+    later = srv.submit(5.0, tag="after")
+    sim.run()
+    return first, (sim.now, later.finished_at, srv.jobs_completed), sim, srv
+
+
+def test_run_until_a_lone_job_on_its_own_entry():
+    new_first, new_rest, sim, srv = _run_until_lone_job(_Production)
+    old_first, old_rest, _, _ = _run_until_lone_job(_Reference)
+    assert new_first == old_first == (True, 2.0, 2.0, [(True, 2.0)], 0,
+                                      "20.0")
+    assert new_rest == old_rest
+    # Both jobs were lone: each was its own entry, dispatched once with
+    # its waiters and completed in place.
+    assert srv.woken == srv.in_place == 2 and srv.wakeups_superseded == 0
+    # The waiter's start, the lone job, the later lone job.
+    assert sim.event_count == 3
+
+
+def test_job_left_alone_by_its_peers_is_its_own_entry():
+    # At rate 10 the 10-unit job completes at t=2.0 and leaves the 30-unit
+    # one alone, its waiter already attached: the pass puts the job itself
+    # on the heap, with the completion hook ahead of that waiter.
+    sim = Simulator()
+    srv = _Production(sim, rate=10.0)
+    short = srv.submit(10.0)
+    long = srv.submit(30.0)
+    woke = []
+
+    def waiter():
+        got = yield long
+        woke.append((got is long, sim.now))
+
+    sim.spawn(waiter())
+    sim.run(until=short)
+    assert srv._entry[3] is long and long.callbacks[0] is srv._on_lone_due
+    sim.run()
+    assert woke == [(True, 4.0)] and long.finished_at == 4.0
+    assert srv.woken == 2 and srv.jobs_completed == 2
+    # Left alone by a cancel, and read while alone.
+    _assert_same(10.0, [("submit", 0.0, 10.0, 1.0, None),
+                        ("submit", 0.0, 30.0, 1.0, None),
+                        ("cancel", 1.0, 0), ("read", 1.0, "pop")])
+
+
+def test_sub_ulp_lone_job_takes_the_waker():
+    # At t=1e7 the clock rounds 1e7 + 0.01 down: 1.0 unit at rate 100
+    # is not done at that instant, so the lone job cannot be its own
+    # entry; the waker fires there and re-arms for the rest.
+    sim = Simulator()
+    sim.run(until=1e7)
+    srv = _Production(sim, rate=100.0)
+    job = srv.submit(1.0)
+    assert srv._entry[3] is srv._waker and job.callbacks == []
+    sim.run(until=job)
+    # Two wake-ups: the rounding re-arm, then the completion.
+    assert srv.woken == 2 and srv.jobs_completed == 1
+    assert job.finished_at == sim.now > 1e7 + 0.0099
+    _assert_same(100.0, [("submit", 1e7, 1.0, 1.0, None),
+                         ("submit", 5.0, 1.0, 1.0, None),
+                         ("submit", 5.0, 2.0, 1.0, None),
+                         ("read", 0.005, "pop")])
 
 
 _drain = st.one_of(st.just(0.0),

@@ -5,6 +5,7 @@ import pytest
 from repro import SWEBCluster, meiko_cs2, sun_now, RUTGERS_CLIENT, UCSB_CLIENT
 from repro.core import CostParameters
 from repro.obs import Tracer
+from repro.sim import Event
 
 
 def small_cluster(policy="sweb", n=3, **kw):
@@ -119,6 +120,69 @@ def test_client_timeout_drops_request():
     rec = cluster.run(until=proc)
     assert rec.dropped and rec.drop_reason == "timeout"
     assert rec.end == pytest.approx(5.0, abs=0.2)
+
+
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"),
+                                     float("inf")])
+def test_client_timeout_must_be_finite_and_positive(timeout):
+    # NaN passed the old `timeout <= 0` check and made every deadline NaN.
+    cluster = small_cluster()
+    with pytest.raises(ValueError, match="finite and > 0"):
+        cluster.client(timeout=timeout)
+
+
+def _join_first_and_any_of(program):
+    """Run ``program(sim, wait, log)`` once with the client's first-leg
+    ``_join`` and once with ``AnyOf``; return each run's (log,
+    event_count)."""
+    from repro.cluster.network import _join
+    from repro.sim import AnyOf, Simulator
+
+    runs = []
+    for first_leg in (True, False):
+        sim = Simulator()
+        log = []
+
+        def wait(a, b, sim=sim, first_leg=first_leg):
+            return (_join(a, b, Event(sim), None, need=1) if first_leg
+                    else AnyOf(sim, [a, b]))
+
+        program(sim, wait, log)
+        sim.run()
+        runs.append((log, sim.event_count))
+    return runs
+
+
+@pytest.mark.parametrize("case", ["reply", "deadline", "same_instant",
+                                  "processed", "failed"])
+def test_first_leg_join_dispatches_like_any_of(case):
+    # The same waiter resumes at the same clock after the same number of
+    # dispatches, whichever leg wins.
+    def program(sim, wait, log):
+        reply = sim.timeout(0.0 if case == "processed" else
+                            1.0 if case in ("reply", "same_instant") else 3.0,
+                            value="reply")
+        deadline = sim.timeout(1.0 if case == "same_instant" else 2.0)
+        if case == "failed":
+            reply = Event(sim)
+            sim.timeout(0.5).callbacks.append(
+                lambda ev: reply.fail(ConnectionResetError("reset")))
+
+        def client():
+            if case == "processed":
+                yield sim.timeout(0.25)  # the reply is processed by then
+            try:
+                yield wait(reply, deadline)
+            except ConnectionResetError as exc:
+                log.append(("failed", str(exc), sim.now))
+                return
+            log.append((reply.triggered, deadline.triggered and
+                        deadline.processed, sim.now))
+
+        sim.spawn(client())
+
+    first_leg, any_of = _join_first_and_any_of(program)
+    assert first_leg == any_of
 
 
 def test_departed_node_refuses_then_survivors_serve():

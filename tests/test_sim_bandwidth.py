@@ -311,7 +311,8 @@ def test_job_is_its_own_completion_event():
 
 class _CountingServer(FairShareServer):
     """Counts the wake-ups that reach the server's code, and the jobs they
-    complete (dispatched in place: never counted by the kernel)."""
+    complete (dispatched in place: never counted by the kernel).  A lone
+    job's own entry is a wake-up that completes that one job in place."""
 
     def __init__(self, *args, **kwargs):
         self.fired = 0
@@ -324,9 +325,14 @@ class _CountingServer(FairShareServer):
         super()._wake(timer)
         self.in_place += self.jobs_completed - before
 
+    def _lone_due(self, job):
+        self.fired += 1
+        self.in_place += 1
+        super()._lone_due(job)
+
 
 def _pending(srv):
-    return 0 if srv._timer is None else 1
+    return 0 if srv._entry is None else 1
 
 
 def test_wakeup_counters_balance_and_stale_entries_stay_inert():
@@ -346,13 +352,18 @@ def test_wakeup_counters_balance_and_stale_entries_stay_inert():
         feeders += 1
 
         def read(ev):
-            before = srv._timer
+            before = srv._entry
+            armed = None if before is None else before[3]
             withdrawn = sim.cancelled
             srv.population_integral()
             if before is not None:
-                # Withdrawn from the kernel: no callbacks left, counted as
-                # one cancelled entry.
-                assert before.callbacks is None and before is not srv._timer
+                # Withdrawn from the kernel: the entry holds no live event
+                # any more, and counts as one cancelled entry.  The event
+                # it held (the waker or a lone job) is left pending.
+                assert before[3] is not armed
+                assert before[3].callbacks is None
+                assert before is not srv._entry
+                assert armed.callbacks is not None
                 assert sim.cancelled == withdrawn + 1
                 superseded_timers.append(before)
         sim.timeout(when).callbacks.append(read)
@@ -382,17 +393,21 @@ def test_wakeup_counters_balance_and_stale_entries_stay_inert():
 def test_superseded_wakeup_dispatch_runs_no_server_code():
     sim = Simulator()
     srv = _CountingServer(sim, rate=1.0)
-    srv.submit(10.0)
-    stale = srv._timer
-    srv.submit(10.0)  # re-arms: the first timer is superseded
+    first = srv.submit(10.0)
+    stale = srv._entry
+    # A lone job on an idle station is its own wake-up entry.
+    assert stale[3] is first and first.callbacks
+    srv.submit(10.0)  # re-arms: the first entry is superseded
     assert srv.wakeups_armed == 2 and srv.wakeups_superseded == 1
-    assert stale is not srv._timer and stale.callbacks is None
+    assert stale is not srv._entry and stale[3].callbacks is None
+    # The job lost its completion hook with the entry.
+    assert first.callbacks == [] and not first.triggered
     assert sim.cancelled == 1
     sim.run(until=10.0 + 1e-9)  # past the stale entry's original due time
     assert srv.fired == 0
     assert srv.njobs == 2
-    # Only the stop marker was dispatched: the withdrawn timer never was.
-    assert sim.event_count == 1 and not stale.processed
+    # Only the stop marker was dispatched: the withdrawn entry never was.
+    assert sim.event_count == 1 and not first.processed
     sim.run()
     assert srv.fired == 1 and srv.wakeups_superseded == 1
     assert srv.jobs_completed == 2

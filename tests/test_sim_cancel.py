@@ -12,6 +12,10 @@ agree on every live dispatch, its clock, every condition value and
 ``event_count`` up to the dead entries the reference dispatched.  The
 reference helpers read the reference kernel's own heap, which holds every
 scheduled entry (the production heap holds only strictly-future ones).
+
+``Simulator.schedule``/``Simulator.withdraw`` (a voidable entry for an
+event that lives on, such as a fair-share station's reusable waker) go
+through the same wake-up re-arm differential as ``timeout``/``cancel``.
 """
 
 import math
@@ -382,9 +386,9 @@ def test_compaction_during_run_keeps_the_live_order():
 
 # -- the wake-up re-arm: O(1) cancel of a heap timeout vs the reference -----
 class _Stations:
-    """``k`` wake-up holders on one kernel, each re-armed the way a
-    fair-share station re-arms: withdraw the armed timer, arm a new one
-    (``timeout()`` with its callback appended).  The production kernel
+    """``k`` wake-up holders on one kernel, each re-armed with a fresh
+    timer: withdraw the armed timer, arm a new one (``timeout()`` with
+    its callback appended).  The production kernel
     withdraws a timeout ahead of the clock without a lane scan; the
     reference scans the lanes."""
 
@@ -424,7 +428,14 @@ class _Stations:
                 min_size=1, max_size=60))
 @settings(max_examples=300, deadline=None)
 def test_wakeup_rearm_matches_reference(ops):
-    new = _Stations(production, 4)
+    _assert_rearms_match_reference(_Stations(production, 4), ops)
+
+
+def _assert_rearms_match_reference(new, ops):
+    """Drive ``new`` and the reference's stations through ``ops``: the
+    same wake-ups at the same clocks, and the same clock, event_count,
+    pending, cancelled and heap length after every arm (so both heaps
+    compact at the same points)."""
     ref = _Stations(reference, 4)
     for station, delay, gap in ops:
         for run in (new, ref):
@@ -442,7 +453,10 @@ def test_wakeup_rearm_matches_reference(ops):
 def test_wakeup_rearms_compact_the_heap():
     """Back-to-back re-arms of one wake-up: each withdraws the last, so
     the heap compacts whenever its dead entries outnumber live ones."""
-    new = _Stations(production, 2)
+    _assert_rearms_compact(_Stations(production, 2))
+
+
+def _assert_rearms_compact(new):
     ref = _Stations(reference, 2)
     sizes = []
     for i in range(40):
@@ -454,3 +468,131 @@ def test_wakeup_rearms_compact_the_heap():
     new.sim.run()
     ref.sim.run()
     assert new.log == ref.log == [(0, 48.0, 1), (1, 49.0, 2)]
+
+
+# -- schedule()/withdraw(): one reusable waker per station ------------------
+class _Wakers:
+    """``_Stations`` on the production kernel the way a fair-share station
+    arms now: each station owns one reusable waker event, armed with
+    ``schedule()``; the armed entry is voided with ``withdraw()``, and the
+    waker restores the callbacks the kernel cleared on dispatch.  It must
+    match the reference's fresh-timeout-and-cancel stations entry for
+    entry."""
+
+    def __init__(self, k: int) -> None:
+        self.sim = production.Simulator()
+        self.entries = [None] * k
+        self.wakers = []
+        self.log: list[tuple] = []
+        for station in range(k):
+            waker = Event(self.sim)
+            waker._ok, waker._state = True, Event.TRIGGERED
+            waker.callbacks.append(
+                lambda ev, station=station: self.wake(station, ev))
+            self.wakers.append((waker, waker.callbacks))
+
+    def wake(self, station: int, ev: Event) -> None:
+        waker, callbacks = self.wakers[station]
+        assert ev is waker and waker.callbacks is None
+        waker.callbacks = callbacks
+        self.entries[station] = None
+        self.log.append((station, self.sim.now, self.sim.event_count))
+
+    def arm(self, station: int, delay: float) -> None:
+        entry = self.entries[station]
+        if entry is not None:
+            self.sim.withdraw(entry)
+        self.entries[station] = self.sim.schedule(
+            self.wakers[station][0], self.sim.now + delay)
+
+    state = _Stations.state
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                          st.floats(min_value=1e-3, max_value=20.0,
+                                    allow_nan=False, allow_infinity=False),
+                          st.one_of(st.just(None),
+                                    st.floats(min_value=1e-3, max_value=5.0,
+                                              allow_nan=False,
+                                              allow_infinity=False))),
+                min_size=1, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_schedule_withdraw_rearm_matches_reference(ops):
+    _assert_rearms_match_reference(_Wakers(4), ops)
+
+
+def test_withdraw_rearms_compact_the_heap():
+    _assert_rearms_compact(_Wakers(2))
+
+
+def test_withdrawn_entry_never_dispatches_and_its_event_stays_yieldable():
+    sim = Simulator()
+    ev = Event(sim)
+    woke = []
+
+    def waiter():
+        value = yield ev
+        woke.append((value, sim.now))
+
+    sim.spawn(waiter())
+    # The event is triggered by its first callback at dispatch time, as
+    # a lone fair-share job is by its completion hook.
+    ev.callbacks.append(lambda e: None)
+    entry = sim.schedule(ev, 3.0)
+    assert entry[:3] == [3.0, 1, 1] and entry[3] is ev
+    sim.withdraw(entry)
+    assert entry[3] is not ev and entry[3].callbacks is None
+    assert sim.cancelled == 1 and sim.pending == 1  # the waiter's start
+    sim.run(until=5.0)
+    # Never dispatched: the waiter still waits and the event is pending.
+    assert woke == [] and not ev.triggered
+    assert sim.event_count == 2  # the waiter's start and the stop marker
+    assert sim.pending == 0 and len(sim._queue) == 0
+    # Still yieldable: it fires once triggered, its waiter resumes.
+    ev.succeed("late")
+    sim.run()
+    assert woke == [("late", 5.0)]
+
+
+def test_a_withdrawn_event_can_be_scheduled_again():
+    sim = Simulator()
+    waker = Event(sim)
+    waker._ok, waker._state = True, Event.TRIGGERED
+    fired = []
+    callbacks = [lambda ev: fired.append(sim.now)]
+    waker.callbacks = callbacks
+    sim.withdraw(sim.schedule(waker, 2.0))
+    entry = sim.schedule(waker, 4.0)
+    assert entry[2] == 2  # each schedule takes the next sequence number
+    sim.run()
+    assert fired == [4.0] and sim.now == 4.0
+    assert sim.event_count == 1 and sim.cancelled == 1
+    # Dispatch cleared the callbacks; restored, the waker is reusable.
+    waker.callbacks = callbacks
+    sim.schedule(waker, 6.0)
+    sim.run()
+    assert fired == [4.0, 6.0] and sim.event_count == 2
+
+
+def test_schedule_shares_the_sequence_with_timeouts():
+    sim = Simulator()
+    order = []
+    first = sim.timeout(1.0)
+    first.callbacks.append(lambda ev: order.append("timeout-1"))
+    ev = Event(sim)
+    ev._ok, ev._state = True, Event.TRIGGERED
+    ev.callbacks.append(lambda e: order.append("scheduled"))
+    sim.schedule(ev, 1.0)
+    second = sim.timeout(1.0)
+    second.callbacks.append(lambda e: order.append("timeout-2"))
+    sim.run()
+    assert order == ["timeout-1", "scheduled", "timeout-2"]
+
+
+@pytest.mark.parametrize("when", [0.0, 1.0, -1.0, math.nan, math.inf])
+def test_schedule_needs_a_finite_future_instant(when):
+    sim = Simulator()
+    sim.run(until=1.0)
+    with pytest.raises(ValueError):
+        sim.schedule(Event(sim), when)
+    assert sim._queue == [] and sim.pending == 0

@@ -45,6 +45,23 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
+@pytest.mark.parametrize("delay", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_non_finite_timeout_rejected(delay):
+    # A NaN key would dispatch out of order (timeouts of 3.0, nan, 1.0
+    # and 2.0 once fired at 1.0, 2.0, 2.0 and 3.0), and an infinite one
+    # would leave the clock at infinity after run().
+    sim = Simulator()
+    fired = []
+    for d in (3.0, 1.0, 2.0):
+        sim.timeout(d).callbacks.append(lambda ev: fired.append(sim.now))
+    with pytest.raises(ValueError, match="finite"):
+        sim.timeout(delay)
+    assert sim.pending == 3
+    sim.run()
+    assert fired == [1.0, 2.0, 3.0] and sim.now == 3.0
+
+
 def test_fifo_order_for_simultaneous_events():
     sim = Simulator()
     order = []
