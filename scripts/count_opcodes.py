@@ -25,7 +25,10 @@ The replica is always perfbench's replica 0 of seed 1 (input seed
 1000), so every table counts the same requests; ``--top N`` adds the N
 functions that executed the most opcodes themselves, each named by its
 file and qualified name.  Tracing every opcode makes the run ~30x slower than an
-untraced one, so keep ``--scale`` small.
+untraced one, so keep ``--scale`` small.  A last line gives the event
+heap's high-water mark and its mean length at each push, from a second,
+untraced run of the same replica: the cost of a deep heap is paid in
+``heapq``'s C code, which the opcode counts cannot see.
 
 Exit codes: 0 ok, 2 bad invocation.
 """
@@ -108,6 +111,37 @@ def count(workload_name: str, scale: float) -> tuple[dict, dict, int]:
     return layers, codes, workload.outcome(result).offered
 
 
+def heap_depth(workload_name: str, scale: float) -> tuple[int, float]:
+    """(high-water mark, mean length at each push) of the event heap in
+    one untraced run of the same replica.
+
+    Wraps the kernel module's ``heappush`` for the run, so the figures
+    cover every push but ``run()``'s stop markers; runs are
+    deterministic, so they describe the traced run exactly without
+    adding to its counts."""
+    import repro.sim.engine as engine
+
+    workload = WORKLOADS[workload_name]
+    prepared = workload.prepare(INPUT_SEED, scale)
+    push = engine.heappush
+    high = pushes = total = 0
+
+    def counting(heap, entry):
+        nonlocal high, pushes, total
+        push(heap, entry)
+        depth = len(heap)
+        high = max(high, depth)
+        pushes += 1
+        total += depth
+
+    engine.heappush = counting
+    try:
+        workload.execute(prepared)
+    finally:
+        engine.heappush = push
+    return high, total / max(pushes, 1)
+
+
 def _function_name(code) -> str:
     path = Path(code.co_filename)
     try:
@@ -158,6 +192,10 @@ def main(argv=None) -> int:
           f"scale {args.scale:g}: {requests} requests")
     for line in report(layers, codes, requests, args.top):
         print(line)
+    high, mean = heap_depth(args.workload, args.scale)
+    print()
+    print(f"event heap (untraced rerun): high-water {high} entries, "
+          f"mean {mean:.1f} at each push")
     return 0
 
 

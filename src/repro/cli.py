@@ -283,15 +283,19 @@ def _cmd_serve_geo(args: argparse.Namespace) -> int:
         print(f"unknown --partition-site {args.partition_site!r}; "
               f"choose from {', '.join(spec.site_names)}", file=sys.stderr)
         return 2
-    scenario = GeoScenario(
-        name="cli-geo", spec=spec,
-        n_files=args.files, file_bytes=args.file_size,
-        alpha=args.zipf if args.zipf is not None else 1.1,
-        rps=args.rps, duration=args.duration, seed=args.seed,
-        graceful=args.graceful,
-        edge_budget_bytes=args.geo_budget * 1e6,
-        partition_site=args.partition_site,
-        partition_window=(args.duration * 0.25, args.duration * 0.75))
+    try:
+        scenario = GeoScenario(
+            name="cli-geo", spec=spec,
+            n_files=args.files, file_bytes=args.file_size,
+            alpha=args.zipf if args.zipf is not None else 1.1,
+            rps=args.rps, duration=args.duration, seed=args.seed,
+            graceful=args.graceful,
+            edge_budget_bytes=args.geo_budget * 1e6,
+            partition_site=args.partition_site,
+            partition_window=(args.duration * 0.25, args.duration * 0.75))
+    except ValueError as exc:
+        print(f"bad geo scenario: {exc}", file=sys.stderr)
+        return 2
     result = run_geo(scenario)
     print(result.summary_line())
     for site in spec.site_names:

@@ -16,12 +16,13 @@ exactly the trade the X13 experiment measures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.costmodel import CostParameters
 from ..obs import percentile
-from ..sim import AllOf, Event, RandomStreams
+from ..sim import Event, RandomStreams
 from ..web.client import Client, ClientProfile
 from ..cluster.network import WANPath
 from ..workload.corpus import uniform_corpus
@@ -64,6 +65,16 @@ class GeoScenario:
     #: partition this site for ``partition_window`` (sim seconds)
     partition_site: Optional[str] = None
     partition_window: Tuple[float, float] = (4.0, 10.0)
+
+    def __post_init__(self) -> None:
+        # Chained comparisons, so NaN and infinity fail them too: a
+        # negative rate or duration would run silently with no arrivals,
+        # and an infinite one asks for infinitely many.
+        if not 0 < self.rps < math.inf:
+            raise ValueError(f"rps must be finite and > 0: {self.rps}")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be finite and >= 0: "
+                             f"{self.duration}")
 
     def resolved_spec(self) -> GeoSpec:
         return self.spec or geo3()
@@ -184,22 +195,34 @@ def run_geo(scenario: GeoScenario) -> GeoResult:
             clients[key] = client
         return client
 
-    def arrive(home: str, path: str, done: Event) -> None:
-        """One arrival at its time: route it, fetch, then settle ``done``."""
+    # One final event, settled by a countdown where the arrivals' work
+    # ends: it fails on the first failed fetch, as an AllOf would.
+    finished = Event(sim)
+    unsettled = len(arrivals)
+
+    def settle() -> None:
+        nonlocal unsettled
+        unsettled -= 1
+        if not unsettled and not finished.triggered:
+            finished.succeed()
+
+    def arrive(home: str, path: str) -> None:
+        """One arrival at its time: route it, fetch, then settle."""
         pop = populations[home]
         pop.offered += 1
         target = system.dns.route(home)
         if target is None:
             pop.lost += 1
-            done.succeed()
+            settle()
             return
 
         def fetched(proc: Event) -> None:
             if not proc.ok:
                 # Handled here, as a process waiting on the fetch would
-                # handle it: ``done`` carries the failure to the AllOf.
+                # handle it: ``finished`` carries the failure to the run.
                 proc.defuse()
-                done.fail(proc.value)
+                if not finished.triggered:
+                    finished.fail(proc.value)
                 return
             rec = proc.value
             if rec.dropped:
@@ -209,25 +232,25 @@ def run_geo(scenario: GeoScenario) -> GeoResult:
                 pop.response_times.append(rec.response_time)
                 if target != home:
                     pop.spilled += 1
-            done.succeed()
+            settle()
 
         client_for(home, target).fetch(path).callbacks.append(fetched)
 
-    # One plain event per arrival, settled where the arrival's work ends.
-    dones = [Event(sim) for _ in arrivals]
-
     def release(_event: Event) -> None:
         # One URGENT hop where each arrival used to start a process of its
-        # own: arrivals due now run inline, and every later one gets its
-        # wake-up here, in arrival order, so each keeps its heap key.
+        # own: arrivals due now run inline, and the later ones (a suffix:
+        # the grid only grows) go on one timeline, under the keys and at
+        # the instants that a timeout per arrival armed here would take.
         now = sim.now
-        for (at, home, path), done in zip(arrivals, dones):
-            delay = at - now
-            if delay > 0:
-                sim.timeout(delay).callbacks.append(
-                    lambda _t, h=home, p=path, d=done: arrive(h, p, d))
-            else:
-                arrive(home, path, done)
+        due = 0
+        for at, home, path in arrivals:
+            if at - now > 0:
+                break
+            arrive(home, path)
+            due += 1
+        later = arrivals[due:]
+        sim.timeline([now + (at - now) for at, _, _ in later],
+                     lambda i: arrive(later[i][1], later[i][2]))
 
     sim.defer(release)
 
@@ -245,7 +268,9 @@ def run_geo(scenario: GeoScenario) -> GeoResult:
 
         sim.spawn(partition_proc(), name="geo.partition")
 
-    system.run(until=AllOf(sim, dones))
+    if not arrivals:
+        finished.succeed()
+    system.run(until=finished)
 
     return GeoResult(
         scenario=scenario,

@@ -32,6 +32,12 @@ its entry; :meth:`Simulator.withdraw` voids that entry in place by
 swapping the event for a dead sentinel, so the event itself stays
 pending and can be scheduled again.
 
+Timelines: :meth:`Simulator.timeline` dispatches a whole series of future
+instants (a scenario's arrival grid) with one entry on the heap at a
+time.  It reserves the sequence numbers that as many timeouts armed at
+the call would take, and each dispatch pushes the next entry under its
+reserved key, so the series dispatches exactly as those timeouts would.
+
 Performance: this file is the hottest code in the repository (see
 ``docs/PERFORMANCE.md``).  The main loop in :meth:`Simulator.run`
 inlines :meth:`Simulator.step`, and the trigger/timeout paths build
@@ -46,7 +52,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from itertools import pairwise
+from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
 __all__ = [
     "Event",
@@ -357,6 +364,8 @@ class Simulator:
         #: withdrawn entries still on the heap
         self._cancelled = 0
         self._dead = 0
+        #: timeline entries reserved but not pushed yet (see timeline())
+        self._parked = 0
 
     # -- time --------------------------------------------------------------
     @property
@@ -375,10 +384,10 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Live scheduled entries: the heap minus its cancelled entries,
-        plus the live lane entries."""
+        plus the live lane entries and the parked timeline entries."""
         lanes = sum(1 for lane in (self._urgent, self._normal)
                     for event in lane if event.callbacks is not None)
-        return len(self._queue) - self._dead + lanes
+        return len(self._queue) - self._dead + lanes + self._parked
 
     # -- event construction --------------------------------------------------
     def timeout(self, delay: float, value: Any = None) -> Timeout:
@@ -472,6 +481,57 @@ class Simulator:
         self._dead += 1
         if 2 * self._dead > len(self._queue):
             self._compact()
+
+    def timeline(self, whens: Sequence[float],
+                 fn: Callable[[int], None]) -> None:
+        """Call ``fn(i)`` as the clock reaches ``whens[i]``, for every ``i``.
+
+        ``whens`` must be finite and nondecreasing, its first value
+        strictly after :attr:`now`; an empty one does nothing.  The call
+        reserves the ``len(whens)`` sequence numbers that as many
+        :meth:`timeout` calls made right now would take, and entry ``i``
+        dispatches under exactly ``(whens[i], NORMAL, first + i)``: the
+        same order, clocks and :attr:`event_count` as those timeouts.
+
+        Only one entry is on the heap at a time.  One reusable triggered
+        event carries the series; its dispatch restores its callbacks,
+        pushes entry ``i + 1`` and then calls ``fn(i)``, so a raising
+        ``fn`` leaves the rest of the series to a later :meth:`run`.  The
+        keys strictly increase, so entry ``i + 1`` is on the heap before
+        it can be due.  :attr:`pending` counts the entries not pushed yet.
+        A series entry cannot be cancelled or withdrawn.
+        """
+        whens = tuple(whens)
+        n = len(whens)
+        if not n:
+            return
+        # Chained comparisons: NaN fails them.
+        if not self.now < whens[0] < _INF or not all(
+                a <= b < _INF for a, b in pairwise(whens)):
+            raise ValueError(f"timeline() needs finite, nondecreasing "
+                             f"instants after now={self.now}")
+        first = self._seq + 1
+        self._seq += n
+        self._parked += n - 1
+        heap = self._queue
+        carrier = Event(self)
+        carrier._ok = True
+        carrier._state = Event.TRIGGERED
+        index = 0
+
+        def dispatch(_event: Event) -> None:
+            nonlocal index
+            i = index
+            index += 1
+            carrier.callbacks = callbacks
+            if index < n:
+                self._parked -= 1
+                heappush(heap, [whens[index], NORMAL, first + index, carrier])
+            fn(i)
+
+        callbacks: list[Callable[[Event], None]] = [dispatch]
+        carrier.callbacks = callbacks
+        heappush(heap, [whens[0], NORMAL, first, carrier])
 
     def _compact(self) -> None:
         """Drop the dead entries from the heap, in place (run() holds a
@@ -620,9 +680,9 @@ class Simulator:
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 
-        ``until`` may be ``None`` (run to exhaustion), a number (run up to
-        that time), or an :class:`Event` (run until it is processed, and
-        return its value).
+        ``until`` may be ``None`` (run to exhaustion), a finite number no
+        earlier than :attr:`now` (run up to that time), or an
+        :class:`Event` (run until it is processed, and return its value).
         """
         stop_value: Any = None
         if until is not None:
@@ -645,8 +705,11 @@ class Simulator:
                 until.callbacks.append(_halt)
             else:
                 at = float(until)
-                if at < self.now:
-                    raise ValueError(f"until={at} lies in the past (now={self.now})")
+                # Chained comparison: NaN fails it, and an infinite stop
+                # would move the clock to infinity.
+                if not self.now <= at < _INF:
+                    raise ValueError(f"until={at} must be finite and not in "
+                                     f"the past (now={self.now})")
                 stopper = Event(self)
                 stopper._ok = True
                 stopper._value = None

@@ -138,6 +138,12 @@ def test_parser_rejects_non_positive_serve_sizes(capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("duration", ["-3", "nan", "inf"])
+def test_cli_geo_rejects_a_bad_duration(capsys, duration):
+    assert main(["serve", "--geo", "--duration", duration]) == 2
+    assert "duration must be finite" in capsys.readouterr().err
+
+
 def test_cli_trace_out_requires_trace_requests(capsys):
     assert main(["serve", "--trace-out", "t.json"]) == 2
     assert "--trace-out requires --trace-requests" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Tests for the opcode counter (scripts/count_opcodes.py)."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ def test_two_runs_print_the_same_table():
     first, second = _run(*args), _run(*args)
     assert first.returncode == second.returncode == 0, first.stderr
     assert first.stdout == second.stdout
-    head, functions = first.stdout.split("\n\n")
+    head, functions, heap = first.stdout.split("\n\n")
     lines = head.splitlines()
     assert lines[0].startswith("geo3 input seed 1000, scale 0.008")
     assert lines[0].endswith(": 40 requests")
@@ -33,6 +34,9 @@ def test_two_runs_print_the_same_table():
     rows = functions.splitlines()[1:]
     assert len(rows) == 5
     assert rows[0].startswith("repro/sim/")
+    # The heap's depth, from an untraced rerun of the same replica.
+    assert re.fullmatch(r"event heap \(untraced rerun\): high-water \d+ "
+                        r"entries, mean \d+\.\d at each push\n", heap)
 
 
 def test_bad_scale_is_a_usage_error():

@@ -28,6 +28,8 @@ from repro.geo import (
     plan_placement,
     run_geo,
 )
+from repro.sim import engine
+from repro.web.client import Client
 from repro.workload.corpus import uniform_corpus
 
 KB, MB = 1e3, 1e6
@@ -321,3 +323,63 @@ def test_run_geo_partition_graceful_vs_paper_faithful():
     east = graceful.population("east")
     assert east.lost == 0 and east.spilled > 0
     assert graceful.partition_spills == east.spilled
+
+
+def test_run_geo_with_no_arrivals_ends_at_once():
+    result = run_geo(_tiny(duration=0.0))
+    assert result.finished_at == 0.0
+    assert all(p.offered == 0 for p in result.populations.values())
+
+
+def test_a_failed_fetch_fails_the_run(monkeypatch):
+    """The first failed fetch fails the run with its exception, as the
+    condition over every arrival did; the later settles change nothing."""
+    fetch = Client.fetch
+    calls = []
+
+    def failing(client, path, *args, **kwargs):
+        calls.append(path)
+        if len(calls) != 5:
+            return fetch(client, path, *args, **kwargs)
+
+        def broken():
+            raise RuntimeError("fetch broke")
+            yield  # pragma: no cover - makes this a generator
+
+        return client.cluster.sim.spawn(broken())
+
+    monkeypatch.setattr(Client, "fetch", failing)
+    with pytest.raises(RuntimeError, match="fetch broke"):
+        run_geo(_tiny())
+    assert len(calls) >= 5
+
+
+def test_run_geo_heap_does_not_grow_with_the_arrival_count(monkeypatch):
+    """Future arrivals wait on one timeline, not one heap entry each: the
+    heap's high-water mark stays flat as the run gets longer."""
+    push = engine.heappush
+    high = [0]
+
+    def counting(heap, entry):
+        push(heap, entry)
+        high[0] = max(high[0], len(heap))
+
+    monkeypatch.setattr(engine, "heappush", counting)
+    highs, arrivals = [], []
+    for duration in (4.0, 16.0):
+        high[0] = 0
+        result = run_geo(_tiny(duration=duration))
+        highs.append(high[0])
+        arrivals.append(sum(p.offered for p in result.populations.values()))
+    assert arrivals == [60, 240]
+    assert max(highs) < arrivals[0]
+    assert highs[1] - highs[0] <= (arrivals[1] - arrivals[0]) // 20
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rps", 0.0), ("rps", -5.0), ("rps", float("nan")), ("rps", float("inf")),
+    ("duration", -3.0), ("duration", float("nan")),
+    ("duration", float("inf"))])
+def test_scenario_rejects_bad_rate_and_duration(field, value):
+    with pytest.raises(ValueError, match=field):
+        GeoScenario(**{field: value})

@@ -124,6 +124,30 @@ def test_run_until_past_time_rejected():
         sim.run(until=1.0)
 
 
+@pytest.mark.parametrize("until", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_non_finite_run_until_rejected(until):
+    # A NaN stop marker once let the run go on to exhaustion and left the
+    # clock at NaN; an infinite one left it at infinity.
+    sim = Simulator()
+    fired = []
+    for d in (3.0, 1.0, 2.0):
+        sim.timeout(d).callbacks.append(lambda ev: fired.append(sim.now))
+    with pytest.raises(ValueError, match="finite"):
+        sim.run(until=until)
+    assert fired == [] and sim.now == 0.0 and sim.pending == 3
+    assert sim.event_count == 0
+
+
+def test_run_without_until_runs_to_exhaustion():
+    sim = Simulator()
+    fired = []
+    for d in (3.0, 1.0, 2.0):
+        sim.timeout(d).callbacks.append(lambda ev: fired.append(sim.now))
+    assert sim.run() is None
+    assert fired == [1.0, 2.0, 3.0] and sim.now == 3.0 and sim.pending == 0
+
+
 def test_manual_event_succeed():
     sim = Simulator()
     ev = Event(sim)
