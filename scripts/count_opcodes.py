@@ -25,10 +25,13 @@ The replica is always perfbench's replica 0 of seed 1 (input seed
 1000), so every table counts the same requests; ``--top N`` adds the N
 functions that executed the most opcodes themselves, each named by its
 file and qualified name.  Tracing every opcode makes the run ~30x slower than an
-untraced one, so keep ``--scale`` small.  A last line gives the event
-heap's high-water mark and its mean length at each push, from a second,
-untraced run of the same replica: the cost of a deep heap is paid in
-``heapq``'s C code, which the opcode counts cannot see.
+untraced one, so keep ``--scale`` small.  Two last lines come from a
+second, untraced run of the same replica, and show costs the opcode
+counts cannot see: the event heap's high-water mark and its mean length
+at each push (paid in ``heapq``'s C code), then the kernel's dispatches
+per request and the cyclic garbage collector's work (its collections
+per generation, and the objects it freed per request, counted from a
+``gc.collect()`` just before the run).
 
 Exit codes: 0 ok, 2 bad invocation.
 """
@@ -36,6 +39,7 @@ Exit codes: 0 ok, 2 bad invocation.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -111,12 +115,16 @@ def count(workload_name: str, scale: float) -> tuple[dict, dict, int]:
     return layers, codes, workload.outcome(result).offered
 
 
-def heap_depth(workload_name: str, scale: float) -> tuple[int, float]:
-    """(high-water mark, mean length at each push) of the event heap in
-    one untraced run of the same replica.
+def untraced(workload_name: str, scale: float) -> dict:
+    """What one untraced run of the same replica shows beyond opcodes:
+    the event heap's high-water mark (``heap_high``) and mean length at
+    each push (``heap_mean``), kernel dispatches per request
+    (``dispatches``), and the cyclic collector's collections per
+    generation (``collections``) and objects freed per request
+    (``collected``).
 
-    Wraps the kernel module's ``heappush`` for the run, so the figures
-    cover every push but ``run()``'s stop markers; runs are
+    Wraps the kernel module's ``heappush`` for the run, so the heap
+    figures cover every push but ``run()``'s stop markers; runs are
     deterministic, so they describe the traced run exactly without
     adding to its counts."""
     import repro.sim.engine as engine
@@ -135,11 +143,22 @@ def heap_depth(workload_name: str, scale: float) -> tuple[int, float]:
         total += depth
 
     engine.heappush = counting
+    gc.collect()
+    before = gc.get_stats()
     try:
-        workload.execute(prepared)
+        outcome = workload.outcome(workload.execute(prepared))
     finally:
         engine.heappush = push
-    return high, total / max(pushes, 1)
+    after = gc.get_stats()
+    per = max(outcome.offered, 1)
+    return {
+        "heap_high": high, "heap_mean": total / max(pushes, 1),
+        "dispatches": outcome.events / per,
+        "collections": [b["collections"] - a["collections"]
+                        for a, b in zip(before, after)],
+        "collected": sum(b["collected"] - a["collected"]
+                         for a, b in zip(before, after)) / per,
+    }
 
 
 def _function_name(code) -> str:
@@ -192,10 +211,14 @@ def main(argv=None) -> int:
           f"scale {args.scale:g}: {requests} requests")
     for line in report(layers, codes, requests, args.top):
         print(line)
-    high, mean = heap_depth(args.workload, args.scale)
+    rerun = untraced(args.workload, args.scale)
     print()
-    print(f"event heap (untraced rerun): high-water {high} entries, "
-          f"mean {mean:.1f} at each push")
+    print(f"event heap (untraced rerun): high-water {rerun['heap_high']} "
+          f"entries, mean {rerun['heap_mean']:.1f} at each push")
+    collections = "/".join(str(n) for n in rerun["collections"])
+    print(f"kernel (untraced rerun): {rerun['dispatches']:.2f} dispatches "
+          f"per request; cyclic gc {collections} collections (gen 0/1/2), "
+          f"{rerun['collected']:.2f} objects collected per request")
     return 0
 
 

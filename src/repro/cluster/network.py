@@ -62,8 +62,9 @@ def _start_hop(sim: Simulator, latency: float,
 
 
 def _relay(job: Event, done: Event, value: Any) -> None:
-    """Succeed ``done`` with ``value`` when the station ``job`` finishes."""
-    job.callbacks.append(lambda _ev: done.succeed(value))
+    """Settle ``done`` with ``value`` in the dispatch that finishes the
+    station ``job``."""
+    job.callbacks.append(lambda _ev: done.settle(value))
 
 
 def _send(sim: Simulator, station: FairShareServer, latency: float,
@@ -230,14 +231,17 @@ def _join(first: Event, second: Event, done: Event, value: Any,
     (both by default, as ``AllOf``; the first, with ``need=1``, as
     ``AnyOf``), and return ``done``.
 
-    A countdown on the legs' callbacks triggers ``done`` itself, with no
-    condition or relay event in between.  As with a condition, the first
-    failed leg is defused and fails ``done`` with its exception at once,
-    and a leg already processed counts at once.
+    A countdown on the legs' callbacks settles ``done`` in the dispatch of
+    its last leg (:meth:`Event.settle`), with no condition or relay event
+    in between.  As with a condition, the first failed leg is defused and
+    fails ``done`` with its exception at once, through the lane.  A leg
+    already processed counts at once; if that completes the countdown,
+    ``done`` succeeds through the lane too, since its waiter is not
+    attached yet.
     """
     left = need
 
-    def leg(ev: Event) -> None:
+    def leg(ev: Event, finish: Callable[[Any], Any] = done.settle) -> None:
         nonlocal left
         if done.triggered:
             return
@@ -247,12 +251,12 @@ def _join(first: Event, second: Event, done: Event, value: Any,
             return
         left -= 1
         if not left:
-            done.succeed(value)
+            finish(value)
 
     for ev in (first, second):
         callbacks = ev.callbacks
         if callbacks is None:
-            leg(ev)
+            leg(ev, done.succeed)
         else:
             callbacks.append(leg)
     return done

@@ -53,10 +53,25 @@ class Job(Event):
     when service completes and fails with ``InterruptedError`` when it is
     cancelled, so processes simply ``yield job``.  Built only by
     :meth:`FairShareServer.submit`, which sets every field itself.
+
+    The value is read, not stored: a job holding itself would be a
+    reference cycle, left for the cyclic garbage collector to free.  Only
+    a failure's exception is kept (in ``_error``).
     """
 
     __slots__ = ("server", "work", "remaining", "weight", "cap", "tag",
-                 "submitted_at", "finished_at", "_rate", "_tol", "_shaped")
+                 "submitted_at", "finished_at", "_rate", "_tol", "_shaped",
+                 "_error")
+
+    @property  # type: ignore[override]
+    def _value(self) -> Any:
+        """The job itself once it has succeeded, else the stored failure
+        (None while pending)."""
+        return self if self._ok else self._error
+
+    @_value.setter
+    def _value(self, value: Any) -> None:
+        self._error = None if value is self else value
 
     @property
     def done(self) -> "Job":
@@ -174,7 +189,7 @@ class FairShareServer:
         job = Job.__new__(Job)
         job.sim = sim
         job.callbacks = []
-        job._value = None
+        job._error = None
         job._ok = None
         job._state = 0  # Event.PENDING
         job._defused = False
@@ -252,7 +267,7 @@ class FairShareServer:
         job._rate = 0.0
         job.finished_at = now
         self._jobs_completed += 1
-        job._ok, job._value = True, job
+        job._ok = True
         job._state = 1  # Event.TRIGGERED
 
     def _wake(self, waker: Event) -> None:
@@ -348,7 +363,7 @@ class FairShareServer:
                     if finished is None:
                         job.succeed(job)
                     else:
-                        job._ok, job._value = True, job
+                        job._ok = True
                         job._state = 1  # Event.TRIGGERED
                         finished.append(job)
                 else:

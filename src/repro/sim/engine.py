@@ -164,6 +164,40 @@ class Event:
         self.sim._normal.append(self)
         return self
 
+    def settle(self, value: Any = None) -> None:
+        """Succeed with ``value`` and run the callbacks at once, inside the
+        dispatch in progress: never queued, never dispatched on its own
+        and never counted in :attr:`Simulator.event_count`.
+
+        The kernel's hop for a completion that only passes on the one that
+        caused it (a stream's last byte, a join's last leg, a reply, a
+        process's return).  A callback that stops the run (the hook of a
+        ``run(until=event)``) does not cut the dispatch in progress short:
+        the event goes back on the NORMAL lane, where :meth:`succeed`
+        would have put it, with that callback and the ones after it, and
+        the stop takes effect when it dispatches there.  Any other
+        exception propagates, as it would from a dispatch.
+        """
+        if self._state != 0:  # Event.PENDING
+            raise SimulationError(f"{self!r} has already been triggered")
+        self._ok = True
+        self._value = value
+        self._state = 1  # Event.TRIGGERED
+        callbacks, self.callbacks = self.callbacks, None
+        try:
+            for cb in callbacks:
+                cb(self)
+        except StopSimulation:
+            # Requeued from the stopping callback on (found by identity:
+            # a stop hook is on a list once).
+            i = 0
+            while callbacks[i] is not cb:
+                i += 1
+            self.callbacks = callbacks[i:]
+            self.sim._normal.append(self)
+            return
+        self._state = 2  # Event.PROCESSED
+
     def defuse(self) -> "Event":
         """Mark a failed event as handled so it does not crash the run."""
         self._defused = True
@@ -184,8 +218,8 @@ class Timeout(Event):
 
 class Process(Event):
     """A running generator.  As an :class:`Event` it triggers when the
-    generator returns (value = return value) or raises (failure); a
-    return with nothing waiting is processed in place, unqueued."""
+    generator returns (value = return value), settled in place
+    (:meth:`Event.settle`), or raises (failure, queued)."""
 
     __slots__ = ("gen", "name")
 
@@ -224,11 +258,12 @@ class Process(Event):
                     event._defused = True
                     target = gen.throw(event._value)
             except StopIteration as stop:
+                # Processed in place, never queued or counted: waiters
+                # resume inside this dispatch, and a later ``yield self``
+                # resumes at once.
                 if self.callbacks:
-                    self.succeed(stop.value)
+                    self.settle(stop.value)
                 else:
-                    # Nothing waits: processed in place, never queued or
-                    # counted; a later ``yield self`` resumes at once.
                     self._ok, self._value = True, stop.value
                     self._state, self.callbacks = 2, None  # PROCESSED
                 return
@@ -371,8 +406,9 @@ class Simulator:
     @property
     def event_count(self) -> int:
         """Queue dispatches so far (a determinism fingerprint): cancelled
-        entries and events processed in place (a process nothing waits
-        on, the jobs a fair-share wake-up completes) are not counted."""
+        entries and events processed in place (a settled event, such as
+        a returning process, and the jobs a fair-share wake-up
+        completes) are not counted."""
         return self._event_count
 
     @property
@@ -495,7 +531,8 @@ class Simulator:
 
         Only one entry is on the heap at a time.  One reusable triggered
         event carries the series; its dispatch restores its callbacks,
-        pushes entry ``i + 1`` and then calls ``fn(i)``, so a raising
+        pushes entry ``i + 1`` (the last one lets the series go) and then
+        calls ``fn(i)``, so a raising
         ``fn`` leaves the rest of the series to a later :meth:`run`.  The
         keys strictly increase, so entry ``i + 1`` is on the heap before
         it can be due.  :attr:`pending` counts the entries not pushed yet.
@@ -523,10 +560,14 @@ class Simulator:
             nonlocal index
             i = index
             index += 1
-            carrier.callbacks = callbacks
             if index < n:
+                carrier.callbacks = callbacks
                 self._parked -= 1
                 heappush(heap, [whens[index], NORMAL, first + index, carrier])
+            else:
+                # The series is over: drop this function from its own
+                # list, a cycle that only the cyclic collector would free.
+                callbacks.clear()
             fn(i)
 
         callbacks: list[Callable[[Event], None]] = [dispatch]
@@ -597,8 +638,7 @@ class Simulator:
             if urgent or normal:
                 # A heap entry due now was pushed before the clock got
                 # here, so it precedes every lane entry of its priority;
-                # only a NORMAL one yields to the URGENT lane.  (One that
-                # is overdue, after _jump(), precedes every lane entry.)
+                # only a NORMAL one yields to the URGENT lane.
                 if (heap and heap[0][0] <= now
                         and (heap[0][1] == URGENT or not urgent
                              or heap[0][0] < now)):
@@ -623,27 +663,6 @@ class Simulator:
                 return None
             if event.callbacks is not None:
                 return event
-
-    def _jump(self, at: float) -> None:
-        """Set the clock to ``at`` when a run(until=at) ends early.
-
-        Only a stop marker left behind by an earlier run() that an
-        exception cut short can end a run before its own marker; the
-        clock then still jumps to ``at``.  Whatever is left in the lanes
-        belongs to the old instant, so it moves to the heap under its
-        old time, in lane order and behind the entries already there —
-        the keys a single heap would have given it.
-        """
-        old = self.now
-        if at != old:
-            heap = self._queue
-            for prio, lane in ((URGENT, self._urgent), (NORMAL, self._normal)):
-                for event in lane:
-                    if event.callbacks is not None:
-                        self._seq += 1
-                        heappush(heap, [old, prio, self._seq, event])
-                lane.clear()
-        self.now = at
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -683,8 +702,13 @@ class Simulator:
         ``until`` may be ``None`` (run to exhaustion), a finite number no
         earlier than :attr:`now` (run up to that time), or an
         :class:`Event` (run until it is processed, and return its value).
+        A run that ends otherwise (an exception, or the events running
+        out first) takes its stop marker off the heap, or its hook off
+        the event, on the way out, so no later run stops at it.
         """
-        stop_value: Any = None
+        stopper: Optional[Event] = None
+        stopper_in_lane = False
+        halt: Optional[Callable[[Event], None]] = None
         if until is not None:
             if isinstance(until, Event):
                 if until.callbacks is None:
@@ -702,7 +726,8 @@ class Simulator:
                         raise ev._value
                     raise StopSimulation(ev._value)
 
-                until.callbacks.append(_halt)
+                halt = _halt
+                until.callbacks.append(halt)
             else:
                 at = float(until)
                 # Chained comparison: NaN fails it, and an infinite stop
@@ -717,6 +742,7 @@ class Simulator:
                 stopper.callbacks = [lambda ev: (_ for _ in ()).throw(StopSimulation(None))]
                 if at == self.now:
                     self._urgent.append(stopper)
+                    stopper_in_lane = True
                 else:
                     self._seq += 1
                     heapq.heappush(self._queue, [at, URGENT, self._seq, stopper])
@@ -769,10 +795,19 @@ class Simulator:
                 if not event._ok and not event._defused:
                     raise event._value
         except StopSimulation as stop:
-            stop_value = stop.value
-            if until is not None and not isinstance(until, Event):
-                self._jump(float(until))
-            return stop_value
+            return stop.value
+        finally:
+            if stopper is not None:
+                if stopper.callbacks is not None:
+                    # Not reached: dead, it is skipped in the lane or
+                    # dropped from the heap, as a cancelled entry is.
+                    stopper.callbacks = None
+                    if not stopper_in_lane:
+                        self._dead += 1
+            elif halt is not None:
+                hooks = until.callbacks
+                if hooks is not None and halt in hooks:
+                    hooks.remove(halt)
         if isinstance(until, Event) and until._state != Event.PROCESSED:
             raise SimulationError("run() ran out of events before `until` triggered")
         return until._value if isinstance(until, Event) else None

@@ -411,7 +411,8 @@ class HTTPServer:
             return
         conn.record.add_phase(phase, self.sim.now - t0)
         self.requests_handled += 1
-        conn.reply.succeed(response)
+        # Settled in place: the client resumes in this dispatch.
+        conn.reply.settle(response)
 
     def __repr__(self) -> str:
         return (f"<HTTPServer node={self.node.id} policy={self.policy.name} "

@@ -2,10 +2,12 @@
 
 This is the :mod:`repro.sim.engine` that shipped before events due at the
 current instant moved to per-priority FIFO lanes.  It is kept verbatim
-apart from this docstring and one dispatch rule the production kernel
-adopted later, so the two keep one dispatch structure: a process whose
-generator returns while nothing waits on it is processed in place, never
-queued or counted (``Process._resume``).  It is the oracle for
+apart from this docstring and the rules the production kernel adopted
+later, so the two keep one dispatch structure: a process whose generator
+returns is settled in place, its waiters resumed in the dispatch that
+ran it, never queued or counted (``Event.settle``, ``Process._resume``);
+and a run that ends otherwise than at its own stop takes its stop marker
+or hook with it (``Simulator.run``).  It is the oracle for
 ``tests/test_kernel_oracle.py`` and the no-op-cancel reference of
 ``tests/test_sim_cancel.py``: driven through the same program, the
 production kernel must dispatch the same events in the same order at the
@@ -121,6 +123,31 @@ class Event:
         self._trigger(False, exception)
         return self
 
+    def settle(self, value: Any = None) -> None:
+        """Succeed with ``value`` and run the callbacks at once, inside the
+        dispatch in progress: never queued or counted.  A callback that
+        stops the run puts the event back on the queue, where succeed()
+        would have put it, with that callback and the ones after it."""
+        if self._state != Event.PENDING:
+            raise SimulationError(f"{self!r} has already been triggered")
+        self._ok = True
+        self._value = value
+        self._state = Event.TRIGGERED
+        callbacks, self.callbacks = self.callbacks, None
+        try:
+            for cb in callbacks:
+                cb(self)
+        except StopSimulation:
+            i = 0
+            while callbacks[i] is not cb:
+                i += 1
+            self.callbacks = callbacks[i:]
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._queue, (sim._now, NORMAL, seq, self))
+            return
+        self._state = Event.PROCESSED
+
     def defuse(self) -> "Event":
         """Mark a failed event as handled so it does not crash the run."""
         self._defused = True
@@ -187,15 +214,9 @@ class Process(Event):
                     event._defused = True
                     target = gen.throw(event._value)
             except StopIteration as stop:
-                if self.callbacks:
-                    self.succeed(stop.value)
-                else:
-                    # Nothing waits: processed in place, never queued or
-                    # counted; a later ``yield self`` resumes at once.
-                    self._ok = True
-                    self._value = stop.value
-                    self._state = Event.PROCESSED
-                    self.callbacks = None
+                # Settled in place: its waiters resume inside this
+                # dispatch, and a later ``yield self`` resumes at once.
+                self.settle(stop.value)
                 return
             except BaseException as exc:
                 if isinstance(exc, (KeyboardInterrupt, SystemExit)):
@@ -466,7 +487,8 @@ class Simulator:
         that time), or an :class:`Event` (run until it is processed, and
         return its value).
         """
-        stop_value: Any = None
+        stopper: Optional[Event] = None
+        halt: Optional[Callable[[Event], None]] = None
         if until is not None:
             if isinstance(until, Event):
                 if until.callbacks is None:
@@ -484,7 +506,8 @@ class Simulator:
                         raise ev._value
                     raise StopSimulation(ev._value)
 
-                until.callbacks.append(_halt)
+                halt = _halt
+                until.callbacks.append(halt)
             else:
                 at = float(until)
                 if at < self._now:
@@ -526,10 +549,17 @@ class Simulator:
                     callbacks.clear()
                     pool.append(callbacks)
         except StopSimulation as stop:
-            stop_value = stop.value
-            if until is not None and not isinstance(until, Event):
-                self._now = float(until)
-            return stop_value
+            return stop.value
+        finally:
+            if stopper is not None:
+                if stopper.callbacks is not None:
+                    # Not reached: dead, dropped as a cancelled entry is.
+                    stopper.callbacks = None
+                    self._dead += 1
+            elif halt is not None:
+                hooks = until.callbacks
+                if hooks is not None and halt in hooks:
+                    hooks.remove(halt)
         if isinstance(until, Event) and until._state != Event.PROCESSED:
             raise SimulationError("run() ran out of events before `until` triggered")
         return until._value if isinstance(until, Event) else None

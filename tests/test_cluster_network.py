@@ -158,22 +158,30 @@ def _fattree_program(cancel_leg):
 
 @pytest.mark.parametrize("cancel_leg", [False, True])
 def test_fattree_countdown_join_matches_allof(monkeypatch, cancel_leg):
-    """Same completions, in the same order, at the same clocks with the
-    same values as an AllOf join; a failed leg fails the transfer's done
-    event at once, which surfaces from run().  The countdown succeeds
-    ``done`` itself, so each of the eight joins (three transfers, five
-    multicast legs) dispatches one event fewer."""
+    """Same completions at the same clocks with the same values as an
+    AllOf join, the port jobs in the same order and the transfers in the
+    same order; a failed leg fails the transfer's done event at once,
+    which surfaces from run().  The countdown settles ``done`` in its
+    last leg's dispatch, where the AllOf join dispatches the condition
+    and then ``done``, so each of the eight joins (three transfers, five
+    multicast legs) dispatches two events fewer; a join whose leg fails
+    fails ``done`` through the lane, one fewer.  Settled in place, a
+    transfer's completion comes right after its last port job's, ahead
+    of the other port jobs due at that instant."""
     log, raised, now, count = _fattree_program(cancel_leg)
     monkeypatch.setattr(network, "_join", _allof_join)
     a_log, a_raised, a_now, a_count = _fattree_program(cancel_leg)
 
-    def unplaced(entries):
+    def unplaced(entries, jobs):
         # Exceptions compare by text: each run raises its own instance.
         return [(label, when, repr(value) if isinstance(value, Exception)
-                 else value) for label, _n, when, value in entries]
+                 else value) for label, _n, when, value in entries
+                if isinstance(label, tuple) == jobs]
 
-    assert (unplaced(log), raised, now) == (unplaced(a_log), a_raised, a_now)
-    assert a_count - count == 8
+    for jobs in (True, False):
+        assert unplaced(log, jobs) == unplaced(a_log, jobs)
+    assert (raised, now) == (a_raised, a_now)
+    assert a_count - count == (15 if cancel_leg else 16)
     if cancel_leg:
         assert raised is not None
 
@@ -274,7 +282,9 @@ def _fabric_program(kind, latency):
 
 
 #: the pinned schedule of _fabric_program per (fabric, latency):
-#: (completions, transfers_lost, bytes_sent, end time, event_count)
+#: (completions, transfers_lost, bytes_sent, end time, event_count).  A
+#: crossing leg is settled in its last station job's dispatch: it shares
+#: that job's event_count and is logged right after it.
 FABRIC_SCHEDULES = {
     ('fat-tree', 0.001): ([
         ('t2', 1, 0.0, 5000000.0),
@@ -282,71 +292,71 @@ FABRIC_SCHEDULES = {
         ('n0', 8, 0.2, 1000000.0),
         (('fat-tree.port2', 't1'), 11, 0.3343333333333333, True),
         (('fat-tree.port1', 't1'), 12, 0.451, True),
-        ('t1', 13, 0.451, 1000000.0),
-        (('fat-tree.port3', 'n'), 14, 0.501, True),
-        (('fat-tree.port3', 'n'), 14, 0.501, True),
-        (('fat-tree.port3', 'h'), 14, 0.501, True),
-        (('fat-tree.port2', 'h'), 15, 0.5343333333333333, True),
-        ('h', 16, 0.5343333333333333, 1000000.0),
-        (('fat-tree.port0', 'n'), 17, 0.601, True),
-        ('n1', 18, 0.601, 1000000.0),
-        (('fat-tree.port1', 'n'), 19, 0.651, True),
-        ('n2', 20, 0.651, 1000000.0),
-        (('fat-tree.port0', 't4'), 21, 0.701, True),
-        (('fat-tree.port2', 'm'), 22, 0.8009999999999999, True),
-        (('fat-tree.port2', 'm'), 22, 0.8009999999999999, True),
-        (('fat-tree.port1', 't4'), 23, 0.801, True),
-        ('t4', 24, 0.801, 2000000.0),
-        (('fat-tree.port0', 'm'), 25, 0.9009999999999999, True),
-        ('m0', 26, 0.9009999999999999, 3000000.0),
-        (('fat-tree.port0', 't0'), 27, 1.001, True),
-        (('fat-tree.port1', 'm'), 28, 1.0010000000000001, True),
-        ('m3', 29, 1.0010000000000001, 3000000.0),
-        (('fat-tree.port1', 't0'), 30, 1.101, True),
-        ('t0', 31, 1.101, 4000000.0),
-    ], 2, 16000000.0, 1.101, 31),
+        ('t1', 12, 0.451, 1000000.0),
+        (('fat-tree.port3', 'n'), 13, 0.501, True),
+        (('fat-tree.port3', 'n'), 13, 0.501, True),
+        (('fat-tree.port3', 'h'), 13, 0.501, True),
+        (('fat-tree.port2', 'h'), 14, 0.5343333333333333, True),
+        ('h', 14, 0.5343333333333333, 1000000.0),
+        (('fat-tree.port0', 'n'), 15, 0.601, True),
+        ('n1', 15, 0.601, 1000000.0),
+        (('fat-tree.port1', 'n'), 16, 0.651, True),
+        ('n2', 16, 0.651, 1000000.0),
+        (('fat-tree.port0', 't4'), 17, 0.701, True),
+        (('fat-tree.port2', 'm'), 18, 0.8009999999999999, True),
+        (('fat-tree.port2', 'm'), 18, 0.8009999999999999, True),
+        (('fat-tree.port1', 't4'), 19, 0.801, True),
+        ('t4', 19, 0.801, 2000000.0),
+        (('fat-tree.port0', 'm'), 20, 0.9009999999999999, True),
+        ('m0', 20, 0.9009999999999999, 3000000.0),
+        (('fat-tree.port0', 't0'), 21, 1.001, True),
+        (('fat-tree.port1', 'm'), 22, 1.0010000000000001, True),
+        ('m3', 22, 1.0010000000000001, 3000000.0),
+        (('fat-tree.port1', 't0'), 23, 1.101, True),
+        ('t0', 23, 1.101, 4000000.0),
+    ], 2, 16000000.0, 1.101, 23),
     ('bus', 0.0005): ([
         ('t2', 1, 0.0, 5000000.0),
         ('m1', 2, 0.0, 3000000.0),
         ('n0', 8, 0.2, 1000000.0),
         (('ethernet.bus', 't1'), 11, 0.6805, True),
-        ('t1', 12, 0.6805, 1000000.0),
-        (('ethernet.bus', 'n'), 13, 0.9604999999999999, True),
-        (('ethernet.bus', 'n'), 13, 0.9604999999999999, True),
-        (('ethernet.bus', 'h'), 13, 0.9604999999999999, True),
-        ('n1', 14, 0.9604999999999999, 1000000.0),
-        ('n2', 15, 0.9604999999999999, 1000000.0),
-        ('h', 16, 0.9604999999999999, 1000000.0),
-        (('ethernet.bus', 't4'), 17, 1.2005, True),
-        ('t4', 18, 1.2005, 2000000.0),
-        (('ethernet.bus', 'm'), 19, 1.5005, True),
-        (('ethernet.bus', 'm'), 19, 1.5005, True),
-        ('m0', 20, 1.5005, 3000000.0),
-        ('m3', 21, 1.5005, 3000000.0),
-        (('ethernet.bus', 't0'), 22, 1.6004999999999998, True),
-        ('t0', 23, 1.6004999999999998, 4000000.0),
-    ], 2, 16000000.0, 1.6004999999999998, 23),
+        ('t1', 11, 0.6805, 1000000.0),
+        (('ethernet.bus', 'n'), 12, 0.9604999999999999, True),
+        ('n1', 12, 0.9604999999999999, 1000000.0),
+        (('ethernet.bus', 'n'), 12, 0.9604999999999999, True),
+        ('n2', 12, 0.9604999999999999, 1000000.0),
+        (('ethernet.bus', 'h'), 12, 0.9604999999999999, True),
+        ('h', 12, 0.9604999999999999, 1000000.0),
+        (('ethernet.bus', 't4'), 13, 1.2005, True),
+        ('t4', 13, 1.2005, 2000000.0),
+        (('ethernet.bus', 'm'), 14, 1.5005, True),
+        ('m0', 14, 1.5005, 3000000.0),
+        (('ethernet.bus', 'm'), 14, 1.5005, True),
+        ('m3', 14, 1.5005, 3000000.0),
+        (('ethernet.bus', 't0'), 15, 1.6004999999999998, True),
+        ('t0', 15, 1.6004999999999998, 4000000.0),
+    ], 2, 16000000.0, 1.6004999999999998, 15),
     ('bus', 0.0): ([
         ('t2', 5, 0.0, 5000000.0),
         ('m1', 6, 0.0, 3000000.0),
         ('n0', 10, 0.2, 1000000.0),
         (('ethernet.bus', 't1'), 11, 0.6799999999999999, True),
-        ('t1', 12, 0.6799999999999999, 1000000.0),
-        (('ethernet.bus', 'n'), 13, 0.96, True),
-        (('ethernet.bus', 'n'), 13, 0.96, True),
-        (('ethernet.bus', 'h'), 13, 0.96, True),
-        ('n1', 14, 0.96, 1000000.0),
-        ('n2', 15, 0.96, 1000000.0),
-        ('h', 16, 0.96, 1000000.0),
-        (('ethernet.bus', 't4'), 17, 1.2, True),
-        ('t4', 18, 1.2, 2000000.0),
-        (('ethernet.bus', 'm'), 19, 1.5, True),
-        (('ethernet.bus', 'm'), 19, 1.5, True),
-        ('m0', 20, 1.5, 3000000.0),
-        ('m3', 21, 1.5, 3000000.0),
-        (('ethernet.bus', 't0'), 22, 1.6, True),
-        ('t0', 23, 1.6, 4000000.0),
-    ], 2, 16000000.0, 1.6, 23),
+        ('t1', 11, 0.6799999999999999, 1000000.0),
+        (('ethernet.bus', 'n'), 12, 0.96, True),
+        ('n1', 12, 0.96, 1000000.0),
+        (('ethernet.bus', 'n'), 12, 0.96, True),
+        ('n2', 12, 0.96, 1000000.0),
+        (('ethernet.bus', 'h'), 12, 0.96, True),
+        ('h', 12, 0.96, 1000000.0),
+        (('ethernet.bus', 't4'), 13, 1.2, True),
+        ('t4', 13, 1.2, 2000000.0),
+        (('ethernet.bus', 'm'), 14, 1.5, True),
+        ('m0', 14, 1.5, 3000000.0),
+        (('ethernet.bus', 'm'), 14, 1.5, True),
+        ('m3', 14, 1.5, 3000000.0),
+        (('ethernet.bus', 't0'), 15, 1.6, True),
+        ('t0', 15, 1.6, 4000000.0),
+    ], 2, 16000000.0, 1.6, 15),
 }
 
 
@@ -413,6 +423,41 @@ def test_internet_latency_applied():
     sim.spawn(go())
     sim.run()
     assert log == [pytest.approx(1.04)]
+
+
+def test_stop_at_a_stream_completion_settled_in_its_job_dispatch():
+    """run(until=done), where ``done`` is a stream's completion, settled
+    in the dispatch of its station job, with a second waiter on the job
+    and one on ``done``: both still run, the job ends processed, and
+    clocks and values are those of a queued completion."""
+    sim = Simulator()
+    nic = FairShareServer(sim, rate=4.0, name="nic")
+    done = Internet(sim).send(nic, WANPath(latency=0.5, bandwidth=2.0), 8.0)
+    log = []
+    jobs = []
+
+    def on_done():
+        value = yield done
+        log.append(("done", sim.now, value))
+
+    def on_job():
+        yield sim.timeout(1.0)
+        job, = nic.jobs
+        jobs.append(job)
+        got = yield job
+        log.append(("job", sim.now, got is job))
+
+    sim.spawn(on_done())
+    sim.spawn(on_job())
+    sim.run(until=1.5)               # both waiters attached by now
+    assert sim.run(until=done) == 8.0
+    assert sim.now == 4.5
+    assert sorted(log) == [("done", 4.5, 8.0), ("job", 4.5, True)]
+    job, = jobs
+    assert job.processed and job.value is job and job.finished_at == 4.5
+    assert done.triggered and done.value == 8.0
+    sim.run()
+    assert sim.now == 4.5 and len(log) == 2
 
 
 def test_wanpath_validation():

@@ -34,9 +34,19 @@ def test_two_runs_print_the_same_table():
     rows = functions.splitlines()[1:]
     assert len(rows) == 5
     assert rows[0].startswith("repro/sim/")
-    # The heap's depth, from an untraced rerun of the same replica.
+    # The heap's depth, then kernel dispatches and the cyclic collector's
+    # work, from an untraced rerun of the same replica.
+    heap_line, kernel_line = heap.splitlines()
     assert re.fullmatch(r"event heap \(untraced rerun\): high-water \d+ "
-                        r"entries, mean \d+\.\d at each push\n", heap)
+                        r"entries, mean \d+\.\d at each push", heap_line)
+    kernel = re.fullmatch(
+        r"kernel \(untraced rerun\): (\d+\.\d\d) dispatches per request; "
+        r"cyclic gc (\d+)/(\d+)/(\d+) collections \(gen 0/1/2\), "
+        r"(\d+\.\d\d) objects collected per request", kernel_line)
+    assert kernel is not None, kernel_line
+    assert float(kernel.group(1)) > 0
+    # Finished jobs and series are freed by reference counting.
+    assert float(kernel.group(5)) == 0.0
 
 
 def test_bad_scale_is_a_usage_error():

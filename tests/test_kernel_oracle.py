@@ -14,8 +14,9 @@ top-level operation the same clock, ``event_count``, ``pending`` and
 The programs mix zero-delay timeouts, delays that float rounding absorbs
 and exact ties; ``succeed``/``fail``/``defuse`` from the top level, from
 processes and from deferred callbacks; ``defer`` and nested ``spawn``,
-with or without a waiter (a process nothing waits on completes in place
-on both kernels); ``AnyOf``/``AllOf`` waits; ``cancel`` of lane entries (a just-triggered
+with or without a waiter (a returning process is settled in place on
+both kernels, its waiters resumed inside the dispatch that ran it);
+``AnyOf``/``AllOf`` waits; ``cancel`` of lane entries (a just-triggered
 event, a zero-delay timeout) and of heap entries; ``run(until=t)``
 including ``t == now`` while lane entries are pending; ``run(until=ev)``,
 which stops mid-instant; and ``step()`` and ``peek()`` in between.
@@ -304,52 +305,53 @@ def test_lanes_interleave_with_due_heap_entries():
     new, _ = _play(ops)
     order = [entry[:2] for entry in new.log
              if entry[0] in ("start", "defer", "timeout", "process")]
+    # The process returns in timeout 5's dispatch and is settled there,
+    # ahead of the deferred call it made on its way out.
     assert order == [("start", 3), ("defer", 4),         # URGENT lane
                      ("timeout", 0),                     # due heap entry
                      ("timeout", 1), ("timeout", 2),     # NORMAL lane
-                     ("timeout", 5), ("defer", 6), ("process", 3),
+                     ("timeout", 5), ("process", 3), ("defer", 6),
                      ("timeout", 7)]
     assert new.sim.now == 1.0
 
 
-def test_due_urgent_heap_entry_precedes_the_urgent_lane():
-    """Two stop markers due at t=1, the first left by a run() that a
-    failure cut short: after it stops the next run, the second (URGENT,
-    on the heap, due now) precedes a process started at t=1."""
-    ops = [("events", 1), ("fail", 0),
-           ("run_until", 1.0),      # aborted at t=0: its marker stays
-           ("run_until", 1.0),      # stopped at t=1 by the stale marker
-           ("spawn", [("sleep", 0.0)]),
-           ("step",), ("step",), ("peek",)]
+def test_run_until_time_cut_short_leaves_no_stop_marker():
+    """A run(until=1) that a failure cuts short at t=0.5 takes its stop
+    marker with it: the next run(until=6) fires the timeout due at t=3 on
+    its way, stops at 6 and leaves nothing behind."""
+    ops = [("events", 1), ("timeouts", [3.0]),
+           ("spawn", [("sleep", 0.5), ("fail", 0)]),
+           ("run_until", 1.0),      # aborted at t=0.5 by event 0's failure
+           ("run_until", 5.5),      # from t=0.5 to t=6
+           ("peek",)]
     new, _ = _play(ops)
-    assert ("error", "step", "StopSimulation", 1.0) in new.log
-    # The same through run(): the marker ends it before the process starts.
-    new, _ = _play(ops[:5] + [("run_until", 5.0), ("peek",)])
-    assert not any(entry[0] == "start" for entry in new.log)
+    assert [entry for entry in new.log if entry[0] == "error"] == [
+        ("error", "run_until", "ValueError", 0.5)]
+    assert [entry[:3] for entry in new.log if entry[0] == "timeout"] == [
+        ("timeout", 3, 0.5), ("timeout", 1, 3.0)]
+    assert ("peek", math.inf) in new.log
+    assert new.sim.now == 6.0 and new.sim.pending == 0
 
 
-def test_stale_stop_moves_lane_entries_to_the_heap():
-    """A run(until=ev) cut short leaves its halt on ``ev``; a later
-    run(until=1) stops there mid-instant and the clock jumps to 1 with
-    same-instant entries still queued.  They keep their old time, as on
-    a single heap: they precede a process started after the jump, and
-    the next dispatch reports them as in the past."""
+def test_run_until_event_cut_short_leaves_no_halt():
+    """A run(until=ev) cut short by another event's failure takes its
+    hook off ``ev``: a later run(until=1) dispatches ``ev`` at t=0 in its
+    lane's order, like any other event, and stops at its own marker."""
     ops = [("events", 2), ("fail", 0), ("succeed", 1),
            ("run_event", 1),        # aborted by the failure of event 0
            ("timeouts", [0.0, 0.0]), ("defer", None),
-           ("run_until", 1.0),      # stopped at t=0 by event 1's halt
-           ("spawn", []),           # URGENT lane at t=1, behind them
+           ("run_until", 1.0),
+           ("spawn", []),
            ("peek",), ("step",), ("run_until", 0.0)]
     new, _ = _play(ops)
-    assert ("error", "step", "SimulationError", 1.0) in new.log
-    # A jump within the clock tolerance: the old entries still dispatch,
-    # in their old order, without moving the clock back.
-    ops[6] = ("run_until", 5e-13)
-    new, _ = _play(ops)
+    assert [entry for entry in new.log if entry[0] == "error"] == [
+        ("error", "run_event", "ValueError", 0.0)]
     fired = [entry[:3] for entry in new.log
-             if entry[0] in ("timeout", "defer")]
-    assert fired == [("defer", 4, 0.0), ("timeout", 2, 5e-13),
-                     ("timeout", 3, 5e-13)]
+             if entry[0] in ("event", "timeout", "defer", "start")]
+    assert fired == [("event", 0, 0.0), ("defer", 4, 0.0),
+                     ("event", 1, 0.0), ("timeout", 2, 0.0),
+                     ("timeout", 3, 0.0), ("start", 5, 1.0)]
+    assert new.events[1].processed and new.sim.now == 1.0
 
 
 def test_cancel_of_lane_and_heap_entries():
@@ -387,9 +389,11 @@ def test_same_instant_pushes_skip_the_heap():
 def test_process_nothing_waits_on_completes_in_place():
     """A process returning with no waiter is processed in place on both
     kernels: a later wait resumes at once with its value, and only the
-    two starts and the waited-on process's completion are dispatched."""
+    two starts are dispatched, with the stop."""
     ops = [("spawn_quiet", []), ("spawn", [("wait", 0)]), ("run_until", 1.0)]
     new, _ = _play(ops)
     assert ("woke", 1, 0.0, 0) in new.log
     assert new.events[0].processed and new.events[0].value == 0
-    assert new.sim.event_count == 4  # two starts, one completion, the stop
+    # Two starts and the stop: the waited-on process, too, is settled in
+    # place, in the dispatch that runs its return.
+    assert new.sim.event_count == 3

@@ -1,5 +1,6 @@
 """Unit tests for the fair-share server (repro.sim.bandwidth)."""
 
+import gc
 import math
 
 import pytest
@@ -307,6 +308,68 @@ def test_job_is_its_own_completion_event():
     assert sim.run(until=job) is job
     assert sim.now == pytest.approx(2.0)
     assert job.ok and job.finished_at == sim.now
+
+
+# -- a job's value is the job itself, never stored as a self-reference ------
+def _no_self_reference(job):
+    return not any(ref is job for ref in gc.get_referents(job))
+
+
+def test_job_value_to_a_waiter_attached_before_completion():
+    sim = Simulator()
+    srv = FairShareServer(sim, rate=10.0)
+    lone = srv.submit(10.0)                      # its own heap entry
+    pair = srv.submit(20.0), srv.submit(20.0)    # completed by one wake-up
+    got = []
+
+    def waiter(job):
+        got.append(((yield job) is job, sim.now))
+
+    for job in (lone, *pair):
+        sim.spawn(waiter(job))
+    sim.run()
+    assert got == [(True, 3.0), (True, 5.0), (True, 5.0)]
+    for job in (lone, *pair):
+        assert job.processed and job.value is job and _no_self_reference(job)
+
+
+def test_job_value_to_a_late_yield_and_to_run_until():
+    sim = Simulator()
+    srv = FairShareServer(sim, rate=2.0)
+    job = srv.submit(4.0)
+    assert sim.run(until=job) is job and sim.now == 2.0
+    got = []
+
+    def late():
+        got.append((yield job))
+
+    sim.spawn(late())
+    sim.run()
+    assert got == [job] and got[0] is job
+    assert sim.run(until=job) is job             # already processed
+    assert _no_self_reference(job)
+
+
+def test_cancelled_job_value_is_its_interrupted_error():
+    sim = Simulator()
+    srv = FairShareServer(sim, rate=1.0)
+    job = srv.submit(10.0, tag="x")
+    seen = []
+
+    def waiter():
+        try:
+            yield job
+        except InterruptedError as exc:
+            seen.append(exc)
+
+    sim.spawn(waiter())
+    sim.run(until=1.0)
+    srv.cancel(job)
+    sim.run()
+    assert job.processed and not job.ok
+    assert isinstance(job.value, InterruptedError)
+    assert str(job.value) == "job 'x' cancelled"
+    assert seen == [job.value]
 
 
 class _CountingServer(FairShareServer):

@@ -360,7 +360,7 @@ def test_nested_processes_three_deep():
     assert out == [(2.0, 2)]
 
 
-# -- processes nothing waits on: completed in place --------------------------
+# -- returning processes: settled in place, waited on or not --------------
 def _child(sim, value="v", fail=False):
     yield sim.timeout(1.0)
     if fail:
@@ -368,16 +368,17 @@ def _child(sim, value="v", fail=False):
     return value
 
 
-def _in_place_and_queued(program):
+def _unwaited_and_waited(program):
     """Run ``program(sim, proc)`` twice around one child process: as is,
-    so the child returns with nothing waiting and completes in place, and
-    with a no-op callback on the child, which queues its completion as a
-    waited-on process does.  Returns both (observations, event_count)."""
+    so the child returns with nothing waiting, and with a no-op callback
+    on the child, as a waited-on process has.  Both complete in place,
+    settled in the dispatch that runs the return.  Returns both
+    (observations, event_count)."""
     runs = []
-    for queued in (False, True):
+    for waited in (False, True):
         sim = Simulator()
         proc = sim.spawn(_child(sim))
-        if queued:
+        if waited:
             proc.callbacks.append(lambda ev: None)
         runs.append((program(sim, proc), sim.event_count))
     return runs
@@ -398,11 +399,11 @@ def test_same_instant_yield_of_a_completed_process_gets_its_value():
         sim.run()
         return log, proc.value
 
-    (in_place, n_in_place), (queued, n_queued) = _in_place_and_queued(program)
-    assert in_place == ([("waits", True), (1.0, "v")], "v")
-    # Queued, the waiter reaches the child before its completion dispatches.
-    assert queued == ([("waits", False), (1.0, "v")], "v")
-    assert n_queued - n_in_place == 1
+    (in_place, n_in_place), (waited, n_waited) = _unwaited_and_waited(program)
+    # Waited on or not, the child is processed by the time the waiter,
+    # due at the same instant, reaches it.
+    assert in_place == waited == ([("waits", True), (1.0, "v")], "v")
+    assert n_waited == n_in_place
 
 
 def test_allof_over_a_process_completed_in_place():
@@ -413,9 +414,9 @@ def test_allof_over_a_process_completed_in_place():
         sim.run(until=both)
         return sim.now, both.value == {proc: "v", tick: "t"}
 
-    (in_place, n_in_place), (queued, n_queued) = _in_place_and_queued(program)
-    assert in_place == queued == (2.5, True)
-    assert n_queued - n_in_place == 1
+    (in_place, n_in_place), (waited, n_waited) = _unwaited_and_waited(program)
+    assert in_place == waited == (2.5, True)
+    assert n_waited == n_in_place
 
 
 def test_run_until_a_process_completed_in_place_returns_its_value():
@@ -423,9 +424,9 @@ def test_run_until_a_process_completed_in_place_returns_its_value():
         sim.run(until=2.0)
         return proc.processed, sim.run(until=proc), sim.now
 
-    (in_place, n_in_place), (queued, n_queued) = _in_place_and_queued(program)
-    assert in_place == queued == (True, "v", 2.0)
-    assert n_queued - n_in_place == 1
+    (in_place, n_in_place), (waited, n_waited) = _unwaited_and_waited(program)
+    assert in_place == waited == (True, "v", 2.0)
+    assert n_waited == n_in_place
 
 
 def test_failing_process_with_no_waiter_still_surfaces_from_run():
@@ -437,3 +438,100 @@ def test_failing_process_with_no_waiter_still_surfaces_from_run():
     # completion all dispatched.
     assert proc.processed and not proc.ok
     assert sim.event_count == 3
+
+
+def test_waiter_resumes_in_the_dispatch_that_returns_the_process():
+    sim = Simulator()
+    log = []
+    proc = sim.spawn(_child(sim))
+
+    def waiter():
+        value = yield proc
+        log.append((sim.now, sim.event_count, value))
+
+    sim.spawn(waiter())
+    sim.run()
+    # Two starts and the child's timeout: the waiter resumes inside the
+    # timeout's dispatch, the third.
+    assert log == [(1.0, 3, "v")] and sim.event_count == 3
+    assert proc.processed
+
+
+# -- Event.settle -------------------------------------------------------------
+def test_settle_runs_the_callbacks_in_place_uncounted():
+    sim = Simulator()
+    done = Event(sim)
+    log = []
+    done.callbacks.append(lambda ev: log.append(("cb", ev.value, ev.processed)))
+    sim.timeout(1.0).callbacks.append(lambda ev: done.settle("x"))
+    sim.run()
+    assert log == [("cb", "x", False)]
+    assert done.processed and done.ok and done.value == "x"
+    assert sim.event_count == 1
+    with pytest.raises(SimulationError, match="already been triggered"):
+        done.settle()
+
+
+def test_stop_inside_a_settle_takes_effect_in_the_lane():
+    """run(until=done), with ``done`` settled inside another event's
+    dispatch: the dispatch in progress still runs every callback, and the
+    stop takes effect where a queued ``done`` would have dispatched."""
+    sim = Simulator()
+    outer = sim.timeout(1.0)
+    done = Event(sim)
+    log = []
+    done.callbacks.append(lambda ev: log.append("done waiter"))
+    outer.callbacks.append(lambda ev: done.settle("v"))
+    outer.callbacks.append(lambda ev: log.append("outer waiter"))
+    sim.timeout(1.0).callbacks.append(lambda ev: log.append("next timeout"))
+    assert sim.run(until=done) == "v"
+    assert log == ["done waiter", "outer waiter", "next timeout"]
+    assert outer.processed and sim.now == 1.0
+    # done was put back on the lane with the stop hook, like a queued
+    # event whose hook stopped the run: triggered, hook consumed.
+    assert done.triggered and done.callbacks is None
+    sim.run()
+    assert log == ["done waiter", "outer waiter", "next timeout"]
+
+
+# -- a run cut short takes its stop with it ----------------------------------
+def _boom(ev):
+    raise RuntimeError("boom")
+
+
+def test_run_until_time_cut_short_leaves_no_stop_marker():
+    sim = Simulator()
+    fired = []
+    sim.timeout(0.5).callbacks.append(_boom)
+    sim.timeout(3.0).callbacks.append(lambda ev: fired.append(sim.now))
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run(until=1.0)
+    assert sim.now == 0.5
+    sim.run(until=6.0)
+    assert fired == [3.0] and sim.now == 6.0
+    sim.run()
+    assert sim.pending == 0 and sim.now == 6.0
+
+
+def test_run_until_event_cut_short_leaves_no_halt():
+    sim = Simulator()
+    ev = Event(sim)
+    after = []
+    sim.timeout(0.5).callbacks.append(_boom)
+    sim.timeout(1.0).callbacks.append(lambda _e: ev.succeed("x"))
+    sim.timeout(2.0).callbacks.append(lambda _e: after.append(sim.now))
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run(until=ev)
+    assert ev.callbacks == []
+    sim.run()
+    assert ev.processed and ev.value == "x"
+    assert after == [2.0] and sim.now == 2.0
+
+
+def test_run_until_event_that_never_fires_leaves_no_halt():
+    sim = Simulator()
+    ev = Event(sim)
+    sim.timeout(1.0)
+    with pytest.raises(SimulationError, match="ran out of events"):
+        sim.run(until=ev)
+    assert ev.callbacks == []
