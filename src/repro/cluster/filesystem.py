@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Generator, Iterable, NamedTuple, Optional
 
 from ..obs import Span, Tracer
-from ..sim import AllOf, Event, Simulator
+from ..sim import Event, Simulator, join
 from .network import ClusterNetwork
 from .node import Node
 
@@ -320,7 +320,7 @@ class DistributedFileSystem:
                 wire = chunk * (1.0 + self.remote_penalty)
                 waits.append(self.network.transfer(node, at_node, wire,
                                                    tag=meta.path))
-        yield AllOf(self.sim, waits)
+        yield join(self.sim, waits)
         self._end_span(sp, bytes=meta.size)
         reader.cache.insert(meta.path, meta.size)
         return ReadOutcome(path=meta.path, nbytes=meta.size, source="disk",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Iterable, Optional
 
-from ..sim import Event, FairShareServer, Simulator
+from ..sim import Event, FairShareServer, Simulator, join
 
 __all__ = [
     "Link",
@@ -225,43 +225,6 @@ class ClusterNetwork:
         return self._node_group.get(src) == self._node_group.get(dst)
 
 
-def _join(first: Event, second: Event, done: Event, value: Any,
-          need: int = 2) -> Event:
-    """Succeed ``done`` with ``value`` once ``need`` legs have succeeded
-    (both by default, as ``AllOf``; the first, with ``need=1``, as
-    ``AnyOf``), and return ``done``.
-
-    A countdown on the legs' callbacks settles ``done`` in the dispatch of
-    its last leg (:meth:`Event.settle`), with no condition or relay event
-    in between.  As with a condition, the first failed leg is defused and
-    fails ``done`` with its exception at once, through the lane.  A leg
-    already processed counts at once; if that completes the countdown,
-    ``done`` succeeds through the lane too, since its waiter is not
-    attached yet.
-    """
-    left = need
-
-    def leg(ev: Event, finish: Callable[[Any], Any] = done.settle) -> None:
-        nonlocal left
-        if done.triggered:
-            return
-        if not ev.ok:
-            ev.defuse()
-            done.fail(ev.value)
-            return
-        left -= 1
-        if not left:
-            finish(value)
-
-    for ev in (first, second):
-        callbacks = ev.callbacks
-        if callbacks is None:
-            leg(ev, done.succeed)
-        else:
-            callbacks.append(leg)
-    return done
-
-
 class FatTreeNetwork(ClusterNetwork):
     """Meiko CS-2 style fabric: contention only at the endpoints.
 
@@ -288,7 +251,7 @@ class FatTreeNetwork(ClusterNetwork):
                 done: Event) -> None:
         out = self.ports[src].submit(nbytes, tag=tag)
         inn = self.ports[dst].submit(nbytes, tag=tag)
-        _join(out, inn, done, nbytes)
+        join(self.sim, (out, inn), nbytes, done=done)
 
     def node_load(self, node: int) -> int:
         return self.ports[node].njobs

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from ..core import SWEBCluster
-from ..sim import AllOf, Event, Simulator, Summary
+from ..sim import Event, Simulator, Summary, join
 from ..web import Client, Metrics
 from ..workload import Arrival, Scenario
 
@@ -151,7 +151,7 @@ def replay(sim: Simulator, workload: Iterable[Arrival],
             yield sim.timeout(arrival.time - sim.now)
         procs.append(fetch(arrival))
     if procs:
-        yield AllOf(sim, procs)
+        yield join(sim, procs)
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:

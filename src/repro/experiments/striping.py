@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..core import SWEBCluster
 from ..cluster import meiko_cs2
-from ..sim import AllOf, RandomStreams
+from ..sim import RandomStreams, join
 from ..web import Client
 from .base import ExperimentReport
 from .tables import ComparisonRow, render_table
@@ -56,7 +56,7 @@ def _burst(striped: bool, rps: int, duration: float):
             for _ in range(rps):
                 idx = rng.integers("pick", 0, N_FILES)
                 procs.append(client.fetch(f"/photos/p{idx:03d}.tif"))
-        yield AllOf(sim, procs)
+        yield join(sim, procs)
 
     done = sim.spawn(driver(), name="driver")
     sim.run(until=done)

@@ -196,7 +196,7 @@ def run_geo(scenario: GeoScenario) -> GeoResult:
         return client
 
     # One final event, settled by a countdown where the arrivals' work
-    # ends: it fails on the first failed fetch, as an AllOf would.
+    # ends: it fails on the first failed fetch, as a join would.
     finished = Event(sim)
     unsettled = len(arrivals)
 

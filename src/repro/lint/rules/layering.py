@@ -6,7 +6,8 @@ layer imports only layers strictly below it, and the experiments layer
 touches subsystems only through their public ``__init__`` exports, so a
 package's module layout can change without breaking every table and
 figure.  ``TYPE_CHECKING``-gated imports are exempt — they are typing
-only and cannot affect runtime behaviour.
+only and cannot affect runtime behaviour.  Nor does a layer import
+another layer's private (``_name``) definitions.
 """
 
 from __future__ import annotations
@@ -86,4 +87,25 @@ class DeepImportRule(Rule):
                                 f"public exports of 'repro.{parts[1]}'")
 
 
-RULES = (LayerImportRule(), DeepImportRule())
+class PrivateImportRule(Rule):
+    """No ``_name`` imported from another layer's module."""
+
+    name = "layer-private-import"
+    summary = "layers import no private (_name) definition of another layer"
+
+    def check(self, ctx: "FileContext") -> Iterator["Diagnostic"]:
+        if ctx.layer not in ctx.config.layer_allowed:
+            return
+        # By the name imported, not the local one (`x as _x` passes).
+        for target in ctx.aliases.values():
+            parts = _repro_target(target) or []
+            name = parts[-1] if len(parts) > 2 else ""
+            if (name.startswith("_") and not name.endswith("__")
+                    and parts[1] != ctx.layer):
+                module = target.rpartition(".")[0]
+                yield self.diag(ctx, next((imp.lineno for imp in ctx.imports
+                                           if imp.module == module), 1),
+                                f"'{name}' is private to '{module}'")
+
+
+RULES = (LayerImportRule(), DeepImportRule(), PrivateImportRule())

@@ -2,9 +2,9 @@
 
 Public surface:
 
-* :class:`Simulator`, :class:`Event`, :class:`Process`, :class:`AnyOf`,
-  :class:`AllOf` — the event loop and process model
-  (:mod:`repro.sim.engine`).
+* :class:`Simulator`, :class:`Event`, :class:`Process`, :func:`join` —
+  the event loop, the process model and the one way to wait on several
+  events (:mod:`repro.sim.engine`).
 * :class:`FairShareServer` — processor-sharing stations, the model behind
   CPUs, disks and links (:mod:`repro.sim.bandwidth`).
 * :class:`RandomStreams` — deterministic named substreams.
@@ -14,8 +14,6 @@ Public surface:
 """
 
 from .engine import (
-    AllOf,
-    AnyOf,
     Event,
     Process,
     SimulationError,
@@ -23,6 +21,7 @@ from .engine import (
     Timeout,
     NORMAL,
     URGENT,
+    join,
 )
 from .bandwidth import FairShareServer, Job
 from .monitor import Monitor, ascii_series, ascii_sparkline
@@ -31,8 +30,6 @@ from .stats import PhaseAccumulator, Summary
 from .streamnames import STREAM_NAMES, crc32_key, stream_collisions
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Event",
     "FairShareServer",
     "Job",
@@ -50,5 +47,6 @@ __all__ = [
     "ascii_series",
     "ascii_sparkline",
     "crc32_key",
+    "join",
     "stream_collisions",
 ]

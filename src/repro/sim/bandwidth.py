@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from typing import Any, Optional
 
-from .engine import Event, Simulator
+from .engine import Event, Simulator, StopSimulation, _requeue_from
 
 __all__ = ["Job", "FairShareServer"]
 
@@ -274,8 +274,9 @@ class FairShareServer:
         """Callback of the armed waker: the earliest completion is due.
 
         The jobs it completes are dispatched in place, in list order, once
-        the pass has re-armed the station (a waiter may submit to it); if
-        a callback raises (a ``run(until=job)`` stop), the rest succeed."""
+        the pass has re-armed the station (a waiter may submit to it),
+        with :meth:`Event.settle`'s stop rule; if a callback raises
+        anything else, the rest succeed."""
         self._entry = None
         waker.callbacks = self._wake_callbacks
         finished: list[Job] = []
@@ -285,6 +286,9 @@ class FairShareServer:
             try:
                 for cb in callbacks:
                     cb(job)
+            except StopSimulation:
+                _requeue_from(job, callbacks, cb)
+                continue
             except BaseException:
                 for rest in finished[i + 1:]:
                     rest._state = 0  # Event.PENDING: succeed() queues it

@@ -53,14 +53,13 @@ import heapq
 from collections import deque
 from heapq import heappop, heappush
 from itertools import pairwise
-from typing import Any, Callable, Generator, Iterable, Optional, Sequence
+from typing import Any, Callable, Generator, Optional, Sequence
 
 __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
-    "AllOf",
+    "join",
     "Simulator",
     "SimulationError",
     "StopSimulation",
@@ -111,14 +110,14 @@ class Event:
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
         self._value: Any = None
         self._ok: Optional[bool] = None
-        self._state = Event.PENDING
+        self._state = 0  # Event.PENDING
         self._defused = False
 
     # -- introspection ----------------------------------------------------
     @property
     def triggered(self) -> bool:
         """True once :meth:`succeed`/:meth:`fail` has been called."""
-        return self._state >= Event.TRIGGERED
+        return self._state >= 1  # Event.TRIGGERED
 
     @property
     def processed(self) -> bool:
@@ -188,13 +187,7 @@ class Event:
             for cb in callbacks:
                 cb(self)
         except StopSimulation:
-            # Requeued from the stopping callback on (found by identity:
-            # a stop hook is on a list once).
-            i = 0
-            while callbacks[i] is not cb:
-                i += 1
-            self.callbacks = callbacks[i:]
-            self.sim._normal.append(self)
+            _requeue_from(self, callbacks, cb)
             return
         self._state = 2  # Event.PROCESSED
 
@@ -205,6 +198,18 @@ class Event:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} at {id(self):#x} state={self._state}>"
+
+
+def _requeue_from(event: Event, callbacks: list[Callable[[Event], None]],
+                  hook: Callable[[Event], None]) -> None:
+    """The stop rule of a dispatch in place (:meth:`Event.settle`): put
+    ``event`` back on the NORMAL lane with ``hook``, the callback that
+    stopped the run, and the callbacks after it."""
+    i = 0
+    while callbacks[i] is not hook:  # by identity: a hook is on once
+        i += 1
+    event.callbacks = callbacks[i:]
+    event.sim._normal.append(event)
 
 
 class Timeout(Event):
@@ -301,69 +306,66 @@ class Process(Event):
         return f"<Process {self.name!r} alive={self.is_alive}>"
 
 
-class _Condition(Event):
-    """Base for AnyOf/AllOf."""
+def join(sim: "Simulator", legs: Sequence[Event], value: Any = None,
+         need: Optional[int] = None, done: Optional[Event] = None) -> Event:
+    """Succeed ``done`` (a new event by default; a given one is left to
+    the join) with ``value`` once ``need`` of ``legs`` (all by default)
+    have succeeded, and return it.
 
-    __slots__ = ("events", "_count")
+    ``done`` settles in the dispatch of the leg that completes the join
+    (:meth:`Event.settle`).  The first failed leg is defused and fails
+    ``done`` at once, through the lane; later legs are ignored.  Legs
+    already processed count at once, and if that completes the join (or
+    there are no legs), ``done`` succeeds through the lane, since its
+    waiter is not attached yet.  A leg of another simulator, a cancelled
+    leg or a ``need`` outside ``1..len(legs)`` raises
+    :class:`SimulationError` and leaves the legs as they were.
+    """
+    if need is None:
+        need = len(legs)
+    elif need < 1 or need > len(legs):
+        raise SimulationError(f"join needs 1 <= need <= {len(legs)}, "
+                              f"got {need}")
+    if done is None:
+        done = Event(sim)
+    left = need  # legs still needed: 0 once done, below 0 after that
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self.events = list(events)
-        self._count = 0
-        for ev in self.events:
-            if ev.sim is not sim:
-                raise SimulationError("condition mixes events from different simulators")
-            if ev.callbacks is None and ev._state == Event.CANCELLED:
-                raise SimulationError(f"condition on cancelled event {ev!r}")
-        if not self.events:
-            self.succeed({})
-            return
-        for ev in self.events:
+    def leg(ev: Event, finish: Callable[[Any], Any] = done.settle) -> None:
+        nonlocal left
+        if ev._ok:
+            left -= 1
+            if not left:
+                finish(value)
+        elif left > 0:
+            left = 0
+            ev._defused = True
+            done.fail(ev._value)
+
+    # One pass checks and attaches (joins are on the hot path); processed
+    # legs, and a join of none, count after it, so a bad leg has only the
+    # attaching to undo.
+    processed = not legs
+    for ev in legs:
+        callbacks = ev.callbacks
+        if ev.sim is sim and callbacks is not None:
+            callbacks.append(leg)
+        elif ev.sim is sim and ev._state != Event.CANCELLED:
+            processed = True
+        else:
+            for other in legs:
+                if other.callbacks is not None:
+                    other.callbacks[:] = [cb for cb in other.callbacks
+                                          if cb is not leg]
+            raise SimulationError(
+                f"join on cancelled event {ev!r}" if ev.sim is sim
+                else "join mixes events from different simulators")
+    if processed:
+        if not legs:
+            done.succeed(value)
+        for ev in legs:
             if ev.callbacks is None:
-                self._check(ev)
-            else:
-                ev.callbacks.append(self._check)
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._count += 1
-        if self._satisfied():
-            self.succeed(self._collect())
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _collect(self) -> dict[Event, Any]:
-        # Only events that have actually been *processed* (their callbacks
-        # ran) count as fired; a pending Timeout is triggered-but-unfired,
-        # and a cancelled one never fires.
-        return {ev: ev._value
-                for ev in self.events
-                if ev.callbacks is None and ev._ok
-                and ev._state != Event.CANCELLED}
-
-
-class AnyOf(_Condition):
-    """Triggers when any child event succeeds (fails on first failure)."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= 1
-
-
-class AllOf(_Condition):
-    """Triggers when every child event has succeeded."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= len(self.events)
+                leg(ev, done.succeed)
+    return done
 
 
 class _Withdrawn:
@@ -795,6 +797,14 @@ class Simulator:
                 if not event._ok and not event._defused:
                     raise event._value
         except StopSimulation as stop:
+            # A stop hook ends the run, not the dispatch: the callbacks
+            # after it (waiters that came after the hook) still run.
+            i = 0
+            while callbacks[i] is not cb:
+                i += 1
+            for cb in callbacks[i + 1:]:
+                cb(event)
+            event._state = 2  # Event.PROCESSED
             return stop.value
         finally:
             if stopper is not None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
-from ..sim import AllOf
+from ..sim import join
 from .client import Client, ClientProfile, UCSB_CLIENT
 from .html import extract_images
 
@@ -98,7 +98,7 @@ class BrowserSession:
             batch = pending[:self.max_parallel_images]
             pending = pending[self.max_parallel_images:]
             procs = [self.client.fetch(src) for src in batch]
-            yield AllOf(sim, procs)
+            yield join(sim, procs)
             for proc in procs:
                 rec = proc.value
                 load.records.append(rec)

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
-from ..cluster.network import WANPath, _join
+from ..cluster.network import WANPath
 from ..obs import Span
-from ..sim import Event
+from ..sim import Event, join
 from .http import HTTPRequest, HTTPResponse
 from .metrics import Metrics, RequestRecord
 from .server import Connection
@@ -201,7 +201,7 @@ class Client:
                 rec.add_phase(phase, sim.now - t1)
 
                 # --- wait for the full response, bounded by the deadline -----
-                yield _join(conn.reply, deadline, Event(sim), None, need=1)
+                yield join(sim, (conn.reply, deadline), need=1)
                 if not conn.reply.triggered:
                     self._end(root, outcome="dropped", reason="timeout")
                     self.metrics.drop(rec, sim.now, reason="timeout")

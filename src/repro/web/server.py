@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 from ..cache import FileHeat
-from ..cluster.network import Internet, WANPath, _join
+from ..cluster.network import Internet, WANPath
 from ..cluster.node import Node
 from ..cluster.filesystem import DistributedFileSystem
 from ..obs import Span, Tracer
-from ..sim import Event, Simulator
+from ..sim import Event, Simulator, join
 
 if TYPE_CHECKING:  # pragma: no cover - avoid a web <-> core import cycle
     from ..core.broker import Broker
@@ -401,7 +401,7 @@ class HTTPServer:
         send_ops = self.params.send_ops_per_byte * response.body_bytes
         if send_ops > 0:
             stack = self.node.compute(send_ops, category="send")
-            yield _join(wire, stack, Event(self.sim), None)
+            yield join(self.sim, (wire, stack))
         else:
             yield wire
         self._span_end(sp)

@@ -6,13 +6,15 @@ apart from this docstring and the rules the production kernel adopted
 later, so the two keep one dispatch structure: a process whose generator
 returns is settled in place, its waiters resumed in the dispatch that
 ran it, never queued or counted (``Event.settle``, ``Process._resume``);
-and a run that ends otherwise than at its own stop takes its stop marker
-or hook with it (``Simulator.run``).  It is the oracle for
-``tests/test_kernel_oracle.py`` and the no-op-cancel reference of
+a join of several events settles in the dispatch of the leg that
+completes it (``join``); a run that ends otherwise than at its own stop
+takes its stop marker or hook with it, and a stop hook ends the run but
+not the dispatch that reached it (``Simulator.run``).  It is the oracle
+for ``tests/test_kernel_oracle.py`` and the no-op-cancel reference of
 ``tests/test_sim_cancel.py``: driven through the same program, the
 production kernel must dispatch the same events in the same order at the
-same clock, with the same condition values and ``event_count``.  Nothing
-under ``src/`` imports it.
+same clock, with the same values and ``event_count``.  Nothing under
+``src/`` imports it.
 
 Every scheduled event, due now or later, is one ``(time, priority, seq)``
 entry on a single binary heap; ties break on the sequence number, so two
@@ -30,8 +32,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
-    "AllOf",
+    "join",
     "Simulator",
     "SimulationError",
     "StopSimulation",
@@ -252,69 +253,56 @@ class Process(Event):
         return f"<Process {self.name!r} alive={self.is_alive}>"
 
 
-class _Condition(Event):
-    """Base for AnyOf/AllOf."""
+def join(sim: "Simulator", legs: Iterable[Event], value: Any = None,
+         need: Optional[int] = None, done: Optional[Event] = None) -> Event:
+    """Succeed ``done`` (a new event by default) with ``value`` once
+    ``need`` of ``legs`` (all by default) have succeeded, settled in the
+    dispatch of the leg that completes it; the first failed leg fails
+    it, and once it has completed or failed the other legs are ignored.
+    A leg already processed counts at once, and if that completes the
+    join, ``done`` is queued, as is a join of no legs."""
+    legs = list(legs)
+    if need is None:
+        need = len(legs)
+    elif not 1 <= need <= len(legs):
+        raise SimulationError(f"join needs 1 <= need <= {len(legs)}, "
+                              f"got {need}")
+    for ev in legs:
+        if ev.sim is not sim:
+            raise SimulationError("join mixes events from different simulators")
+        if ev.callbacks is None and ev._state == Event.CANCELLED:
+            raise SimulationError(f"join on cancelled event {ev!r}")
+    if done is None:
+        done = Event(sim)
+    if not legs:
+        done.succeed(value)
+        return done
+    fired = 0
+    closed = False
 
-    __slots__ = ("events", "_count")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self.events = list(events)
-        self._count = 0
-        for ev in self.events:
-            if ev.sim is not sim:
-                raise SimulationError("condition mixes events from different simulators")
-            if ev.callbacks is None and ev._state == Event.CANCELLED:
-                raise SimulationError(f"condition on cancelled event {ev!r}")
-        if not self.events:
-            self.succeed({})
+    def check(ev: Event, dispatching: bool = True) -> None:
+        nonlocal fired, closed
+        if closed:
             return
-        for ev in self.events:
-            if ev.callbacks is None:
-                self._check(ev)
+        if not ev.ok:
+            closed = True
+            ev.defuse()
+            done.fail(ev.value)
+            return
+        fired += 1
+        if fired == need:
+            closed = True
+            if dispatching:
+                done.settle(value)
             else:
-                ev.callbacks.append(self._check)
+                done.succeed(value)
 
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._count += 1
-        if self._satisfied():
-            self.succeed(self._collect())
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _collect(self) -> dict[Event, Any]:
-        # Only events that have actually been *processed* (their callbacks
-        # ran) count as fired; a pending Timeout is triggered-but-unfired,
-        # and a cancelled one never fires.
-        return {ev: ev._value
-                for ev in self.events
-                if ev.callbacks is None and ev._ok
-                and ev._state != Event.CANCELLED}
-
-
-class AnyOf(_Condition):
-    """Triggers when any child event succeeds (fails on first failure)."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= 1
-
-
-class AllOf(_Condition):
-    """Triggers when every child event has succeeded."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= len(self.events)
+    for ev in legs:
+        if ev.callbacks is None:
+            check(ev, dispatching=False)
+        else:
+            ev.callbacks.append(check)
+    return done
 
 
 class Simulator:
@@ -549,6 +537,12 @@ class Simulator:
                     callbacks.clear()
                     pool.append(callbacks)
         except StopSimulation as stop:
+            # The stop ends the run, not the dispatch: the event's other
+            # callbacks run, and it is processed.
+            rest = callbacks[callbacks.index(cb) + 1:]
+            for cb in rest:
+                cb(event)
+            event._state = Event.PROCESSED
             return stop.value
         finally:
             if stopper is not None:

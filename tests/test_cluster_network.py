@@ -5,7 +5,6 @@ import math
 
 import pytest
 
-import repro.cluster.network as network
 from repro.cluster import (
     FatTreeNetwork,
     Internet,
@@ -16,7 +15,7 @@ from repro.cluster import (
 )
 from repro.config import cluster_spec_to_dict, load_config
 from repro.geo.spec import WanLink
-from repro.sim import AllOf, FairShareServer, Simulator
+from repro.sim import FairShareServer, Simulator
 
 
 # --------------------------------------------------------------------- Link
@@ -101,21 +100,6 @@ def test_fattree_node_load_and_effective_bandwidth():
     assert net.node_load(2) == 0
 
 
-def _allof_join(first, second, done, value):
-    """The countdown's join through an ``AllOf`` and a relay: the same
-    outcome one dispatch later."""
-    both = AllOf(first.sim, [first, second])
-
-    def relay(ev):
-        if ev.ok:
-            done.succeed(value)
-        else:
-            ev.defuse()
-            done.fail(ev.value)
-
-    both.callbacks.append(relay)
-
-
 def _fattree_program(cancel_leg):
     """Transfers and multicasts on one fabric, several finishing at the
     same instant; optionally cancel one port job mid-transfer.  Returns
@@ -156,34 +140,71 @@ def _fattree_program(cancel_leg):
     return log, raised, sim.now, sim.event_count
 
 
+# Each fat-tree transfer's dispatch log, recorded when the countdown join
+# lived in cluster.network: (label, event_count, clock, value), a port
+# job's label (port, tag) with its ok flag, a transfer's its value.  The
+# AllOf join it replaced logged the same port jobs and the same transfers
+# in the same orders, at the same clocks with the same values, and
+# dispatched 16 events more (15 with the cancelled leg).
+_FATTREE_LOG = [
+    ("t3", 1, 0.0, 5e6), ("m2", 2, 0.0, 3e6),
+    (("fat-tree.port3", "n"), 8, 0.201, True),
+    (("fat-tree.port1", "t1"), 9, 0.401, True),
+    (("fat-tree.port1", "n"), 9, 0.401, True),
+    (("fat-tree.port2", "t1"), 10, 0.401, True), ("t1", 10, 0.401, 1e6),
+    (("fat-tree.port2", "n"), 10, 0.401, True),
+    (("fat-tree.port3", "m"), 11, 0.401, True),
+    (("fat-tree.port0", "n"), 12, 0.601, True), ("n0", 12, 0.601, 1e6),
+    (("fat-tree.port0", "n"), 12, 0.601, True), ("n1", 12, 0.601, 1e6),
+    (("fat-tree.port0", "n"), 12, 0.601, True), ("n2", 12, 0.601, 1e6),
+    (("fat-tree.port1", "t2"), 13, 0.601, True),
+    (("fat-tree.port1", "t0"), 14, 0.8009999999999999, True),
+    (("fat-tree.port2", "m"), 15, 0.801, True),
+    (("fat-tree.port2", "m"), 15, 0.801, True), ("m1", 15, 0.801, 3e6),
+    (("fat-tree.port0", "t2"), 16, 0.901, True), ("t2", 16, 0.901, 2e6),
+    (("fat-tree.port0", "m"), 17, 1.101, True), ("m0", 17, 1.101, 3e6),
+    (("fat-tree.port0", "t0"), 18, 1.201, True), ("t0", 18, 1.201, 4e6),
+]
+_FATTREE_CANCELLED_LOG = [
+    ("t3", 1, 0.0, 5e6), ("m2", 2, 0.0, 3e6),
+    (("fat-tree.port1", "t0"), 9, 0.1, False),
+    ("t0", 10, 0.1, "InterruptedError(\"job 't0' cancelled\")"),
+    (("fat-tree.port3", "n"), 11, 0.201, True),
+    (("fat-tree.port1", "t1"), 12, 0.32575, True),
+    (("fat-tree.port1", "n"), 12, 0.32575, True),
+    (("fat-tree.port2", "t1"), 13, 0.401, True), ("t1", 13, 0.401, 1e6),
+    (("fat-tree.port2", "n"), 13, 0.401, True),
+    (("fat-tree.port3", "m"), 14, 0.401, True),
+    (("fat-tree.port1", "t2"), 15, 0.42574999999999996, True),
+    (("fat-tree.port0", "n"), 16, 0.601, True), ("n0", 16, 0.601, 1e6),
+    (("fat-tree.port0", "n"), 16, 0.601, True), ("n1", 16, 0.601, 1e6),
+    (("fat-tree.port0", "n"), 16, 0.601, True), ("n2", 16, 0.601, 1e6),
+    (("fat-tree.port2", "m"), 17, 0.801, True),
+    (("fat-tree.port2", "m"), 17, 0.801, True), ("m1", 17, 0.801, 3e6),
+    (("fat-tree.port0", "t2"), 18, 0.901, True), ("t2", 18, 0.901, 2e6),
+    (("fat-tree.port0", "m"), 19, 1.101, True), ("m0", 19, 1.101, 3e6),
+    (("fat-tree.port0", "t0"), 20, 1.201, True),
+]
+
+
 @pytest.mark.parametrize("cancel_leg", [False, True])
-def test_fattree_countdown_join_matches_allof(monkeypatch, cancel_leg):
-    """Same completions at the same clocks with the same values as an
-    AllOf join, the port jobs in the same order and the transfers in the
-    same order; a failed leg fails the transfer's done event at once,
-    which surfaces from run().  The countdown settles ``done`` in its
-    last leg's dispatch, where the AllOf join dispatches the condition
-    and then ``done``, so each of the eight joins (three transfers, five
-    multicast legs) dispatches two events fewer; a join whose leg fails
-    fails ``done`` through the lane, one fewer.  Settled in place, a
-    transfer's completion comes right after its last port job's, ahead
-    of the other port jobs due at that instant."""
+def test_fattree_countdown_join_matches_allof(cancel_leg):
+    """The fat-tree join dispatches exactly as recorded (see
+    ``_FATTREE_LOG``): a transfer settles in its last port job's
+    dispatch, right after it and ahead of the other port jobs due at
+    that instant, with the transfer's size as value.  A cancelled port
+    job fails its transfer's done event at once, through the lane, and
+    the failure surfaces from run()."""
     log, raised, now, count = _fattree_program(cancel_leg)
-    monkeypatch.setattr(network, "_join", _allof_join)
-    a_log, a_raised, a_now, a_count = _fattree_program(cancel_leg)
-
-    def unplaced(entries, jobs):
-        # Exceptions compare by text: each run raises its own instance.
-        return [(label, when, repr(value) if isinstance(value, Exception)
-                 else value) for label, _n, when, value in entries
-                if isinstance(label, tuple) == jobs]
-
-    for jobs in (True, False):
-        assert unplaced(log, jobs) == unplaced(a_log, jobs)
-    assert (raised, now) == (a_raised, a_now)
-    assert a_count - count == (15 if cancel_leg else 16)
+    # Exceptions compare by text: each run raises its own instance.
+    got = [(label, n, when, repr(value) if isinstance(value, Exception)
+            else value) for label, n, when, value in log]
     if cancel_leg:
-        assert raised is not None
+        assert got == _FATTREE_CANCELLED_LOG
+        assert (raised, now, count) == ("job 't0' cancelled", 1.201, 20)
+    else:
+        assert got == _FATTREE_LOG
+        assert (raised, now, count) == (None, 1.201, 18)
 
 
 def test_fattree_rejects_bad_endpoints():

@@ -5,7 +5,7 @@ import pytest
 from repro import SWEBCluster, meiko_cs2, sun_now, RUTGERS_CLIENT, UCSB_CLIENT
 from repro.core import CostParameters
 from repro.obs import Tracer
-from repro.sim import Event
+from repro.sim import Event, Simulator, join
 
 
 def small_cluster(policy="sweb", n=3, **kw):
@@ -131,64 +131,50 @@ def test_client_timeout_must_be_finite_and_positive(timeout):
         cluster.client(timeout=timeout)
 
 
-def _join_first_and_any_of(program):
-    """Run ``program(sim, wait, log)`` once with the client's first-leg
-    ``_join`` and once with ``AnyOf``; return each run's (log,
-    event_count)."""
-    from repro.cluster.network import _join
-    from repro.sim import AnyOf, Simulator
-
-    runs = []
-    for first_leg in (True, False):
-        sim = Simulator()
-        log = []
-
-        def wait(a, b, sim=sim, first_leg=first_leg):
-            return (_join(a, b, Event(sim), None, need=1) if first_leg
-                    else AnyOf(sim, [a, b]))
-
-        program(sim, wait, log)
-        sim.run()
-        runs.append((log, sim.event_count))
-    return runs
+# The client's reply-or-deadline wait, recorded when its first-leg join
+# lived in cluster.network: per case, the waiter's log (reply dispatched,
+# deadline dispatched, clock), or the failure it caught, and the run's
+# event_count.  AnyOf, which that join replaced, resumed the waiter at
+# the same clocks with the same leg won, one dispatch later when a leg
+# won in its own dispatch (reply, deadline, same_instant); so the
+# deadline due at the reply's instant has not fired when the waiter
+# resumes.  A processed or failed leg goes through the lane, as it did.
+_FIRST_LEG = {
+    "reply": ([(True, False, 1.0)], 3),
+    "deadline": ([(False, True, 2.0)], 3),
+    "same_instant": ([(True, False, 1.0)], 3),
+    "processed": ([(True, False, 0.25)], 5),
+    "failed": ([("failed", "reset", 0.5)], 6),
+}
 
 
-@pytest.mark.parametrize("case", ["reply", "deadline", "same_instant",
-                                  "processed", "failed"])
+@pytest.mark.parametrize("case", list(_FIRST_LEG))
 def test_first_leg_join_dispatches_like_any_of(case):
-    # The same waiter resumes at the same clock, with the same leg won,
-    # whichever leg wins.  The join settles its waiter in the winning
-    # leg's dispatch, one dispatch before AnyOf's, so the deadline due
-    # at the reply's instant has not fired yet when it resumes; a leg
-    # already processed, or a failed one, goes through the lane as with
-    # AnyOf.
-    def program(sim, wait, log):
-        reply = sim.timeout(0.0 if case == "processed" else
-                            1.0 if case in ("reply", "same_instant") else 3.0,
-                            value="reply")
-        deadline = sim.timeout(1.0 if case == "same_instant" else 2.0)
-        if case == "failed":
-            reply = Event(sim)
-            sim.timeout(0.5).callbacks.append(
-                lambda ev: reply.fail(ConnectionResetError("reset")))
+    sim = Simulator()
+    log = []
+    reply = sim.timeout(0.0 if case == "processed" else
+                        1.0 if case in ("reply", "same_instant") else 3.0,
+                        value="reply")
+    deadline = sim.timeout(1.0 if case == "same_instant" else 2.0)
+    if case == "failed":
+        reply = Event(sim)
+        sim.timeout(0.5).callbacks.append(
+            lambda ev: reply.fail(ConnectionResetError("reset")))
 
-        def client():
-            if case == "processed":
-                yield sim.timeout(0.25)  # the reply is processed by then
-            try:
-                yield wait(reply, deadline)
-            except ConnectionResetError as exc:
-                log.append(("failed", str(exc), sim.now))
-                return
-            log.append((reply.triggered, sim.now))
+    def client():
+        if case == "processed":
+            yield sim.timeout(0.25)  # the reply is processed by then
+        try:
+            yield join(sim, (reply, deadline), need=1)
+        except ConnectionResetError as exc:
+            log.append(("failed", str(exc), sim.now))
+            return
+        log.append((reply.callbacks is None, deadline.callbacks is None,
+                    sim.now))
 
-        sim.spawn(client())
-
-    (first_leg, n_first_leg), (any_of, n_any_of) = \
-        _join_first_and_any_of(program)
-    assert first_leg == any_of
-    fewer = 0 if case in ("processed", "failed") else 1
-    assert n_any_of - n_first_leg == fewer
+    sim.spawn(client())
+    sim.run()
+    assert (log, sim.event_count) == _FIRST_LEG[case]
 
 
 def test_departed_node_refuses_then_survivors_serve():

@@ -7,7 +7,7 @@ them with the heap in the run loop (and, by a hand-synced copy, in
 ``step()``).  Random programs run on both kernels and must produce the
 same dispatch log — every labelled event with the clock it fired at and
 its place in the schedule (``event_count``) —
-the same condition and process values, the same errors, and after every
+the same join and process values, the same errors, and after every
 top-level operation the same clock, ``event_count``, ``pending`` and
 ``cancelled``.
 
@@ -16,7 +16,7 @@ and exact ties; ``succeed``/``fail``/``defuse`` from the top level, from
 processes and from deferred callbacks; ``defer`` and nested ``spawn``,
 with or without a waiter (a returning process is settled in place on
 both kernels, its waiters resumed inside the dispatch that ran it);
-``AnyOf``/``AllOf`` waits; ``cancel`` of lane entries (a just-triggered
+joins on any or all of several events, including none; ``cancel`` of lane entries (a just-triggered
 event, a zero-delay timeout) and of heap entries; ``run(until=t)``
 including ``t == now`` while lane entries are pending; ``run(until=ev)``,
 which stops mid-instant; and ``step()`` and ``peek()`` in between.
@@ -24,6 +24,7 @@ which stops mid-instant; and ``step()`` and ``peek()`` in between.
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.sim.engine as production
@@ -56,7 +57,7 @@ _leaf_step = st.one_of(
               st.lists(_index, min_size=0, max_size=3)),
 )
 # "spawn_quiet" starts a process nothing waits on (no dispatch log), which
-# both kernels complete in place unless a later wait or condition joins it.
+# both kernels complete in place unless a later wait or join takes it up.
 _step = st.one_of(
     _leaf_step,
     st.tuples(st.sampled_from(["spawn", "spawn_quiet"]),
@@ -87,6 +88,8 @@ class _Run:
         self.sim = kernel.Simulator()
         self.events: list = []
         self.label: dict[int, int] = {}
+        #: ids of the joins' done events, which only their joins trigger
+        self.joins: set[int] = set()
         self.log: list[tuple] = []
 
     # -- labelled events ----------------------------------------------------
@@ -106,11 +109,8 @@ class _Run:
         return ("ok" if ev._ok else "failed", self.render_value(ev._value))
 
     def render_value(self, value):
-        """``value`` with events as labels and exceptions as text, so the
-        two kernels' observations compare equal."""
-        if isinstance(value, dict):
-            return sorted((self.label[id(k)], self.render_value(v))
-                          for k, v in value.items())
+        """``value`` with exceptions as text, so the two kernels'
+        observations compare equal."""
         if isinstance(value, BaseException):
             return (type(value).__name__, str(value))
         return value
@@ -128,9 +128,10 @@ class _Run:
 
     def trigger(self, kind: str, i: int) -> None:
         ev = self.pick(i)
-        # Only plain events are triggered by hand; timeouts, processes and
-        # conditions trigger themselves.
-        if type(ev) is not self.k.Event or ev.triggered:
+        # Only plain events are triggered by hand; timeouts, processes
+        # and joins trigger themselves.
+        if (type(ev) is not self.k.Event or ev.triggered
+                or id(ev) in self.joins):
             return
         if kind == "succeed":
             ev.succeed(self.label[id(ev)])
@@ -148,13 +149,23 @@ class _Run:
         except self.k.SimulationError as exc:
             self.error("cancel", exc)
 
-    def condition(self, kind: str, picks: list) -> None:
-        cls = self.k.AnyOf if kind == "any" else self.k.AllOf
-        evs = [self.pick(i) for i in picks] if self.events else []
+    def join(self, kind: str, picks: list) -> None:
+        """A join of the picked events, on the first of them (``any``) or
+        all of them (``all``), valued with its own label; its dispatch
+        logs which legs had fired."""
+        legs = [self.pick(i) for i in picks] if self.events else []
         try:
-            self.add(cls(self.sim, evs), kind)
+            done = self.k.join(self.sim, legs, len(self.events),
+                               1 if kind == "any" else None)
         except self.k.SimulationError as exc:
             self.error(kind, exc)
+            return
+        self.joins.add(id(done))
+        self.add(done, kind)
+        done.callbacks.append(lambda e: self.log.append(
+            ("legs", sorted(self.label[id(ev)] for ev in legs
+                            if ev.callbacks is None and ev._ok
+                            and ev._state != self.k.Event.CANCELLED))))
 
     def act(self, action) -> None:
         if action is None:
@@ -203,7 +214,7 @@ class _Run:
             elif kind == "defer":
                 self.defer(step[1])
             elif kind in ("any", "all"):
-                self.condition(kind, step[1])
+                self.join(kind, step[1])
             elif kind in ("spawn", "spawn_quiet"):
                 self.spawn(step[1], kind == "spawn")
             else:
@@ -230,7 +241,7 @@ class _Run:
             elif kind == "defer":
                 self.defer(op[1])
             elif kind in ("any", "all"):
-                self.condition(kind, op[1])
+                self.join(kind, op[1])
             elif kind == "run_until":
                 value = sim.run(until=sim.now + op[1])
                 self.log.append(("ran", self.render_value(value)))
@@ -352,6 +363,29 @@ def test_run_until_event_cut_short_leaves_no_halt():
                      ("event", 1, 0.0), ("timeout", 2, 0.0),
                      ("timeout", 3, 0.0), ("start", 5, 1.0)]
     assert new.events[1].processed and new.sim.now == 1.0
+
+
+@pytest.mark.parametrize("kernel", [production, reference],
+                         ids=["production", "reference"])
+def test_run_until_event_stop_keeps_the_later_waiters(kernel):
+    """run(until=ev) hooks ``ev`` when called, so a process started before
+    the run attaches to ``ev`` behind the hook.  The stop ends the run,
+    not the dispatch: that waiter resumes in the same dispatch, and
+    ``ev`` is processed."""
+    sim = kernel.Simulator()
+    ev = kernel.Event(sim)
+    woke = []
+
+    def waiter():
+        value = yield ev
+        woke.append((value, sim.now))
+
+    sim.spawn(waiter())
+    sim.timeout(1.0).callbacks.append(lambda _t: ev.succeed("x"))
+    assert sim.run(until=ev) == "x"
+    assert woke == [("x", 1.0)] and ev.processed
+    sim.run()
+    assert woke == [("x", 1.0)] and sim.event_count == 3
 
 
 def test_cancel_of_lane_and_heap_entries():

@@ -109,6 +109,30 @@ def test_experiments_deep_import_flagged(tmp_path):
     assert len(diags) == 1 and diags[0].line == 2
 
 
+def test_private_name_from_another_layer_flagged(tmp_path):
+    code = ('"""D."""\nfrom ..cluster.network import WANPath, _join\n'
+            'from ..sim import Event\n')
+    diags = _lint(tmp_path, "web/x.py", code, rule="layer-private-import")
+    assert len(diags) == 1 and diags[0].line == 2
+    assert "'_join'" in diags[0].message
+    assert "repro.cluster.network" in diags[0].message
+
+
+def test_private_name_from_the_same_layer_allowed(tmp_path):
+    code = '"""D."""\nfrom .network import _join\nfrom . import _util\n'
+    assert _lint(tmp_path, "cluster/x.py", code,
+                 rule="layer-private-import") == []
+
+
+def test_public_name_bound_to_a_private_alias_allowed(tmp_path):
+    # sim/stats.py's import: the alias is private, the name it imports
+    # is public.
+    code = ('"""D."""\n'
+            'from ..obs.percentiles import percentiles as _percentiles\n')
+    assert _lint(tmp_path, "sim/stats.py", code,
+                 rule="layer-private-import") == []
+
+
 def test_obs_sits_below_every_other_layer(tmp_path):
     # obs is the pure bottom layer: importing anything above it is
     # a layering violation...

@@ -480,21 +480,27 @@ def test_superseded_wakeup_dispatch_runs_no_server_code():
 
 
 def test_run_until_a_job_finishing_with_others_at_one_wake_up():
-    # Both jobs finish at the wake-up at t=2 and are dispatched in place.
-    # run(until=first) stops inside that dispatch; the second job, not yet
-    # dispatched, succeeds through the lane, so its waiter still wakes.
+    # Both jobs finish at the wake-up at t=2 and are dispatched in place,
+    # as Event.settle dispatches.  The hook of run(until=first) puts the
+    # first job back on the lane from that hook on, so the second job's
+    # waiter still wakes inside the wake-up's dispatch; the stop takes
+    # effect when the first job dispatches from the lane, and the waiter
+    # that attached to it after the hook still wakes.
     sim = Simulator()
     srv = FairShareServer(sim, rate=10.0)
     first, second = srv.submit(10.0), srv.submit(10.0)
     woke = []
 
-    def waiter():
-        job = yield second
-        woke.append((job is second, sim.now))
+    def waiter(name, job):
+        got = yield job
+        woke.append((name, got is job, sim.now))
 
-    sim.spawn(waiter())
+    sim.spawn(waiter("first", first))
+    sim.spawn(waiter("second", second))
     assert sim.run(until=first) is first
-    assert sim.now == 2.0 and second.triggered and not second.processed
-    assert woke == []
+    assert sim.now == 2.0 and first.processed and second.processed
+    assert woke == [("second", True, 2.0), ("first", True, 2.0)]
+    # Two process starts, the wake-up and the first job's lane entry.
+    assert sim.event_count == 4
     sim.run()
-    assert woke == [(True, 2.0)] and second.processed
+    assert len(woke) == 2

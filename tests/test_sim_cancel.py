@@ -6,12 +6,13 @@ reference is the frozen heap-only kernel (``tests/kernel_reference.py``)
 with cancellation reduced to emptying the event's callback list, the way
 superseded fair-share timers were once retired: the entry keeps its heap
 slot and dispatches as a no-op.  Random programs — timeouts, cancels (from
-the top level and from inside processes), ``AnyOf``/``AllOf`` waits,
-``step()``, ``run(until=t)`` and ``peek()`` — run through both and must
-agree on every live dispatch, its clock, every condition value and
-``event_count`` up to the dead entries the reference dispatched.  The
-reference helpers read the reference kernel's own heap, which holds every
-scheduled entry (the production heap holds only strictly-future ones).
+the top level and from inside processes), ``join`` waits on any or all
+of their legs, ``step()``, ``run(until=t)`` and ``peek()`` — run through
+both and must agree on every live dispatch, its clock, the legs each
+join saw fired and ``event_count`` up to the dead entries the reference
+dispatched.  The reference helpers read the reference kernel's own heap,
+which holds every scheduled entry (the production heap holds only
+strictly-future ones).
 
 ``Simulator.schedule``/``Simulator.withdraw`` (a voidable entry for an
 event that lives on, such as a fair-share station's reusable waker) go
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.sim.engine as production
-from repro.sim import AllOf, AnyOf, Event, SimulationError, Simulator
+from repro.sim import Event, SimulationError, Simulator, join
 
 from . import kernel_reference as reference
 
@@ -63,20 +64,21 @@ class _Run:
             self.dead.append(ev)
         self.sim.cancel(ev)
 
-    def value(self, fired: dict) -> list:
-        """A condition's value as (label, value) pairs, dead entries left
-        out (the reference counts a dispatched dead entry as fired)."""
-        return sorted((self.label[id(ev)], val) for ev, val in fired.items()
-                      if ev not in self.dead)
+    def fired(self, legs: list) -> list:
+        """The labels and values of ``legs`` dispatched so far, dead
+        entries left out (the reference dispatches a dead entry as a
+        no-op)."""
+        return sorted((self.label[id(ev)], ev.value) for ev in legs
+                      if ev.callbacks is None and ev not in self.dead)
 
     def wait(self, kind: str, picks: list, then_cancel, child) -> None:
-        cond = (self.k.AnyOf if kind == "any" else self.k.AllOf)(
-            self.sim, [self.events[i] for i in picks])
+        legs = [self.events[i] for i in picks]
         tag = len(self.log)
+        done = self.k.join(self.sim, legs, tag, 1 if kind == "any" else None)
 
         def waiter():
-            fired = yield cond
-            self.log.append((kind, tag, self.sim.now, self.value(fired)))
+            got = yield done
+            self.log.append((kind, got, self.sim.now, self.fired(legs)))
             if then_cancel is not None:
                 self.cancel(self.events[then_cancel % len(self.events)])
             if child is not None:
@@ -136,7 +138,7 @@ def _play(ops):
                     # right after a cancel that withdrew an entry.
                     assert len(new.sim._queue) <= 2 * new.sim.pending
             elif kind in ("any", "all") and run.events:
-                # Conditions are built on events that are still live.
+                # Joins are built on events that are still live.
                 picks = [i % len(run.events) for i in op[1]]
                 picks = [i for i in picks if run.events[i] not in run.dead]
                 if picks:
@@ -265,22 +267,43 @@ def test_condition_on_a_cancelled_event_raises():
     live = sim.timeout(1.0)
     dead = sim.timeout(2.0)
     sim.cancel(dead)
-    with pytest.raises(SimulationError):
-        AnyOf(sim, [live, dead])
-    with pytest.raises(SimulationError):
-        AllOf(sim, [dead])
+    with pytest.raises(SimulationError, match="cancelled"):
+        join(sim, [live, dead], need=1)
+    with pytest.raises(SimulationError, match="cancelled"):
+        join(sim, [dead])
     with pytest.raises(SimulationError):
         sim.run(until=dead)
+    # The join attached to no leg.
+    assert live.callbacks == []
+
+
+def test_rejected_join_leaves_its_legs_as_it_found_them():
+    sim = Simulator()
+    early = sim.timeout(0.0)
+    sim.run()
+    live = sim.timeout(1.0)
+    dead = sim.timeout(2.0)
+    sim.cancel(dead)
+    other = Simulator().timeout(1.0)
+    for legs in ([early, live, dead], [live, live, other]):
+        with pytest.raises(SimulationError):
+            join(sim, legs, need=1)
+        assert live.callbacks == []
+    # The processed leg completed no join: nothing was queued.
+    assert sim.pending == 1
+    sim.run()
+    assert sim.event_count == 2
 
 
 def test_condition_value_leaves_out_an_event_cancelled_later():
     sim = Simulator()
     a = sim.timeout(1.0, value="a")
     b = sim.timeout(2.0, value="b")
-    cond = AnyOf(sim, [a, b])
+    done = join(sim, [a, b], value="first", need=1)
     sim.cancel(a)
-    assert sim.run(until=cond) == {b: "b"}
-    assert sim.now == 2.0
+    # The cancelled leg never counts: the surviving one completes it.
+    assert sim.run(until=done) == "first"
+    assert sim.now == 2.0 and b.processed and not a.processed
 
 
 def test_waiter_on_an_event_cancelled_later_never_resumes():
@@ -343,7 +366,8 @@ def test_heap_stays_within_twice_live_plus_a_constant():
     def request(i):
         deadline = sim.timeout(120.0)
         try:
-            yield AnyOf(sim, [sim.timeout(0.5 + (i % 7) * 0.3), deadline])
+            yield join(sim, [sim.timeout(0.5 + (i % 7) * 0.3), deadline],
+                       need=1)
         finally:
             settled[0] += 1
             sim.cancel(deadline)

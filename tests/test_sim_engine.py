@@ -3,11 +3,10 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
     Event,
     SimulationError,
     Simulator,
+    join,
 )
 
 
@@ -245,19 +244,23 @@ def test_waiting_on_already_processed_event_resumes_immediately():
     assert log == [(5.0, "早い")]
 
 
+def _fired(legs):
+    """The values of the legs dispatched so far."""
+    return [leg.value for leg in legs if leg.callbacks is None]
+
+
 def test_anyof_first_wins():
     sim = Simulator()
     results = []
 
     def proc():
-        t1 = sim.timeout(5.0, value="slow")
-        t2 = sim.timeout(2.0, value="fast")
-        got = yield AnyOf(sim, [t1, t2])
-        results.append((sim.now, list(got.values())))
+        legs = [sim.timeout(5.0, value="slow"), sim.timeout(2.0, value="fast")]
+        got = yield join(sim, legs, value="first", need=1)
+        results.append((sim.now, got, _fired(legs)))
 
     sim.spawn(proc())
     sim.run()
-    assert results == [(2.0, ["fast"])]
+    assert results == [(2.0, "first", ["fast"])]
 
 
 def test_allof_waits_for_all():
@@ -265,20 +268,55 @@ def test_allof_waits_for_all():
     results = []
 
     def proc():
-        t1 = sim.timeout(5.0, value="a")
-        t2 = sim.timeout(2.0, value="b")
-        got = yield AllOf(sim, [t1, t2])
-        results.append((sim.now, sorted(got.values())))
+        legs = [sim.timeout(5.0, value="a"), sim.timeout(2.0, value="b")]
+        got = yield join(sim, legs, value="both")
+        results.append((sim.now, got, sorted(_fired(legs))))
 
     sim.spawn(proc())
     sim.run()
-    assert results == [(5.0, ["a", "b"])]
+    assert results == [(5.0, "both", ["a", "b"])]
+
+
+def test_join_settles_in_the_dispatch_of_its_last_leg():
+    sim = Simulator()
+    done = Event(sim)
+    legs = [sim.timeout(1.0), sim.timeout(2.0)]
+    assert join(sim, legs, value="v", done=done) is done
+    seen = []
+    done.callbacks.append(lambda ev: seen.append(
+        (sim.now, sim.event_count, legs[1].processed)))
+    sim.run()
+    # Inside the second timeout's dispatch, before it is marked
+    # processed: no dispatch of its own.
+    assert seen == [(2.0, 2, False)]
+    assert sim.event_count == 2 and done.processed and done.value == "v"
+
+
+def test_join_over_processed_legs_succeeds_through_the_lane():
+    sim = Simulator()
+    legs = [sim.timeout(1.0), sim.timeout(1.0)]
+    sim.run()
+    done = join(sim, legs, value="late", need=1)
+    assert done.triggered and not done.processed
+    assert sim.run(until=done) == "late"
+    assert sim.event_count == 3
 
 
 def test_allof_empty_triggers_immediately():
     sim = Simulator()
-    cond = AllOf(sim, [])
+    cond = join(sim, [], value="none")
     assert cond.triggered
+    assert sim.run(until=cond) == "none"
+
+
+@pytest.mark.parametrize("legs, need", [(2, 0), (2, 3), (2, -1), (0, 1)])
+def test_join_need_out_of_range_raises(legs, need):
+    sim = Simulator()
+    evs = [sim.timeout(1.0) for _ in range(legs)]
+    with pytest.raises(SimulationError, match="need"):
+        join(sim, evs, need=need)
+    # Nothing attached: the legs dispatch alone.
+    assert all(ev.callbacks == [] for ev in evs)
 
 
 def test_condition_failure_propagates():
@@ -287,7 +325,7 @@ def test_condition_failure_propagates():
 
     def proc(ev1, ev2):
         try:
-            yield AllOf(sim, [ev1, ev2])
+            yield join(sim, [ev1, ev2])
         except RuntimeError as exc:
             caught.append(str(exc))
 
@@ -410,12 +448,11 @@ def test_allof_over_a_process_completed_in_place():
     def program(sim, proc):
         sim.run(until=2.0)
         tick = sim.timeout(0.5, value="t")
-        both = AllOf(sim, [proc, tick])
-        sim.run(until=both)
-        return sim.now, both.value == {proc: "v", tick: "t"}
+        both = join(sim, [proc, tick], value="both")
+        return sim.run(until=both), sim.now, _fired([proc, tick])
 
     (in_place, n_in_place), (waited, n_waited) = _unwaited_and_waited(program)
-    assert in_place == waited == (2.5, True)
+    assert in_place == waited == ("both", 2.5, ["v", "t"])
     assert n_waited == n_in_place
 
 

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
     Event,
     SimulationError,
     Simulator,
+    join,
 )
 
 
@@ -19,14 +18,14 @@ def test_nested_conditions():
         a = sim.timeout(1.0, value="a")
         b = sim.timeout(2.0, value="b")
         c = sim.timeout(9.0, value="c")
-        got = yield AnyOf(sim, [AllOf(sim, [a, b]), c])
-        out.append((sim.now, sorted(v for v in got.values()
-                                    if isinstance(v, str))))
+        both = join(sim, [a, b], value="a&b")
+        got = yield join(sim, [both, c], value="any", need=1)
+        out.append((sim.now, got, both.value, c.processed))
 
     sim.spawn(proc())
     sim.run()
     # (a & b) completes at t=2, long before c.
-    assert out[0][0] == pytest.approx(2.0)
+    assert out == [(2.0, "any", "a&b", False)]
 
 
 def test_condition_over_already_failed_event_defused():
@@ -40,7 +39,7 @@ def test_condition_over_already_failed_event_defused():
         # wait for the failure to be processed
         yield sim.timeout(0.1)
         try:
-            yield AnyOf(sim, [bad, sim.timeout(1.0)])
+            yield join(sim, [bad, sim.timeout(1.0)], need=1)
         except RuntimeError as exc:
             caught.append(str(exc))
 
@@ -65,8 +64,10 @@ def test_process_is_alive_and_target():
 
 def test_event_or_and_require_same_sim():
     sim1, sim2 = Simulator(), Simulator()
-    with pytest.raises(SimulationError):
-        AllOf(sim1, [sim1.timeout(1.0), sim2.timeout(1.0)])
+    with pytest.raises(SimulationError, match="different simulators"):
+        join(sim1, [sim1.timeout(1.0), sim2.timeout(1.0)])
+    with pytest.raises(SimulationError, match="different simulators"):
+        join(sim2, [sim1.timeout(1.0)], need=1)
 
 
 def test_fail_requires_exception():
