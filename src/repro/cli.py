@@ -43,6 +43,7 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .cluster import TESTBEDS
     from .sched import policy_names
 
     parser = argparse.ArgumentParser(
@@ -61,9 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     allp.add_argument("--full", action="store_true")
 
     serve = sub.add_parser("serve", help="run an ad-hoc scenario")
-    serve.add_argument("--testbed",
-                       choices=["meiko", "now", "hetmeiko", "hetnow",
-                                "geo3"],
+    serve.add_argument("--testbed", choices=[*TESTBEDS, "geo3"],
                        default="meiko",
                        help="cluster preset; hetmeiko/hetnow are the "
                             "heterogeneous variants (docs/SCHEDULING.md); "
@@ -180,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("experiment", nargs="?", default="X10",
                        help="what to trace: X10 (Zipf hot set with "
                             "cooperative cache + replication, the default) "
-                            "or a named scenario (T1, T3, T4, SKEWED)")
+                            "or another paper cell (T1, T3, T4, SKEWED)")
     trace.add_argument("-o", "--out", default="trace.json",
                        help="Chrome trace_event JSON output path")
     trace.add_argument("--requests", type=_positive_int, metavar="N",
@@ -313,14 +312,13 @@ def _cmd_serve_geo(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .cluster import (heterogeneous_meiko, heterogeneous_now, meiko_cs2,
-                          sun_now)
+    from .cluster import TESTBEDS
     from .core.costmodel import CostParameters
     from .experiments.runner import run_scenario
     from .faults import FaultPlan, FaultSpecError
     from .sim import RandomStreams
-    from .workload import (Scenario, burst_workload, uniform_corpus,
-                           uniform_sampler, zipf_sampler)
+    from .workload import (Scenario, burst_workload, uniform_burst,
+                           uniform_corpus, zipf_sampler)
 
     if args.geo or args.testbed == "geo3":
         return _cmd_serve_geo(args)
@@ -346,19 +344,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except FaultSpecError as exc:
             print(f"bad --faults spec: {exc}", file=sys.stderr)
             return 2
-    _now_speeds = (40e6, 25e6, 25e6, 10e6)
-    builders = {"meiko": meiko_cs2, "now": sun_now,
-                "hetmeiko": heterogeneous_meiko,
-                "hetnow": lambda n: heterogeneous_now(
-                    [_now_speeds[i % len(_now_speeds)] for i in range(n)])}
-    spec = builders[args.testbed](args.nodes)
+    spec = TESTBEDS[args.testbed](args.nodes)
     corpus = uniform_corpus(args.files, args.file_size, args.nodes)
-    rng = RandomStreams(seed=42)
     if args.zipf is not None:
-        sampler = zipf_sampler(corpus, rng, alpha=args.zipf)
+        workload = burst_workload(args.rps, args.duration, zipf_sampler(
+            corpus, RandomStreams(seed=42), alpha=args.zipf))
     else:
-        sampler = uniform_sampler(corpus, rng)
-    workload = burst_workload(args.rps, args.duration, sampler)
+        workload = uniform_burst(corpus, args.rps, args.duration)
     coop = args.coop_cache or args.replicate
     scenario = Scenario(name="cli", spec=spec, corpus=corpus,
                         workload=workload, policy=args.policy,
@@ -406,45 +398,37 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
+    from .cluster import meiko_cs2, sun_now
+    from .experiments.cache_coop import coop_scenario
     from .experiments.runner import run_scenario
+    from .experiments.skewed import skewed_scenario
+    from .experiments.table1 import table1_scenario
+    from .experiments.table3 import table3_scenario
+    from .experiments.table4 import table4_scenario
     from .obs import Tracer, flame_rollup, render_chrome_trace
-    from .workload import build_scenario
 
-    exp = args.experiment.upper()
+    duration, seed = args.duration, args.seed
+    cells = {
+        "T1": lambda: table1_scenario(meiko_cs2(6), 1.5e6, 16, duration,
+                                      seed=seed),
+        "T3": lambda: table3_scenario(25, duration=duration, seed=seed),
+        "T4": lambda: table4_scenario(sun_now(4), 2, duration=duration,
+                                      seed=seed),
+        "SKEWED": lambda: skewed_scenario("round-robin", duration,
+                                          seed=seed),
+        # The X10 shape (docs/CACHING.md), with the cooperative cache
+        # directory and hot-file replication on: the richest traces
+        # (replica reads, peer-cache hops, redirections).
+        "X10": lambda: coop_scenario("dir+repl", duration, seed),
+    }
+    cell = cells.get(args.experiment.upper())
+    if cell is None:
+        print(f"unknown trace experiment {args.experiment!r}; "
+              f"choose {', '.join(sorted(cells))}", file=sys.stderr)
+        return 2
     tracer = Tracer(max_requests=args.requests, max_records=0)
-    if exp == "X10":
-        # The X10 shape (docs/CACHING.md): Zipf hot set homed on node 0,
-        # cooperative cache directory + hot-file replication on — the
-        # richest traces (replica reads, peer-cache hops, redirections).
-        from .cluster import meiko_cs2
-        from .experiments.cache_coop import (
-            CONFIGS, N_HOT, TAIL_WEIGHT, hot_cold_corpus)
-        from .sim import RandomStreams
-        from .workload import Scenario, burst_workload, zipf_sampler
-
-        corpus = hot_cold_corpus(6)
-        sampler = zipf_sampler(corpus, RandomStreams(seed=args.seed),
-                               alpha=1.0, hot_set=N_HOT,
-                               tail_weight=TAIL_WEIGHT)
-        workload = burst_workload(6, args.duration, sampler)
-        scenario = Scenario(name="trace-x10", spec=meiko_cs2(6),
-                            corpus=corpus, workload=workload, policy="sweb",
-                            seed=args.seed, client_timeout=600.0,
-                            backlog=1024, params=CONFIGS["dir+repl"](),
-                            tracer=tracer)
-    else:
-        named = {"T1": "table1", "T3": "table3", "T4": "table4",
-                 "SKEWED": "skewed"}
-        if exp not in named:
-            print(f"unknown trace experiment {args.experiment!r}; "
-                  f"choose X10, {', '.join(sorted(named))}",
-                  file=sys.stderr)
-            return 2
-        scenario = build_scenario(named[exp], duration=args.duration,
-                                  seed=args.seed)
-        scenario = replace(scenario, tracer=tracer)
+    scenario = cell()
+    scenario.tracer = tracer
     result = run_scenario(scenario)
     traces = tracer.traces()
     with open(args.out, "w") as fh:

@@ -22,6 +22,7 @@ from .topology import (
     BuiltCluster,
     ClusterSpec,
     NodeSpec,
+    TESTBEDS,
     custom_cluster,
     heterogeneous_meiko,
     heterogeneous_now,
@@ -44,6 +45,7 @@ __all__ = [
     "PageCache",
     "ReadOutcome",
     "SharedBusNetwork",
+    "TESTBEDS",
     "WANPath",
     "custom_cluster",
     "heterogeneous_meiko",

@@ -17,7 +17,7 @@ All hardware constants come from the paper's text:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from ..sched import SpeedFactors
 from ..sim import Simulator
@@ -31,8 +31,9 @@ from .network import (
 )
 from .node import Node
 
-__all__ = ["NodeSpec", "ClusterSpec", "BuiltCluster", "meiko_cs2", "sun_now",
-           "custom_cluster", "heterogeneous_now", "heterogeneous_meiko"]
+__all__ = ["NodeSpec", "ClusterSpec", "BuiltCluster", "TESTBEDS", "meiko_cs2",
+           "sun_now", "custom_cluster", "heterogeneous_now",
+           "heterogeneous_meiko"]
 
 MB = 1e6
 
@@ -187,9 +188,13 @@ def custom_cluster(name: str, node_specs: list[NodeSpec],
                        nfs_penalty=nfs_penalty, **kwargs)
 
 
+#: the unequal CPUs (ops/s) of the default heterogeneous NOW
+_HETNOW_SPEEDS = (40e6, 25e6, 25e6, 10e6)
+
+
 def heterogeneous_now(speeds: Optional[list[float]] = None) -> ClusterSpec:
     """A NOW with unequal CPUs — the environment §1 motivates SWEB for."""
-    speeds = speeds or [40e6, 25e6, 25e6, 10e6]
+    speeds = speeds or list(_HETNOW_SPEEDS)
     base = sun_now(len(speeds))
     nodes = tuple(replace(ns, cpu_speed=sp)
                   for ns, sp in zip(base.nodes, speeds))
@@ -208,3 +213,19 @@ def heterogeneous_meiko(n: int = 6,
     factors = factors or MIXED_GENERATION.take(n)
     spec = meiko_cs2(n).with_speed_factors(factors)
     return replace(spec, name="hetmeiko")
+
+
+def _hetnow(n: int = 4) -> ClusterSpec:
+    """``n`` NOW nodes cycling through the heterogeneous NOW's speeds."""
+    return heterogeneous_now([_HETNOW_SPEEDS[i % len(_HETNOW_SPEEDS)]
+                              for i in range(n)])
+
+
+#: testbed name -> builder(n) (each with its own default node count): the
+#: one table config files and ``sweb-repro serve --testbed`` name from
+TESTBEDS: dict[str, Callable[..., ClusterSpec]] = {
+    "meiko": meiko_cs2,
+    "now": sun_now,
+    "hetmeiko": heterogeneous_meiko,
+    "hetnow": _hetnow,
+}

@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from .cluster.topology import ClusterSpec, NodeSpec, heterogeneous_now, meiko_cs2, sun_now
+from .cluster.topology import TESTBEDS, ClusterSpec, NodeSpec
 from .core.costmodel import CostParameters
 from .core.oracle import Oracle
 
@@ -33,13 +33,6 @@ __all__ = [
     "dump_config",
     "SWEBConfig",
 ]
-
-_PRESETS = {
-    "meiko": meiko_cs2,
-    "now": sun_now,
-    "hetnow": lambda n: heterogeneous_now(),
-}
-
 
 # ------------------------------------------------------------- ClusterSpec
 def cluster_spec_to_dict(spec: ClusterSpec) -> dict:
@@ -59,20 +52,23 @@ def cluster_spec_to_dict(spec: ClusterSpec) -> dict:
 def cluster_spec_from_dict(data: dict) -> ClusterSpec:
     """Build a ClusterSpec from a config dict.
 
-    Either ``{"preset": "meiko"|"now"|"hetnow", "nodes": <count>}`` or a
-    full explicit description as produced by :func:`cluster_spec_to_dict`.
+    Either ``{"preset": <a repro.cluster.TESTBEDS name>, "nodes": <count>}``
+    (without ``nodes``, the testbed's own default count) or a full explicit
+    description as produced by :func:`cluster_spec_to_dict`.
     """
     if "preset" in data:
         preset = data["preset"]
-        factory = _PRESETS.get(preset)
-        if factory is None:
+        builder = TESTBEDS.get(preset)
+        if builder is None:
             raise ValueError(f"unknown preset {preset!r}; "
-                             f"choose from {sorted(_PRESETS)}")
-        count = data.get("nodes", 6 if preset == "meiko" else 4)
+                             f"choose from {sorted(TESTBEDS)}")
+        if "nodes" not in data:
+            return builder()
+        count = data["nodes"]
         if not isinstance(count, int) or count < 1:
             raise ValueError(f"preset node count must be a positive int, "
                              f"got {count!r}")
-        return factory(count)
+        return builder(count)
     nodes = tuple(NodeSpec(**ns) for ns in data["nodes"])
     kwargs = {k: v for k, v in data.items() if k != "nodes"}
     return ClusterSpec(nodes=nodes, **kwargs)

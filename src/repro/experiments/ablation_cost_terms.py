@@ -11,12 +11,9 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..core import CostParameters
-from ..cluster import meiko_cs2
-from ..sim import RandomStreams
-from ..workload import (Scenario, bimodal_corpus, burst_workload,
-                        uniform_sampler)
 from .base import ExperimentReport
 from .runner import ScenarioResult, run_scenario
+from .table3 import table3_scenario
 from .tables import ComparisonRow, render_table
 
 __all__ = ["run", "VARIANTS"]
@@ -31,14 +28,8 @@ VARIANTS = {
 
 def _cell(policy: str, params: CostParameters, rps: int,
           duration: float) -> ScenarioResult:
-    corpus = bimodal_corpus(150, 6, large_frac=0.5, seed=9)
-    sampler = uniform_sampler(corpus, RandomStreams(seed=42))
-    workload = burst_workload(rps, duration, sampler)
-    scenario = Scenario(name=f"x1-{policy}", spec=meiko_cs2(6),
-                        corpus=corpus, workload=workload, policy=policy,
-                        seed=1, params=params, dns_ttl=300.0,
-                        hosts_per_profile=4)
-    return run_scenario(scenario)
+    return run_scenario(table3_scenario(rps, policy, duration,
+                                        params=params))
 
 
 def run(fast: bool = True) -> ExperimentReport:

@@ -13,26 +13,18 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..core import CostParameters
-from ..cluster import meiko_cs2
-from ..sim import RandomStreams
-from ..workload import (Scenario, bimodal_corpus, burst_workload,
-                        uniform_sampler)
 from .base import ExperimentReport
 from .runner import ScenarioResult, run_scenario
+from .table3 import table3_scenario
 from .tables import ComparisonRow, render_table
 
 __all__ = ["run"]
 
 
-def _cell(params: CostParameters, rps: int, duration: float,
-          label: str) -> ScenarioResult:
-    corpus = bimodal_corpus(150, 6, large_frac=0.5, seed=9)
-    sampler = uniform_sampler(corpus, RandomStreams(seed=42))
-    workload = burst_workload(rps, duration, sampler)
-    scenario = Scenario(name=f"x2-{label}", spec=meiko_cs2(6), corpus=corpus,
-                        workload=workload, policy="sweb", seed=1,
-                        params=params, dns_ttl=300.0, hosts_per_profile=4)
-    return run_scenario(scenario)
+def _cell(params: CostParameters, rps: int,
+          duration: float) -> ScenarioResult:
+    return run_scenario(table3_scenario(rps, duration=duration,
+                                        params=params))
 
 
 def run(fast: bool = True) -> ExperimentReport:
@@ -46,7 +38,7 @@ def run(fast: bool = True) -> ExperimentReport:
     for period in periods:
         params = replace(CostParameters(), loadd_period=period,
                          staleness_timeout=max(8.0, 3.2 * period))
-        res = _cell(params, rps, duration, f"period{period}")
+        res = _cell(params, rps, duration)
         period_results[period] = res
         rows.append([f"period = {period:g}s (delta 0.3)",
                      res.mean_response_time, res.drop_rate * 100.0,
@@ -54,7 +46,7 @@ def run(fast: bool = True) -> ExperimentReport:
     delta_results: dict[float, ScenarioResult] = {}
     for delta in deltas:
         params = replace(CostParameters(), delta=delta)
-        res = _cell(params, rps, duration, f"delta{delta}")
+        res = _cell(params, rps, duration)
         delta_results[delta] = res
         rows.append([f"delta = {delta:g} (period 2.5s)",
                      res.mean_response_time, res.drop_rate * 100.0,

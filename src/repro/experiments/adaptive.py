@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from ..core import AdaptiveOracle, Oracle, OracleRule
 from ..cluster import meiko_cs2
-from ..sim import RandomStreams
-from ..workload import bimodal_corpus, burst_workload, uniform_sampler
+from ..workload import bimodal_corpus, uniform_burst
 from .base import ExperimentReport
 from .runner import ScenarioResult, replay
 from .tables import ComparisonRow, render_table
@@ -43,8 +42,7 @@ def _cell(oracle, rps: int, duration: float, label: str) -> ScenarioResult:
     from ..web import Client, UCSB_CLIENT
 
     corpus = bimodal_corpus(150, 6, large_frac=0.5, seed=9)
-    sampler = uniform_sampler(corpus, RandomStreams(seed=42))
-    workload = burst_workload(rps, duration, sampler)
+    workload = uniform_burst(corpus, rps, duration)
     cluster = SWEBCluster(spec=meiko_cs2(6), policy="sweb", seed=1,
                           oracle=oracle, dns_ttl=300.0)
     corpus.install(cluster)

@@ -31,10 +31,10 @@ from ..sim import RandomStreams
 from ..workload import (Corpus, Document, MB, Scenario, burst_workload,
                         zipf_sampler)
 from .base import ExperimentReport
-from .runner import ScenarioResult, run_scenario
+from .runner import run_scenario
 from .tables import ComparisonRow, render_table
 
-__all__ = ["run", "run_config", "hot_cold_corpus", "CONFIGS"]
+__all__ = ["run", "coop_scenario", "hot_cold_corpus", "CONFIGS"]
 
 #: scenario shape: the hot set (16 x 3 MB = 48 MB, all on node 0)
 #: overflows one Meiko node's 32 MB RAM but fits easily in six nodes'.
@@ -76,29 +76,29 @@ def hot_cold_corpus(n_nodes: int, hot_home: int = 0) -> Corpus:
     return Corpus(name="hot-cold", documents=docs)
 
 
-def run_config(config: str, duration: float = 480.0, rps: int = 6,
-               nodes: int = 6, seed: int = 7) -> ScenarioResult:
-    """Run the Zipf-skewed scenario under one CONFIGS entry.
+def coop_scenario(config: str, duration: float = 480.0,
+                  seed: int = 7) -> Scenario:
+    """The X10 cell: the Zipf hot set at 6 rps on the 6-node Meiko, under
+    one CONFIGS entry.
 
     The run must be long relative to the ~10 s cold-start storm (48 MB
     of hot files coming off one 5 MB/s disk exactly once): p95 only
     reflects the steady state — where the cooperative cache wins — once
     the storm cohort is under 5 % of all requests.
     """
-    corpus = hot_cold_corpus(nodes)
+    corpus = hot_cold_corpus(6)
     sampler = zipf_sampler(corpus, RandomStreams(seed=seed), alpha=1.0,
                            hot_set=N_HOT, tail_weight=TAIL_WEIGHT)
-    workload = burst_workload(rps, duration, sampler)
-    scenario = Scenario(name=f"cache-coop-{config}", spec=meiko_cs2(nodes),
-                        corpus=corpus, workload=workload, policy="sweb",
-                        seed=seed, client_timeout=600.0, backlog=1024,
-                        params=CONFIGS[config]())
-    return run_scenario(scenario)
+    return Scenario(name=f"cache-coop-{config}", spec=meiko_cs2(6),
+                    corpus=corpus,
+                    workload=burst_workload(6, duration, sampler),
+                    policy="sweb", seed=seed, client_timeout=600.0,
+                    backlog=1024, params=CONFIGS[config]())
 
 
 def run(fast: bool = True) -> ExperimentReport:
     duration = 480.0 if fast else 900.0
-    results = {name: run_config(name, duration=duration)
+    results = {name: run_scenario(coop_scenario(name, duration))
                for name in CONFIGS}
 
     rows = [[name,

@@ -22,10 +22,8 @@ from __future__ import annotations
 
 from ..cluster import meiko_cs2
 from ..core import SWEBCluster
-from ..sim import RandomStreams
 from ..web import Client
-from ..workload import (Scenario, burst_workload, uniform_corpus,
-                        uniform_sampler)
+from ..workload import Scenario, uniform_burst, uniform_corpus
 from .base import ExperimentReport
 from .runner import replay, run_scenario
 from .tables import ComparisonRow, render_table
@@ -35,8 +33,7 @@ __all__ = ["run"]
 
 def _throughput_cell(dispatcher, rps: int, duration: float):
     corpus = uniform_corpus(120, 1e5, 6)
-    sampler = uniform_sampler(corpus, RandomStreams(seed=42))
-    workload = burst_workload(rps, duration, sampler)
+    workload = uniform_burst(corpus, rps, duration)
     scenario = Scenario(name=f"x7-{dispatcher}-{rps}", spec=meiko_cs2(6),
                         corpus=corpus, workload=workload, policy="sweb",
                         seed=1, dispatcher=dispatcher)
@@ -51,8 +48,7 @@ def _spof_run(dispatcher, duration: float = 12.0, rps: int = 8,
     corpus = uniform_corpus(60, 1e5, 6)
     corpus.install(cluster)
     sim = cluster.sim
-    sampler = uniform_sampler(corpus, RandomStreams(seed=42))
-    workload = burst_workload(rps, duration, sampler)
+    workload = uniform_burst(corpus, rps, duration)
     client = Client(cluster, timeout=60.0)
 
     def killer():

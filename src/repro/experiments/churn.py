@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from ..core import SWEBCluster
 from ..cluster import meiko_cs2
-from ..sim import RandomStreams
 from ..web import Client
-from ..workload import bimodal_corpus, burst_workload, uniform_sampler
+from ..workload import bimodal_corpus, uniform_burst
 from .base import ExperimentReport
 from .runner import replay
 from .tables import ComparisonRow, render_table
@@ -38,8 +37,7 @@ def run_churn(policy: str, duration: float = 30.0, rps: int = 12,
     corpus = bimodal_corpus(120, n_nodes, large_frac=0.5, seed=9)
     corpus.install(cluster)
     sim = cluster.sim
-    sampler = uniform_sampler(corpus, RandomStreams(seed=42))
-    workload = burst_workload(rps, duration, sampler)
+    workload = uniform_burst(corpus, rps, duration)
     client = Client(cluster, timeout=120.0)
 
     def churner():

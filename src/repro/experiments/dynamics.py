@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from ..cluster import meiko_cs2
 from ..core import SWEBCluster
-from ..sim import Monitor, RandomStreams, ascii_sparkline
+from ..sim import Monitor, ascii_sparkline
 from ..web import Client
-from ..workload import burst_workload, uniform_corpus, uniform_sampler
+from ..workload import uniform_burst, uniform_corpus
 from .base import ExperimentReport
 from .runner import replay
 from .tables import ComparisonRow, render_table
@@ -38,8 +38,7 @@ def queue_trajectory(rps: int, duration: float, seed: int = 1,
     monitor.probe("backlog", lambda: sum(
         s.connections_active for s in cluster.servers.values()))
     monitor.start()
-    sampler = uniform_sampler(corpus, RandomStreams(seed=42))
-    workload = burst_workload(rps, duration, sampler)
+    workload = uniform_burst(corpus, rps, duration)
     client = Client(cluster, timeout=120.0)
 
     driver = replay(sim, workload, lambda arrival: client.fetch(arrival.path))

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 from ..cluster import meiko_cs2
 from ..core import CostParameters
-from ..sim import RandomStreams
-from ..workload import (Scenario, bimodal_corpus, burst_workload,
-                        uniform_sampler)
+from ..workload import Scenario, bimodal_corpus, uniform_burst
 from .base import ExperimentReport
 from .runner import ScenarioResult, run_scenario
 from .tables import ComparisonRow, render_table
@@ -46,12 +44,11 @@ def run_faulted(graceful: bool, duration: float = 20.0, rps: int = 12,
     """One fault-injected run; identical workload either way."""
     n_nodes = 6
     corpus = bimodal_corpus(120, n_nodes, large_frac=0.5, seed=9)
-    sampler = uniform_sampler(corpus, RandomStreams(seed=42))
     scenario = Scenario(
         name=f"X9/{'graceful' if graceful else 'faithful'}",
         spec=meiko_cs2(n_nodes),
         corpus=corpus,
-        workload=burst_workload(rps, duration, sampler),
+        workload=uniform_burst(corpus, rps, duration),
         policy="sweb",
         seed=seed,
         params=CostParameters(graceful_degradation=graceful),

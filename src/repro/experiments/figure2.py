@@ -9,12 +9,9 @@ actually served — the off-diagonal mass *is* the scheduler at work.
 
 from __future__ import annotations
 
-from ..cluster import meiko_cs2
-from ..sim import RandomStreams
-from ..workload import (Scenario, bimodal_corpus, burst_workload,
-                        uniform_sampler)
 from .base import ExperimentReport
 from .runner import run_scenario
+from .table3 import table3_scenario
 from .tables import ComparisonRow, render_table
 
 __all__ = ["run"]
@@ -22,13 +19,8 @@ __all__ = ["run"]
 
 def run(fast: bool = True) -> ExperimentReport:
     duration = 15.0 if fast else 30.0
-    n_nodes = 6
-    corpus = bimodal_corpus(150, n_nodes, large_frac=0.5, seed=9)
-    sampler = uniform_sampler(corpus, RandomStreams(seed=42))
-    workload = burst_workload(25, duration, sampler)
-    scenario = Scenario(name="f2", spec=meiko_cs2(n_nodes), corpus=corpus,
-                        workload=workload, policy="sweb", seed=1,
-                        dns_ttl=300.0, hosts_per_profile=4)
+    scenario = table3_scenario(25, duration=duration)
+    n_nodes = scenario.spec.num_nodes
     result = run_scenario(scenario)
 
     matrix = [[0] * n_nodes for _ in range(n_nodes)]

@@ -14,12 +14,10 @@ hierarchy — parsing ≫ monitoring ≫ scheduling — is the reproduced shape.
 from __future__ import annotations
 
 from ..cluster import meiko_cs2
-from ..sim import RandomStreams
-from ..workload import (Scenario, burst_workload, uniform_corpus,
-                        uniform_sampler)
 from .base import ExperimentReport
 from .paper_data import OVERHEAD
 from .runner import run_scenario
+from .table1 import table1_scenario
 from .tables import ComparisonRow, render_table
 
 __all__ = ["run"]
@@ -27,12 +25,7 @@ __all__ = ["run"]
 
 def run(fast: bool = True) -> ExperimentReport:
     duration = 15.0 if fast else 30.0
-    corpus = uniform_corpus(120, 1.5e6, 6)
-    sampler = uniform_sampler(corpus, RandomStreams(seed=42))
-    workload = burst_workload(16, duration, sampler)
-    scenario = Scenario(name="overhead", spec=meiko_cs2(6), corpus=corpus,
-                        workload=workload, policy="sweb", seed=1)
-    result = run_scenario(scenario)
+    result = run_scenario(table1_scenario(meiko_cs2(6), 1.5e6, 16, duration))
 
     shares = result.cpu_shares()
     parsing = shares.get("parsing", 0.0)

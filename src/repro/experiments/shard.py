@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Union
 
 from ..obs import merge_snapshots
-from ..workload import FluidScenario, Scenario, build_scenario, run_fluid
+from ..workload import FluidScenario, Scenario, run_fluid
 from .runner import ScenarioResult, run_scenario
 
 __all__ = ["CellResult", "FluidCell", "ScenarioCell", "ShardReport",
@@ -46,28 +46,21 @@ class FluidCell:
 class ScenarioCell:
     """One per-client-model grid point.
 
-    Built either from a preset name (``repro.workload.SCENARIOS``) plus
-    keyword overrides, or from a module-level factory callable — both
-    forms pickle cleanly into worker processes, unlike a constructed
+    Built from a factory callable: a module-level function, or a
+    ``functools.partial`` of a cell builder such as
+    :func:`repro.experiments.table3.table3_scenario`.  Either pickles
+    cleanly into worker processes, unlike a constructed
     :class:`~repro.workload.Scenario` (whose workload is a generator-
     backed object).  The scenario itself is materialised *inside* the
     worker.
     """
 
     cell_id: str
-    preset: Optional[str] = None
-    overrides: dict[str, Any] = field(default_factory=dict)
-    factory: Optional[Callable[[], Scenario]] = None
+    factory: Callable[[], Scenario]
 
     def build(self) -> Scenario:
         """Materialise the scenario (called in the worker process)."""
-        if (self.preset is None) == (self.factory is None):
-            raise ValueError(
-                f"cell {self.cell_id!r}: exactly one of preset/factory "
-                f"must be set")
-        if self.factory is not None:
-            return self.factory()
-        return build_scenario(self.preset, **self.overrides)
+        return self.factory()
 
 
 Cell = Union[FluidCell, ScenarioCell]

@@ -22,23 +22,30 @@ from .paper_data import SKEWED_TEST
 from .runner import ScenarioResult, run_scenario
 from .tables import ComparisonRow, render_table
 
-__all__ = ["run", "run_policy"]
+__all__ = ["run", "run_policy", "skewed_scenario"]
 
 HOT_PATH = "/hot/popular.gif"
 
 
-def run_policy(policy: str, duration: float = 45.0, rps: int = 8,
-               seed: int = 1) -> ScenarioResult:
+def skewed_scenario(policy: str, duration: float = 45.0, rps: int = 8,
+                    seed: int = 1) -> Scenario:
+    """The skewed cell: every client asks for one 1.5 MB file homed on
+    node 0 of the 6-node Meiko."""
     corpus = single_hot_file(SKEWED_TEST["file_size"], home=0, path=HOT_PATH)
     workload = burst_workload(rps, duration, hot_file_sampler(HOT_PATH))
     # Deep listen queues and patient clients: the paper's 81.4 s locality
     # pathology is a *queueing* collapse (every request eventually served,
     # after a huge wait), not a refusal storm.
-    scenario = Scenario(name=f"skew-{policy}",
-                        spec=meiko_cs2(SKEWED_TEST["servers"]),
-                        corpus=corpus, workload=workload, policy=policy,
-                        seed=seed, client_timeout=600.0, backlog=1024)
-    return run_scenario(scenario)
+    return Scenario(name=f"skew-{policy}",
+                    spec=meiko_cs2(SKEWED_TEST["servers"]),
+                    corpus=corpus, workload=workload, policy=policy,
+                    seed=seed, client_timeout=600.0, backlog=1024)
+
+
+def run_policy(policy: str, duration: float = 45.0, rps: int = 8,
+               seed: int = 1) -> ScenarioResult:
+    """Run the skewed cell under one policy."""
+    return run_scenario(skewed_scenario(policy, duration, rps, seed))
 
 
 def run(fast: bool = True) -> ExperimentReport:

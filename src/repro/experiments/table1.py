@@ -14,33 +14,35 @@ sustains ~16 rps on 1.5 MB files (analytic 17.3–17.8).
 from __future__ import annotations
 
 from ..cluster import ClusterSpec, meiko_cs2, sun_now
-from ..sim import RandomStreams
-from ..workload import (Scenario, burst_workload, uniform_corpus,
-                        uniform_sampler)
+from ..workload import Scenario, uniform_burst, uniform_corpus
 from .base import ExperimentReport
 from .paper_data import TABLE1
 from .runner import find_max_rps
 from .tables import ComparisonRow, render_table
 
-__all__ = ["run", "max_rps_cell"]
+__all__ = ["run", "max_rps_cell", "table1_scenario"]
 
 SIZES = {"1K": 1e3, "1.5M": 1.5e6}
 
 
+def table1_scenario(spec: ClusterSpec, size: float, rps: int,
+                    duration: float, policy: str = "sweb", seed: int = 1,
+                    client_timeout: float = 120.0) -> Scenario:
+    """The Table 1 cell: 120 files of ``size`` bytes, uniformly popular,
+    spread round-robin over ``spec``'s nodes."""
+    corpus = uniform_corpus(120, size, spec.num_nodes)
+    return Scenario(name=f"t1-{spec.name}-{int(size)}B-{rps}rps", spec=spec,
+                    corpus=corpus,
+                    workload=uniform_burst(corpus, rps, duration),
+                    policy=policy, seed=seed, client_timeout=client_timeout)
+
+
 def max_rps_cell(spec: ClusterSpec, size: float, duration: float,
-                 policy: str = "sweb", n_files: int = 120, seed: int = 1,
-                 cap: int = 128) -> int:
+                 policy: str = "sweb", seed: int = 1, cap: int = 128) -> int:
     """One Table 1 cell: the max rps before requests start to fail."""
-
-    def factory(rps: int) -> Scenario:
-        corpus = uniform_corpus(n_files, size, spec.num_nodes)
-        sampler = uniform_sampler(corpus, RandomStreams(seed=42))
-        workload = burst_workload(rps, duration, sampler)
-        return Scenario(name=f"t1-{spec.name}-{int(size)}B-{rps}rps",
-                        spec=spec, corpus=corpus, workload=workload,
-                        policy=policy, seed=seed)
-
-    best, _results = find_max_rps(factory, cap=cap)
+    best, _results = find_max_rps(
+        lambda rps: table1_scenario(spec, size, rps, duration, policy, seed),
+        cap=cap)
     return best
 
 

@@ -15,13 +15,11 @@ Shape expectations (all stated in §4.1):
 
 from __future__ import annotations
 
-from ..cluster import ClusterSpec, meiko_cs2, sun_now
-from ..sim import RandomStreams
-from ..workload import (Scenario, burst_workload, uniform_corpus,
-                        uniform_sampler)
+from ..cluster import meiko_cs2, sun_now
 from .base import ExperimentReport
 from .paper_data import TABLE2
 from .runner import ScenarioResult, run_scenario
+from .table1 import table1_scenario
 from .tables import ComparisonRow, render_table
 
 __all__ = ["run", "sweep_nodes"]
@@ -30,19 +28,12 @@ __all__ = ["run", "sweep_nodes"]
 def sweep_nodes(base_spec_factory, node_counts, size: float, rps: int,
                 duration: float, seed: int = 1,
                 client_timeout: float = 120.0) -> dict[int, ScenarioResult]:
-    """Run the same burst against 1..N-node versions of a testbed."""
-    out: dict[int, ScenarioResult] = {}
-    for n in node_counts:
-        spec: ClusterSpec = base_spec_factory(n)
-        corpus = uniform_corpus(120, size, n)
-        sampler = uniform_sampler(corpus, RandomStreams(seed=42))
-        workload = burst_workload(rps, duration, sampler)
-        scenario = Scenario(name=f"t2-{spec.name}{n}-{int(size)}B",
-                            spec=spec, corpus=corpus, workload=workload,
-                            policy="sweb", seed=seed,
-                            client_timeout=client_timeout)
-        out[n] = run_scenario(scenario)
-    return out
+    """Run the same Table 1 burst against 1..N-node versions of a
+    testbed."""
+    return {n: run_scenario(table1_scenario(
+                base_spec_factory(n), size, rps, duration, seed=seed,
+                client_timeout=client_timeout))
+            for n in node_counts}
 
 
 def run(fast: bool = True) -> ExperimentReport:

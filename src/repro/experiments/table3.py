@@ -14,31 +14,38 @@ uneven across nodes.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..cluster import meiko_cs2
-from ..sim import RandomStreams
-from ..workload import (Scenario, bimodal_corpus, burst_workload,
-                        uniform_sampler)
+from ..core import CostParameters
+from ..workload import Scenario, bimodal_corpus, uniform_burst
 from .base import ExperimentReport
 from .paper_data import TABLE3_CLAIMS
 from .runner import ScenarioResult, run_scenario
 from .tables import ComparisonRow, render_table
 
-__all__ = ["run", "POLICIES", "run_cell"]
+__all__ = ["run", "POLICIES", "run_cell", "table3_scenario"]
 
 POLICIES = ("round-robin", "file-locality", "sweb")
 
 
+def table3_scenario(rps: int, policy: str = "sweb", duration: float = 30.0,
+                    seed: int = 1,
+                    params: Optional[CostParameters] = None) -> Scenario:
+    """The Table 3 cell: the bimodal mix on the 6-node Meiko, behind 4
+    client hosts per population whose resolvers pin them for 300 s."""
+    corpus = bimodal_corpus(150, 6, large_frac=0.5, seed=9)
+    return Scenario(name=f"t3-{policy}-{rps}rps", spec=meiko_cs2(6),
+                    corpus=corpus,
+                    workload=uniform_burst(corpus, rps, duration),
+                    policy=policy, seed=seed, params=params,
+                    dns_ttl=300.0, hosts_per_profile=4)
+
+
 def run_cell(rps: int, policy: str, duration: float = 30.0,
-             n_nodes: int = 6, seed: int = 1,
-             hosts: int = 4, dns_ttl: float = 300.0) -> ScenarioResult:
-    """One (rps, policy) cell of Table 3."""
-    corpus = bimodal_corpus(150, n_nodes, large_frac=0.5, seed=9)
-    sampler = uniform_sampler(corpus, RandomStreams(seed=42))
-    workload = burst_workload(rps, duration, sampler)
-    scenario = Scenario(name=f"t3-{policy}-{rps}rps", spec=meiko_cs2(n_nodes),
-                        corpus=corpus, workload=workload, policy=policy,
-                        seed=seed, dns_ttl=dns_ttl, hosts_per_profile=hosts)
-    return run_scenario(scenario)
+             seed: int = 1) -> ScenarioResult:
+    """Run one (rps, policy) cell of Table 3."""
+    return run_scenario(table3_scenario(rps, policy, duration, seed))
 
 
 def run(fast: bool = True) -> ExperimentReport:

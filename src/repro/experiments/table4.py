@@ -13,28 +13,27 @@ the fast fat-tree.
 
 from __future__ import annotations
 
-from ..cluster import meiko_cs2, sun_now
-from ..sim import RandomStreams
-from ..workload import (Scenario, burst_workload, uniform_corpus,
-                        uniform_sampler)
+from ..cluster import ClusterSpec, meiko_cs2, sun_now
+from ..workload import Scenario, uniform_burst, uniform_corpus
 from .base import ExperimentReport
 from .runner import ScenarioResult, run_scenario
 from .tables import ComparisonRow, render_table
 
-__all__ = ["run", "run_cell"]
+__all__ = ["run", "table4_scenario"]
 
 POLICIES = ("round-robin", "file-locality", "sweb")
 
 
-def run_cell(spec, rps: int, policy: str, duration: float = 30.0,
-             seed: int = 1, client_timeout: float = 300.0) -> ScenarioResult:
+def table4_scenario(spec: ClusterSpec, rps: int, policy: str = "sweb",
+                    duration: float = 30.0, seed: int = 1,
+                    client_timeout: float = 300.0) -> Scenario:
+    """The Table 4 cell: 40 uniformly popular 1.5 MB files, spread
+    round-robin over ``spec``'s nodes."""
     corpus = uniform_corpus(40, 1.5e6, spec.num_nodes)
-    sampler = uniform_sampler(corpus, RandomStreams(seed=42))
-    workload = burst_workload(rps, duration, sampler)
-    scenario = Scenario(name=f"t4-{spec.name}-{policy}-{rps}rps", spec=spec,
-                        corpus=corpus, workload=workload, policy=policy,
-                        seed=seed, client_timeout=client_timeout)
-    return run_scenario(scenario)
+    return Scenario(name=f"t4-{spec.name}-{policy}-{rps}rps", spec=spec,
+                    corpus=corpus,
+                    workload=uniform_burst(corpus, rps, duration),
+                    policy=policy, seed=seed, client_timeout=client_timeout)
 
 
 def run(fast: bool = True) -> ExperimentReport:
@@ -47,14 +46,15 @@ def run(fast: bool = True) -> ExperimentReport:
     for rps in now_rps:
         row = [f"NOW @{rps}"]
         for policy in POLICIES:
-            res = run_cell(sun_now(4), rps, policy, duration=duration)
+            res = run_scenario(table4_scenario(sun_now(4), rps, policy,
+                                               duration))
             results[("now", rps, policy)] = res
             row.append(res.mean_response_time)
         rows.append(row)
     row = [f"Meiko @{meiko_rps}"]
     for policy in POLICIES:
-        res = run_cell(meiko_cs2(6), meiko_rps, policy, duration=duration,
-                       client_timeout=120.0)
+        res = run_scenario(table4_scenario(meiko_cs2(6), meiko_rps, policy,
+                                           duration, client_timeout=120.0))
         results[("meiko", meiko_rps, policy)] = res
         row.append(res.mean_response_time)
     rows.append(row)

@@ -31,18 +31,11 @@ from typing import Optional
 
 from ..cluster import heterogeneous_meiko
 from ..sched import MIXED_GENERATION, fluid_policy_names
-from ..sim import RandomStreams
-from ..workload import (
-    FluidScenario,
-    Scenario,
-    burst_workload,
-    run_fluid,
-    uniform_corpus,
-    uniform_sampler,
-)
+from ..workload import FluidScenario, Scenario, run_fluid
 from .base import ExperimentReport
 from .runner import ScenarioResult, run_scenario
 from .shard import FluidCell, run_grid
+from .table1 import table1_scenario
 from .tables import ComparisonRow, render_table
 
 __all__ = ["run", "make_cells", "fluid_cell", "client_scenario",
@@ -94,15 +87,10 @@ def make_cells(n_requests: int,
 
 def client_scenario(policy: str, rps: int = 10, duration: float = 20.0,
                     nodes: int = 6, seed: int = 1) -> Scenario:
-    """Per-client confirmation cell: full httpd stack on the
-    mixed-generation Meiko."""
-    spec = heterogeneous_meiko(nodes)
-    corpus = uniform_corpus(120, 1.5e6, nodes)
-    workload = burst_workload(rps, duration,
-                              uniform_sampler(corpus, RandomStreams(42)))
-    return Scenario(name=f"tourney-client-{policy}", spec=spec,
-                    corpus=corpus, workload=workload, policy=policy,
-                    seed=seed, client_timeout=600.0)
+    """Per-client confirmation cell: the Table 1 cell on the
+    mixed-generation Meiko, full httpd stack."""
+    return table1_scenario(heterogeneous_meiko(nodes), 1.5e6, rps, duration,
+                           policy, seed, client_timeout=600.0)
 
 
 def _cell_mean(report, cell_id: str) -> float:

@@ -14,7 +14,6 @@ case replays from its JSON alone.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Optional
@@ -216,13 +215,6 @@ class FuzzConfig:
         config = cls(**data)
         config.validate()
         return config
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FuzzConfig":
-        return cls.from_dict(json.loads(text))
 
     def simplified(self, **changes: Any) -> "FuzzConfig":
         """A copy with ``changes`` applied (the shrinker's edit step)."""

@@ -57,11 +57,7 @@ class GeoScenario:
     params: Optional[CostParameters] = None
     graceful: bool = False
     edge_budget_bytes: float = 16 * MB
-    spill_threshold: float = 6.0
     client_timeout: float = 30.0
-    placement_period: float = 2.0
-    placement_skew: float = 1.5
-    placement_max_per_cycle: int = 4
     #: partition this site for ``partition_window`` (sim seconds)
     partition_site: Optional[str] = None
     partition_window: Tuple[float, float] = (4.0, 10.0)
@@ -139,11 +135,7 @@ def run_geo(scenario: GeoScenario) -> GeoResult:
     system = GeoSystem(
         spec=spec, params=scenario.params, seed=scenario.seed,
         graceful=scenario.graceful,
-        edge_budget_bytes=scenario.edge_budget_bytes,
-        placement_period=scenario.placement_period,
-        placement_skew=scenario.placement_skew,
-        placement_max_per_cycle=scenario.placement_max_per_cycle,
-        spill_threshold=scenario.spill_threshold)
+        edge_budget_bytes=scenario.edge_budget_bytes)
     sim = system.sim
 
     origin_nodes = spec.site(spec.origin).cluster.num_nodes

@@ -40,12 +40,6 @@ class GeoSystem:
                  seed: int = 0,
                  graceful: bool = False,
                  edge_budget_bytes: float = 16 * MB,
-                 backlog: int = 64,
-                 dns_ttl: float = 0.0,
-                 placement_period: float = 2.0,
-                 placement_skew: float = 1.5,
-                 placement_max_per_cycle: int = 4,
-                 spill_threshold: float = 6.0,
                  tracer: Optional[Tracer] = None,
                  start_daemons: bool = True) -> None:
         """``tracer`` records the event log of every site and of the
@@ -75,8 +69,8 @@ class GeoSystem:
         origin_built = origin_site.cluster.build(self.sim)
         self.origin = SWEBCluster(
             spec=origin_site.cluster, params=self.params,
-            seed=self._site_seed(0), backlog=backlog, dns_ttl=dns_ttl,
-            tracer=tracer, sim=self.sim, built=origin_built)
+            seed=self._site_seed(0), tracer=tracer, sim=self.sim,
+            built=origin_built)
         self.clusters[origin_site.name] = self.origin
 
         for idx, edge in enumerate(s for s in self.spec.sites
@@ -93,8 +87,8 @@ class GeoSystem:
             built.fs = geo_fs
             cluster = SWEBCluster(
                 spec=edge.cluster, params=self.params,
-                seed=self._site_seed(idx + 1), backlog=backlog,
-                dns_ttl=dns_ttl, tracer=tracer, sim=self.sim, built=built)
+                seed=self._site_seed(idx + 1), tracer=tracer, sim=self.sim,
+                built=built)
             # Price edge cache misses as WAN fetches (docs/GEO.md): the
             # broker's t_data then reflects the link, not a local disk.
             cluster.cost_model.wan_bandwidth = wan.bandwidth
@@ -113,12 +107,9 @@ class GeoSystem:
             if cluster.replicator is not None:
                 cluster.replicator.heat = self.heat
 
-        self.dns = GeoDNS(self.spec, self.clusters, graceful=graceful,
-                          spill_threshold=spill_threshold)
+        self.dns = GeoDNS(self.spec, self.clusters, graceful=graceful)
         self.placementd = GeoPlacementDaemon(
-            self.sim, self.spec, self.edge_fs, self.heat,
-            period=placement_period, skew=placement_skew,
-            max_per_cycle=placement_max_per_cycle, tracer=tracer)
+            self.sim, self.spec, self.edge_fs, self.heat, tracer=tracer)
         if start_daemons and self.edge_fs:
             self.placementd.start()
 

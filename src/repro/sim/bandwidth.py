@@ -7,7 +7,7 @@ It is the single modelling primitive behind SWEB's CPUs, disks, the Meiko
 fat-tree ports, the NOW's shared Ethernet bus, and WAN links.
 
 The implementation is event-driven: every membership change (a submit,
-a wake-up, a cancel, a rate change or an integral read) is one pass over
+a wake-up, a rate change or an integral read) is one pass over
 the jobs (:meth:`FairShareServer._pass`).  It advances every job's
 remaining work by the allocation that was in force, completes the jobs
 that ran out, computes the new allocation together with the earliest
@@ -50,8 +50,7 @@ class Job(Event):
     """One unit of work in service at a :class:`FairShareServer`.
 
     A job is its own completion event: it succeeds (with the job as value)
-    when service completes and fails with ``InterruptedError`` when it is
-    cancelled, so processes simply ``yield job``.  Built only by
+    when service completes, so processes simply ``yield job``.  Built only by
     :meth:`FairShareServer.submit`, which sets every field itself.
 
     The value is read, not stored: a job holding itself would be a
@@ -60,7 +59,7 @@ class Job(Event):
     """
 
     __slots__ = ("server", "work", "remaining", "weight", "cap", "tag",
-                 "submitted_at", "finished_at", "_rate", "_tol", "_shaped",
+                 "finished_at", "_rate", "_tol", "_shaped",
                  "_error")
 
     @property  # type: ignore[override]
@@ -198,7 +197,6 @@ class FairShareServer:
         job.weight = weight = float(weight)
         job.cap = cap
         job.tag = tag
-        job.submitted_at = sim.now
         job.finished_at = None
         job._rate = 0.0
         # Remaining work at or below which the job counts as finished.
@@ -207,7 +205,7 @@ class FairShareServer:
         job._shaped = cap is not None or weight != 1.0
         jobs = self._jobs
         if jobs or work <= job._tol:
-            self._pass(job, None)
+            self._pass(job)
             return job
         # An idle station, a job with work: the pass would advance no job
         # and complete none, so it comes down to admitting this one.
@@ -218,10 +216,6 @@ class FairShareServer:
         self._arm_lone(job)
         return job
 
-    def cancel(self, job: Job) -> None:
-        """Abort a job; the job's event fails with ``InterruptedError``."""
-        self._pass(None, job)
-
     def set_rate(self, rate: float) -> None:
         """Change the total service rate (e.g. node slowdown)."""
         if not 0 <= rate < _INF:
@@ -229,17 +223,17 @@ class FairShareServer:
         # Progress up to now accrues at the rates allocated before the
         # change (each job's own rate), so the new total can go in first.
         self._rate = float(rate)
-        self._pass(None, None)
+        self._pass(None)
 
     # -- load accounting ------------------------------------------------------
     def population_integral(self) -> float:
         """∫ n(t) dt up to now; diff two readings for a window average."""
-        self._pass(None, None)
+        self._pass(None)
         return self._pop_integral
 
     def busy_integral(self) -> float:
         """∫ [n(t) > 0] dt up to now (busy time)."""
-        self._pass(None, None)
+        self._pass(None)
         return self._busy_integral
 
     # -- internals -------------------------------------------------------------
@@ -280,7 +274,7 @@ class FairShareServer:
         self._entry = None
         waker.callbacks = self._wake_callbacks
         finished: list[Job] = []
-        self._pass(None, None, finished)
+        self._pass(None, finished)
         for i, job in enumerate(finished):
             callbacks, job.callbacks = job.callbacks, None
             try:
@@ -296,7 +290,7 @@ class FairShareServer:
                 raise
             job._state = 2  # Event.PROCESSED
 
-    def _pass(self, entering: Optional[Job], leaving: Optional[Job],
+    def _pass(self, entering: Optional[Job],
               finished: Optional[list[Job]] = None) -> None:
         """Bring the station to ``now`` after a membership change, in one pass.
 
@@ -304,10 +298,9 @@ class FairShareServer:
         its completion hook first); advance every job by the rate it held
         since the last change; admit ``entering``; complete, in list
         order, every job out of work (so a zero-work entrant completes
-        behind the jobs the advance finished); withdraw ``leaving`` if it
-        is still in service; then give every job its new rate and arm the
-        waker at the earliest completion under those rates (or, for a lone
-        job exactly done then, the job itself).
+        behind the jobs the advance finished); then give every job its new
+        rate and arm the waker at the earliest completion under those rates
+        (or, for a lone job exactly done then, the job itself).
         A completed job succeeds, or is triggered onto ``finished`` if given.
         A lone job and a queue of unit-weight, uncapped jobs are branches
         of the allocation; water-filling runs only while a capped or
@@ -373,13 +366,6 @@ class FairShareServer:
                 else:
                     keep.append(job)
             jobs[:] = keep
-        if leaving is not None and leaving in jobs:
-            jobs.remove(leaving)
-            if leaving._shaped:
-                self._nshaped -= 1
-            leaving._rate = 0.0
-            leaving.fail(InterruptedError(f"job {leaving.tag!r} cancelled"))
-            leaving.defuse()
 
         n = len(jobs)
         if not n:

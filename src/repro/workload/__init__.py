@@ -29,13 +29,7 @@ from .corpus import (
     single_hot_file,
     uniform_corpus,
 )
-from .scenarios import (
-    DEFAULT_PROFILES,
-    SCENARIOS,
-    Scenario,
-    build_scenario,
-    scenario_names,
-)
+from .scenarios import DEFAULT_PROFILES, Scenario
 from .logs import (
     CLFEntry,
     format_clf,
@@ -56,6 +50,7 @@ from .generators import (
     burst_workload,
     hot_file_sampler,
     poisson_workload,
+    uniform_burst,
     uniform_sampler,
     weighted_sampler,
     zipf_sampler,
@@ -75,7 +70,6 @@ __all__ = [
     "CGISpec",
     "CLFEntry",
     "DEFAULT_PROFILES",
-    "SCENARIOS",
     "Scenario",
     "Corpus",
     "Document",
@@ -87,14 +81,13 @@ __all__ = [
     "MB",
     "Workload",
     "adl_corpus",
-    "build_scenario",
     "burst_workload",
     "hot_file_sampler",
     "html_site_corpus",
     "poisson_workload",
     "run_fluid",
-    "scenario_names",
     "single_hot_file",
+    "uniform_burst",
     "uniform_corpus",
     "uniform_sampler",
     "format_clf",

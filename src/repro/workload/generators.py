@@ -21,6 +21,7 @@ __all__ = [
     "Workload",
     "burst_workload",
     "poisson_workload",
+    "uniform_burst",
     "uniform_sampler",
     "zipf_sampler",
     "hot_file_sampler",
@@ -173,6 +174,16 @@ def burst_workload(rps: int, duration: float, sampler: PathSampler,
             arrivals.append(Arrival(time=t, path=sampler(), client=who))
     return Workload(name=f"burst-{rps}rps-{int(duration)}s",
                     arrivals=arrivals, duration=float(duration))
+
+
+def uniform_burst(corpus: Corpus, rps: int, duration: float) -> Workload:
+    """The paper's burst over a uniformly popular corpus.
+
+    Every paper cell draws its paths from this one stream: the sampler is
+    seeded 42 whatever the run's seed, so a cell's seed moves the cluster,
+    never the requests."""
+    return burst_workload(rps, duration,
+                          uniform_sampler(corpus, RandomStreams(seed=42)))
 
 
 def poisson_workload(rate: float, duration: float, sampler: PathSampler,

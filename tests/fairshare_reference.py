@@ -3,7 +3,8 @@
 This is the water-filling server that :mod:`repro.sim.bandwidth` shipped
 before its internals were rewritten around one re-armable wake-up timer,
 a fused rate/earliest-completion pass and jobs that are their own
-completion events.  It is kept verbatim (only the class names differ) as
+completion events.  It is kept verbatim (only the class names differ,
+and ``cancel`` is gone with the production server's) as
 the oracle for ``tests/test_fairshare_oracle.py``: driven through the same
 operations, the production server must reproduce its completion order,
 completion times, work totals and load integrals exactly, and its kernel
@@ -140,16 +141,6 @@ class ReferenceFairShareServer:
             self._jobs.append(job)
         self._reallocate()
         return job
-
-    def cancel(self, job: ReferenceJob) -> None:
-        """Abort a job; its ``done`` event fails with ``InterruptedError``."""
-        self._advance()
-        if job in self._jobs:
-            self._jobs.remove(job)
-            job._rate = 0.0
-            job.done.fail(InterruptedError(f"job {job.tag!r} cancelled"))
-            job.done.defuse()
-        self._reallocate()
 
     def set_rate(self, rate: float) -> None:
         """Change the total service rate (e.g. node slowdown)."""

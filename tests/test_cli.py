@@ -172,15 +172,18 @@ def test_cli_serve_without_tracing_writes_nothing(tmp_path, capsys, monkeypatch)
     assert not (tmp_path / "trace.json").exists()
 
 
-def test_cli_trace_small_run(tmp_path, capsys):
+@pytest.mark.parametrize("cell", ["T1", "T3", "T4", "SKEWED", "X10"])
+def test_cli_trace_small_run(cell, tmp_path, capsys):
     import json
 
-    out = tmp_path / "t1.json"
-    code = main(["trace", "T1", "-o", str(out), "--duration", "3",
+    out = tmp_path / "cell.json"
+    code = main(["trace", cell, "-o", str(out), "--duration", "3",
                  "--flame"])
     assert code == 0
     stdout = capsys.readouterr().out
-    assert "span sums reconcile with latency:" in stdout
+    reconciled = stdout.split("span sums reconcile with latency: ")[1]
+    checked, total = reconciled.split()[0].split("/")
+    assert checked == total and int(total) > 0
     assert "request" in stdout           # flame rollup printed
     doc = json.loads(out.read_text())
     names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}

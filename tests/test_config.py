@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cluster import meiko_cs2, sun_now
+from repro.cli import main
+from repro.cluster import TESTBEDS, meiko_cs2, sun_now
 from repro.config import (
     SWEBConfig,
     cluster_spec_from_dict,
@@ -31,9 +32,41 @@ def test_cluster_spec_from_preset():
     assert spec.num_nodes == 6
 
 
+class _Captured(Exception):
+    """Raised by a stand-in run_scenario to hand back serve's scenario."""
+
+
+@pytest.mark.parametrize("testbed", sorted(TESTBEDS))
+def test_every_testbed_builds_n_nodes_from_a_config_and_from_serve(
+        testbed, monkeypatch):
+    spec = cluster_spec_from_dict({"preset": testbed, "nodes": 5})
+    assert spec.num_nodes == 5
+    assert spec == TESTBEDS[testbed](5)
+    # Without a count, the testbed's own default.
+    assert cluster_spec_from_dict({"preset": testbed}) == TESTBEDS[testbed]()
+
+    def capture(scenario):
+        raise _Captured(scenario)
+
+    monkeypatch.setattr("repro.experiments.runner.run_scenario", capture)
+    with pytest.raises(_Captured) as got:
+        main(["serve", "--testbed", testbed, "--nodes", "5", "--rps", "1",
+              "--duration", "1"])
+    assert got.value.args[0].spec == spec
+
+
+def test_hetnow_cycles_the_now_speeds():
+    spec = cluster_spec_from_dict({"preset": "hetnow", "nodes": 6})
+    assert [node.cpu_speed for node in spec.nodes] == \
+        [40e6, 25e6, 25e6, 10e6, 40e6, 25e6]
+    assert cluster_spec_from_dict({"preset": "hetnow"}).num_nodes == 4
+
+
 def test_cluster_spec_bad_preset():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         cluster_spec_from_dict({"preset": "cray"})
+    for name in TESTBEDS:
+        assert repr(name) in str(err.value)
     with pytest.raises(ValueError):
         cluster_spec_from_dict({"preset": "meiko", "nodes": 0})
 

@@ -4,7 +4,7 @@
 implementation of :class:`~repro.sim.FairShareServer` that preceded the
 one-timer rewrite.  Both servers are driven through the same random
 operation sequence — submits with weights, caps and zero or sub-epsilon
-work, cancels, rate changes and load-integral reads between events — each
+work, rate changes and load-integral reads between events — each
 on its own simulator, and must agree *exactly*: completion order and
 outcome, every ``finished_at`` (compared as ``repr``), ``work_completed``,
 both integrals at every read and as accrued at the end, the clock of the
@@ -103,7 +103,6 @@ _rate = st.one_of(st.just(0.0),
 _op = st.one_of(
     st.tuples(st.just("submit"), _dt, _work, _weight, _cap),
     st.tuples(st.just("submit"), _dt, _work, st.just(1.0), st.none()),
-    st.tuples(st.just("cancel"), _dt, st.integers(min_value=0, max_value=63)),
     st.tuples(st.just("set_rate"), _dt, _rate),
     st.tuples(st.just("read"), _dt, st.sampled_from(["pop", "busy"])),
 )
@@ -141,9 +140,6 @@ def _drive(server_cls, rate, ops, urgent=False):
             job = srv.submit(work, weight=weight, cap=cap, tag=len(jobs))
             jobs.append(job)
             job.done.callbacks.append(recorder(job))
-        elif kind == "cancel":
-            if jobs:
-                srv.cancel(jobs[op[2] % len(jobs)])
         elif kind == "set_rate":
             srv.set_rate(op[2])
         else:
@@ -240,9 +236,7 @@ def test_matches_reference_on_long_seeded_mix(gap):
                         rng.uniform(0.2, 4.0) if shaped else 1.0,
                         rng.uniform(0.5, 8.0) if shaped and rng.random() < 0.5
                         else None))
-        elif roll < 0.75:
-            ops.append(("cancel", dt, rng.randrange(1 << 16)))
-        elif roll < 0.8:
+        elif roll < 0.72:
             ops.append(("set_rate", dt, rng.choice([0.0, rng.uniform(1, 30)])))
         else:
             ops.append(("read", dt, rng.choice(["pop", "busy"])))
@@ -305,8 +299,8 @@ def test_integral_reads_while_one_job_is_in_service():
 # -- a lone job on its own entry, superseded -------------------------------
 # At rate 10, a lone job of 20 units submitted at t=0 is due at t=2.0 on
 # its own heap entry; each op below supersedes that entry before it fires.
-_SUPERSEDERS = [("submit", 5.0, 1.0, None), ("cancel", 0),
-                ("set_rate", 4.0), ("read", "pop"), ("read", "busy")]
+_SUPERSEDERS = [("submit", 5.0, 1.0, None), ("set_rate", 4.0),
+                ("read", "pop"), ("read", "busy")]
 
 
 def _superseder(op, at):
@@ -341,7 +335,7 @@ def test_lone_job_programs_with_urgent_ops():
     ops = [("submit", 0.0, 30.0, 1.0, None), ("read", 1.0, "busy"),
            ("submit", 10.0, 30.0, 1.0, None), ("read", 13.0, "pop"),
            ("submit", 20.0, 30.0, 2.0, 5.0), ("set_rate", 26.0, 20.0),
-           ("submit", 40.0, 10.0, 1.0, None), ("cancel", 40.5, 3),
+           ("submit", 40.0, 10.0, 1.0, None),
            ("submit", 60.0, 40.0, 1.0, None), ("submit", 64.0, 0.0, 1.0,
                                                 None),
            ("read", 100.0, "busy")]
@@ -401,10 +395,10 @@ def test_job_left_alone_by_its_peers_is_its_own_entry():
     sim.run()
     assert woke == [(True, 4.0)] and long.finished_at == 4.0
     assert srv.woken == 2 and srv.jobs_completed == 2
-    # Left alone by a cancel, and read while alone.
+    # Left alone by its peer's completion, and read while alone.
     _assert_same(10.0, [("submit", 0.0, 10.0, 1.0, None),
                         ("submit", 0.0, 30.0, 1.0, None),
-                        ("cancel", 1.0, 0), ("read", 1.0, "pop")])
+                        ("read", 3.0, "pop")])
 
 
 def test_sub_ulp_lone_job_takes_the_waker():
@@ -461,15 +455,14 @@ def test_unit_jobs_finishing_together_in_a_deep_queue():
 
 def test_shaped_job_entering_and_leaving_an_unshaped_queue():
     # A capped job joins three unit jobs and completes; a weighted one
-    # joins and is cancelled: water-filling starts and stops with them.
+    # joins and completes: water-filling starts and stops with them.
     ops = [("submit", 0.0, 20.0, 1.0, None),
            ("submit", 0.0, 25.0, 1.0, None),
            ("submit", 0.0, 30.0, 1.0, None),
            ("submit", 0.5, 2.0, 1.0, 1.5),
            ("read", 0.5, "busy"),
            ("submit", 2.0, 40.0, 3.0, None),
-           ("cancel", 1.0, 4),
-           ("submit", 0.5, 5.0, 1.0, None)]
+           ("submit", 1.5, 5.0, 1.0, None)]
     _assert_same(12.0, ops)
     sim = Simulator()
     srv = FairShareServer(sim, rate=12.0)
@@ -480,7 +473,7 @@ def test_shaped_job_entering_and_leaving_an_unshaped_queue():
     assert srv._nshaped == 2
     sim.run(until=capped)
     assert srv._nshaped == 1
-    srv.cancel(weighted)
+    sim.run(until=weighted)
     assert srv._nshaped == 0 and srv.njobs == 3
     assert all(job.rate == 4.0 for job in units)
 

@@ -26,6 +26,7 @@ from repro.cli import main as cli_main
 from repro.experiments import ScenarioCell, run_cell
 from repro.fuzz import (
     FUZZ_FORMAT,
+    CaseReport,
     FuzzConfig,
     SMOKE_PROFILE,
     case_artifact,
@@ -63,10 +64,11 @@ def test_generator_varies_with_seed_and_index():
 
 
 def test_config_json_round_trip():
+    # The path `fuzz --out` writes and `fuzz --replay` reads.
     for index in range(8):
         config = generate_config(11, index)
-        again = FuzzConfig.from_json(config.to_json())
-        assert again == config
+        text = json.dumps(case_artifact(CaseReport(config)))
+        assert config_from_artifact(json.loads(text)) == config
 
 
 def test_profile_by_name():

@@ -131,11 +131,11 @@ def test_flame_rollup_empty():
 
 def _traced_run(seed=4):
     from repro.experiments.runner import run_scenario
-    from repro.workload import build_scenario
+    from repro.cluster import meiko_cs2
+    from repro.experiments.table1 import table1_scenario
 
-    scenario = replace(
-        build_scenario("table1", rps=6, duration=3.0, nodes=3, seed=seed),
-        tracer=Tracer())
+    scenario = replace(table1_scenario(meiko_cs2(3), 1.5e6, 6, 3.0, seed=seed),
+                       tracer=Tracer())
     run_scenario(scenario)
     return scenario.tracer
 

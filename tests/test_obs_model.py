@@ -249,10 +249,10 @@ def test_span_tags_flow_through_start_finish_annotate():
 
 def _run_traced_scenario(seed):
     from repro.experiments.runner import run_scenario
-    from repro.workload import build_scenario
+    from repro.cluster import meiko_cs2
+    from repro.experiments.table1 import table1_scenario
 
-    scenario = build_scenario("table1", rps=6, duration=3.0, nodes=3,
-                              seed=seed)
+    scenario = table1_scenario(meiko_cs2(3), 1.5e6, 6, 3.0, seed=seed)
     scenario = replace(scenario, tracer=Tracer())
     result = run_scenario(scenario)
     return scenario.tracer, result

@@ -1,39 +1,38 @@
-"""Named-scenario registry tests plus failure-injection tests."""
+"""Paper-cell builder tests plus failure-injection tests."""
 
 import pytest
 
 from repro import SWEBCluster, meiko_cs2
+from repro.cluster import sun_now
 from repro.experiments.runner import run_scenario
-from repro.workload.scenarios import SCENARIOS, build_scenario, scenario_names
+from repro.experiments.skewed import skewed_scenario
+from repro.experiments.table1 import table1_scenario
+from repro.experiments.table3 import table3_scenario
+from repro.experiments.table4 import table4_scenario
 
 
-# ----------------------------------------------------------- named scenarios
-def test_scenario_names_listed():
-    assert scenario_names() == sorted(SCENARIOS)
-    assert {"table1", "table3", "table4", "skewed"} <= set(SCENARIOS)
-
-
-def test_build_scenario_unknown():
-    with pytest.raises(KeyError):
-        build_scenario("table99")
-
-
-def test_build_scenario_overrides():
-    sc = build_scenario("table3", rps=10, policy="round-robin", duration=5.0)
+# --------------------------------------------------------- paper cells
+def test_table3_scenario_builder():
+    sc = table3_scenario(10, policy="round-robin", duration=5.0)
     assert sc.policy == "round-robin"
     assert sc.workload.offered_rps == pytest.approx(10.0)
     assert sc.spec.num_nodes == 6
     assert sc.dns_ttl == 300.0
 
 
+#: cell name -> its builder; the arguments are the builder's own
+_BUILDERS = {"table1": table1_scenario, "table3": table3_scenario,
+             "table4": table4_scenario, "skewed": skewed_scenario}
+
+
 @pytest.mark.parametrize("name,overrides", [
-    ("table1", dict(rps=2, duration=3.0, nodes=2, file_size=1e4)),
-    ("table3", dict(rps=4, duration=3.0, nodes=3)),
-    ("table4", dict(rps=1, duration=3.0, nodes=2)),
-    ("skewed", dict(rps=2, duration=3.0, nodes=3)),
+    ("table1", dict(spec=meiko_cs2(2), size=1e4, rps=2, duration=3.0)),
+    ("table3", dict(rps=4, duration=3.0)),
+    ("table4", dict(spec=sun_now(2), rps=1, duration=3.0)),
+    ("skewed", dict(policy="round-robin", rps=2, duration=3.0)),
 ])
 def test_named_scenarios_run_end_to_end(name, overrides):
-    result = run_scenario(build_scenario(name, **overrides))
+    result = run_scenario(_BUILDERS[name](**overrides))
     assert result.metrics.total > 0
     assert result.completed + result.metrics.dropped <= result.metrics.total \
         or result.completed > 0

@@ -15,12 +15,14 @@ The CI box may have a single core; nothing here assumes parallel
 speedup, only that pools with >1 worker behave identically.
 """
 
+import functools
 import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster import meiko_cs2
 from repro.experiments import (
     FluidCell,
     ScenarioCell,
@@ -29,6 +31,7 @@ from repro.experiments import (
     run_cell,
     run_grid,
 )
+from repro.experiments.table1 import table1_scenario
 from repro.obs import MetricsRegistry, merge_snapshots
 from repro.workload import FluidScenario, run_fluid
 
@@ -141,13 +144,18 @@ def test_scenario_cell_matches_golden_fingerprint():
         assert cell.detail["finished_at"] == golden["finished_at"]
 
 
-def test_scenario_cell_presets_and_overrides():
-    a = run_cell(ScenarioCell(cell_id="a", preset="table1",
-                              overrides={"seed": 3}))
-    b = run_cell(ScenarioCell(cell_id="b", preset="table1",
-                              overrides={"seed": 3, "rps": 24}))
+def test_scenario_cell_from_a_partial_of_a_cell_builder():
+    def table1(rps):
+        return functools.partial(table1_scenario, meiko_cs2(6), 1.5e6, rps,
+                                 30.0, seed=3)
+    a = run_cell(ScenarioCell(cell_id="a", factory=table1(16)))
+    b = run_cell(ScenarioCell(cell_id="b", factory=table1(24)))
     assert a.fingerprint != b.fingerprint
     assert a.snapshot["counters"]["http.requests"] == a.n_requests
+    # The partial pickles into a worker and runs there unchanged.
+    pooled = run_grid([ScenarioCell(cell_id="a", factory=table1(16))],
+                      workers=2)
+    assert pooled.cells[0].fingerprint == a.fingerprint
 
 
 # -- guard rails -----------------------------------------------------------
@@ -158,11 +166,8 @@ def test_grid_input_validation():
         run_grid(cells)
     with pytest.raises(ValueError, match="at least one"):
         run_grid([])
-    with pytest.raises(ValueError, match="preset/factory"):
-        ScenarioCell(cell_id="x").build()
-    with pytest.raises(ValueError, match="preset/factory"):
-        ScenarioCell(cell_id="x", preset="table1",
-                     factory=_det_meiko).build()
+    with pytest.raises(TypeError, match="factory"):
+        ScenarioCell(cell_id="x")
     with pytest.raises(TypeError, match="unknown cell"):
         run_cell("not a cell")
 

@@ -108,54 +108,6 @@ def test_zero_work_completes_immediately():
     assert job.remaining == 0.0
 
 
-def test_cancel_fails_done_event():
-    sim = Simulator()
-    srv = FairShareServer(sim, rate=1.0)
-    caught = []
-
-    def go():
-        job = srv.submit(100.0, tag="victim")
-        try:
-            yield job.done
-        except InterruptedError:
-            caught.append(sim.now)
-
-    def killer():
-        yield sim.timeout(3.0)
-        srv.cancel(srv.jobs[0])
-
-    sim.spawn(go())
-    sim.spawn(killer())
-    sim.run()
-    assert caught == [3.0]
-
-
-def test_cancel_speeds_up_survivor():
-    sim = Simulator()
-    srv = FairShareServer(sim, rate=10.0)
-    done = {}
-
-    def go(tag, work):
-        job = srv.submit(work, tag=tag)
-        try:
-            yield job.done
-            done[tag] = sim.now
-        except InterruptedError:
-            pass
-
-    def killer():
-        yield sim.timeout(2.0)
-        victim = next(j for j in srv.jobs if j.tag == "b")
-        srv.cancel(victim)
-
-    sim.spawn(go("a", 100.0))
-    sim.spawn(go("b", 100.0))
-    sim.spawn(killer())
-    sim.run()
-    # a: 10 units done by t=2 (5/s each), then 90 @ 10/s -> t=11.
-    assert done["a"] == pytest.approx(11.0)
-
-
 def test_set_rate_mid_service():
     sim = Simulator()
     srv = FairShareServer(sim, rate=10.0)
@@ -348,28 +300,6 @@ def test_job_value_to_a_late_yield_and_to_run_until():
     assert got == [job] and got[0] is job
     assert sim.run(until=job) is job             # already processed
     assert _no_self_reference(job)
-
-
-def test_cancelled_job_value_is_its_interrupted_error():
-    sim = Simulator()
-    srv = FairShareServer(sim, rate=1.0)
-    job = srv.submit(10.0, tag="x")
-    seen = []
-
-    def waiter():
-        try:
-            yield job
-        except InterruptedError as exc:
-            seen.append(exc)
-
-    sim.spawn(waiter())
-    sim.run(until=1.0)
-    srv.cancel(job)
-    sim.run()
-    assert job.processed and not job.ok
-    assert isinstance(job.value, InterruptedError)
-    assert str(job.value) == "job 'x' cancelled"
-    assert seen == [job.value]
 
 
 class _CountingServer(FairShareServer):

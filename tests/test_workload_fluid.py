@@ -7,11 +7,13 @@ size and record retention), the array-backed record semantics, the
 queue model's basic physics, and the registry it publishes into.
 """
 
+import json
 import math
 
 import pytest
 
-from repro.fuzz import FuzzConfig, run_case
+from repro.fuzz import (CaseReport, FuzzConfig, case_artifact,
+                        config_from_artifact, run_case)
 from repro.obs import MetricsRegistry
 from repro.workload import (
     FluidRecords,
@@ -167,12 +169,14 @@ def test_validate_rejects_non_finite_costs(field, value):
 
 
 def test_fuzz_replay_rejects_a_nan_rate():
-    """``FuzzConfig.from_json`` parses ``NaN``, so a replayed artifact
-    must be stopped by the fluid scenario's own validation."""
+    """``fuzz --replay`` parses ``NaN`` out of an artifact, so a replayed
+    case must be stopped by the fluid scenario's own validation."""
     config = FuzzConfig(case_id="nan", mode="fluid", seed=1, nodes=3,
                         policy="sweb", rate=500.0, n_requests=100)
-    text = config.to_json().replace('"rate": 500.0', '"rate": NaN')
-    replayed = FuzzConfig.from_json(text)
+    text = json.dumps(case_artifact(CaseReport(config)))
+    assert text.count('"rate": 500.0') == 2
+    text = text.replace('"rate": 500.0', '"rate": NaN')
+    replayed = config_from_artifact(json.loads(text))
     assert math.isnan(replayed.rate)
     with pytest.raises(ValueError, match="rate must be finite"):
         run_case(replayed)
