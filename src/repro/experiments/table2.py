@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ..cluster import meiko_cs2, sun_now
 from .base import ExperimentReport
-from .paper_data import TABLE2
+from .paper_data import TABLE2, PaperValue
 from .runner import ScenarioResult, run_scenario
 from .table1 import table1_scenario
 from .tables import ComparisonRow, render_table
@@ -34,6 +34,11 @@ def sweep_nodes(base_spec_factory, node_counts, size: float, rps: int,
                 base_spec_factory(n), size, rps, duration, seed=seed,
                 client_timeout=client_timeout))
             for n in node_counts}
+
+
+def _paper_pct(value: PaperValue) -> str:
+    """A paper drop rate as the paper prints it (``0.373`` -> ``37.3%``)."""
+    return f"{value.value * 100:g}%"
 
 
 def run(fast: bool = True) -> ExperimentReport:
@@ -77,10 +82,12 @@ def run(fast: bool = True) -> ExperimentReport:
     m15 = cells[("meiko", "1.5M")]
     m1k = cells[("meiko", "1K")]
     n15 = cells[("now", "1.5M")]
+    paper_m15 = TABLE2[("meiko", "1.5M", "drop_rate")]
+    paper_n15 = TABLE2[("now", "1.5M", "drop_rate")]
     comparisons = [
         ComparisonRow(
             "Meiko 1.5M drop rate falls with nodes",
-            "37.3% -> 5% -> 3.5% -> 0%",
+            " -> ".join(_paper_pct(paper_m15[n]) for n in meiko_counts),
             " -> ".join(f"{m15[n].drop_rate:.0%}" for n in meiko_counts),
             "monotone non-increasing, 1-node >> 6-node",
             ok=(m15[1].drop_rate > 0.10 and m15[6].drop_rate <= 0.02
@@ -107,7 +114,8 @@ def run(fast: bool = True) -> ExperimentReport:
             ok=m1k[6].mean_response_time < 2 * m1k[2].mean_response_time),
         ComparisonRow(
             "NOW 1.5M: single server worst",
-            "single timed out; 20.5% @2; 0% @4",
+            "; ".join(["single timed out"] + [
+                f"{_paper_pct(paper_n15[n])} @{n}" for n in now_counts[1:]]),
             " -> ".join(f"{n15[n].drop_rate:.0%}" for n in now_counts),
             "drop rate falls with nodes",
             ok=n15[1].drop_rate >= n15[4].drop_rate),

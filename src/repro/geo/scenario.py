@@ -151,22 +151,26 @@ def run_geo(scenario: GeoScenario) -> GeoResult:
                                             if scenario.hot_files
                                             < scenario.n_files else 0.0))
 
-    # Pre-draw every arrival's home site and path in arrival order, so
-    # the draw sequence is independent of simulation interleaving.
+    # Pre-draw every arrival's home site and path, each in one call on
+    # its own streams, so the draw sequence is independent of
+    # simulation interleaving.
     sites = list(spec.site_names)
     weights = [spec.site(name).weight for name in sites]
     total_weight = sum(weights)
     n_requests = int(scenario.rps * scenario.duration)
+    draws = rng.uniform("geo-affinity", size=n_requests).tolist()
+    paths = sample_path(n_requests)
     arrivals: List[Tuple[float, str, str]] = []
-    for i in range(n_requests):
-        u = rng.uniform("geo-affinity") * total_weight
+    for i, (u, path) in enumerate(zip(draws, paths)):
+        u *= total_weight
         home = sites[-1]
         for name, w in zip(sites, weights):
             if u < w:
                 home = name
                 break
             u -= w
-        arrivals.append((i / scenario.rps, home, sample_path()))
+        arrivals.append((i / scenario.rps, home, path))
+    del draws, paths    # the run keeps only ``arrivals``
 
     populations = {name: PopulationStats(site=name) for name in sites}
     clients: Dict[Tuple[str, str], Client] = {}

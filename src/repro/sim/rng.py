@@ -6,24 +6,33 @@ randomness never perturbs existing ones and every experiment is exactly
 replayable.
 
 The draw helpers return exactly what the matching ``numpy`` call returns
-and leave each stream at the same position.  Where numpy's draw is a
-plain function of one ``random()`` double, the helper computes it
-directly: ``uniform`` is ``low + (high - low) * u``, and ``zipf_index``
-is ``bisect_right(cdf, u)`` over the table numpy's weighted ``choice``
-builds (``c = p.cumsum(); c /= c[-1]``), kept once per ``(n, alpha)``
-instead of being validated and summed again on every draw.  A table is
-kept only after numpy's own ``choice`` accepted its weights, so a NaN
-``alpha`` raises numpy's error.  ``integers``, ``exponential`` and
-``choice`` stay numpy calls (numpy buffers half of a 64-bit draw for
-small integer ranges, and the exponential is a ziggurat sampler).
+and leave each stream at the same position.  Each takes numpy's
+``size``: ``None`` draws one value (a Python ``int``/``float``/element),
+``k`` draws ``k`` of them as an array (``choice``: a list) in one call.
+One ``size=k`` call and ``k`` single calls give one sequence and leave
+the stream in one state, for doubles, for bounded ``integers`` (a small
+range takes half of a 64-bit draw; the spare half stays buffered in the
+bit generator, whichever call asked) and for ``choice`` with ``p``;
+``tests/test_sim_rng.py`` pins this.  So a builder may ask for all of a
+stream's draws at once, provided no other draw on that stream falls
+between them.
+
+Where numpy's draw is a plain function of one ``random()`` double, the
+helper computes it directly: ``uniform`` is ``low + (high - low) * u``,
+and ``zipf_index`` searches the table numpy's weighted ``choice`` builds
+(``c = p.cumsum(); c /= c[-1]``, ``searchsorted(side="right")``), kept
+once per ``(n, alpha)`` instead of being validated and summed again on
+every call.  A table is kept only after numpy's own ``choice`` accepted
+its weights, so a NaN ``alpha`` raises numpy's error.  ``integers``,
+``exponential`` and ``choice`` stay numpy calls (the exponential is a
+ziggurat sampler).
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from bisect import bisect_right
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, overload
 
 import numpy as np
 
@@ -45,7 +54,7 @@ class RandomStreams:
         self.seed = int(seed)
         self._streams: dict[str, np.random.Generator] = {}
         #: numpy ``choice``'s CDF of the Zipf weights, per ``(n, alpha)``
-        self._zipf_cdfs: dict[tuple[int, float], list[float]] = {}
+        self._zipf_cdfs: dict[tuple[int, float], np.ndarray] = {}
 
     def stream(self, name: str) -> np.random.Generator:
         """Return (creating on first use) the substream called ``name``."""
@@ -57,8 +66,17 @@ class RandomStreams:
         return gen
 
     # Convenience draws -----------------------------------------------------
-    def uniform(self, name: str, low: float = 0.0, high: float = 1.0) -> float:
-        """``Generator.uniform(low, high)``: ``low + (high - low) * random()``.
+    @overload
+    def uniform(self, name: str, low: float = ..., high: float = ...,
+                size: None = ...) -> float: ...
+    @overload
+    def uniform(self, name: str, low: float = ..., high: float = ..., *,
+                size: int) -> np.ndarray: ...
+
+    def uniform(self, name: str, low: float = 0.0, high: float = 1.0,
+                size: Optional[int] = None) -> Any:
+        """``Generator.uniform(low, high, size)``: ``low + (high - low) *
+        random(size)``.
 
         Number bounds with a finite span that is not negative (numpy
         checks the sign bit, so ``-0.0`` is negative) are computed here;
@@ -69,42 +87,72 @@ class RandomStreams:
             lo = float(low)
             span = float(high) - lo
             if 0.0 <= span < _INF and _copysign(1.0, span) > 0.0:
-                return lo + span * gen.random()
-        return float(gen.uniform(low, high))
+                return lo + span * gen.random(size)
+        draw = gen.uniform(low, high, size)
+        return float(draw) if size is None else draw
 
     def exponential(self, name: str, mean: float) -> float:
         return float(self.stream(name).exponential(mean))
 
-    def integers(self, name: str, low: int, high: int) -> int:
-        return int(self.stream(name).integers(low, high))
+    @overload
+    def integers(self, name: str, low: int, high: int,
+                 size: None = ...) -> int: ...
+    @overload
+    def integers(self, name: str, low: int, high: int, *,
+                 size: int) -> np.ndarray: ...
+
+    def integers(self, name: str, low: int, high: int,
+                 size: Optional[int] = None) -> Any:
+        draw = self.stream(name).integers(low, high, size)
+        return int(draw) if size is None else draw
+
+    @overload
+    def choice(self, name: str, seq: Sequence[Any],
+               p: Optional[Sequence[float]] = ..., size: None = ...) -> Any: ...
+    @overload
+    def choice(self, name: str, seq: Sequence[Any],
+               p: Optional[Sequence[float]] = ..., *,
+               size: int) -> list[Any]: ...
 
     def choice(self, name: str, seq: Sequence[Any],
-               p: Optional[Sequence[float]] = None) -> Any:
-        idx = self.stream(name).choice(len(seq), p=p)
-        return seq[int(idx)]
+               p: Optional[Sequence[float]] = None,
+               size: Optional[int] = None) -> Any:
+        idx = self.stream(name).choice(len(seq), size, p=p)
+        if size is None:
+            return seq[int(idx)]
+        return [seq[i] for i in idx.tolist()]
 
-    def zipf_index(self, name: str, n: int, alpha: float = 1.0) -> int:
-        """Draw an index in [0, n) with Zipf(alpha) popularity.
+    @overload
+    def zipf_index(self, name: str, n: int, alpha: float = ...,
+                   size: None = ...) -> int: ...
+    @overload
+    def zipf_index(self, name: str, n: int, alpha: float = ..., *,
+                   size: int) -> np.ndarray: ...
 
-        The first draw per ``(n, alpha)`` goes through numpy's ``choice``,
+    def zipf_index(self, name: str, n: int, alpha: float = 1.0,
+                   size: Optional[int] = None) -> Any:
+        """Draw indices in [0, n) with Zipf(alpha) popularity.
+
+        The first call per ``(n, alpha)`` goes through numpy's ``choice``,
         which validates the weights; its CDF is kept only after that
-        succeeds, and later draws are ``bisect_right(cdf, random())``,
-        what ``choice`` computes with ``searchsorted(side="right")``.
+        succeeds, and later calls are ``searchsorted(cdf, random(size),
+        side="right")``, what ``choice`` computes.
         """
         if n <= 0:
             raise ValueError("n must be positive")
         key = (n, float(alpha))
+        gen = self.stream(name)
         cdf = self._zipf_cdfs.get(key)
-        if cdf is not None:
-            return bisect_right(cdf, self.stream(name).random())
-        ranks = np.arange(1, n + 1, dtype=float)
-        weights = ranks ** (-alpha)
-        weights /= weights.sum()
-        idx = int(self.stream(name).choice(n, p=weights))
-        table = weights.cumsum()
-        table /= table[-1]
-        self._zipf_cdfs[key] = table.tolist()
-        return idx
+        if cdf is None:
+            weights = np.arange(1, n + 1, dtype=float) ** (-alpha)
+            weights /= weights.sum()
+            idx = gen.choice(n, size, p=weights)
+            cdf = weights.cumsum()
+            cdf /= cdf[-1]
+            self._zipf_cdfs[key] = cdf
+        else:
+            idx = cdf.searchsorted(gen.random(size), side="right")
+        return int(idx) if size is None else idx
 
     def __repr__(self) -> str:
         return f"<RandomStreams seed={self.seed} streams={sorted(self._streams)}>"

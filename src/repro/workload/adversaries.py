@@ -93,11 +93,9 @@ DNSSKEW_CLIENT = ClientProfile(
 def _background(corpus: Corpus, rng: RandomStreams, rps: int,
                 duration: float) -> list[Arrival]:
     """The victim population: a plain uniform burst load."""
-    sample = uniform_sampler(corpus, rng)
-    return [Arrival(time=float(second), path=sample(),
-                    client=BACKGROUND_CLIENT)
-            for second in range(int(duration))
-            for _ in range(rps)]
+    paths = uniform_sampler(corpus, rng)(rps * int(duration))
+    return [Arrival(time=float(i // rps), path=path, client=BACKGROUND_CLIENT)
+            for i, path in enumerate(paths)]
 
 
 def hotspot_workload(corpus: Corpus, rng: RandomStreams, rps: int,
@@ -190,13 +188,14 @@ def dnsskew_workload(corpus: Corpus, rng: RandomStreams, rps: int,
     Round-robin's only balancing mechanism — rotation — never engages.
     """
     arrivals = _background(corpus, rng, rps, duration)
-    sample = uniform_sampler(corpus, rng)
     attack_per_sec = max(1, int(intensity * rps))
-    for second in range(int(duration)):
-        for _ in range(attack_per_sec):
-            jitter = rng.uniform("adv-dnsskew", 0.0, 0.5)
-            arrivals.append(Arrival(time=float(second) + jitter,
-                                    path=sample(), client="dnsskew"))
+    n = attack_per_sec * int(duration)
+    # the attack's paths and jitters each come from a stream of their own
+    paths = uniform_sampler(corpus, rng)(n)
+    jitters = rng.uniform("adv-dnsskew", 0.0, 0.5, size=n).tolist()
+    arrivals += [Arrival(time=float(i // attack_per_sec) + jitter,
+                         path=path, client="dnsskew")
+                 for i, (path, jitter) in enumerate(zip(paths, jitters))]
     wl = Workload(name=f"adv-dnsskew-{rps}rps-{int(duration)}s",
                   arrivals=arrivals, duration=float(duration))
     return wl, {"profiles": {**DEFAULT_PROFILES,

@@ -138,14 +138,23 @@ def bimodal_corpus(n_files: int, n_nodes: int, large_frac: float = 0.5,
         raise ValueError(f"large_frac must be in [0,1], got {large_frac}")
     import math
     rng = RandomStreams(seed=seed)
+    # each stream draws one kind of double, so each is drawn in one call;
+    # math.exp stays per file (numpy's exp may differ in the last bit)
+    large = [u < large_frac
+             for u in rng.uniform("kind", size=n_files).tolist()]
+    n_large = sum(large)
+    lo, hi = small_range
+    large_sizes = iter(rng.uniform("large", *large_range,
+                                   size=n_large).tolist())
+    small_sizes = iter(rng.uniform("small", math.log(lo), math.log(hi),
+                                   size=n_files - n_large).tolist())
     docs = []
-    for i in range(n_files):
-        if rng.uniform("kind") < large_frac:
-            size = rng.uniform("large", *large_range)
+    for i, is_large in enumerate(large):
+        if is_large:
+            size = next(large_sizes)
             ext = ".gif"
         else:
-            lo, hi = small_range
-            size = math.exp(rng.uniform("small", math.log(lo), math.log(hi)))
+            size = math.exp(next(small_sizes))
             ext = ".html"
         docs.append(Document(path=f"{prefix}/doc{i:05d}{ext}", size=size,
                              home=_place(i, n_nodes, placement, rng)))

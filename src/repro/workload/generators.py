@@ -10,8 +10,10 @@ provided for the examples and extensions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from itertools import repeat
+from typing import Callable, Iterable, Optional
 
 from ..sim import RandomStreams
 from .corpus import Corpus
@@ -28,7 +30,13 @@ __all__ = [
     "weighted_sampler",
 ]
 
-PathSampler = Callable[[], str]
+PathSampler = Callable[[int], list[str]]
+"""A path sampler: ``sampler(n)`` returns the next ``n`` request paths.
+
+It asks each of its streams for all ``n`` draws in one call where the
+stream draws one kind of value, so ``sampler(n)`` returns what ``n``
+calls of ``sampler(1)`` return and leaves every stream where they leave
+it.  ``sampler(0)`` draws nothing."""
 
 
 @dataclass(frozen=True)
@@ -72,8 +80,9 @@ def uniform_sampler(corpus: Corpus, rng: RandomStreams,
     if not paths:
         raise ValueError("corpus has no documents")
 
-    def sample() -> str:
-        return paths[rng.integers(stream, 0, len(paths))]
+    def sample(n: int) -> list[str]:
+        return [paths[i] for i in
+                rng.integers(stream, 0, len(paths), size=n).tolist()]
 
     return sample
 
@@ -96,11 +105,8 @@ def zipf_sampler(corpus: Corpus, rng: RandomStreams, alpha: float = 1.0,
     if not paths:
         raise ValueError("corpus has no documents")
     if hot_set is None:
-        def sample() -> str:
-            return paths[rng.zipf_index(stream, len(paths), alpha=alpha)]
-
-        return sample
-    if not 1 <= hot_set <= len(paths):
+        hot_set, tail_weight = len(paths), 0.0
+    elif not 1 <= hot_set <= len(paths):
         raise ValueError(f"hot_set must be in 1..{len(paths)}, got {hot_set}")
     if not 0.0 <= tail_weight < 1.0:
         raise ValueError(f"tail_weight must be in [0, 1), got {tail_weight}")
@@ -109,22 +115,40 @@ def zipf_sampler(corpus: Corpus, rng: RandomStreams, alpha: float = 1.0,
         raise ValueError("tail_weight needs a cold tail "
                          "(hot_set < corpus size)")
 
-    def sample_hot() -> str:
-        if (tail_weight > 0.0
-                and rng.uniform(stream + "-tail") < tail_weight):
-            return paths[hot_set + rng.integers(stream + "-tail", 0, tail)]
-        return paths[rng.zipf_index(stream, hot_set, alpha=alpha)]
+    def sample(n: int) -> list[str]:
+        if tail_weight == 0.0:
+            return [paths[i] for i in rng.zipf_index(
+                stream, hot_set, alpha=alpha, size=n).tolist()]
+        # The tail stream draws a double and then, for a tail request,
+        # an integer, so it goes one arrival at a time; -1 marks a hot
+        # request, whose Zipf draws then come in one call.
+        tail_gen = rng.stream(stream + "-tail")
+        picks = [hot_set + int(tail_gen.integers(0, tail))
+                 if tail_gen.random() < tail_weight else -1
+                 for _ in range(n)]
+        hot = iter(rng.zipf_index(stream, hot_set, alpha=alpha,
+                                  size=picks.count(-1)).tolist())
+        return [paths[next(hot) if i < 0 else i] for i in picks]
 
-    return sample_hot
+    return sample
 
 
 def hot_file_sampler(path: str) -> PathSampler:
     """Everyone asks for the same file (the §4.2 skewed test)."""
 
-    def sample() -> str:
-        return path
+    def sample(n: int) -> list[str]:
+        return [path] * n
 
     return sample
+
+
+def _check_weights(weights: list[float], what: str) -> None:
+    """Raise unless every weight is finite and >= 0 and their sum is > 0."""
+    if not all(0.0 <= w < math.inf for w in weights):
+        raise ValueError(f"{what} weights must be finite and >= 0, "
+                         f"got {weights}")
+    if not sum(weights) > 0.0:
+        raise ValueError(f"{what} weights must sum to > 0, got {weights}")
 
 
 def weighted_sampler(choices: list[tuple[str, float]],
@@ -135,13 +159,13 @@ def weighted_sampler(choices: list[tuple[str, float]],
     if not choices:
         raise ValueError("no choices")
     paths = [p for p, _ in choices]
-    total = sum(w for _, w in choices)
-    if total <= 0:
-        raise ValueError("weights must sum to > 0")
-    probs = [w / total for _, w in choices]
+    weights = [w for _, w in choices]
+    _check_weights(weights, "path")
+    total = sum(weights)
+    probs = [w / total for w in weights]
 
-    def sample() -> str:
-        return rng.choice(stream, paths, p=probs)
+    def sample(n: int) -> list[str]:
+        return rng.choice(stream, paths, p=probs, size=n)
 
     return sample
 
@@ -153,27 +177,28 @@ def burst_workload(rps: int, duration: float, sampler: PathSampler,
                    rng: Optional[RandomStreams] = None) -> Workload:
     """The paper's generator: ``rps`` simultaneous requests at every
     second boundary for ``duration`` seconds.  A ``client_mix`` needs an
-    ``rng``, checked up front even when ``duration`` yields no arrivals."""
+    ``rng`` and valid weights, checked up front even when ``duration``
+    yields no arrivals."""
     if rps < 1:
         raise ValueError(f"rps must be >= 1, got {rps}")
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
+    n = rps * int(duration)
+    clients: Iterable[str] = repeat(client, n)
     if client_mix is not None:
         if rng is None:
             raise ValueError("client_mix needs an rng")
-        names = [n for n, _ in client_mix]
-        total = sum(w for _, w in client_mix)
-        probs = [w / total for _, w in client_mix]
-    arrivals = []
-    for second in range(int(duration)):
-        t = start + float(second)
-        for _ in range(rps):
-            who = client
-            if client_mix is not None:
-                who = rng.choice("client-mix", names, p=probs)
-            arrivals.append(Arrival(time=t, path=sampler(), client=who))
+        weights = [w for _, w in client_mix]
+        _check_weights(weights, "client_mix")
+        total = sum(weights)
+        clients = rng.choice("client-mix", [name for name, _ in client_mix],
+                             p=[w / total for w in weights], size=n)
+    times = [t for t in (start + float(second)
+                         for second in range(int(duration)))
+             for _ in range(rps)]
     return Workload(name=f"burst-{rps}rps-{int(duration)}s",
-                    arrivals=arrivals, duration=float(duration))
+                    arrivals=list(map(Arrival, times, sampler(n), clients)),
+                    duration=float(duration))
 
 
 def uniform_burst(corpus: Corpus, rps: int, duration: float) -> Workload:
@@ -189,17 +214,22 @@ def uniform_burst(corpus: Corpus, rps: int, duration: float) -> Workload:
 def poisson_workload(rate: float, duration: float, sampler: PathSampler,
                      rng: RandomStreams, client: str = "ucsb",
                      start: float = 0.0) -> Workload:
-    """Memoryless arrivals at ``rate`` requests/second."""
+    """Memoryless arrivals at ``rate`` requests/second.
+
+    The gaps are drawn one at a time, up to the first past the window
+    (their count is not known before), then the paths in one call."""
     if rate <= 0:
         raise ValueError(f"rate must be > 0, got {rate}")
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
-    arrivals = []
+    times = []
     t = start
     while True:
         t += rng.exponential("poisson", 1.0 / rate)
         if t >= start + duration:
             break
-        arrivals.append(Arrival(time=t, path=sampler(), client=client))
+        times.append(t)
     return Workload(name=f"poisson-{rate:g}rps-{int(duration)}s",
-                    arrivals=arrivals, duration=float(duration))
+                    arrivals=[Arrival(t, path, client) for t, path
+                              in zip(times, sampler(len(times)))],
+                    duration=float(duration))

@@ -158,6 +158,75 @@ def test_draw_helpers_equal_numpy_draw_for_draw(seed, steps, nstreams):
         assert rs.stream(name).bit_generator.state == gen.bit_generator.state
 
 
+# --------------------------------------- one size=k call, k single calls
+_span = st.floats(0.0, 1e6)
+_weights = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8).filter(
+    lambda w: sum(w) > 0).map(lambda w: [x / sum(w) for x in w])
+_BATCH_OPS = st.one_of(
+    # small ranges take half a 64-bit draw; ranges just past 2**31 make
+    # Lemire's method reject about half its draws; 2**32 and up take a
+    # whole 64-bit draw each
+    st.tuples(st.just("integers"), st.integers(-5, 5), st.one_of(
+        st.integers(1, 2**40),
+        st.integers(2**31 - 2**10, 2**31 + 2**10),
+        st.integers(2**32, 2**33))),
+    st.tuples(st.just("uniform"), st.none()),
+    st.tuples(st.just("uniform"), st.tuples(_bound, _span).map(
+        lambda t: (t[0], t[0] + t[1]))),
+    st.tuples(st.just("zipf_index"), st.sampled_from((1, 2, 7, 50)),
+              st.floats(0.0, 3.0)),
+    st.tuples(st.just("choice"), _weights),
+)
+_ITEMS = tuple("abcdefgh")
+
+
+def _draw(rs, op, name, size):
+    """One helper call: a scalar for ``size=None``, else a list."""
+    kind = op[0]
+    if kind == "integers":
+        got = rs.integers(name, op[1], op[1] + op[2], size=size)
+    elif kind == "uniform":
+        got = rs.uniform(name, *(op[1] or ()), size=size)
+    elif kind == "zipf_index":
+        got = rs.zipf_index(name, op[1], alpha=op[2], size=size)
+    else:
+        got = rs.choice(name, _ITEMS[:len(op[1])], p=op[1], size=size)
+    return got if size is None or isinstance(got, list) else got.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), op=_BATCH_OPS,
+       k=st.integers(0, 40), primed=st.booleans())
+def test_one_batch_equals_k_single_draws(seed, op, k, primed):
+    # a zipf table is fresh on both sides unless primed: then the single
+    # calls all search it, else the first goes through numpy's choice
+    one, batched = RandomStreams(seed), RandomStreams(seed)
+    if primed:
+        for rs in (one, batched):
+            _draw(rs, op, "prime", None)
+    singles = [_draw(one, op, "s", None) for _ in range(k)]
+    got = _draw(batched, op, "s", k)
+    assert got == singles
+    assert [type(x) for x in got] == [type(x) for x in singles]
+    assert (batched.stream("s").bit_generator.state
+            == one.stream("s").bit_generator.state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       runs=st.lists(st.tuples(_BATCH_OPS, st.integers(0, 12)), max_size=12))
+def test_batches_run_by_run_over_a_mixed_stream(seed, runs):
+    # one stream, several kinds: each run of one kind taken in one call
+    # gives the single calls' values and leaves the same state, spare
+    # 32-bit halves of small integer draws included
+    one, batched = RandomStreams(seed), RandomStreams(seed)
+    for op, k in runs:
+        singles = [_draw(one, op, "mixed", None) for _ in range(k)]
+        assert _draw(batched, op, "mixed", k) == singles, (op, k)
+        assert (batched.stream("mixed").bit_generator.state
+                == one.stream("mixed").bit_generator.state)
+
+
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.sim import RandomStreams
 from repro.workload import (
     adl_corpus,
+    bimodal_corpus,
     burst_workload,
     hot_file_sampler,
     poisson_workload,
@@ -82,13 +83,13 @@ def test_corpus_validation():
 def test_uniform_sampler_covers_corpus():
     corpus = uniform_corpus(5, 1.0, 1)
     sample = uniform_sampler(corpus, RandomStreams(0))
-    assert {sample() for _ in range(100)} == set(corpus.paths)
+    assert set(sample(100)) == set(corpus.paths)
 
 
 def test_zipf_sampler_skews():
     corpus = uniform_corpus(50, 1.0, 1)
     sample = zipf_sampler(corpus, RandomStreams(0), alpha=1.2)
-    draws = [sample() for _ in range(500)]
+    draws = sample(500)
     top = draws.count(corpus.paths[0])
     mid = draws.count(corpus.paths[25])
     assert top > mid
@@ -96,13 +97,65 @@ def test_zipf_sampler_skews():
 
 def test_hot_file_sampler_constant():
     sample = hot_file_sampler("/hot.gif")
-    assert all(sample() == "/hot.gif" for _ in range(5))
+    assert sample(5) == ["/hot.gif"] * 5
+    assert sample(0) == []
 
 
 def test_weighted_sampler_respects_weights():
     sample = weighted_sampler([("/a", 0.99), ("/b", 0.01)], RandomStreams(0))
-    draws = [sample() for _ in range(200)]
+    draws = sample(200)
     assert draws.count("/a") > 180
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: uniform_sampler(bimodal_corpus(40, 3, seed=2), rng),
+    lambda rng: zipf_sampler(bimodal_corpus(40, 3, seed=2), rng, alpha=1.1),
+    lambda rng: zipf_sampler(bimodal_corpus(40, 3, seed=2), rng, alpha=0.9,
+                             hot_set=10, tail_weight=0.3),
+    lambda rng: weighted_sampler([("/a", 1.0), ("/b", 3.0), ("/c", 0.5)],
+                                 rng),
+], ids=["uniform", "zipf", "hot-tail", "weighted"])
+def test_sampler_batch_equals_one_at_a_time(make):
+    # sampler(n) returns what n calls of sampler(1) return, in chunks of
+    # any size, and leaves every stream where they leave it
+    one, batched = RandomStreams(5), RandomStreams(5)
+    sample_one, sample_batch = make(one), make(batched)
+    singles = [p for _ in range(300) for p in sample_one(1)]
+    chunks = [p for k in (0, 1, 7, 0, 92, 200) for p in sample_batch(k)]
+    assert chunks == singles
+    assert one._streams.keys() == batched._streams.keys()
+    for name, gen in one._streams.items():
+        assert (batched.stream(name).bit_generator.state
+                == gen.bit_generator.state)
+
+
+_BAD_WEIGHTS = {
+    "zero-sum": [("a", 0.0)],
+    "negative": [("a", -1.0), ("b", 2.0)],
+    "nan": [("a", float("nan")), ("b", 1.0)],
+    "infinite": [("a", float("inf")), ("b", 1.0)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_WEIGHTS))
+def test_weighted_sampler_rejects_bad_weights_at_construction(case):
+    with pytest.raises(ValueError, match="weights must"):
+        weighted_sampler(_BAD_WEIGHTS[case], RandomStreams(0))
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_WEIGHTS))
+def test_client_mix_rejects_bad_weights_before_any_draw(case):
+    drawn = []
+
+    def sampler(n):
+        drawn.append(n)
+        return ["/f"] * n
+
+    for duration in (0.5, 3.0):
+        with pytest.raises(ValueError, match="weights must"):
+            burst_workload(2, duration, sampler,
+                           client_mix=_BAD_WEIGHTS[case], rng=RandomStreams(0))
+    assert drawn == []
 
 
 def test_sampler_validation():
@@ -161,9 +214,9 @@ def test_client_mix_without_rng_raises_before_any_draw():
     # under one second, which yields no arrivals, raises too
     drawn = []
 
-    def sampler():
-        drawn.append(1)
-        return "/f"
+    def sampler(n):
+        drawn.append(n)
+        return ["/f"] * n
 
     for duration in (0.5, 3.0):
         with pytest.raises(ValueError, match="client_mix needs an rng"):
