@@ -193,9 +193,7 @@ def burst_workload(rps: int, duration: float, sampler: PathSampler,
         total = sum(weights)
         clients = rng.choice("client-mix", [name for name, _ in client_mix],
                              p=[w / total for w in weights], size=n)
-    times = [t for t in (start + float(second)
-                         for second in range(int(duration)))
-             for _ in range(rps)]
+    times = [start + float(i // rps) for i in range(n)]
     return Workload(name=f"burst-{rps}rps-{int(duration)}s",
                     arrivals=list(map(Arrival, times, sampler(n), clients)),
                     duration=float(duration))

@@ -16,11 +16,12 @@ def _run(*args):
 
 def test_two_runs_print_the_same_table():
     # geo3 at this scale is one simulated second: 40 requests.
-    args = ("--workload", "geo3", "--scale", "0.008", "--top", "1000")
-    first, second = _run(*args), _run(*args)
+    args = ("--workload", "geo3", "--scale", "0.008")
+    first, second = _run(*args, "--top", "1000"), _run(*args, "--top", "5")
     assert first.returncode == second.returncode == 0, first.stderr
-    assert first.stdout == second.stdout
     head, functions, heap = first.stdout.split("\n\n")
+    head2, functions2, heap2 = second.stdout.split("\n\n")
+    assert (head, heap) == (head2, heap2)
     lines = head.splitlines()
     assert lines[0].startswith("geo3 input seed 1000, scale 0.008")
     assert lines[0].endswith(": 40 requests")
@@ -33,6 +34,8 @@ def test_two_runs_print_the_same_table():
     # Every function that executed an opcode, most first, by file.
     rows = functions.splitlines()[1:]
     assert len(rows) > 5
+    # --top N keeps the first N rows of the same ranking.
+    assert functions2.splitlines()[1:] == rows[:5]
     assert rows[0].startswith("repro/sim/")
     # Counting starts at the first Simulator.run: the inputs drawn and
     # the system built before it are set-up, and no run draws after it.
