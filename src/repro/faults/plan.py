@@ -31,16 +31,16 @@ Five fault kinds are modelled:
     by a factor (default 0 — the node advertises itself idle and
     attracts the herd).
 
-Plans are built either programmatically (:meth:`FaultPlan.crash` and
-friends) or from the compact CLI spec string parsed by
-:meth:`FaultPlan.parse` — see ``docs/FAULTS.md`` for the grammar.
+Plans are parsed from the compact CLI spec string by
+:meth:`FaultPlan.parse` (see ``docs/FAULTS.md`` for the grammar) or
+built from :class:`Fault` values, ``FaultPlan([Fault(...), ...])``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 __all__ = ["Fault", "FaultPlan", "FaultSpecError", "FAULT_KINDS"]
 
@@ -188,35 +188,6 @@ class FaultPlan:
         """Append one fault (chainable)."""
         self.faults.append(fault)
         return self
-
-    def crash(self, node: int, at: float,
-              restart_at: Optional[float] = None) -> "FaultPlan":
-        """Crash ``node`` at ``at``; restart it at ``restart_at`` if given."""
-        return self.add(Fault("crash", start=at, end=restart_at, node=node))
-
-    def partition(self, start: float, end: float,
-                  groups: Sequence[Iterable[int]] = ()) -> "FaultPlan":
-        """Split the fabric for [start, end); default groups = two halves."""
-        frozen = tuple(tuple(int(n) for n in g) for g in groups)
-        return self.add(Fault("partition", start=start, end=end,
-                              groups=frozen))
-
-    def slow_disk(self, node: int, start: float, end: float,
-                  factor: float = 4.0) -> "FaultPlan":
-        """Degrade ``node``'s disk bandwidth by ``factor`` for the window."""
-        return self.add(Fault("slowdisk", start=start, end=end, node=node,
-                              factor=factor))
-
-    def mute(self, node: int, start: float,
-             end: Optional[float] = None) -> "FaultPlan":
-        """Silence ``node``'s loadd broadcasts (heartbeat loss)."""
-        return self.add(Fault("mute", start=start, end=end, node=node))
-
-    def corrupt(self, node: int, start: float, end: Optional[float] = None,
-                factor: float = 0.0) -> "FaultPlan":
-        """Corrupt ``node``'s load reports (CPU load scaled by ``factor``)."""
-        return self.add(Fault("corrupt", start=start, end=end, node=node,
-                              factor=factor))
 
     # -- parsing ---------------------------------------------------------------
     @classmethod

@@ -89,6 +89,8 @@ class LintConfig:
         # the event loop owns the heap
         "sched-heapq": ("src/repro/sim/engine.py",),
         "sched-engine-internals": ("src/repro/sim/engine.py",),
+        # the kernel package builds and settles its own events
+        "sched-event-state": ("src/repro/sim/*",),
     })
 
     def allows(self, rule: str, relpath: str) -> bool:

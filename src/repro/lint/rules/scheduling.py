@@ -5,7 +5,8 @@ is to "help" the scheduler from outside — pushing onto the simulator's
 queue directly, or re-sorting it with ``heapq`` — which silently breaks
 the ``(time, priority, seq)`` determinism contract.  Everything must go
 through the public ``Simulator`` API (``spawn``/``timeout``/``defer``/
-``schedule``).
+``schedule``), and an event's outcome is set only by the kernel (its
+triggers, or ``Timeout(sim)`` for an event built triggered).
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ __all__ = ["RULES"]
 #: private engine attributes nothing outside sim/engine.py may touch: the
 #: heap of future entries and the same-instant lanes
 _ENGINE_INTERNALS = frozenset({"_queue", "_heap", "_urgent", "_normal"})
+
+#: an event's private outcome fields, set only by the kernel's triggers
+_EVENT_STATE = frozenset({"_ok", "_state", "_value"})
 
 
 class HeapqRule(Rule):
@@ -75,4 +79,23 @@ class EngineInternalsRule(Rule):
                                 "the run loop in sim/engine.py moves it")
 
 
-RULES = (HeapqRule(), EngineInternalsRule())
+class EventStateRule(Rule):
+    """No hand-built event states outside the kernel package."""
+
+    name = "sched-event-state"
+    summary = ("no assignment to an event's '_ok'/'_state'/'_value' "
+               "outside sim/ (build a triggered event with Timeout(sim))")
+
+    def check(self, ctx: "FileContext") -> Iterator["Diagnostic"]:
+        if ctx.layer is None:
+            return
+        for node in ast.walk(ctx.tree):
+            if (isinstance(node, ast.Attribute) and node.attr in _EVENT_STATE
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                yield self.diag(ctx, node.lineno,
+                                f"sets event field '.{node.attr}' by hand; "
+                                f"trigger with succeed()/fail() or build a "
+                                f"triggered event with Timeout(sim)")
+
+
+RULES = (HeapqRule(), EngineInternalsRule(), EventStateRule())

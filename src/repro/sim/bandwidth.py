@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from typing import Any, Optional
 
-from .engine import Event, Simulator, StopSimulation, _requeue_from
+from .engine import Event, Simulator, StopSimulation, Timeout, _requeue_from
 
 __all__ = ["Job", "FairShareServer"]
 
@@ -78,13 +78,6 @@ class Job(Event):
         return self
 
     @property
-    def progress(self) -> float:
-        """Fraction of the work completed, in [0, 1]."""
-        if self.work <= 0:
-            return 1.0
-        return 1.0 - self.remaining / self.work
-
-    @property
     def rate(self) -> float:
         """Service rate currently allocated to this job."""
         return self._rate
@@ -123,9 +116,7 @@ class FairShareServer:
         # _wake puts this list back.
         self._entry: Optional[list[Any]] = None
         self._wake_callbacks = [self._wake]
-        self._waker = waker = Event(sim)
-        waker._ok = True
-        waker._state = Event.TRIGGERED
+        self._waker = waker = Timeout(sim)
         waker.callbacks = self._wake_callbacks
         # The completion hook a lone job's own entry carries first.
         self._on_lone_due = self._lone_due

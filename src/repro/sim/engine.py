@@ -20,17 +20,15 @@ the NORMAL lane, and only then advances the clock.  That is exactly the
 (time, priority, seq) order of a single heap, without a ``heappush`` and
 ``heappop`` per same-instant relay.
 
-Cancellation: :meth:`Simulator.cancel` withdraws a scheduled event (a
-client's deadline once its reply has arrived).  Its heap or lane entry is
-skipped, never dispatched, and the heap is compacted once such dead
-entries outnumber live ones, so the heap holds live work only.
-
 Voidable entries: a heap entry is a 4-item list ``[time, priority, seq,
-event]``.  :meth:`Simulator.schedule` puts an event that lives on (a
-fair-share station's reusable waker, a lone job) on the heap and returns
-its entry; :meth:`Simulator.withdraw` voids that entry in place by
-swapping the event for a dead sentinel, so the event itself stays
-pending and can be scheduled again.
+event]``.  :meth:`Simulator.schedule` puts an event on the heap and
+returns its entry (a client's deadline, a fair-share station's reusable
+waker, a lone job); :meth:`Simulator.withdraw` voids that entry in place
+by swapping the event for a dead sentinel (the deadline once its reply
+has arrived, the waker when it is re-armed).  A void entry is skipped,
+never dispatched, and the heap is compacted once such dead entries
+outnumber live ones, so the heap holds live work only.  The event itself
+is left as it was, so a waker can be scheduled again.
 
 Timelines: :meth:`Simulator.timeline` dispatches a whole series of future
 instants (a scenario's arrival grid) with one entry on the heap at a
@@ -101,9 +99,8 @@ class Event:
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_state", "_defused")
 
-    #: event states (a cancelled event was scheduled, then withdrawn by
-    #: :meth:`Simulator.cancel` before it could be processed)
-    PENDING, TRIGGERED, PROCESSED, CANCELLED = 0, 1, 2, 3
+    #: event states
+    PENDING, TRIGGERED, PROCESSED = 0, 1, 2
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -213,12 +210,22 @@ def _requeue_from(event: Event, callbacks: list[Callable[[Event], None]],
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after creation.
+    """An event built triggered: it fires when its entry is dispatched.
 
-    Built only by :meth:`Simulator.timeout`, which sets every field itself.
+    :meth:`Simulator.timeout` builds one in place and queues it;
+    ``Timeout(sim)`` builds one to hand to :meth:`Simulator.schedule` (a
+    client's deadline, a station's reusable waker) or to a lane.
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ()
+
+    def __init__(self, sim: "Simulator") -> None:
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._state = 1  # Event.TRIGGERED
+        self._defused = False
 
 
 class Process(Event):
@@ -287,20 +294,16 @@ class Process(Event):
                 if cbs is not None:
                     cbs.append(self._resume)
                     return
-                if target._state != Event.CANCELLED:
-                    # Already processed: resume immediately with its value.
-                    event = target
-                    continue
-                msg = (f"process {self.name!r} yielded {target!r}, "
-                       f"which was cancelled")
-            else:
-                msg = (f"process {self.name!r} yielded {target!r}; "
-                       f"processes must yield Event instances")
+                # Already processed: resume immediately with its value.
+                event = target
+                continue
             # Throw the error into the generator, exactly as if it had
             # waited on an event that failed with it.
             event = Event(sim)
             event._ok = False
-            event._value = SimulationError(msg)
+            event._value = SimulationError(
+                f"process {self.name!r} yielded {target!r}; processes must "
+                f"yield Event instances")
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} alive={self.is_alive}>"
@@ -317,9 +320,9 @@ def join(sim: "Simulator", legs: Sequence[Event], value: Any = None,
     ``done`` at once, through the lane; later legs are ignored.  Legs
     already processed count at once, and if that completes the join (or
     there are no legs), ``done`` succeeds through the lane, since its
-    waiter is not attached yet.  A leg of another simulator, a cancelled
-    leg or a ``need`` outside ``1..len(legs)`` raises
-    :class:`SimulationError` and leaves the legs as they were.
+    waiter is not attached yet.  A leg of another simulator or a ``need``
+    outside ``1..len(legs)`` raises :class:`SimulationError` and leaves
+    the legs as they were.
     """
     if need is None:
         need = len(legs)
@@ -347,18 +350,17 @@ def join(sim: "Simulator", legs: Sequence[Event], value: Any = None,
     processed = not legs
     for ev in legs:
         callbacks = ev.callbacks
-        if ev.sim is sim and callbacks is not None:
-            callbacks.append(leg)
-        elif ev.sim is sim and ev._state != Event.CANCELLED:
-            processed = True
-        else:
+        if ev.sim is not sim:
             for other in legs:
                 if other.callbacks is not None:
                     other.callbacks[:] = [cb for cb in other.callbacks
                                           if cb is not leg]
-            raise SimulationError(
-                f"join on cancelled event {ev!r}" if ev.sim is sim
-                else "join mixes events from different simulators")
+            raise SimulationError("join mixes events from different "
+                                  "simulators")
+        if callbacks is not None:
+            callbacks.append(leg)
+        else:
+            processed = True
     if processed:
         if not legs:
             done.succeed(value)
@@ -397,8 +399,7 @@ class Simulator:
         self._normal: deque[Event] = deque()
         self._seq = 0
         self._event_count = 0
-        #: entries ever withdrawn by cancel()/withdraw(), and the
-        #: withdrawn entries still on the heap
+        #: entries ever withdrawn, and the dead entries still on the heap
         self._cancelled = 0
         self._dead = 0
         #: timeline entries reserved but not pushed yet (see timeline())
@@ -407,7 +408,7 @@ class Simulator:
     # -- time --------------------------------------------------------------
     @property
     def event_count(self) -> int:
-        """Queue dispatches so far (a determinism fingerprint): cancelled
+        """Queue dispatches so far (a determinism fingerprint): withdrawn
         entries and events processed in place (a settled event, such as
         a returning process, and the jobs a fair-share wake-up
         completes) are not counted."""
@@ -415,14 +416,13 @@ class Simulator:
 
     @property
     def cancelled(self) -> int:
-        """Scheduled entries withdrawn by :meth:`cancel` or
-        :meth:`withdraw` so far."""
+        """Scheduled entries withdrawn by :meth:`withdraw` so far."""
         return self._cancelled
 
     @property
     def pending(self) -> int:
-        """Live scheduled entries: the heap minus its cancelled entries,
-        plus the live lane entries and the parked timeline entries."""
+        """Live scheduled entries: the heap minus its dead entries, plus
+        the live lane entries and the parked timeline entries."""
         lanes = sum(1 for lane in (self._urgent, self._normal)
                     for event in lane if event.callbacks is not None)
         return len(self._queue) - self._dead + lanes + self._parked
@@ -449,7 +449,6 @@ class Simulator:
         ev._ok = True
         ev._state = 1  # Event.TRIGGERED
         ev._defused = False
-        ev.delay = delay
         now = self.now
         when = now + delay
         if when == now:
@@ -473,9 +472,7 @@ class Simulator:
         same position in it — without the generator, the
         :class:`Process` object, or the process-completion event.
         """
-        ev = Event(self)
-        ev._ok = True
-        ev._state = Event.TRIGGERED
+        ev = Timeout(self)
         ev.callbacks.append(fn)
         self._urgent.append(ev)
         return ev
@@ -489,11 +486,11 @@ class Simulator:
         future delay, with NORMAL priority.  The kernel dispatches the
         event as it finds it: its callbacks run in order and a failure
         with nothing to defuse it stops the run.  So the event must be
-        triggered by then, either built triggered (a reusable waker) or
-        triggered by its first callback (a lone fair-share job's
-        completion hook).  An event may be scheduled again once its entry
-        has been dispatched or withdrawn; dispatch clears its callbacks,
-        so a reused event restores them itself.
+        triggered by then, either built triggered (``Timeout(sim)``: a
+        deadline, a reusable waker) or triggered by its first callback (a
+        lone fair-share job's completion hook).  An event may be scheduled
+        again once its entry has been dispatched or withdrawn; dispatch
+        clears its callbacks, so a reused event restores them itself.
         """
         if not self.now < when < _INF:
             raise ValueError(f"schedule() needs now < when < inf, got "
@@ -508,11 +505,11 @@ class Simulator:
 
         The entry keeps its heap slot but now holds a dead sentinel, so it
         is never dispatched, never counted in :attr:`event_count` and never
-        moves the clock.  It counts in :attr:`cancelled` and compacts the
-        heap exactly as :meth:`cancel` does.  The event itself is left
-        untouched: it stays pending, its waiters keep waiting and it can
-        be yielded or scheduled again.  Withdraw an entry once, and only
-        while it is still on the heap.
+        moves the clock.  It counts in :attr:`cancelled`, and once dead
+        entries outnumber live ones the heap is compacted (see
+        :meth:`_compact`).  The event itself is left untouched: it is not
+        processed, its waiters keep waiting and it can be scheduled again.
+        Withdraw an entry once, and only while it is still on the heap.
         """
         entry[3] = _DEAD
         self._cancelled += 1
@@ -538,7 +535,7 @@ class Simulator:
         ``fn`` leaves the rest of the series to a later :meth:`run`.  The
         keys strictly increase, so entry ``i + 1`` is on the heap before
         it can be due.  :attr:`pending` counts the entries not pushed yet.
-        A series entry cannot be cancelled or withdrawn.
+        A series entry cannot be withdrawn.
         """
         whens = tuple(whens)
         n = len(whens)
@@ -553,9 +550,7 @@ class Simulator:
         self._seq += n
         self._parked += n - 1
         heap = self._queue
-        carrier = Event(self)
-        carrier._ok = True
-        carrier._state = Event.TRIGGERED
+        carrier = Timeout(self)
         index = 0
 
         def dispatch(_event: Event) -> None:
@@ -587,48 +582,10 @@ class Simulator:
         heapq.heapify(queue)
         self._dead = 0
 
-    def cancel(self, event: Event) -> None:
-        """Withdraw a scheduled event before it is processed.
-
-        The entry stays where it is (heap or lane) but is never
-        dispatched: it runs no callbacks, does not count in
-        :attr:`event_count` and never moves the clock.  Whatever waits on
-        it waits forever, and yielding it or building a condition on it
-        afterwards raises :class:`SimulationError`.  Cancelling an event
-        that has already been processed (or cancelled) is a no-op.
-
-        Once cancelled heap entries outnumber live ones, the heap is
-        compacted (see :meth:`_compact`).  Lanes drain every instant and
-        are never compacted.
-
-        O(1) for a :class:`Timeout` still ahead of the clock (a client's
-        deadline): lanes hold only entries pushed at the
-        current instant, so a timeout whose ``now + delay`` differs from
-        ``now`` is a heap entry — pushed now, it went to the heap; pushed
-        earlier, it cannot be in a lane.  Any other event is looked up in
-        the lanes.
-        """
-        if event.sim is not self:
-            raise SimulationError(f"cannot cancel {event!r}: it belongs to "
-                                  f"another simulator")
-        if event.callbacks is None:
-            return
-        if event._state != Event.TRIGGERED:
-            raise SimulationError(f"cannot cancel {event!r}: not scheduled")
-        event.callbacks = None
-        event._state = Event.CANCELLED
-        self._cancelled += 1
-        now = self.now
-        if ((type(event) is Timeout and now + event.delay != now)
-                or (event not in self._urgent and event not in self._normal)):
-            self._dead += 1
-        if 2 * self._dead > len(self._queue):
-            self._compact()
-
     def _pop(self) -> Optional[Event]:
         """Remove the next live event in (time, priority, seq) order,
         advancing the clock to it; None when nothing live is left.
-        Cancelled entries met on the way are discarded.
+        Dead entries met on the way are discarded.
 
         :meth:`run` inlines this body for speed; keep the two in sync.
         """
@@ -714,9 +671,6 @@ class Simulator:
         if until is not None:
             if isinstance(until, Event):
                 if until.callbacks is None:
-                    if until._state == Event.CANCELLED:
-                        raise SimulationError(
-                            f"run(until={until!r}): the event was cancelled")
                     if not until._ok and not until._defused:
                         until._defused = True
                         raise until._value
@@ -737,10 +691,7 @@ class Simulator:
                 if not self.now <= at < _INF:
                     raise ValueError(f"until={at} must be finite and not in "
                                      f"the past (now={self.now})")
-                stopper = Event(self)
-                stopper._ok = True
-                stopper._value = None
-                stopper._state = Event.TRIGGERED
+                stopper = Timeout(self)
                 stopper.callbacks = [lambda ev: (_ for _ in ()).throw(StopSimulation(None))]
                 if at == self.now:
                     self._urgent.append(stopper)
@@ -768,14 +719,14 @@ class Simulator:
                         when, _prio, _seq, event = pop(heap)
                         callbacks = event.callbacks
                         if callbacks is None:
-                            self._dead -= 1  # cancelled: never dispatched
+                            self._dead -= 1  # withdrawn: never dispatched
                             continue
                         if when < now - 1e-12:
                             raise SimulationError("event scheduled in the past")
                     else:
                         event = urgent_pop() if urgent else normal_pop()
                         callbacks = event.callbacks
-                        if callbacks is None:
+                        if callbacks is None:  # an unreached stop marker
                             continue
                 elif heap:
                     when, _prio, _seq, event = pop(heap)
@@ -810,7 +761,7 @@ class Simulator:
             if stopper is not None:
                 if stopper.callbacks is not None:
                     # Not reached: dead, it is skipped in the lane or
-                    # dropped from the heap, as a cancelled entry is.
+                    # dropped from the heap, as a withdrawn entry is.
                     stopper.callbacks = None
                     if not stopper_in_lane:
                         self._dead += 1

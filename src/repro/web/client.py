@@ -18,7 +18,7 @@ from typing import Optional, TYPE_CHECKING
 
 from ..cluster.network import WANPath
 from ..obs import Span
-from ..sim import Event, join
+from ..sim import Event, Timeout, join
 from .http import HTTPRequest, HTTPResponse
 from .metrics import Metrics, RequestRecord
 from .server import Connection
@@ -98,6 +98,20 @@ class Client:
         if tracer is not None:
             tracer.finish(span, self.cluster.sim.now, **tags)
 
+    def _drop(self, rec: RequestRecord, root: Optional[Span], reason: str,
+              node: Optional[int] = None) -> RequestRecord:
+        """Give the request up for ``reason``: close its root span, record
+        the drop and, when ``node`` is given, trace it as an ``http``
+        event at that node.  Returns ``rec``."""
+        now = self.cluster.sim.now
+        self._end(root, outcome="dropped", reason=reason)
+        self.metrics.drop(rec, now, reason=reason)
+        tracer = self.cluster.tracer
+        if node is not None and tracer is not None and tracer.active:
+            tracer.emit(now, "http", f"client-{rec.req_id}", reason,
+                        node=node)
+        return rec
+
     # -- the request state machine ------------------------------------------
     def _resolve(self, span: Optional[Span] = None):
         """One DNS exchange; returns the resolved node id.
@@ -132,7 +146,8 @@ class Client:
         tracer = self.cluster.tracer
         root = (tracer.begin(rec.req_id, path, self.profile.name, sim.now)
                 if tracer is not None else None)
-        deadline = sim.timeout(self.timeout)
+        deadline = Timeout(sim)
+        entry = sim.schedule(deadline, sim.now + self.timeout)
         # Graceful degradation: a refused or reset connection is retried
         # (after exponential backoff, at a freshly-resolved node) instead
         # of dropped.  Bounded, and off entirely in paper-faithful mode.
@@ -147,9 +162,7 @@ class Client:
                 node_id = yield from self._resolve(dns_span)
             except LookupError:
                 self._end(dns_span, error="empty_zone")
-                self._end(root, outcome="dropped", reason="dns")
-                self.metrics.drop(rec, sim.now, reason="dns")
-                return rec
+                return self._drop(rec, root, "dns")
             self._end(dns_span)
             rec.dns_node = node_id
             rec.add_phase("network", sim.now - t0)
@@ -185,16 +198,9 @@ class Client:
                             node_id = yield from self._retry(rec, node_id,
                                                              "refused", root)
                         except LookupError:
-                            self._end(root, outcome="dropped", reason="dns")
-                            self.metrics.drop(rec, sim.now, reason="dns")
-                            return rec
+                            return self._drop(rec, root, "dns")
                         continue
-                    self._end(root, outcome="dropped", reason="refused")
-                    self.metrics.drop(rec, sim.now, reason="refused")
-                    if tracer is not None and tracer.active:
-                        tracer.emit(sim.now, "http", f"client-{rec.req_id}",
-                                    "refused", node=node_id)
-                    return rec
+                    return self._drop(rec, root, "refused", node_id)
                 self._end(cspan)
                 # --- ship the request line + headers (small, one way) --------
                 yield sim.timeout(self.profile.wan.latency)
@@ -203,12 +209,7 @@ class Client:
                 # --- wait for the full response, bounded by the deadline -----
                 yield join(sim, (conn.reply, deadline), need=1)
                 if not conn.reply.triggered:
-                    self._end(root, outcome="dropped", reason="timeout")
-                    self.metrics.drop(rec, sim.now, reason="timeout")
-                    if tracer is not None and tracer.active:
-                        tracer.emit(sim.now, "http", f"client-{rec.req_id}",
-                                    "timeout", node=node_id)
-                    return rec
+                    return self._drop(rec, root, "timeout", node_id)
                 response: HTTPResponse = conn.reply.value
 
                 if response.status == 503:
@@ -221,16 +222,9 @@ class Client:
                             node_id = yield from self._retry(rec, node_id,
                                                              "reset", root)
                         except LookupError:
-                            self._end(root, outcome="dropped", reason="dns")
-                            self.metrics.drop(rec, sim.now, reason="dns")
-                            return rec
+                            return self._drop(rec, root, "dns")
                         continue
-                    self._end(root, outcome="dropped", reason="reset")
-                    self.metrics.drop(rec, sim.now, reason="reset")
-                    if tracer is not None and tracer.active:
-                        tracer.emit(sim.now, "http", f"client-{rec.req_id}",
-                                    "reset", node=node_id)
-                    return rec
+                    return self._drop(rec, root, "reset", node_id)
 
                 if response.is_redirect and hop == 0:
                     # Follow the 302 exactly once (the SWEB rule).
@@ -251,8 +245,10 @@ class Client:
                 return rec
         finally:
             # A settled request withdraws its deadline so the event heap
-            # holds only live work (a no-op after a real timeout).
-            sim.cancel(deadline)
+            # holds only live work; a deadline that fired was dispatched,
+            # which cleared its callbacks.
+            if deadline.callbacks is not None:
+                sim.withdraw(entry)
 
     def _retry(self, rec: RequestRecord, failed_node: int, reason: str,
                root: Optional[Span] = None):

@@ -155,12 +155,6 @@ class Metrics:
         requests completed)."""
         return percentile(self.response_times(only_ok=only_ok), q)
 
-    def throughput(self, duration: float) -> float:
-        """Completed requests per second over ``duration``."""
-        if duration <= 0:
-            raise ValueError(f"duration must be > 0, got {duration}")
-        return self.completed / duration
-
     def phase_breakdown(self, only_ok: bool = True) -> PhaseAccumulator:
         """Average per-phase costs across requests (Table 5)."""
         acc = PhaseAccumulator()

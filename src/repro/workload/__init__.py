@@ -39,7 +39,6 @@ from .logs import (
 )
 from .fluid import (
     FluidRecords,
-    FluidRequest,
     FluidResult,
     FluidScenario,
     run_fluid,
@@ -74,7 +73,6 @@ __all__ = [
     "Corpus",
     "Document",
     "FluidRecords",
-    "FluidRequest",
     "FluidResult",
     "FluidScenario",
     "KB",

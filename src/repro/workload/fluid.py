@@ -38,7 +38,7 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -46,8 +46,7 @@ from ..obs import LATENCY_BUCKETS, MetricsRegistry
 from ..sched import SpeedFactors, fluid_policy_names, rank_preferences
 from ..sim import RandomStreams, Simulator
 
-__all__ = ["FluidRecords", "FluidRequest", "FluidResult", "FluidScenario",
-           "run_fluid"]
+__all__ = ["FluidRecords", "FluidResult", "FluidScenario", "run_fluid"]
 
 
 @dataclass(frozen=True)
@@ -171,30 +170,6 @@ class FluidScenario:
                 raise ValueError(f"{kind} must be > 0, got {factors}")
 
 
-class FluidRequest:
-    """A lightweight view of one fluid request (``__slots__``-only).
-
-    Materialised on demand from :class:`FluidRecords` columns — the
-    simulation itself never builds these; per-request state stays in
-    the arrays.
-    """
-
-    __slots__ = ("arrival", "latency", "node", "path_rank", "redirected")
-
-    def __init__(self, arrival: float, latency: float, node: int,
-                 path_rank: int, redirected: bool) -> None:
-        self.arrival = arrival
-        self.latency = latency
-        self.node = node
-        self.path_rank = path_rank
-        self.redirected = redirected
-
-    def __repr__(self) -> str:
-        return (f"<FluidRequest t={self.arrival:.4f} lat={self.latency:.4f} "
-                f"node={self.node} rank={self.path_rank} "
-                f"redirected={self.redirected}>")
-
-
 class FluidRecords:
     """Column-oriented per-request records (``array``-backed).
 
@@ -216,15 +191,6 @@ class FluidRecords:
 
     def __len__(self) -> int:
         return len(self.arrivals)
-
-    def __getitem__(self, i: int) -> FluidRequest:
-        return FluidRequest(self.arrivals[i], self.latencies[i],
-                            self.nodes[i], self.path_ranks[i],
-                            bool(self.redirected[i]))
-
-    def __iter__(self) -> Iterator[FluidRequest]:
-        for i in range(len(self)):
-            yield self[i]
 
 
 @dataclass

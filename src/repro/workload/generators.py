@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from ..sim import RandomStreams
 from .corpus import Corpus
@@ -39,8 +39,7 @@ calls of ``sampler(1)`` return and leaves every stream where they leave
 it.  ``sampler(0)`` draws nothing."""
 
 
-@dataclass(frozen=True)
-class Arrival:
+class Arrival(NamedTuple):
     """One request arrival: when, what, and which client population."""
 
     time: float

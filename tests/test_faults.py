@@ -58,9 +58,10 @@ def test_parse_rejects_bad_specs(spec):
 
 
 def test_builders_match_parse():
-    built = (FaultPlan().crash(2, at=30.0)
-             .partition(10.0, 20.0)
-             .slow_disk(1, 5.0, 25.0, factor=4.0))
+    built = FaultPlan([Fault("crash", start=30.0, node=2),
+                       Fault("partition", start=10.0, end=20.0),
+                       Fault("slowdisk", start=5.0, end=25.0, node=1,
+                             factor=4.0)])
     parsed = FaultPlan.parse("crash:n2@30,partition:10-20,slowdisk:n1@5-25x4")
     assert built.faults == parsed.faults
     assert built.describe() == parsed.describe()
@@ -84,10 +85,8 @@ def test_fault_is_plain_data():
 # ----------------------------------------------------------- the injector
 def test_injector_applies_and_reverts_everything():
     cluster = SWEBCluster(meiko_cs2(3), policy="sweb", seed=1)
-    plan = (FaultPlan().crash(0, at=1.0, restart_at=2.0)
-            .slow_disk(1, 1.0, 3.0, factor=4.0)
-            .mute(2, 1.0, end=2.5)
-            .corrupt(2, 3.0, end=4.0, factor=0.5))
+    plan = FaultPlan.parse("crash:n0@1-2,slowdisk:n1@1-3x4,mute:n2@1-2.5,"
+                           "corrupt:n2@3-4x0.5")
     injector = cluster.attach_faults(plan)
     sim = cluster.sim
 
@@ -284,7 +283,7 @@ def test_x9_graceful_strictly_beats_faithful():
 def test_scenario_faults_field_accepts_plan_objects():
     from repro.experiments.faults import run_faulted
 
-    plan = FaultPlan().mute(0, 1.0, end=2.0)
+    plan = FaultPlan.parse("mute:n0@1-2")
     result = run_faulted(graceful=False, duration=4.0, rps=4, plan=plan)
     assert result.injector is not None
     assert result.injector.applied("mute") == 1

@@ -5,7 +5,7 @@ import pytest
 from repro import SWEBCluster, meiko_cs2, sun_now, RUTGERS_CLIENT, UCSB_CLIENT
 from repro.core import CostParameters
 from repro.obs import Tracer
-from repro.sim import Event, Simulator, join
+from repro.sim import Event, FairShareServer, Simulator, join
 
 
 def small_cluster(policy="sweb", n=3, **kw):
@@ -239,3 +239,55 @@ def test_deterministic_replay_same_seed():
                 for r in cluster.metrics.records]
 
     assert run_once() == run_once()
+
+
+def test_replies_withdraw_their_deadlines(monkeypatch):
+    """Every reply here beats its 120 s deadline, and the client withdraws
+    the deadline's heap entry: the kernel's withdrawals are exactly those
+    deadlines plus the fair-share stations' superseded wake-ups, and the
+    heap never holds more than twice its live entries plus a constant."""
+    stations = []
+    build = FairShareServer.__init__
+
+    def tracked(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        stations.append(self)
+
+    monkeypatch.setattr(FairShareServer, "__init__", tracked)
+    cluster = small_cluster()
+    sim = cluster.sim
+    client = cluster.client()
+    worst = [0]
+
+    def load():
+        for i in range(60):
+            client.fetch("/big.gif" if i % 3 else "/index.html")
+            yield sim.timeout(0.05)
+
+    def probe():
+        while True:
+            yield sim.timeout(0.01)
+            worst[0] = max(worst[0], len(sim._queue) - 2 * sim.pending)
+
+    sim.spawn(probe())
+    cluster.run(until=sim.spawn(load()))
+    cluster.run(until=sim.now + 60.0)
+    records = cluster.metrics.records
+    assert len(records) == 60 and all(rec.ok for rec in records)
+    superseded = sum(station.wakeups_superseded for station in stations)
+    assert superseded > 0
+    assert sim.cancelled == len(records) + superseded
+    assert worst[0] <= 2
+
+
+def test_a_deadline_the_clock_cannot_resolve_fails_the_request():
+    """At t = 2**60 one ulp of the clock is 256 s, so a 1 s deadline lands
+    on ``now`` itself: the request fails with schedule()'s ValueError
+    instead of timing out in the instant it starts."""
+    sim = Simulator(start_time=2.0 ** 60)
+    cluster = SWEBCluster(meiko_cs2(2), seed=7, sim=sim, start_loadd=False)
+    cluster.add_file("/index.html", 1024.0, home=0)
+    proc = cluster.fetch("/index.html", timeout=1.0)
+    with pytest.raises(ValueError, match="schedule"):
+        cluster.run(until=proc)
+    assert not proc.ok and sim.cancelled == 0

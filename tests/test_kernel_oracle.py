@@ -9,15 +9,19 @@ same dispatch log — every labelled event with the clock it fired at and
 its place in the schedule (``event_count``) —
 the same join and process values, the same errors, and after every
 top-level operation the same clock, ``event_count``, ``pending`` and
-``cancelled``.
+``cancelled``.  A withdrawn deadline is never waited on, joined or run
+until afterwards: the reference refuses a cancelled event, while a
+withdrawn one is only an event nothing will trigger.
 
 The programs mix zero-delay timeouts, delays that float rounding absorbs
 and exact ties; ``succeed``/``fail``/``defuse`` from the top level, from
 processes and from deferred callbacks; ``defer`` and nested ``spawn``,
 with or without a waiter (a returning process is settled in place on
 both kernels, its waiters resumed inside the dispatch that ran it);
-joins on any or all of several events, including none; ``cancel`` of lane entries (a just-triggered
-event, a zero-delay timeout) and of heap entries; ``run(until=t)``
+joins on any or all of several events, including none; deadlines armed
+as a client arms them (a ``Timeout(sim)`` handed to ``schedule``, against
+a plain timeout on the reference) and withdrawn with ``withdraw``
+(``cancel`` on the reference); ``run(until=t)``
 including ``t == now`` while lane entries are pending; ``run(until=ev)``,
 which stops mid-instant; and ``step()`` and ``peek()`` in between.
 """
@@ -43,15 +47,16 @@ _trigger = st.tuples(st.sampled_from(["succeed", "fail", "fail_defused"]),
 _action = st.one_of(
     st.none(),
     _trigger,
-    st.tuples(st.just("timeout"), _delay),
-    st.tuples(st.just("cancel"), _index),
+    st.tuples(st.sampled_from(["timeout", "deadline"]), _delay),
+    st.tuples(st.just("withdraw"), _index),
 )
 # One step of a process script; "spawn" starts a child with a flat script.
 _leaf_step = st.one_of(
     st.tuples(st.just("wait"), _index),
     st.tuples(st.just("sleep"), _delay),
     _trigger,
-    st.tuples(st.just("cancel"), _index),
+    st.tuples(st.just("deadline"), _delay),
+    st.tuples(st.just("withdraw"), _index),
     st.tuples(st.just("defer"), _action),
     st.tuples(st.sampled_from(["any", "all"]),
               st.lists(_index, min_size=0, max_size=3)),
@@ -64,10 +69,11 @@ _step = st.one_of(
               st.lists(_leaf_step, max_size=4)),
 )
 _op = st.one_of(
-    st.tuples(st.just("timeouts"), st.lists(_delay, min_size=1, max_size=6)),
+    st.tuples(st.sampled_from(["timeouts", "deadlines"]),
+              st.lists(_delay, min_size=1, max_size=6)),
     st.tuples(st.just("events"), st.integers(min_value=1, max_value=3)),
     _trigger,
-    st.tuples(st.just("cancel"), st.lists(_index, min_size=1, max_size=4)),
+    st.tuples(st.just("withdraw"), st.lists(_index, min_size=1, max_size=4)),
     st.tuples(st.sampled_from(["spawn", "spawn_quiet"]),
               st.lists(_step, max_size=6)),
     st.tuples(st.just("defer"), _action),
@@ -90,6 +96,11 @@ class _Run:
         self.label: dict[int, int] = {}
         #: ids of the joins' done events, which only their joins trigger
         self.joins: set[int] = set()
+        #: label -> what withdraws a deadline: its entry (production) or
+        #: the event itself (reference)
+        self.deadlines: dict[int, object] = {}
+        #: ids of the withdrawn deadlines
+        self.void: set[int] = set()
         self.log: list[tuple] = []
 
     # -- labelled events ----------------------------------------------------
@@ -116,7 +127,12 @@ class _Run:
         return value
 
     def pick(self, i):
-        return self.events[i % len(self.events)] if self.events else None
+        """The ``i``-th event modulo the count; None when there is none
+        or it is a withdrawn deadline."""
+        if not self.events:
+            return None
+        ev = self.events[i % len(self.events)]
+        return None if id(ev) in self.void else ev
 
     def error(self, where: str, exc: BaseException) -> None:
         self.log.append(("error", where, type(exc).__name__, self.sim.now))
@@ -140,20 +156,42 @@ class _Run:
             if kind == "fail_defused":
                 ev.defuse()
 
-    def cancel(self, i: int) -> None:
-        ev = self.pick(i)
-        if ev is None:
+    def deadline(self, delay: float):
+        """A voidable timeout, armed as a client arms its deadline; a
+        delay the clock cannot resolve gives a plain timeout."""
+        sim = self.sim
+        if sim.now + delay == sim.now:
+            return self.timeout(delay)
+        index = len(self.events)
+        if self.k is production:
+            ev = production.Timeout(sim)
+            self.deadlines[index] = sim.schedule(ev, sim.now + delay)
+        else:
+            ev = self.deadlines[index] = sim.timeout(delay)
+        return self.add(ev, "deadline")
+
+    def withdraw(self, i: int) -> None:
+        """Withdraw the ``i``-th deadline (modulo their count) if it is
+        still scheduled."""
+        if not self.deadlines:
             return
-        try:
-            self.sim.cancel(ev)
-        except self.k.SimulationError as exc:
-            self.error("cancel", exc)
+        labels = list(self.deadlines)
+        label = labels[i % len(labels)]
+        ev = self.events[label]
+        if id(ev) in self.void or ev.callbacks is None:
+            return
+        handle = self.deadlines[label]
+        self.void.add(id(ev))
+        if self.k is production:
+            self.sim.withdraw(handle)
+        else:
+            self.sim.cancel(handle)
 
     def join(self, kind: str, picks: list) -> None:
         """A join of the picked events, on the first of them (``any``) or
         all of them (``all``), valued with its own label; its dispatch
         logs which legs had fired."""
-        legs = [self.pick(i) for i in picks] if self.events else []
+        legs = [ev for ev in map(self.pick, picks) if ev is not None]
         try:
             done = self.k.join(self.sim, legs, len(self.events),
                                1 if kind == "any" else None)
@@ -165,7 +203,7 @@ class _Run:
         done.callbacks.append(lambda e: self.log.append(
             ("legs", sorted(self.label[id(ev)] for ev in legs
                             if ev.callbacks is None and ev._ok
-                            and ev._state != self.k.Event.CANCELLED))))
+                            and id(ev) not in self.void))))
 
     def act(self, action) -> None:
         if action is None:
@@ -173,8 +211,10 @@ class _Run:
         kind = action[0]
         if kind == "timeout":
             self.timeout(action[1])
-        elif kind == "cancel":
-            self.cancel(action[1])
+        elif kind == "deadline":
+            self.deadline(action[1])
+        elif kind == "withdraw":
+            self.withdraw(action[1])
         else:
             self.trigger(kind, action[1])
 
@@ -209,8 +249,10 @@ class _Run:
                                      self.render_value(value)))
             elif kind == "sleep":
                 yield self.timeout(step[1])
-            elif kind == "cancel":
-                self.cancel(step[1])
+            elif kind == "deadline":
+                self.deadline(step[1])
+            elif kind == "withdraw":
+                self.withdraw(step[1])
             elif kind == "defer":
                 self.defer(step[1])
             elif kind in ("any", "all"):
@@ -230,12 +272,15 @@ class _Run:
             if kind == "timeouts":
                 for delay in op[1]:
                     self.timeout(delay)
+            elif kind == "deadlines":
+                for delay in op[1]:
+                    self.deadline(delay)
             elif kind == "events":
                 for _ in range(op[1]):
                     self.add(self.k.Event(sim), "event")
-            elif kind == "cancel":
+            elif kind == "withdraw":
                 for i in op[1]:
-                    self.cancel(i)
+                    self.withdraw(i)
             elif kind in ("spawn", "spawn_quiet"):
                 self.spawn(op[1], kind == "spawn")
             elif kind == "defer":
@@ -388,20 +433,21 @@ def test_run_until_event_stop_keeps_the_later_waiters(kernel):
     assert woke == [("x", 1.0)] and sim.event_count == 3
 
 
-def test_cancel_of_lane_and_heap_entries():
-    ops = [("timeouts", [0.0, 0.0, 3.0, 3.0, 3.0]),
-           ("events", 2),
-           ("succeed", 5),
-           ("cancel", [0, 5, 2, 3]),                # two lane, two heap
+def test_withdraw_of_heap_entries():
+    """Only a deadline still on the heap is withdrawn: a zero-delay one is
+    a plain lane timeout, and a repeat of a withdrawn one is skipped."""
+    ops = [("deadlines", [3.0, 0.0, 3.0, 3.0]),
+           ("timeouts", [0.0]),
+           ("withdraw", [0, 1, 1]),                 # events 0 and 2
            ("peek",), ("step",), ("run_until", 0.0), ("step",)]
     new, ref = _play(ops)
-    assert new.sim.cancelled == 4
-    assert ref.sim.event_count == new.sim.event_count
+    assert new.sim.cancelled == 2 and len(new.void) == 2
+    assert ref.sim.event_count == new.sim.event_count == 4
+    assert new.sim.now == 3.0 and new.events[3].processed
 
 
 def test_same_instant_pushes_skip_the_heap():
-    """Only strictly-future entries reach the heap; a cancelled lane entry
-    leaves ``pending`` at once and never dispatches."""
+    """Only strictly-future entries reach the heap."""
     sim = production.Simulator(start_time=1.0)
     ev = production.Event(sim)
     ev.succeed()
@@ -410,14 +456,12 @@ def test_same_instant_pushes_skip_the_heap():
     absorbed = sim.timeout(1e-18)   # below one ulp of the clock
     sim.timeout(0.5)
     assert len(sim._queue) == 1 and sim.pending == 5
-    sim.cancel(zero)
-    assert sim.pending == 4 and sim.cancelled == 1
     assert sim.peek() == 1.0
     sim.run(until=1.0)              # stopper in the URGENT lane: stops
     assert sim.event_count == 2     # after the deferred call, before NORMAL
     sim.run()
-    assert absorbed.processed and not zero.processed
-    assert sim.event_count == 5 and sim.now == 1.5
+    assert absorbed.processed and zero.processed
+    assert sim.event_count == 6 and sim.now == 1.5
 
 
 def test_process_nothing_waits_on_completes_in_place():

@@ -222,6 +222,21 @@ def test_clock_assignment_flagged(tmp_path):
                  rule="sched-engine-internals") == []
 
 
+def test_event_state_stores_flagged_outside_sim(tmp_path):
+    code = ('"""D."""\ndef f(ev):\n'
+            '    ev._ok = True\n'
+            '    ev._ok, ev._state = True, 1\n'
+            '    del ev._value\n'
+            '    return ev._ok and ev._state\n')
+    diags = _lint(tmp_path, "web/x.py", code, rule="sched-event-state")
+    assert [d.line for d in diags] == [3, 4, 4, 5]
+    assert {"_ok", "_state", "_value"} == {
+        d.message.split("'.")[1].split("'")[0] for d in diags}
+    for allowed in ("sim/engine.py", "sim/bandwidth.py"):
+        assert _lint(tmp_path, allowed, code,
+                     rule="sched-event-state") == []
+
+
 # -- ordering -------------------------------------------------------------
 
 def test_set_iteration_flagged(tmp_path):

@@ -1,22 +1,25 @@
-"""Cancellable events: ``Simulator.cancel`` against a no-op reference.
+"""Voidable entries: ``Simulator.schedule``/``withdraw`` against a no-op
+reference.
 
-A cancelled entry is never dispatched, never counted and never moves the
-clock; the heap is compacted once dead entries outnumber live ones.  The
-reference is the frozen heap-only kernel (``tests/kernel_reference.py``)
-with cancellation reduced to emptying the event's callback list, the way
-superseded fair-share timers were once retired: the entry keeps its heap
-slot and dispatches as a no-op.  Random programs — timeouts, cancels (from
-the top level and from inside processes), ``join`` waits on any or all
-of their legs, ``step()``, ``run(until=t)`` and ``peek()`` — run through
-both and must agree on every live dispatch, its clock, the legs each
-join saw fired and ``event_count`` up to the dead entries the reference
-dispatched.  The reference helpers read the reference kernel's own heap,
-which holds every scheduled entry (the production heap holds only
-strictly-future ones).
+A withdrawn entry is never dispatched, never counted and never moves the
+clock; it counts in ``cancelled``, and the heap is compacted once dead
+entries outnumber live ones.  The reference is the frozen heap-only
+kernel (``tests/kernel_reference.py``) with cancellation reduced to
+emptying the event's callback list, the way superseded fair-share timers
+were once retired: the entry keeps its heap slot and dispatches as a
+no-op.  Random programs — timeouts, withdrawals (from the top level and
+from inside processes), ``join`` waits on any or all of their legs,
+``step()``, ``run(until=t)`` and ``peek()`` — run through both and must
+agree on every live dispatch, its clock, the legs each join saw fired
+and ``event_count`` up to the dead entries the reference dispatched.  A
+timeout the production program may void is armed the way a client arms
+its deadline: a ``Timeout(sim)`` handed to ``schedule``.  The reference
+helpers read the reference kernel's own heap, which holds every
+scheduled entry (the production heap holds only strictly-future ones).
 
-``Simulator.schedule``/``Simulator.withdraw`` (a voidable entry for an
-event that lives on, such as a fair-share station's reusable waker) go
-through the same wake-up re-arm differential as ``timeout``/``cancel``.
+The wake-up re-arm differential drives both ways a holder re-arms: a
+fresh ``Timeout(sim)`` per arm (a client's deadline) and one reusable
+waker (a fair-share station), each withdrawing the entry it armed last.
 """
 
 import math
@@ -25,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.sim.engine as production
-from repro.sim import Event, SimulationError, Simulator, join
+from repro.sim import Event, SimulationError, Simulator, Timeout, join
 
 from . import kernel_reference as reference
 
@@ -46,13 +49,25 @@ class _Run:
         self.sim = sim
         self.events: list[Event] = []
         self.label: dict[int, int] = {}
-        #: events cancelled while still scheduled (the dead entries)
+        #: label -> what voids a heap timeout: its entry (production) or
+        #: the event itself (reference)
+        self.voidable: dict[int, object] = {}
+        #: events withdrawn while still scheduled (the dead entries)
         self.dead: list[Event] = []
         self.log: list[tuple] = []
 
     def timeout(self, delay: float) -> Event:
+        """A labelled timeout; a heap one is voidable, a lane one (a delay
+        the clock cannot resolve) is not, on both kernels alike."""
         index = len(self.events)
-        ev = self.sim.timeout(delay, value=index)
+        sim = self.sim
+        if sim.now + delay == sim.now:
+            ev = sim.timeout(delay, value=index)
+        elif self.k is production:
+            ev = Timeout(sim)
+            self.voidable[index] = sim.schedule(ev, sim.now + delay)
+        else:
+            ev = self.voidable[index] = sim.timeout(delay)
         ev.callbacks.append(
             lambda e, i=index: self.log.append(("fire", i, self.sim.now)))
         self.events.append(ev)
@@ -60,9 +75,15 @@ class _Run:
         return ev
 
     def cancel(self, ev: Event) -> None:
-        if ev.callbacks is not None and ev not in self.dead:
-            self.dead.append(ev)
-        self.sim.cancel(ev)
+        """Void ``ev``'s entry if it is a heap timeout still scheduled."""
+        handle = self.voidable.get(self.label[id(ev)])
+        if handle is None or ev.callbacks is None or ev in self.dead:
+            return
+        self.dead.append(ev)
+        if self.k is production:
+            self.sim.withdraw(handle)
+        else:
+            self.sim.cancel(handle)
 
     def fired(self, legs: list) -> list:
         """The labels and values of ``legs`` dispatched so far, dead
@@ -104,8 +125,8 @@ _delay = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0, 3.0]),
                    st.floats(min_value=0.0, max_value=40.0,
                              allow_nan=False, allow_infinity=False))
 _index = st.integers(min_value=0, max_value=10_000)
-# Cancels are drawn often and in batches, so that dead entries regularly
-# outnumber live ones and the heap compacts mid-program.
+# Withdrawals are drawn often and in batches, so that dead entries
+# regularly outnumber live ones and the heap compacts mid-program.
 _cancel = st.tuples(st.just("cancel"),
                     st.lists(_index, min_size=1, max_size=10))
 _op = st.one_of(
@@ -135,7 +156,7 @@ def _play(ops):
                     run.cancel(run.events[i % len(run.events)])
                 if run is new and new.sim.cancelled > withdrawn:
                     # Compaction: dead entries never outnumber live ones
-                    # right after a cancel that withdrew an entry.
+                    # right after a withdrawal.
                     assert len(new.sim._queue) <= 2 * new.sim.pending
             elif kind in ("any", "all") and run.events:
                 # Joins are built on events that are still live.
@@ -176,7 +197,7 @@ def test_cancellation_matches_no_op_reference(ops):
 
 
 def test_reference_program_reaches_compaction():
-    """A fixed program whose cancels outnumber the live entries."""
+    """A fixed program whose withdrawals outnumber the live entries."""
     ops = [("timeouts", [50.0 + i for i in range(8)]) for _ in range(8)]
     ops += [("any", [i, i + 1], None, None) for i in range(0, 60, 3)]
     ops += [("cancel", list(range(i, i + 6))) for i in range(0, 60, 6)]
@@ -187,13 +208,19 @@ def test_reference_program_reaches_compaction():
 
 
 # -- unit cases --------------------------------------------------------------
+def _deadline(sim: Simulator, when: float) -> tuple[Timeout, list]:
+    """A client-style deadline: a triggered event and its heap entry."""
+    ev = Timeout(sim)
+    return ev, sim.schedule(ev, when)
+
+
 def test_cancelled_timeout_never_dispatches_or_moves_the_clock():
     sim = Simulator()
     fired = []
     early = sim.timeout(1.0)
-    late = sim.timeout(10.0)
+    late, entry = _deadline(sim, 10.0)
     late.callbacks.append(lambda ev: fired.append(sim.now))
-    sim.cancel(late)
+    sim.withdraw(entry)
     sim.run()
     assert fired == []
     assert sim.now == 1.0
@@ -203,89 +230,13 @@ def test_cancelled_timeout_never_dispatches_or_moves_the_clock():
     assert early.processed and not late.processed
 
 
-def test_cancel_after_processing_is_a_no_op():
-    sim = Simulator()
-    ev = sim.timeout(2.0, value="done")
-    sim.run()
-    sim.cancel(ev)
-    sim.cancel(ev)
-    assert ev.processed and ev.value == "done"
-    assert sim.cancelled == 0
-
-
-def test_cancel_twice_counts_once():
-    sim = Simulator()
-    ev = sim.timeout(2.0)
-    sim.cancel(ev)
-    sim.cancel(ev)
-    assert sim.cancelled == 1
-
-
-def test_cancel_of_an_unscheduled_event_is_an_error():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.cancel(Event(sim))
-    other = Simulator()
-    with pytest.raises(SimulationError):
-        other.cancel(sim.timeout(1.0))
-
-
-def test_yielding_a_cancelled_event_raises_in_the_process():
-    sim = Simulator()
-    ev = sim.timeout(5.0)
-    sim.cancel(ev)
-    caught = []
-
-    def waiter():
-        try:
-            yield ev
-        except SimulationError as exc:
-            caught.append(str(exc))
-        yield sim.timeout(1.0)
-        return "recovered"
-
-    proc = sim.spawn(waiter())
-    assert sim.run(until=proc) == "recovered"
-    assert caught and "cancelled" in caught[0]
-
-
-def test_uncaught_yield_of_a_cancelled_event_fails_the_run():
-    sim = Simulator()
-    ev = sim.timeout(5.0)
-    sim.cancel(ev)
-
-    def waiter():
-        yield ev
-
-    sim.spawn(waiter())
-    with pytest.raises(SimulationError):
-        sim.run()
-
-
-def test_condition_on_a_cancelled_event_raises():
-    sim = Simulator()
-    live = sim.timeout(1.0)
-    dead = sim.timeout(2.0)
-    sim.cancel(dead)
-    with pytest.raises(SimulationError, match="cancelled"):
-        join(sim, [live, dead], need=1)
-    with pytest.raises(SimulationError, match="cancelled"):
-        join(sim, [dead])
-    with pytest.raises(SimulationError):
-        sim.run(until=dead)
-    # The join attached to no leg.
-    assert live.callbacks == []
-
-
 def test_rejected_join_leaves_its_legs_as_it_found_them():
     sim = Simulator()
     early = sim.timeout(0.0)
     sim.run()
     live = sim.timeout(1.0)
-    dead = sim.timeout(2.0)
-    sim.cancel(dead)
     other = Simulator().timeout(1.0)
-    for legs in ([early, live, dead], [live, live, other]):
+    for legs in ([early, live, other], [live, live, other]):
         with pytest.raises(SimulationError):
             join(sim, legs, need=1)
         assert live.callbacks == []
@@ -297,18 +248,18 @@ def test_rejected_join_leaves_its_legs_as_it_found_them():
 
 def test_condition_value_leaves_out_an_event_cancelled_later():
     sim = Simulator()
-    a = sim.timeout(1.0, value="a")
+    a, entry = _deadline(sim, 1.0)
     b = sim.timeout(2.0, value="b")
     done = join(sim, [a, b], value="first", need=1)
-    sim.cancel(a)
-    # The cancelled leg never counts: the surviving one completes it.
+    sim.withdraw(entry)
+    # The withdrawn leg never counts: the surviving one completes it.
     assert sim.run(until=done) == "first"
     assert sim.now == 2.0 and b.processed and not a.processed
 
 
 def test_waiter_on_an_event_cancelled_later_never_resumes():
     sim = Simulator()
-    ev = sim.timeout(3.0)
+    ev, entry = _deadline(sim, 3.0)
     woke = []
 
     def waiter():
@@ -317,7 +268,7 @@ def test_waiter_on_an_event_cancelled_later_never_resumes():
 
     sim.spawn(waiter())
     sim.run(until=1.0)
-    sim.cancel(ev)
+    sim.withdraw(entry)
     sim.run()
     assert woke == []
     assert sim.now == 1.0
@@ -326,9 +277,9 @@ def test_waiter_on_an_event_cancelled_later_never_resumes():
 def test_peek_and_step_skip_cancelled_entries():
     for probe in ("peek", "step"):
         sim = Simulator()
-        evs = [sim.timeout(float(t)) for t in range(1, 6)]
-        sim.cancel(evs[0])
-        sim.cancel(evs[1])
+        armed = [_deadline(sim, float(t)) for t in range(1, 6)]
+        sim.withdraw(armed[0][1])
+        sim.withdraw(armed[1][1])
         # Two dead of five: below the compaction threshold, so the dead
         # entries are still at the top of the heap.
         assert len(sim._queue) == 5 and sim.pending == 3
@@ -337,7 +288,7 @@ def test_peek_and_step_skip_cancelled_entries():
             assert sim.now == 0.0 and sim.event_count == 0
         else:
             sim.step()
-            assert sim.now == 3.0 and evs[2].processed
+            assert sim.now == 3.0 and armed[2][0].processed
             assert sim.event_count == 1
         assert sim.pending == len(sim._queue)
     sim.run()
@@ -348,7 +299,7 @@ def test_peek_and_step_skip_cancelled_entries():
 
 def test_run_until_time_skips_cancelled_entries():
     sim = Simulator()
-    sim.cancel(sim.timeout(1.0))
+    sim.withdraw(_deadline(sim, 1.0)[1])
     kept = sim.timeout(2.0)
     sim.run(until=5.0)
     assert kept.processed and sim.now == 5.0
@@ -357,20 +308,21 @@ def test_run_until_time_skips_cancelled_entries():
 
 def test_heap_stays_within_twice_live_plus_a_constant():
     """Client-style deadlines: each request arms a long deadline, its reply
-    wins, and the deadline is cancelled.  The heap never holds more than
+    wins, and the deadline is withdrawn.  The heap never holds more than
     twice the live entries plus a constant."""
     sim = Simulator()
     worst = [0, 0]
     settled = [0]
 
     def request(i):
-        deadline = sim.timeout(120.0)
+        deadline, entry = _deadline(sim, sim.now + 120.0)
         try:
             yield join(sim, [sim.timeout(0.5 + (i % 7) * 0.3), deadline],
                        need=1)
         finally:
             settled[0] += 1
-            sim.cancel(deadline)
+            if deadline.callbacks is not None:
+                sim.withdraw(entry)
 
     def arrivals():
         for i in range(3000):
@@ -389,15 +341,15 @@ def test_heap_stays_within_twice_live_plus_a_constant():
 def test_compaction_during_run_keeps_the_live_order():
     sim = Simulator()
     order = []
-    doomed = [sim.timeout(100.0 + i) for i in range(50)]
+    doomed = [_deadline(sim, 100.0 + i)[1] for i in range(50)]
     for i in range(20):
         ev = sim.timeout(float(i % 5), value=i)
         ev.callbacks.append(lambda e: order.append((sim.now, e.value)))
 
     def canceller():
         yield sim.timeout(1.5)
-        for ev in doomed:
-            sim.cancel(ev)
+        for entry in doomed:
+            sim.withdraw(entry)
         assert len(sim._queue) <= 2 * sim.pending < 50
 
     sim.spawn(canceller())
@@ -408,31 +360,41 @@ def test_compaction_during_run_keeps_the_live_order():
     assert sim.now == 4.0
 
 
-# -- the wake-up re-arm: O(1) cancel of a heap timeout vs the reference -----
+# -- the wake-up re-arm: a fresh timer per arm vs the reference -------------
 class _Stations:
     """``k`` wake-up holders on one kernel, each re-armed with a fresh
-    timer: withdraw the armed timer, arm a new one (``timeout()`` with
-    its callback appended).  The production kernel
-    withdraws a timeout ahead of the clock without a lane scan; the
-    reference scans the lanes."""
+    timer: void the armed timer, arm a new one with its callback
+    appended.  On the production kernel a timer is a ``Timeout(sim)``
+    armed with ``schedule()`` and voided with ``withdraw()``, as a
+    client's deadline is; on the reference it is a ``timeout()`` voided
+    with ``cancel()``."""
 
     def __init__(self, kernel, k: int) -> None:
+        self.k = kernel
         self.sim = kernel.Simulator()
+        #: per station, what voids its armed timer: the entry
+        #: (production) or the event (reference); None when unarmed
         self.timers = [None] * k
         self.log: list[tuple] = []
 
     def arm(self, station: int, delay: float) -> None:
-        timer = self.timers[station]
-        if timer is not None:
-            self.sim.cancel(timer)
+        sim = self.sim
+        armed = self.timers[station]
+        if armed is not None:
+            (sim.withdraw if self.k is production else sim.cancel)(armed)
 
         def wake(ev, station=station):
             self.timers[station] = None
-            self.log.append((station, self.sim.now, self.sim.event_count))
+            self.log.append((station, sim.now, sim.event_count))
 
-        timer = self.sim.timeout(delay)
-        timer.callbacks.append(wake)
-        self.timers[station] = timer
+        if self.k is production:
+            timer = Timeout(sim)
+            timer.callbacks.append(wake)
+            self.timers[station] = sim.schedule(timer, sim.now + delay)
+        else:
+            timer = sim.timeout(delay)
+            timer.callbacks.append(wake)
+            self.timers[station] = timer
 
     def state(self) -> tuple:
         # Every entry is strictly in the future (delays and gaps > 0), so
@@ -509,8 +471,7 @@ class _Wakers:
         self.wakers = []
         self.log: list[tuple] = []
         for station in range(k):
-            waker = Event(self.sim)
-            waker._ok, waker._state = True, Event.TRIGGERED
+            waker = Timeout(self.sim)
             waker.callbacks.append(
                 lambda ev, station=station: self.wake(station, ev))
             self.wakers.append((waker, waker.callbacks))
@@ -580,8 +541,7 @@ def test_withdrawn_entry_never_dispatches_and_its_event_stays_yieldable():
 
 def test_a_withdrawn_event_can_be_scheduled_again():
     sim = Simulator()
-    waker = Event(sim)
-    waker._ok, waker._state = True, Event.TRIGGERED
+    waker = Timeout(sim)
     fired = []
     callbacks = [lambda ev: fired.append(sim.now)]
     waker.callbacks = callbacks
@@ -603,8 +563,7 @@ def test_schedule_shares_the_sequence_with_timeouts():
     order = []
     first = sim.timeout(1.0)
     first.callbacks.append(lambda ev: order.append("timeout-1"))
-    ev = Event(sim)
-    ev._ok, ev._state = True, Event.TRIGGERED
+    ev = Timeout(sim)
     ev.callbacks.append(lambda e: order.append("scheduled"))
     sim.schedule(ev, 1.0)
     second = sim.timeout(1.0)

@@ -61,16 +61,6 @@ def test_response_times_filtering():
     assert metrics.response_times(only_ok=False) == [2.0, 9.0]
 
 
-def test_throughput_and_validation():
-    metrics = Metrics()
-    for _ in range(6):
-        rec = metrics.new_record("/a", start=0.0)
-        metrics.finish(rec, end=1.0, status=200)
-    assert metrics.throughput(3.0) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        metrics.throughput(0.0)
-
-
 def test_phase_breakdown_aggregates():
     metrics = Metrics()
     for duration in (1.0, 3.0):
